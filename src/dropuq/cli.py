@@ -18,7 +18,7 @@ import sys
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import replace
 from pathlib import Path
-from typing import List, Optional, Sequence
+from typing import List, Optional, Sequence, Tuple
 
 from . import __version__
 from .calibration import (
@@ -120,8 +120,8 @@ def _cmd_synth(args) -> int:
     return 0
 
 
-def _cluster_one(path: str, args) -> str:
-    out_dir = Path(args.out_dir)
+def _cluster_one(path: str, args) -> Tuple[dict, str]:
+    """Cluster one samples file; returns its clusters document and summary line."""
     cfg = IngestConfig(background_threshold=args.background_threshold)
     raw = read_sample_set(path, cfg)
     filtered = filter_background(raw, cfg)
@@ -141,7 +141,6 @@ def _cluster_one(path: str, args) -> str:
         "seed": seed,
         "split_threshold": args.split_threshold,
         "background_threshold": args.background_threshold,
-        "mask_threshold": args.mask_threshold,
         "n_detections": len(filtered.detections),
         "labels": [int(v) for v in labels],
         "clusters": [
@@ -149,10 +148,8 @@ def _cluster_one(path: str, args) -> str:
             for c in clusters
         ],
     }
-    name = _safe_name(filtered.image_id)
-    _write_text(out_dir / f"{name}_clusters.json", json.dumps(doc, sort_keys=True, indent=2) + "\n")
     sizes = ", ".join(str(len(c)) for c in clusters)
-    return f"{filtered.image_id}: {len(clusters)} clusters (sizes {sizes})"
+    return doc, f"{filtered.image_id}: {len(clusters)} clusters (sizes {sizes})"
 
 
 def _cmd_cluster(args) -> int:
@@ -171,10 +168,19 @@ def _cmd_cluster(args) -> int:
     )
     if args.jobs > 1 and len(args.samples) > 1:
         with ThreadPoolExecutor(max_workers=args.jobs) as pool:
-            summaries = list(pool.map(lambda p: _cluster_one(p, args), args.samples))
+            results = list(pool.map(lambda p: _cluster_one(p, args), args.samples))
     else:
-        summaries = [_cluster_one(p, args) for p in args.samples]
-    for line in summaries:
+        results = [_cluster_one(p, args) for p in args.samples]
+    # Every file is checked before any is written: two images that map to
+    # one clusters file would otherwise overwrite each other.
+    owners = {}
+    for path, (doc, _) in zip(args.samples, results):
+        name = f"{_safe_name(doc['image_id'])}_clusters.json"
+        if name in owners:
+            raise ValueError(f"{owners[name]} and {path} would both write {name}")
+        owners[name] = path
+    for name, (doc, line) in zip(owners, results):
+        _write_text(out_dir / name, json.dumps(doc, sort_keys=True, indent=2) + "\n")
         print(line)
     return 0
 
@@ -328,7 +334,7 @@ def main(argv: Optional[List[str]] = None) -> int:
     p.add_argument("samples", nargs="+", help="prediction-sample files")
     _add_shared(
         p, "seed", "jobs", "out-dir", "algorithm", "split-threshold",
-        "background-threshold", "mask-threshold",
+        "background-threshold",
     )
     p.set_defaults(func=_cmd_cluster)
 

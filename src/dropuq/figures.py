@@ -133,16 +133,18 @@ def heatmap_figure(values: np.ndarray, max_cols: int = 128) -> str:
     cols = math.ceil(w / step)
     cell = 4.0
     body = [_rect(0, 0, cols * cell, rows * cell, fill="white")]
-    for i in range(rows):
-        for j in range(cols):
-            block = arr[i * step : (i + 1) * step, j * step : (j + 1) * step]
-            v = float(block.mean())
-            if v <= 0.0:
-                continue
-            g = int(round(255 * (1.0 - v)))
-            body.append(
-                _rect(j * cell, i * cell, cell, cell, fill=f"rgb(255,{g},{g})")
-            )
+    # A block whose mean is > 0 has a pixel > 0, so blocks without one are
+    # skipped in a single pass over a zero-padded copy.
+    padded = np.zeros((rows * step, cols * step))
+    padded[:h, :w] = arr
+    lit = padded.reshape(rows, step, cols, step).max(axis=(1, 3)) > 0.0
+    for i, j in np.argwhere(lit).tolist():
+        block = arr[i * step : (i + 1) * step, j * step : (j + 1) * step]
+        v = float(block.mean())
+        if v <= 0.0:
+            continue
+        g = int(round(255 * (1.0 - v)))
+        body.append(_rect(j * cell, i * cell, cell, cell, fill=f"rgb(255,{g},{g})"))
     return _svg(cols * cell, rows * cell, body)
 
 

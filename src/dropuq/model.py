@@ -117,6 +117,11 @@ class RleMask:
     def is_empty(self) -> bool:
         return self.foreground_count == 0
 
+    def foreground_intervals(self) -> Tuple[np.ndarray, np.ndarray]:
+        """Half-open [start, end) flat-pixel bounds of the foreground runs."""
+        bounds = np.cumsum(np.asarray(self.runs, dtype=np.int64))
+        return bounds[:-1:2], bounds[1::2]
+
 
 @dataclass(frozen=True)
 class ScoreVector:
@@ -223,12 +228,19 @@ def mask_iou(a: RleMask, b: RleMask) -> float:
         raise ValueError(
             f"mask dims differ: {a.height}x{a.width} vs {b.height}x{b.width}"
         )
-    ga = rle_decode(a)
-    gb = rle_decode(b)
-    union = int(np.logical_or(ga, gb).sum())
+    # Sweep the run boundaries of both masks: +1 at each foreground start,
+    # -1 at each end. Pixels covered twice are the intersection.
+    starts_a, ends_a = a.foreground_intervals()
+    starts_b, ends_b = b.foreground_intervals()
+    pos = np.concatenate((starts_a, starts_b, ends_a, ends_b))
+    step = np.repeat([1, -1], len(starts_a) + len(starts_b))
+    order = np.argsort(pos, kind="stable")
+    pos = pos[order]
+    coverage = np.cumsum(step[order])
+    inter = int(np.diff(pos)[coverage[:-1] == 2].sum())
+    union = a.foreground_count + b.foreground_count - inter
     if union == 0:
         return 0.0
-    inter = int(np.logical_and(ga, gb).sum())
     return inter / union
 
 

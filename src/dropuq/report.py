@@ -14,7 +14,7 @@ from typing import Optional, Sequence, Tuple
 import numpy as np
 
 from .clustering import InstanceCluster
-from .model import BBox, RleMask, box_iou, mask_iou, rle_decode, rle_encode
+from .model import BBox, RleMask, box_iou, mask_iou, rle_encode
 
 __all__ = [
     "BoxStats",
@@ -119,6 +119,12 @@ def mask_stats(c: InstanceCluster, mask_threshold: float = 0.5) -> MaskStats:
     The mean at a pixel is the fraction of mask-carrying members with
     foreground there; the consensus binarizes the mean at the threshold.
     zero_mask flags a cluster whose consensus has no foreground at all.
+
+    Members are never decoded: each one adds +1/-1 at its foreground run
+    bounds to one difference array, whose cumulative sum is the per-pixel
+    count c of members covering the pixel. Then mean = c / n and the
+    population std of n Bernoulli values is sqrt(c (n - c)) / n, so memory
+    is O(H*W) whatever the member count.
     """
     masks = [m.mask for m in c.members if m.mask is not None]
     for m in masks:
@@ -127,20 +133,34 @@ def mask_stats(c: InstanceCluster, mask_threshold: float = 0.5) -> MaskStats:
                 f"mask dims {m.height}x{m.width} differ from image dims "
                 f"{c.height}x{c.width}"
             )
-    if masks:
-        stack = np.stack([rle_decode(m) for m in masks]).astype(np.float64)
-        mean = stack.mean(axis=0)
-        std = stack.std(axis=0)
-    else:
-        mean = np.zeros((c.height, c.width))
-        std = np.zeros((c.height, c.width))
+    h, w = c.height, c.width
+    n = len(masks)
+    if n == 0:
+        return MaskStats(
+            mean_mask=np.zeros((h, w)),
+            std_mask=np.zeros((h, w)),
+            consensus_mask=RleMask(h, w, (h * w,)),
+            zero_mask=True,
+            coverage_count=0,
+            mask_threshold=mask_threshold,
+        )
+    intervals = [m.foreground_intervals() for m in masks]
+    starts = np.concatenate([s for s, _ in intervals])
+    ends = np.concatenate([e for _, e in intervals])
+    diff = np.bincount(starts, minlength=h * w + 1)
+    diff -= np.bincount(ends, minlength=h * w + 1)
+    counts = np.cumsum(diff[: h * w], out=diff[: h * w]).reshape(h, w)
+    mean = counts / n
+    counts *= n - counts  # in place: n^2 times the variance, c (n - c)
+    std = np.sqrt(counts)
+    std /= n
     consensus = rle_encode(mean >= mask_threshold)
     return MaskStats(
         mean_mask=mean,
         std_mask=std,
         consensus_mask=consensus,
-        zero_mask=consensus.is_empty or not masks,
-        coverage_count=len(masks),
+        zero_mask=consensus.is_empty,
+        coverage_count=n,
         mask_threshold=mask_threshold,
     )
 

@@ -205,6 +205,31 @@ class TestDeterminism:
             par = (tmp_path / "par" / f"{name}_clusters.json").read_bytes()
             assert seq == par
 
+    @pytest.mark.parametrize("ids", [("scene0", "scene0"), ("a/b", "a_b")])
+    def test_clusters_file_collision_is_error(self, pipeline_dirs, tmp_path, ids):
+        samples = pipeline_dirs / "synth" / "scene0_samples.jsonl"
+        text = samples.read_text().splitlines()
+        header = json.loads(text[0])
+        files = []
+        for image_id, name in zip(ids, ("a.jsonl", "a_copy.jsonl")):
+            header["image_id"] = image_id
+            p = tmp_path / name
+            p.write_text("\n".join([json.dumps(header)] + text[1:]) + "\n")
+            files.append(p)
+        out = tmp_path / "out"
+        r = run_cli("cluster", *files, "--out-dir", out, "--jobs", "2", check=False)
+        assert r.returncode == 2
+        assert str(files[0]) in r.stderr and str(files[1]) in r.stderr
+        assert not list(out.glob("*_clusters.json"))
+
+    def test_cluster_has_no_mask_threshold(self, pipeline_dirs, tmp_path):
+        samples = pipeline_dirs / "synth" / "scene0_samples.jsonl"
+        r = run_cli("cluster", samples, "--out-dir", tmp_path / "o",
+                    "--mask-threshold", "0.9", check=False)
+        assert r.returncode == 1
+        doc = json.loads((pipeline_dirs / "clusters" / "scene0_clusters.json").read_text())
+        assert "mask_threshold" not in doc
+
     def test_zero_mask_cluster_report(self, tmp_path):
         spec = separated_scene(4, 1, sigma=1.5, n_repetitions=20, shape="none",
                                height=120, width=160)

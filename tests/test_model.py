@@ -112,6 +112,59 @@ class TestMaskIou:
         )
 
 
+class TestMaskIouOnRuns:
+    """mask_iou works on run bounds; a dense pixel count is the oracle."""
+
+    @staticmethod
+    def dense_iou(a, b):
+        union = int(np.logical_or(a, b).sum())
+        return int(np.logical_and(a, b).sum()) / union if union else 0.0
+
+    def check(self, grid_a, grid_b):
+        got = mask_iou(rle_encode(grid_a), rle_encode(grid_b))
+        assert got == self.dense_iou(grid_a, grid_b)
+
+    def test_random_grids(self):
+        rng = np.random.default_rng(7)
+        for _ in range(300):
+            h, w = rng.integers(1, 12, size=2)
+            pa, pb = rng.uniform(0, 1, size=2)
+            self.check(rng.random((h, w)) < pa, rng.random((h, w)) < pb)
+
+    def test_leading_zero_length_run(self):
+        rng = np.random.default_rng(8)
+        for _ in range(50):
+            a = rng.random((6, 9)) < 0.5
+            b = rng.random((6, 9)) < 0.5
+            a[0, 0] = b[0, 0] = True
+            assert rle_encode(a).runs[0] == 0
+            self.check(a, b)
+
+    def test_all_foreground(self):
+        rng = np.random.default_rng(9)
+        full = np.ones((5, 7), dtype=bool)
+        self.check(full, full)
+        self.check(full, rng.random((5, 7)) < 0.3)
+
+    def test_one_empty(self):
+        rng = np.random.default_rng(10)
+        empty = np.zeros((5, 7), dtype=bool)
+        self.check(empty, rng.random((5, 7)) < 0.3)
+        self.check(np.ones((5, 7), dtype=bool), empty)
+
+    def test_both_empty(self):
+        empty = np.zeros((5, 7), dtype=bool)
+        assert mask_iou(rle_encode(empty), rle_encode(empty)) == 0.0
+
+    def test_foreground_intervals(self):
+        m = RleMask(1, 10, (0, 2, 3, 1, 4))
+        starts, ends = m.foreground_intervals()
+        assert starts.tolist() == [0, 5]
+        assert ends.tolist() == [2, 6]
+        starts, ends = RleMask(1, 10, (10,)).foreground_intervals()
+        assert starts.tolist() == [] and ends.tolist() == []
+
+
 class TestRle:
     def test_all_background(self):
         assert rle_encode(np.zeros((2, 2), dtype=bool)).runs == (4,)

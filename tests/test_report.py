@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -149,6 +150,101 @@ class TestMaskStats:
         c = make_cluster([(0, 0, 5, 5)], masks=[RleMask(5, 5, (25,))], height=20, width=20)
         with pytest.raises(ValueError):
             mask_stats(c)
+
+
+def dense_mask_stats(c, mask_threshold=0.5):
+    """Reference: stack every decoded member mask and reduce over the stack."""
+    stack = np.stack(
+        [rle_decode(m.mask) for m in c.members if m.mask is not None]
+    ).astype(np.float64)
+    mean = stack.mean(axis=0)
+    return mean, stack.std(axis=0), rle_encode(mean >= mask_threshold)
+
+
+def random_masks(rng, n, height, width):
+    masks = []
+    for _ in range(n):
+        grid = rng.random((height, width)) < rng.uniform(0.0, 1.0)
+        masks.append(rle_encode(grid))
+    return masks
+
+
+class TestMaskStatsOnCounts:
+    """mask_stats counts run bounds; a dense (N, H, W) stack is the oracle."""
+
+    def test_matches_dense_stack(self):
+        rng = np.random.default_rng(11)
+        for trial in range(40):
+            n = int(rng.integers(1, 30))
+            h, w = (int(v) for v in rng.integers(1, 25, size=2))
+            masks = random_masks(rng, n, h, w)
+            if trial % 4 == 0:
+                masks[0] = RleMask(h, w, (0, h * w))
+            if trial % 4 == 1:
+                masks[-1] = RleMask(h, w, (h * w,))
+            c = make_cluster([(0, 0, 1, 1)] * n, masks=masks, height=h, width=w)
+            for threshold in (0.5, 0.3, 1.0):
+                s = mask_stats(c, mask_threshold=threshold)
+                mean, std, consensus = dense_mask_stats(c, threshold)
+                assert np.array_equal(s.mean_mask, mean)
+                assert np.abs(s.std_mask - std).max() <= 1e-12
+                assert s.consensus_mask == consensus
+                assert s.zero_mask == consensus.is_empty
+                assert s.coverage_count == n
+
+    def test_members_without_masks_are_skipped(self):
+        rng = np.random.default_rng(12)
+        masks = random_masks(rng, 6, 9, 11)
+        masks[1] = masks[4] = None
+        c = make_cluster([(0, 0, 1, 1)] * 6, masks=masks, height=9, width=11)
+        s = mask_stats(c)
+        mean, std, consensus = dense_mask_stats(c)
+        assert s.coverage_count == 4
+        assert np.array_equal(s.mean_mask, mean)
+        assert np.abs(s.std_mask - std).max() <= 1e-12
+        assert s.consensus_mask == consensus
+
+    def test_permutation_invariant(self):
+        rng = np.random.default_rng(13)
+        masks = random_masks(rng, 25, 16, 21)
+        c = make_cluster([(0, 0, 1, 1)] * 25, masks=masks, height=16, width=21)
+        first = mask_stats(c)
+        for _ in range(5):
+            order = rng.permutation(25)
+            shuffled = make_cluster(
+                [(0, 0, 1, 1)] * 25, masks=[masks[i] for i in order], height=16, width=21
+            )
+            s = mask_stats(shuffled)
+            assert np.array_equal(s.mean_mask, first.mean_mask)
+            assert np.array_equal(s.std_mask, first.std_mask)
+            assert s.consensus_mask == first.consensus_mask
+
+    def test_box_only_cluster(self):
+        c = make_cluster([(0, 0, 5, 5)] * 4, height=7, width=9)
+        s = mask_stats(c)
+        assert s.mean_mask.shape == s.std_mask.shape == (7, 9)
+        assert not s.mean_mask.any() and not s.std_mask.any()
+        assert s.consensus_mask == RleMask(7, 9, (63,))
+        assert s.zero_mask
+
+    def test_memory_bounded_in_member_count(self):
+        # 400 members of 480x640: a dense float64 stack alone would be ~983 MB.
+        h, w, n = 480, 640, 400
+        yy, xx = np.mgrid[0:h, 0:w]
+        masks = []
+        for k in range(n):
+            cy, cx = 240 + (k % 7) - 3, 320 + (k % 11) - 5
+            masks.append(rle_encode((yy - cy) ** 2 / 90.0**2 + (xx - cx) ** 2 / 120.0**2 <= 1.0))
+        del yy, xx
+        c = make_cluster([(200, 150, 440, 330)] * n, masks=masks, height=h, width=w)
+        tracemalloc.start()
+        try:
+            s = mask_stats(c)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert s.coverage_count == n and not s.zero_mask
+        assert peak < 40 * 2**20
 
 
 class TestIouToMean:
