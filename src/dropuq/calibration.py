@@ -14,7 +14,7 @@ from typing import IO, Iterable, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
-from .ingest import ParseError
+from .ingest import ParseError, _jsonl_records
 from .model import ScoreVector
 
 __all__ = [
@@ -112,17 +112,20 @@ def _records_arrays(records: Sequence[CalibrationRecord]) -> Tuple[np.ndarray, n
     return z, y
 
 
+def _nll(z: np.ndarray, y: np.ndarray, t: float) -> float:
+    zt = z / t
+    m = zt.max(axis=1)
+    log_norm = m + np.log(np.exp(zt - m[:, None]).sum(axis=1))
+    return float(np.sum(log_norm - zt[np.arange(len(y)), y]))
+
+
 def negative_log_likelihood(
     records: Sequence[CalibrationRecord], temperature: float
 ) -> float:
     """Total NLL of the true classes under temperature-scaled softmax."""
     if temperature <= 0:
         raise ValueError(f"temperature must be positive, got {temperature}")
-    z, y = _records_arrays(records)
-    zt = z / temperature
-    log_norm = zt.max(axis=1)
-    log_norm = log_norm + np.log(np.exp(zt - log_norm[:, None]).sum(axis=1))
-    return float(np.sum(log_norm - zt[np.arange(len(y)), y]))
+    return _nll(*_records_arrays(records), temperature)
 
 
 def fit_temperature(records: Sequence[CalibrationRecord]) -> float:
@@ -135,29 +138,23 @@ def fit_temperature(records: Sequence[CalibrationRecord]) -> float:
         raise ValueError("cannot fit temperature on empty records")
     z, y = _records_arrays(records)
 
-    def nll(t: float) -> float:
-        zt = z / t
-        m = zt.max(axis=1)
-        log_norm = m + np.log(np.exp(zt - m[:, None]).sum(axis=1))
-        return float(np.sum(log_norm - zt[np.arange(len(y)), y]))
-
     inv_phi = (math.sqrt(5.0) - 1.0) / 2.0
     a, b = T_SEARCH_LO, T_SEARCH_HI
     c = b - inv_phi * (b - a)
     d = a + inv_phi * (b - a)
-    fc, fd = nll(c), nll(d)
+    fc, fd = _nll(z, y, c), _nll(z, y, d)
     while b - a > 1e-4:
         if fc < fd:
             b, d, fd = d, c, fc
             c = b - inv_phi * (b - a)
-            fc = nll(c)
+            fc = _nll(z, y, c)
         else:
             a, c, fc = c, d, fd
             d = a + inv_phi * (b - a)
-            fd = nll(d)
+            fd = _nll(z, y, d)
     t = (a + b) / 2.0
     # Never worsen the unscaled baseline.
-    if nll(1.0) < nll(t):
+    if _nll(z, y, 1.0) < _nll(z, y, t):
         return 1.0
     return t
 
@@ -251,30 +248,29 @@ def focal_loss(
 def parse_calibration_records(
     stream: Union[str, IO[str], Iterable[str]],
 ) -> List[CalibrationRecord]:
-    """Parse line-delimited {"logits": [...], "true_class": int} records."""
-    if isinstance(stream, str):
-        lines = stream.splitlines()
-    else:
-        lines = [ln.rstrip("\n") for ln in stream]
+    """Parse line-delimited {"logits": [...], "true_class": int} records.
+
+    Every record must hold as many logits as the first one.
+    """
     records = []
-    for lineno, line in enumerate(lines, start=1):
-        if not line.strip():
-            continue
+    first_line = 0
+    for lineno, obj in _jsonl_records(stream, ["logits", "true_class"], []):
         try:
-            obj = json.loads(line)
-        except json.JSONDecodeError as exc:
-            raise ParseError(lineno, f"invalid JSON ({exc.msg})") from exc
-        if not isinstance(obj, dict) or list(obj.keys()) != ["logits", "true_class"]:
-            raise ParseError(lineno, "record fields must be ['logits', 'true_class']")
-        try:
-            records.append(
-                CalibrationRecord(
-                    logits=LogitVector(tuple(float(v) for v in obj["logits"])),
-                    true_class=int(obj["true_class"]),
-                )
+            record = CalibrationRecord(
+                logits=LogitVector(tuple(float(v) for v in obj["logits"])),
+                true_class=int(obj["true_class"]),
             )
         except (TypeError, ValueError) as exc:
             raise ParseError(lineno, str(exc)) from exc
+        if not records:
+            first_line = lineno
+        elif len(record.logits) != len(records[0].logits):
+            raise ParseError(
+                lineno,
+                f"{len(record.logits)} logits, but line {first_line} has "
+                f"{len(records[0].logits)}",
+            )
+        records.append(record)
     return records
 
 

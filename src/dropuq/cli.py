@@ -70,6 +70,16 @@ class _Parser(argparse.ArgumentParser):
         raise SystemExit(USAGE_ERROR)
 
 
+def _positive_int(text: str) -> int:
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be >= 1, got {value}")
+    return value
+
+
 def derive_seed(master: int, *tokens) -> int:
     """Deterministic sub-seed: SHA-256 over the master seed and a token path."""
     text = "dropuq:" + ":".join([str(master), *map(str, tokens)])
@@ -302,7 +312,7 @@ def _add_shared(parser: argparse.ArgumentParser, *names: str) -> None:
     if "seed" in names:
         parser.add_argument("--seed", type=int, default=0, help="master random seed")
     if "jobs" in names:
-        parser.add_argument("--jobs", type=int, default=1, help="parallel images")
+        parser.add_argument("--jobs", type=_positive_int, default=1, help="parallel images")
     if "out-dir" in names:
         parser.add_argument("--out-dir", required=True, help="output directory")
     if "algorithm" in names:
@@ -310,13 +320,13 @@ def _add_shared(parser: argparse.ArgumentParser, *names: str) -> None:
             "--algorithm", choices=("bgm", "agg"), default="bgm", help="clustering algorithm"
         )
     if "split-threshold" in names:
-        parser.add_argument("--split-threshold", type=int, default=150)
+        parser.add_argument("--split-threshold", type=_positive_int, default=150)
     if "background-threshold" in names:
         parser.add_argument("--background-threshold", type=float, default=0.45)
     if "mask-threshold" in names:
         parser.add_argument("--mask-threshold", type=float, default=0.5)
     if "bins" in names:
-        parser.add_argument("--bins", type=int, default=10)
+        parser.add_argument("--bins", type=_positive_int, default=10)
 
 
 def main(argv: Optional[List[str]] = None) -> int:

@@ -13,7 +13,7 @@ from typing import Dict, IO, Iterable, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
-from .ingest import ParseError
+from .ingest import ParseError, _jsonl_records
 from .model import BBox, RleMask, box_iou, mask_iou
 from .report import ClusterReport
 
@@ -190,23 +190,8 @@ def parse_ground_truth(
     width: int,
 ) -> List[GroundTruthInstance]:
     """Parse line-delimited {"image_id", "bbox", "class_id", "mask_runs"?}."""
-    if isinstance(stream, str):
-        lines = stream.splitlines()
-    else:
-        lines = [ln.rstrip("\n") for ln in stream]
     out = []
-    for lineno, line in enumerate(lines, start=1):
-        if not line.strip():
-            continue
-        try:
-            obj = json.loads(line)
-        except json.JSONDecodeError as exc:
-            raise ParseError(lineno, f"invalid JSON ({exc.msg})") from exc
-        keys = list(obj.keys()) if isinstance(obj, dict) else []
-        if keys not in (_GT_KEYS, _GT_KEYS + ["mask_runs"]):
-            raise ParseError(
-                lineno, f"fields must be {_GT_KEYS} (+ optional mask_runs), got {keys}"
-            )
+    for lineno, obj in _jsonl_records(stream, _GT_KEYS, ["mask_runs"]):
         try:
             mask = None
             if "mask_runs" in obj:

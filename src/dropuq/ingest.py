@@ -15,8 +15,8 @@ order is fixed and unknown fields are rejected.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
-from typing import IO, Iterable, List, Union
+from dataclasses import dataclass, replace
+from typing import IO, Iterable, Iterator, List, Optional, Tuple, Union
 
 from .model import BBox, Detection, RleMask, SampleSet, ScoreVector
 
@@ -28,7 +28,6 @@ __all__ = [
     "serialize_sample_set",
     "write_sample_set",
     "filter_background",
-    "apply_legacy_class_filter",
 ]
 
 _HEADER_KEYS = ["image_id", "height", "width", "n_repetitions", "num_classes"]
@@ -47,8 +46,6 @@ class ParseError(ValueError):
 class IngestConfig:
     background_threshold: float = 0.45  # erase detections whose background score exceeds this
     clamp_boxes: bool = True            # clamp boxes into the image instead of rejecting
-    legacy_class_filter: bool = False   # original detector rule, off by default
-    legacy_threshold: float = 0.05      # keep only detections with a foreground score above this
 
     def __post_init__(self):
         if not 0.0 <= self.background_threshold <= 1.0:
@@ -76,6 +73,29 @@ def _record(line: str, line_number: int, expected_keys: List[str], optional: Lis
     return obj
 
 
+def _jsonl_records(
+    stream: Union[str, IO[str], Iterable[str]],
+    keys: List[str],
+    optional: List[str],
+    header: Optional[List[str]] = None,
+) -> Iterator[Tuple[int, dict]]:
+    """Yield (line_number, record) for every non-blank line of a JSONL stream.
+
+    Line numbers are 1-based and count blank lines. Each record is checked
+    by _record against ``keys`` then ``optional``; with ``header`` given,
+    the first record must have exactly those fields instead.
+    """
+    lines = stream.splitlines() if isinstance(stream, str) else stream
+    for lineno, line in enumerate(lines, start=1):
+        if not line.strip():
+            continue
+        if header is not None:
+            yield lineno, _record(line, lineno, header, [])
+            header = None
+        else:
+            yield lineno, _record(line, lineno, keys, optional)
+
+
 def parse_sample_set(
     stream: Union[str, IO[str], Iterable[str]],
     cfg: IngestConfig = IngestConfig(),
@@ -86,16 +106,12 @@ def parse_sample_set(
     repetition). Raises ParseError with the offending line number on any
     malformed record.
     """
-    if isinstance(stream, str):
-        lines = stream.splitlines()
-    else:
-        lines = [ln.rstrip("\n") for ln in stream]
-    lines = [(i + 1, ln) for i, ln in enumerate(lines) if ln.strip()]
-    if not lines:
+    records = _jsonl_records(stream, _DET_KEYS, ["mask_runs"], header=_HEADER_KEYS)
+    first = next(records, None)
+    if first is None:
         raise ParseError(1, "missing header record")
 
-    lineno, header_line = lines[0]
-    header = _record(header_line, lineno, _HEADER_KEYS, [])
+    header_lineno, header = first
     try:
         image_id = str(header["image_id"])
         height = int(header["height"])
@@ -103,13 +119,12 @@ def parse_sample_set(
         n_repetitions = int(header["n_repetitions"])
         num_classes = int(header["num_classes"])
     except (TypeError, ValueError) as exc:
-        raise ParseError(lineno, f"bad header value ({exc})") from exc
+        raise ParseError(header_lineno, f"bad header value ({exc})") from exc
     if num_classes < 1:
-        raise ParseError(lineno, f"num_classes must be >= 1, got {num_classes}")
+        raise ParseError(header_lineno, f"num_classes must be >= 1, got {num_classes}")
 
     detections = []
-    for lineno, line in lines[1:]:
-        obj = _record(line, lineno, _DET_KEYS, ["mask_runs"])
+    for lineno, obj in records:
         try:
             repetition = int(obj["repetition"])
             box_vals = [float(v) for v in obj["bbox"]]
@@ -154,7 +169,7 @@ def parse_sample_set(
             detections=tuple(detections),
         )
     except ValueError as exc:
-        raise ParseError(lines[0][0], str(exc)) from exc
+        raise ParseError(header_lineno, str(exc)) from exc
 
 
 def read_sample_set(path, cfg: IngestConfig = IngestConfig()) -> SampleSet:
@@ -203,29 +218,4 @@ def filter_background(s: SampleSet, cfg: IngestConfig = IngestConfig()) -> Sampl
     kept = tuple(
         d for d in s.detections if d.scores.background <= cfg.background_threshold
     )
-    return SampleSet(
-        image_id=s.image_id,
-        height=s.height,
-        width=s.width,
-        n_repetitions=s.n_repetitions,
-        detections=kept,
-    )
-
-
-def apply_legacy_class_filter(
-    s: SampleSet, cfg: IngestConfig = IngestConfig()
-) -> SampleSet:
-    """Original detector rule: drop detections with no foreground score above
-    the legacy threshold. Provided for A/B comparison, off by default."""
-    if not cfg.legacy_class_filter:
-        return s
-    kept = tuple(
-        d for d in s.detections if max(d.scores.scores[1:]) > cfg.legacy_threshold
-    )
-    return SampleSet(
-        image_id=s.image_id,
-        height=s.height,
-        width=s.width,
-        n_repetitions=s.n_repetitions,
-        detections=kept,
-    )
+    return replace(s, detections=kept)

@@ -136,9 +136,10 @@ def mask_stats(c: InstanceCluster, mask_threshold: float = 0.5) -> MaskStats:
     h, w = c.height, c.width
     n = len(masks)
     if n == 0:
+        zeros = np.broadcast_to(0.0, (h, w))  # read-only: nothing reads these heatmaps
         return MaskStats(
-            mean_mask=np.zeros((h, w)),
-            std_mask=np.zeros((h, w)),
+            mean_mask=zeros,
+            std_mask=zeros,
             consensus_mask=RleMask(h, w, (h * w,)),
             zero_mask=True,
             coverage_count=0,

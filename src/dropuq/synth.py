@@ -15,7 +15,7 @@ import numpy as np
 
 from .calibration import CalibrationRecord, LogitVector
 from .evaluation import GroundTruthInstance
-from .model import BBox, Detection, SampleSet, ScoreVector, rle_encode
+from .model import BBox, Detection, SampleSet, ScoreVector, rasterize_box, rle_decode, rle_encode
 
 __all__ = [
     "InstanceSpec",
@@ -77,12 +77,10 @@ class SceneSpec:
 
 
 def _render_shape(box: BBox, shape: str, height: int, width: int) -> np.ndarray:
+    if shape == "box":
+        return rle_decode(rasterize_box(box, height, width))
     cols = np.arange(width) + 0.5
     rows = np.arange(height) + 0.5
-    if shape == "box":
-        return ((rows >= box.y1) & (rows < box.y2))[:, None] & (
-            (cols >= box.x1) & (cols < box.x2)
-        )[None, :]
     cx, cy = box.center
     ax = max(box.width / 2.0, 1e-9)
     ay = max(box.height / 2.0, 1e-9)

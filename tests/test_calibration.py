@@ -270,3 +270,9 @@ class TestRecordIo:
     def test_rejects_bad_class(self):
         with pytest.raises(ParseError):
             parse_calibration_records('{"logits": [0, 1], "true_class": 5}')
+
+    def test_rejects_mixed_logit_counts(self):
+        text = '{"logits": [1, 2], "true_class": 1}\n\n{"logits": [1, 2, 3], "true_class": 1}\n'
+        with pytest.raises(ParseError, match="^line 3: 3 logits, but line 1 has 2") as err:
+            parse_calibration_records(text)
+        assert err.value.line_number == 3

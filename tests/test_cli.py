@@ -76,6 +76,25 @@ class TestExitCodes:
         r = run_cli("cluster", tmp_path / "nope.jsonl", "--out-dir", tmp_path / "o", check=False)
         assert r.returncode == 2
 
+    @pytest.mark.parametrize(
+        "command, flag, value",
+        [
+            ("cluster", "--jobs", "0"),
+            ("cluster", "--jobs", "-1"),
+            ("cluster", "--split-threshold", "0"),
+            ("calibrate", "--bins", "0"),
+            ("calibrate", "--bins", "x"),
+        ],
+    )
+    def test_bad_count_is_usage_error(self, tmp_path, command, flag, value):
+        path = tmp_path / "input.jsonl"
+        path.write_text("")
+        out = tmp_path / "o"
+        r = run_cli(command, path, "--out-dir", out, flag, value, check=False)
+        assert r.returncode == 1
+        assert flag in r.stderr
+        assert not out.exists()
+
     def test_malformed_file_is_two(self, tmp_path):
         bad = tmp_path / "bad.jsonl"
         bad.write_text("this is not json\n")
@@ -271,6 +290,15 @@ class TestCalibrate:
         path.write_text(serialize_calibration_records(records))
         r = run_cli("calibrate", path, "--out-dir", tmp_path / "cal")
         assert "already calibrated" in r.stdout
+
+    def test_mixed_logit_counts_name_line(self, tmp_path):
+        path = tmp_path / "records.jsonl"
+        path.write_text(
+            '{"logits": [1, 2], "true_class": 1}\n{"logits": [1, 2, 3], "true_class": 1}\n'
+        )
+        r = run_cli("calibrate", path, "--out-dir", tmp_path / "cal", check=False)
+        assert r.returncode == 2
+        assert "line 2: 3 logits, but line 1 has 2" in r.stderr
 
     def test_empty_records_error(self, tmp_path):
         path = tmp_path / "records.jsonl"

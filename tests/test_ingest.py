@@ -1,11 +1,14 @@
+import io
 import json
 
 import pytest
 
+from dropuq.calibration import parse_calibration_records
+from dropuq.evaluation import parse_ground_truth
+
 from dropuq.ingest import (
     IngestConfig,
     ParseError,
-    apply_legacy_class_filter,
     filter_background,
     parse_sample_set,
     serialize_sample_set,
@@ -153,14 +156,55 @@ class TestFilterBackground:
         assert len(out.detections) == 1
 
 
-class TestLegacyFilter:
-    def test_disabled_by_default(self):
-        s = sample_with_backgrounds([0.97])
-        assert apply_legacy_class_filter(s) == s
 
-    def test_enabled_drops_low_class_scores(self):
-        s = sample_with_backgrounds([0.97, 0.1])
-        cfg = IngestConfig(legacy_class_filter=True, legacy_threshold=0.05)
-        out = apply_legacy_class_filter(s, cfg)
-        # first detection: top foreground score 0.021 <= 0.05 -> dropped
-        assert len(out.detections) == 1
+# Each format: parser, lines before the records, a valid record, and the
+# same record with its fields out of order.
+FORMATS = {
+    "samples": (
+        parse_sample_set,
+        [HEADER],
+        det_line(),
+        json.dumps({"bbox": [1, 2, 5, 6], "repetition": 0, "scores": [0.1, 0.6, 0.3]}),
+    ),
+    "calibration": (
+        parse_calibration_records,
+        [],
+        json.dumps({"logits": [0.0, 1.5], "true_class": 1}),
+        json.dumps({"true_class": 1, "logits": [0.0, 1.5]}),
+    ),
+    "ground_truth": (
+        lambda stream: parse_ground_truth(stream, 20, 30),
+        [],
+        json.dumps({"image_id": "img0", "bbox": [1, 2, 5, 6], "class_id": 1}),
+        json.dumps({"bbox": [1, 2, 5, 6], "image_id": "img0", "class_id": 1}),
+    ),
+}
+
+
+@pytest.mark.parametrize("fmt", sorted(FORMATS))
+@pytest.mark.parametrize("as_file", [False, True])
+class TestJsonlReader:
+    def parse(self, fmt, lines, as_file):
+        text = "\n".join(FORMATS[fmt][1] + lines) + "\n"
+        return FORMATS[fmt][0](io.StringIO(text) if as_file else text)
+
+    def test_blank_lines_are_skipped(self, fmt, as_file):
+        good = FORMATS[fmt][2]
+        spaced = self.parse(fmt, ["", good, "   ", good, ""], as_file)
+        assert spaced == self.parse(fmt, [good, good], as_file)
+
+    @pytest.mark.parametrize(
+        "bad, message",
+        [
+            ("[1, 2]", "record must be a JSON object"),
+            ("{not json", "invalid JSON"),
+            (None, "fields"),  # the valid record with its fields out of order
+        ],
+    )
+    def test_error_names_original_line(self, fmt, as_file, bad, message):
+        head, good, reordered = FORMATS[fmt][1:]
+        lines = ["", good, "", "  ", bad if bad is not None else reordered]
+        lineno = len(head) + len(lines)
+        with pytest.raises(ParseError, match=f"^line {lineno}: {message}") as err:
+            self.parse(fmt, lines, as_file)
+        assert err.value.line_number == lineno

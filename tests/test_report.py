@@ -246,6 +246,21 @@ class TestMaskStatsOnCounts:
         assert s.coverage_count == n and not s.zero_mask
         assert peak < 40 * 2**20
 
+    def test_box_only_cluster_allocates_no_heatmaps(self):
+        # Two dense 980x980 float64 zero heatmaps would take 14.7 MB.
+        h = w = 980
+        c = make_cluster([(100, 100, 160, 150)] * 30, height=h, width=w)
+        tracemalloc.start()
+        try:
+            s = mask_stats(c)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert s.zero_mask and s.coverage_count == 0
+        assert s.mean_mask.shape == s.std_mask.shape == (h, w)
+        assert not s.mean_mask.any() and not s.std_mask.any()
+        assert peak < 2**20
+
 
 class TestIouToMean:
     def test_identical_members(self):

@@ -97,3 +97,24 @@ class TestFitAgglomerative:
         x = rng.normal(0, 5, (30, 4))
         shifted = fit_agglomerative(x + 37.25, 3)
         assert adjusted_rand_index(fit_agglomerative(x, 3), shifted) == 1.0
+
+
+class TestTiedHeights:
+    """Equal merge heights must still cut into exactly k clusters."""
+
+    def test_square_corners(self):
+        # Four equal nearest-neighbour distances: the first merge ties four ways.
+        x = np.array([[0, 0, 0, 0], [1, 0, 0, 0], [0, 1, 0, 0], [1, 1, 0, 0]], dtype=float)
+        for k in range(1, 5):
+            assert len(set(fit_agglomerative(x, k).tolist())) == k
+
+    def test_duplicate_point_groups(self):
+        # Every within-group merge has height 0.
+        centers = np.array([[0, 0, 5, 5], [40, 0, 45, 5], [0, 40, 5, 45]], dtype=float)
+        x = np.repeat(centers, [5, 3, 4], axis=0)
+        truth = np.repeat([0, 1, 2], [5, 3, 4])
+        got = fit_agglomerative(x, 3)
+        assert got.tolist() == truth.tolist()
+        assert adjusted_rand_index(truth, got) == 1.0
+        for k in range(1, len(x) + 1):
+            assert len(set(fit_agglomerative(x, k).tolist())) == k
