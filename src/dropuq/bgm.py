@@ -28,6 +28,7 @@ if TYPE_CHECKING:
 __all__ = ["MixtureState", "ClusteringError", "fit_bgm", "assign_labels"]
 
 _LOG_2PI = math.log(2.0 * math.pi)
+_ELBO_TOL = 1e-4  # a restart converges once the lower bound moves less than this
 
 
 class ClusteringError(ValueError):
@@ -241,8 +242,8 @@ def fit_bgm(points: np.ndarray, k_max: int, cfg: "ClusterConfig") -> MixtureStat
     arbitrate between split and merged basins: k-means seeding with k_max
     centers, then the merged single-component candidate, then k-means with
     k_max/2 centers, then random responsibilities. Iterates until the
-    lower-bound change drops below ``cfg.elbo_tol`` or ``cfg.max_iters`` is
-    reached.
+    lower-bound change drops below 1e-4 or ``cfg.max_iters`` is reached.
+    The stick-breaking concentration is 1/k_max.
     """
     X = np.asarray(points, dtype=np.float64)
     if X.ndim != 2 or X.shape[0] < 1:
@@ -262,9 +263,7 @@ def fit_bgm(points: np.ndarray, k_max: int, cfg: "ClusterConfig") -> MixtureStat
     scale_inv0 = emp_cov + reg * np.eye(D)
     beta0 = 1.0
     nu0 = float(D)
-    gamma0 = cfg.weight_concentration_prior
-    if gamma0 is None:
-        gamma0 = 1.0 / k_max
+    gamma0 = 1.0 / k_max
 
     half = k_max // 2
     best: Optional[Tuple[float, _Posterior, List[float], bool, int]] = None
@@ -287,7 +286,7 @@ def fit_bgm(points: np.ndarray, k_max: int, cfg: "ClusterConfig") -> MixtureStat
             post = _m_step(X, np.exp(log_resp), gamma0, beta0, m0, nu0, scale_inv0)
             elbo = _lower_bound(post, log_resp)
             trace.append(elbo)
-            if abs(elbo - prev) < cfg.elbo_tol:
+            if abs(elbo - prev) < _ELBO_TOL:
                 converged = True
                 break
             prev = elbo

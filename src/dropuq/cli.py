@@ -33,6 +33,7 @@ from .clustering import (
     ClusterConfig,
     cluster_pipeline,
     build_instance_clusters,
+    default_split_threshold,
     labels_from_clusters,
 )
 from .evaluation import (
@@ -50,7 +51,6 @@ from .figures import (
     reliability_figure,
 )
 from .ingest import (
-    IngestConfig,
     ParseError,
     filter_background,
     read_sample_set,
@@ -132,24 +132,19 @@ def _cmd_synth(args) -> int:
 
 def _cluster_one(path: str, args) -> Tuple[dict, str]:
     """Cluster one samples file; returns its clusters document and summary line."""
-    cfg = IngestConfig(background_threshold=args.background_threshold)
-    raw = read_sample_set(path, cfg)
-    filtered = filter_background(raw, cfg)
+    filtered = filter_background(read_sample_set(path), args.background_threshold)
     if not filtered.detections:
         raise ValueError(f"{path}: nothing to cluster after background filtering")
     seed = derive_seed(args.seed, "cluster", filtered.image_id)
-    ccfg = ClusterConfig(
-        algorithm=args.algorithm,
-        split_threshold=args.split_threshold,
-        seed=seed,
-    )
+    split_threshold = args.split_threshold or default_split_threshold(filtered.n_repetitions)
+    ccfg = ClusterConfig(algorithm=args.algorithm, split_threshold=split_threshold, seed=seed)
     clusters = cluster_pipeline(filtered, ccfg)
     labels = labels_from_clusters(filtered, clusters)
     doc = {
         "image_id": filtered.image_id,
         "algorithm": args.algorithm,
         "seed": seed,
-        "split_threshold": args.split_threshold,
+        "split_threshold": split_threshold,
         "background_threshold": args.background_threshold,
         "n_detections": len(filtered.detections),
         "labels": [int(v) for v in labels],
@@ -198,13 +193,11 @@ def _cmd_cluster(args) -> int:
 def _load_clustered(samples_path: str, clusters_path: str):
     """Rebuild the clustered sample set a cluster run wrote to disk."""
     doc = json.loads(Path(clusters_path).read_text(encoding="utf-8"))
-    cfg = IngestConfig(background_threshold=doc["background_threshold"])
-    raw = read_sample_set(samples_path, cfg)
-    filtered = filter_background(raw, cfg)
-    if raw.image_id != doc["image_id"]:
+    filtered = filter_background(read_sample_set(samples_path), doc["background_threshold"])
+    if filtered.image_id != doc["image_id"]:
         raise ValueError(
             f"clusters file is for image {doc['image_id']!r}, "
-            f"samples are {raw.image_id!r}"
+            f"samples are {filtered.image_id!r}"
         )
     if len(filtered.detections) != doc["n_detections"]:
         raise ValueError(
@@ -308,55 +301,43 @@ def _cmd_eval(args) -> int:
     return 0
 
 
-def _add_shared(parser: argparse.ArgumentParser, *names: str) -> None:
-    if "seed" in names:
-        parser.add_argument("--seed", type=int, default=0, help="master random seed")
-    if "jobs" in names:
-        parser.add_argument("--jobs", type=_positive_int, default=1, help="parallel images")
-    if "out-dir" in names:
-        parser.add_argument("--out-dir", required=True, help="output directory")
-    if "algorithm" in names:
-        parser.add_argument(
-            "--algorithm", choices=("bgm", "agg"), default="bgm", help="clustering algorithm"
-        )
-    if "split-threshold" in names:
-        parser.add_argument("--split-threshold", type=_positive_int, default=150)
-    if "background-threshold" in names:
-        parser.add_argument("--background-threshold", type=float, default=0.45)
-    if "mask-threshold" in names:
-        parser.add_argument("--mask-threshold", type=float, default=0.5)
-    if "bins" in names:
-        parser.add_argument("--bins", type=_positive_int, default=10)
-
-
-def main(argv: Optional[List[str]] = None) -> int:
+def _parser() -> argparse.ArgumentParser:
     parser = _Parser(prog="dropuq", description=__doc__)
     parser.add_argument("--version", action="version", version=f"dropuq {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("synth", help="generate a synthetic scene from a spec file")
     p.add_argument("spec", help="scene spec JSON")
-    _add_shared(p, "out-dir")
+    p.add_argument("--out-dir", required=True, help="output directory")
     p.add_argument("--seed", type=int, default=None, help="override the spec seed")
     p.set_defaults(func=_cmd_synth)
 
     p = sub.add_parser("cluster", help="cluster sampled detections into instances")
     p.add_argument("samples", nargs="+", help="prediction-sample files")
-    _add_shared(
-        p, "seed", "jobs", "out-dir", "algorithm", "split-threshold",
-        "background-threshold",
+    p.add_argument("--seed", type=int, default=0, help="master random seed")
+    p.add_argument("--jobs", type=_positive_int, default=1, help="parallel images")
+    p.add_argument("--out-dir", required=True, help="output directory")
+    p.add_argument(
+        "--algorithm", choices=("bgm", "agg"), default="bgm", help="clustering algorithm"
     )
+    p.add_argument(
+        "--split-threshold", type=_positive_int, default=None,
+        help="re-cluster groups larger than this (default: 1.5 x repetitions)",
+    )
+    p.add_argument("--background-threshold", type=float, default=0.45)
     p.set_defaults(func=_cmd_cluster)
 
     p = sub.add_parser("report", help="per-cluster uncertainty reports and figures")
     p.add_argument("samples", help="prediction-sample file")
     p.add_argument("--clusters", required=True, help="clusters file from 'cluster'")
-    _add_shared(p, "out-dir", "mask-threshold")
+    p.add_argument("--out-dir", required=True, help="output directory")
+    p.add_argument("--mask-threshold", type=float, default=0.5)
     p.set_defaults(func=_cmd_report)
 
     p = sub.add_parser("calibrate", help="fit temperature and reliability metrics")
     p.add_argument("records", help="calibration records file")
-    _add_shared(p, "out-dir", "bins")
+    p.add_argument("--out-dir", required=True, help="output directory")
+    p.add_argument("--bins", type=_positive_int, default=10)
     p.set_defaults(func=_cmd_calibrate)
 
     p = sub.add_parser("eval", help="mAP@0.5 against ground truth")
@@ -364,10 +345,14 @@ def main(argv: Optional[List[str]] = None) -> int:
     p.add_argument("--clusters", required=True)
     p.add_argument("--gt", required=True, help="ground-truth file")
     p.add_argument("--mode", choices=("box", "mask", "both"), default="both")
-    _add_shared(p, "out-dir", "mask-threshold")
+    p.add_argument("--out-dir", required=True, help="output directory")
+    p.add_argument("--mask-threshold", type=float, default=0.5)
     p.set_defaults(func=_cmd_eval)
+    return parser
 
-    args = parser.parse_args(argv)
+
+def main(argv: Optional[List[str]] = None) -> int:
+    args = _parser().parse_args(argv)
     try:
         return args.func(args)
     except (ParseError, ValueError, OSError, json.JSONDecodeError, KeyError) as exc:

@@ -25,6 +25,7 @@ __all__ = [
     "fit_bgm",
     "fit_agglomerative",
     "estimate_component_count",
+    "default_split_threshold",
     "box_features",
     "build_instance_clusters",
     "labels_from_clusters",
@@ -39,19 +40,15 @@ _MAX_SPLIT_DEPTH = 3  # recursion cap for the oversized-cluster split rule
 class ClusterConfig:
     algorithm: str = "bgm"                 # "bgm" or "agg"
     max_iters: int = 500
-    elbo_tol: float = 1e-4
-    weight_concentration_prior: Optional[float] = None  # None -> 1/K_max
-    split_threshold: int = 150             # re-cluster groups larger than this
+    split_threshold: Optional[int] = None  # None -> default_split_threshold(N)
     seed: int = 0
     n_init: int = 3
 
     def __post_init__(self):
         if self.algorithm not in ("bgm", "agg"):
             raise ValueError(f"algorithm must be 'bgm' or 'agg', got {self.algorithm!r}")
-        if self.split_threshold < 1:
+        if self.split_threshold is not None and self.split_threshold < 1:
             raise ValueError(f"split_threshold must be >= 1, got {self.split_threshold}")
-        if self.elbo_tol <= 0:
-            raise ValueError(f"elbo_tol must be positive, got {self.elbo_tol}")
         if self.max_iters < 1:
             raise ValueError(f"max_iters must be >= 1, got {self.max_iters}")
         if self.n_init < 1:
@@ -64,7 +61,7 @@ class InstanceCluster:
 
     cluster_id: int
     members: Tuple[Detection, ...]
-    source_labels: Tuple[Tuple[int, int], ...]  # (repetition, index within repetition)
+    indices: Tuple[int, ...]  # each member's position in the sample set
     height: int
     width: int
     split_refused: bool = False  # oversized but would not break apart
@@ -72,8 +69,8 @@ class InstanceCluster:
     def __post_init__(self):
         if not self.members:
             raise ValueError("cluster must have at least one member")
-        if len(self.source_labels) != len(self.members):
-            raise ValueError("one provenance pair required per member")
+        if len(self.indices) != len(self.members):
+            raise ValueError("one index required per member")
 
     def __len__(self) -> int:
         return len(self.members)
@@ -88,6 +85,17 @@ def estimate_component_count(n_detections: int, n_repetitions: int) -> int:
     return max(1, (2 * n_detections + n_repetitions) // (2 * n_repetitions))
 
 
+def default_split_threshold(n_repetitions: int) -> int:
+    """1.5 x the repetition count, rounded half-up.
+
+    One instance yields about one detection per repetition, so a cluster
+    this much larger than the repetition count holds more than one.
+    """
+    if n_repetitions < 1:
+        raise ValueError(f"n_repetitions must be >= 1, got {n_repetitions}")
+    return (3 * n_repetitions + 1) // 2
+
+
 def box_features(s: SampleSet) -> np.ndarray:
     """(n, 4) matrix of (x1, y1, x2, y2) rows in detection order."""
     if not s.detections:
@@ -98,29 +106,25 @@ def box_features(s: SampleSet) -> np.ndarray:
 def build_instance_clusters(s: SampleSet, labels: Sequence[int]) -> List[InstanceCluster]:
     """Group detections by label into clusters ordered by ascending label.
 
-    Members inside a cluster are sorted by (repetition, within-repetition
-    index); cluster ids are renumbered densely.
+    Members inside a cluster are sorted by (repetition, position in the
+    sample set); cluster ids are renumbered densely.
     """
     labels = np.asarray(labels)
     if labels.shape != (len(s.detections),):
         raise ValueError(
             f"labels shape {labels.shape} does not match {len(s.detections)} detections"
         )
-    within = {}
-    provenance = []
-    for det in s.detections:
-        idx = within.get(det.repetition, 0)
-        within[det.repetition] = idx + 1
-        provenance.append((det.repetition, idx))
-
     clusters = []
     for new_id, label in enumerate(np.unique(labels)):
-        order = sorted(np.flatnonzero(labels == label), key=lambda i: provenance[i])
+        order = sorted(
+            np.flatnonzero(labels == label).tolist(),
+            key=lambda i: (s.detections[i].repetition, i),
+        )
         clusters.append(
             InstanceCluster(
                 cluster_id=new_id,
                 members=tuple(s.detections[i] for i in order),
-                source_labels=tuple(provenance[i] for i in order),
+                indices=tuple(order),
                 height=s.height,
                 width=s.width,
             )
@@ -132,27 +136,19 @@ def labels_from_clusters(
     s: SampleSet, clusters: Sequence[InstanceCluster]
 ) -> np.ndarray:
     """Invert a clustering back to one cluster id per detection."""
-    by_provenance = {}
+    labels = np.full(len(s.detections), -1, dtype=np.int64)
     for c in clusters:
-        for pair in c.source_labels:
-            by_provenance[pair] = c.cluster_id
-    within = {}
-    labels = np.empty(len(s.detections), dtype=np.int64)
-    for i, det in enumerate(s.detections):
-        idx = within.get(det.repetition, 0)
-        within[det.repetition] = idx + 1
-        labels[i] = by_provenance[(det.repetition, idx)]
+        labels[list(c.indices)] = c.cluster_id
+    missing = np.flatnonzero(labels < 0)
+    if missing.size:
+        raise ValueError(f"detection {missing[0]} is in no cluster")
     return labels
 
 
-def _renumber(clusters: List[InstanceCluster]) -> List[InstanceCluster]:
-    return [replace(c, cluster_id=i) for i, c in enumerate(clusters)]
-
-
 def _split_once(
-    cluster: InstanceCluster, n_repetitions: int, cfg: ClusterConfig, depth: int
+    cluster: InstanceCluster, n_repetitions: int, threshold: int, cfg: ClusterConfig, depth: int
 ) -> List[InstanceCluster]:
-    if len(cluster) <= cfg.split_threshold:
+    if len(cluster) <= threshold:
         return [cluster]
     if depth >= _MAX_SPLIT_DEPTH:
         return [replace(cluster, split_refused=True)]
@@ -165,20 +161,12 @@ def _split_once(
     parts = []
     for label in np.unique(labels):
         idx = np.flatnonzero(labels == label)
-        parts.extend(
-            _split_once(
-                InstanceCluster(
-                    cluster_id=cluster.cluster_id,
-                    members=tuple(cluster.members[i] for i in idx),
-                    source_labels=tuple(cluster.source_labels[i] for i in idx),
-                    height=cluster.height,
-                    width=cluster.width,
-                ),
-                n_repetitions,
-                cfg,
-                depth + 1,
-            )
+        part = replace(
+            cluster,
+            members=tuple(cluster.members[i] for i in idx),
+            indices=tuple(cluster.indices[i] for i in idx),
         )
+        parts.extend(_split_once(part, n_repetitions, threshold, cfg, depth + 1))
     return parts
 
 
@@ -187,14 +175,17 @@ def split_oversized(
 ) -> List[InstanceCluster]:
     """Re-cluster any group larger than the split threshold.
 
-    Oversized clusters are refit with the mixture on their own box features
-    (upper limit from the count heuristic, at least 2), recursively. A
-    cluster that refuses to break apart is kept whole and flagged.
+    The threshold is ``cfg.split_threshold``, or default_split_threshold of
+    the repetition count when that is None. Oversized clusters are refit
+    with the mixture on their own box features (upper limit from the count
+    heuristic, at least 2), recursively. A cluster that refuses to break
+    apart is kept whole and flagged.
     """
+    threshold = cfg.split_threshold or default_split_threshold(n_repetitions)
     out: List[InstanceCluster] = []
     for cluster in clusters:
-        out.extend(_split_once(cluster, n_repetitions, cfg, depth=0))
-    return _renumber(out)
+        out.extend(_split_once(cluster, n_repetitions, threshold, cfg, depth=0))
+    return [replace(c, cluster_id=i) for i, c in enumerate(out)]
 
 
 def cluster_pipeline(s: SampleSet, cfg: ClusterConfig = ClusterConfig()) -> List[InstanceCluster]:

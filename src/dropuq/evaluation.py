@@ -31,6 +31,7 @@ __all__ = [
 ]
 
 _GT_KEYS = ["image_id", "bbox", "class_id"]
+_IOU_THRESHOLD = 0.5  # a prediction matches ground truth at IoU >= this
 
 
 @dataclass(frozen=True)
@@ -68,13 +69,8 @@ class MatchRecord:
 class EvalResult:
     mode: str                          # "box" or "mask"
     per_class_ap: Dict[int, float]     # classes with >= 1 ground truth
-    map50_box: Optional[float]
-    map50_mask: Optional[float]
+    map50: Optional[float]             # None without ground truth
     matches: Tuple[MatchRecord, ...]
-
-    @property
-    def map50(self) -> Optional[float]:
-        return self.map50_box if self.mode == "box" else self.map50_mask
 
 
 def cluster_to_detection(r: ClusterReport, image_id: str = "") -> PredictedInstance:
@@ -114,14 +110,13 @@ def _interpolated_ap(recall: np.ndarray, precision: np.ndarray) -> float:
 def match_and_score(
     preds: Sequence[PredictedInstance],
     gts: Sequence[GroundTruthInstance],
-    iou_threshold: float = 0.5,
     mode: str = "box",
 ) -> EvalResult:
     """Greedy confidence-ordered matching and per-class AP.
 
     Within a class, predictions are taken by descending confidence (input
     order breaks ties) and each matches the unmatched same-image ground
-    truth with the highest IoU >= threshold. In mask mode a missing mask on
+    truth with the highest IoU >= 0.5. In mask mode a missing mask on
     either side scores IoU 0. An empty ground-truth set leaves mAP absent.
     """
     if mode not in ("box", "mask"):
@@ -145,7 +140,7 @@ def match_and_score(
                 if gt_matched[gi] or gts[gi].image_id != pred.image_id:
                     continue
                 iou = _pair_iou(pred, gts[gi], mode)
-                if iou >= iou_threshold and iou > best_iou:
+                if iou >= _IOU_THRESHOLD and iou > best_iou:
                     best_iou = iou
                     best_gt = gi
             if best_gt is not None:
@@ -178,8 +173,7 @@ def match_and_score(
     return EvalResult(
         mode=mode,
         per_class_ap=per_class_ap,
-        map50_box=map50 if mode == "box" else None,
-        map50_mask=map50 if mode == "mask" else None,
+        map50=map50,
         matches=tuple(matches),
     )
 
@@ -238,6 +232,5 @@ def eval_csv(results: Sequence[EvalResult]) -> str:
     for res in results:
         for cls in sorted(res.per_class_ap):
             out.append(f"{res.mode},{cls},{res.per_class_ap[cls]!r}")
-        summary = res.map50
-        out.append(f"{res.mode},mAP,{'' if summary is None else repr(summary)}")
+        out.append(f"{res.mode},mAP,{'' if res.map50 is None else repr(res.map50)}")
     return "\n".join(out) + "\n"

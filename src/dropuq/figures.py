@@ -148,12 +148,6 @@ def heatmap_figure(values: np.ndarray, max_cols: int = 128) -> str:
     return _svg(cols * cell, rows * cell, body)
 
 
-def _kde_polyline(curve: KdeCurve, xs, ys) -> str:
-    return _polyline(
-        [(xs(g), ys(d)) for g, d in zip(curve.grid, curve.density)], "#1f77b4"
-    )
-
-
 def kde_figure(box_kde: Optional[KdeCurve], mask_kde: Optional[KdeCurve]) -> str:
     """Box (blue) and mask (orange) IoU densities with mean and one-std marks.
 

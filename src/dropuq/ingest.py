@@ -9,24 +9,23 @@ File format (one file per image, one JSON object per line):
 The first line is the header; every following line is one detection.
 ``scores[0]`` is the background class. ``mask_runs`` is optional and holds
 the run-length encoding of the binary mask (background run first). Field
-order is fixed and unknown fields are rejected.
+order is fixed and unknown fields are rejected. Boxes are clamped into the
+image; a box with no area left inside it is rejected.
 """
 
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, replace
+from dataclasses import replace
 from typing import IO, Iterable, Iterator, List, Optional, Tuple, Union
 
 from .model import BBox, Detection, RleMask, SampleSet, ScoreVector
 
 __all__ = [
-    "IngestConfig",
     "ParseError",
     "parse_sample_set",
     "read_sample_set",
     "serialize_sample_set",
-    "write_sample_set",
     "filter_background",
 ]
 
@@ -40,18 +39,6 @@ class ParseError(ValueError):
     def __init__(self, line_number: int, message: str):
         super().__init__(f"line {line_number}: {message}")
         self.line_number = line_number
-
-
-@dataclass(frozen=True)
-class IngestConfig:
-    background_threshold: float = 0.45  # erase detections whose background score exceeds this
-    clamp_boxes: bool = True            # clamp boxes into the image instead of rejecting
-
-    def __post_init__(self):
-        if not 0.0 <= self.background_threshold <= 1.0:
-            raise ValueError(
-                f"background_threshold must be in [0, 1], got {self.background_threshold}"
-            )
 
 
 def _record(line: str, line_number: int, expected_keys: List[str], optional: List[str]):
@@ -96,10 +83,7 @@ def _jsonl_records(
             yield lineno, _record(line, lineno, keys, optional)
 
 
-def parse_sample_set(
-    stream: Union[str, IO[str], Iterable[str]],
-    cfg: IngestConfig = IngestConfig(),
-) -> SampleSet:
+def parse_sample_set(stream: Union[str, IO[str], Iterable[str]]) -> SampleSet:
     """Parse line-delimited prediction samples into a validated SampleSet.
 
     Detections are grouped and sorted by repetition index (stable within a
@@ -145,9 +129,7 @@ def parse_sample_set(
                 f"repetition {repetition} out of range [0, {n_repetitions})",
             )
         try:
-            bbox = BBox(*box_vals)
-            if cfg.clamp_boxes:
-                bbox = bbox.clamped(width, height)
+            bbox = BBox(*box_vals).clamped(width, height)
             scores = ScoreVector(tuple(score_vals))
             mask = None
             if "mask_runs" in obj:
@@ -172,9 +154,9 @@ def parse_sample_set(
         raise ParseError(header_lineno, str(exc)) from exc
 
 
-def read_sample_set(path, cfg: IngestConfig = IngestConfig()) -> SampleSet:
+def read_sample_set(path) -> SampleSet:
     with open(path, "r", encoding="utf-8") as fh:
-        return parse_sample_set(fh, cfg)
+        return parse_sample_set(fh)
 
 
 def serialize_sample_set(s: SampleSet) -> str:
@@ -204,18 +186,14 @@ def serialize_sample_set(s: SampleSet) -> str:
     return "\n".join(out) + "\n"
 
 
-def write_sample_set(s: SampleSet, path) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(serialize_sample_set(s))
-
-
-def filter_background(s: SampleSet, cfg: IngestConfig = IngestConfig()) -> SampleSet:
+def filter_background(s: SampleSet, threshold: float = 0.45) -> SampleSet:
     """Erase detections whose background score is above the threshold.
 
     Strictly above: a background score equal to the threshold survives.
-    Surviving detections are untouched and keep their order.
+    Surviving detections are untouched and keep their order. The threshold
+    must lie in [0, 1].
     """
-    kept = tuple(
-        d for d in s.detections if d.scores.background <= cfg.background_threshold
-    )
+    if not 0.0 <= threshold <= 1.0:
+        raise ValueError(f"background threshold must be in [0, 1], got {threshold}")
+    kept = tuple(d for d in s.detections if d.scores.background <= threshold)
     return replace(s, detections=kept)

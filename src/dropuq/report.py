@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import json
 import math
+import os
 from dataclasses import dataclass
 from typing import Optional, Sequence, Tuple
 
@@ -32,6 +33,9 @@ __all__ = [
     "report_to_json",
     "write_pgm",
 ]
+
+
+_KDE_GRID_SIZE = 256  # points on which a density curve is evaluated
 
 
 class DegenerateSamples(ValueError):
@@ -185,10 +189,10 @@ def iou_to_mean(
     return box_samples, mask_samples
 
 
-def kde(samples: Sequence[float], grid_size: int = 256) -> KdeCurve:
+def kde(samples: Sequence[float]) -> KdeCurve:
     """Gaussian kernel density with Scott's bandwidth sigma * n^(-1/5).
 
-    The curve is evaluated on a uniform grid spanning [min - 3h, max + 3h].
+    The curve is evaluated at 256 uniform points in [min - 3h, max + 3h].
     Raises DegenerateSamples for fewer than two samples or zero variance.
     """
     x = np.asarray(samples, dtype=np.float64)
@@ -197,10 +201,8 @@ def kde(samples: Sequence[float], grid_size: int = 256) -> KdeCurve:
     std = float(x.std())
     if std == 0.0:
         raise DegenerateSamples("samples have zero variance")
-    if grid_size < 2:
-        raise ValueError(f"grid_size must be >= 2, got {grid_size}")
     h = std * x.size ** (-0.2)
-    grid = np.linspace(x.min() - 3.0 * h, x.max() + 3.0 * h, grid_size)
+    grid = np.linspace(x.min() - 3.0 * h, x.max() + 3.0 * h, _KDE_GRID_SIZE)
     z = (grid[:, None] - x[None, :]) / h
     density = np.exp(-0.5 * z * z).sum(axis=1) / (x.size * h * math.sqrt(2.0 * math.pi))
     return KdeCurve(
@@ -294,7 +296,11 @@ def report_to_json(r: ClusterReport) -> str:
 
 
 def write_pgm(values: np.ndarray, path) -> None:
-    """Write an (H, W) array of [0, 1] values as a binary 8-bit PGM."""
+    """Write an (H, W) array of [0, 1] values as a binary 8-bit PGM.
+
+    The file is written under a temporary name and renamed into place, so
+    a failed write leaves nothing under ``path``.
+    """
     arr = np.asarray(values, dtype=np.float64)
     if arr.ndim != 2:
         raise ValueError(f"expected a 2-D array, got shape {arr.shape}")
@@ -302,6 +308,8 @@ def write_pgm(values: np.ndarray, path) -> None:
         raise ValueError("values must lie in [0, 1]")
     pixels = np.rint(arr * 255.0).astype(np.uint8)
     h, w = pixels.shape
-    with open(path, "wb") as fh:
+    tmp = f"{path}.tmp"
+    with open(tmp, "wb") as fh:
         fh.write(f"P5\n{w} {h}\n255\n".encode("ascii"))
         fh.write(pixels.tobytes())
+    os.replace(tmp, path)

@@ -42,7 +42,7 @@ from dropuq.evaluation import (
     cluster_to_detection,
     match_and_score,
 )
-from dropuq.ingest import IngestConfig, filter_background
+from dropuq.ingest import filter_background
 from dropuq.model import BBox
 from dropuq.report import build_report, kde, mask_stats
 from dropuq.synth import (
@@ -369,7 +369,7 @@ def test_full_pipeline_runtime():
         height=480, width=640,
     )
     sample_set, _, gts = generate(spec)
-    filtered = filter_background(sample_set, IngestConfig())
+    filtered = filter_background(sample_set)
     clusters = cluster_pipeline(filtered, ClusterConfig(seed=0))
     reports = [build_report(c) for c in clusters]
     preds = [cluster_to_detection(r, sample_set.image_id) for r in reports]

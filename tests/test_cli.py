@@ -1,3 +1,4 @@
+import argparse
 import json
 import shutil
 import subprocess
@@ -8,6 +9,7 @@ import pytest
 
 from _scenes import separated_scene
 from dropuq.calibration import serialize_calibration_records
+from dropuq.cli import _parser
 from dropuq.synth import generate_calibration_records, scene_spec_to_json
 
 SRC = str(Path(__file__).resolve().parent.parent / "src")
@@ -95,6 +97,16 @@ class TestExitCodes:
         assert flag in r.stderr
         assert not out.exists()
 
+    @pytest.mark.parametrize("value", ["1.5", "-0.1", "nan"])
+    def test_background_threshold_out_of_range_is_two(self, pipeline_dirs, tmp_path, value):
+        samples = pipeline_dirs / "synth" / "scene0_samples.jsonl"
+        out = tmp_path / "o"
+        r = run_cli("cluster", samples, "--out-dir", out, "--background-threshold", value,
+                    check=False)
+        assert r.returncode == 2
+        assert "background threshold" in r.stderr
+        assert not list(out.glob("*_clusters.json"))
+
     def test_malformed_file_is_two(self, tmp_path):
         bad = tmp_path / "bad.jsonl"
         bad.write_text("this is not json\n")
@@ -121,6 +133,14 @@ class TestPipeline:
         doc = json.loads((pipeline_dirs / "clusters" / "scene0_clusters.json").read_text())
         assert len(doc["clusters"]) == 2
         assert len(doc["labels"]) == doc["n_detections"]
+
+    def test_split_threshold_recorded(self, pipeline_dirs, tmp_path):
+        # the scene has 40 repetitions: the default is 1.5 x 40
+        doc = json.loads((pipeline_dirs / "clusters" / "scene0_clusters.json").read_text())
+        assert doc["split_threshold"] == 60
+        samples = pipeline_dirs / "synth" / "scene0_samples.jsonl"
+        run_cli("cluster", samples, "--out-dir", tmp_path, "--split-threshold", "500")
+        assert json.loads((tmp_path / "scene0_clusters.json").read_text())["split_threshold"] == 500
 
     def test_report_files_exist(self, pipeline_dirs):
         reports = pipeline_dirs / "reports"
@@ -155,13 +175,13 @@ class TestPipeline:
 
     def test_kde_curve_matches_library(self, pipeline_dirs):
         from dropuq.clustering import build_instance_clusters
-        from dropuq.ingest import IngestConfig, filter_background, read_sample_set
+        from dropuq.ingest import filter_background, read_sample_set
         from dropuq.report import build_report
 
         doc = json.loads((pipeline_dirs / "clusters" / "scene0_clusters.json").read_text())
-        cfg = IngestConfig(background_threshold=doc["background_threshold"])
         s = filter_background(
-            read_sample_set(pipeline_dirs / "synth" / "scene0_samples.jsonl", cfg), cfg
+            read_sample_set(pipeline_dirs / "synth" / "scene0_samples.jsonl"),
+            doc["background_threshold"],
         )
         clusters = build_instance_clusters(s, doc["labels"])
         rep = build_report(clusters[0])
@@ -304,3 +324,45 @@ class TestCalibrate:
         path = tmp_path / "records.jsonl"
         path.write_text("")
         assert run_cli("calibrate", path, "--out-dir", tmp_path / "cal", check=False).returncode == 2
+
+
+# Each subcommand's arguments in order: (name, default, required).
+EXPECTED_ARGUMENTS = {
+    "synth": [("spec", None, True), ("--out-dir", None, True), ("--seed", None, False)],
+    "cluster": [
+        ("samples", None, True),
+        ("--seed", 0, False),
+        ("--jobs", 1, False),
+        ("--out-dir", None, True),
+        ("--algorithm", "bgm", False),
+        ("--split-threshold", None, False),
+        ("--background-threshold", 0.45, False),
+    ],
+    "report": [
+        ("samples", None, True),
+        ("--clusters", None, True),
+        ("--out-dir", None, True),
+        ("--mask-threshold", 0.5, False),
+    ],
+    "calibrate": [("records", None, True), ("--out-dir", None, True), ("--bins", 10, False)],
+    "eval": [
+        ("samples", None, True),
+        ("--clusters", None, True),
+        ("--gt", None, True),
+        ("--mode", "both", False),
+        ("--out-dir", None, True),
+        ("--mask-threshold", 0.5, False),
+    ],
+}
+
+
+def test_subcommand_arguments_pinned():
+    (sub,) = [a for a in _parser()._actions if isinstance(a, argparse._SubParsersAction)]
+    assert list(sub.choices) == list(EXPECTED_ARGUMENTS)
+    for command, expected in EXPECTED_ARGUMENTS.items():
+        got = [
+            (a.option_strings[-1] if a.option_strings else a.dest, a.default, a.required)
+            for a in sub.choices[command]._actions
+            if not isinstance(a, argparse._HelpAction)
+        ]
+        assert got == expected, command

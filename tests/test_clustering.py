@@ -8,6 +8,7 @@ from dropuq.clustering import (
     box_features,
     build_instance_clusters,
     cluster_pipeline,
+    default_split_threshold,
     estimate_component_count,
     labels_from_clusters,
     split_oversized,
@@ -51,6 +52,25 @@ class TestComponentCount:
     def test_bad_repetitions(self):
         with pytest.raises(ValueError):
             estimate_component_count(5, 0)
+
+
+class TestDefaultSplitThreshold:
+    @pytest.mark.parametrize("n, want", [(100, 150), (30, 45), (3, 5), (1, 2), (151, 227)])
+    def test_one_and_a_half_repetitions_half_up(self, n, want):
+        assert default_split_threshold(n) == want
+
+    def test_rejects_zero_repetitions(self):
+        with pytest.raises(ValueError):
+            default_split_threshold(0)
+
+    def test_merged_pair_splits_at_30_repetitions(self):
+        spec = separated_scene(1, 2, sigma=2.0, n_repetitions=30)
+        s, labels, _ = generate(spec)
+        assert len(s.detections) == 60
+        merged = build_instance_clusters(s, [0] * 60)
+        out = split_oversized(merged, 30, ClusterConfig(seed=1))
+        assert len(out) == 2
+        assert adjusted_rand_index(labels, labels_from_clusters(s, out)) == 1.0
 
 
 class TestBoxFeatures:
@@ -101,7 +121,13 @@ class TestBuildInstanceClusters:
         boxes = [(0, 0, 5, 5)] * 4
         s = simple_set(boxes, n_repetitions=2, reps=[1, 0, 1, 0])
         clusters = build_instance_clusters(s, [0, 0, 0, 0])
-        assert clusters[0].source_labels == ((0, 0), (0, 1), (1, 0), (1, 1))
+        assert clusters[0].indices == (1, 3, 0, 2)
+
+    def test_uncovered_detection_rejected(self):
+        s = simple_set([(0, 0, 5, 5), (1, 1, 6, 6), (2, 2, 7, 7)])
+        clusters = build_instance_clusters(s, [0, 1, 1])
+        with pytest.raises(ValueError, match="detection 0"):
+            labels_from_clusters(s, clusters[1:])
 
     def test_label_shape_mismatch(self):
         s = simple_set([(0, 0, 5, 5)])
@@ -131,7 +157,7 @@ class TestSplitOversized:
         boxes = [(10, 10, 40, 40)] * 151
         s = simple_set(boxes, n_repetitions=151, reps=list(range(151)))
         merged = build_instance_clusters(s, [0] * 151)
-        out = split_oversized(merged, 151, ClusterConfig(seed=0))
+        out = split_oversized(merged, 151, ClusterConfig(seed=0, split_threshold=150))
         assert len(out) == 1
         assert out[0].split_refused
         assert len(out[0]) == 151
@@ -141,8 +167,7 @@ class TestSplitOversized:
         s, _, _ = generate(spec)
         merged = build_instance_clusters(s, [0] * len(s.detections))
         out = split_oversized(merged, 100, ClusterConfig(seed=2))
-        prov = sorted(p for c in out for p in c.source_labels)
-        assert prov == sorted(p for c in merged for p in c.source_labels)
+        assert sorted(i for c in out for i in c.indices) == list(range(len(s.detections)))
 
 
 class TestClusterPipeline:
@@ -169,9 +194,7 @@ class TestClusterPipeline:
     def test_partition_property(self):
         s, _, _ = generate(separated_scene(6, 4, sigma=3.0))
         clusters = cluster_pipeline(s, ClusterConfig(seed=6))
-        prov = sorted(p for c in clusters for p in c.source_labels)
-        assert len(prov) == len(s.detections)
-        assert len(set(prov)) == len(prov)
+        assert sorted(i for c in clusters for i in c.indices) == list(range(len(s.detections)))
 
     def test_translation_equivariance(self):
         spec = separated_scene(7, 3, sigma=2.0, width=2000, height=2000)
@@ -217,6 +240,6 @@ class TestClusterPipeline:
         # in the pipeline output must be flagged
         boxes = [(10, 10, 40, 40)] * 151
         s = simple_set(boxes, n_repetitions=151, reps=list(range(151)))
-        clusters = cluster_pipeline(s, ClusterConfig(seed=0))
+        clusters = cluster_pipeline(s, ClusterConfig(seed=0, split_threshold=150))
         for c in clusters:
             assert (len(c) > 150) == c.split_refused

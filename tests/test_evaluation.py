@@ -73,14 +73,14 @@ class TestMatchAndScore:
         gts = [gt((0, 0, 10, 10)), gt((20, 20, 40, 45), cls=2)]
         preds = [pred((0, 0, 10, 10)), pred((20, 20, 40, 45), cls=2)]
         res = match_and_score(preds, gts, mode="box")
-        assert res.map50_box == 1.0
+        assert res.map50 == 1.0
         assert res.per_class_ap == {1: 1.0, 2: 1.0}
 
     def test_no_overlap_zero(self):
         gts = [gt((0, 0, 10, 10))]
         preds = [pred((50, 50, 60, 60))]
         res = match_and_score(preds, gts, mode="box")
-        assert res.map50_box == 0.0
+        assert res.map50 == 0.0
 
     def test_three_pred_two_gt_matches_oracle(self):
         # two TPs around one mid-confidence FP:
@@ -140,18 +140,18 @@ class TestMatchAndScore:
         ]
         res_box = match_and_score(preds, gts, mode="box")
         res_mask = match_and_score(preds, gts, mode="mask")
-        assert res_box.map50_box == res_mask.map50_mask
+        assert res_box.map50 == res_mask.map50
         assert res_box.per_class_ap == res_mask.per_class_ap
 
     def test_mask_mode_missing_mask_is_fp(self):
         gts = [gt((0, 0, 10, 10), mask=rasterize_box(BBox(0, 0, 10, 10), 20, 20))]
         preds = [pred((0, 0, 10, 10), conf=0.9, mask=None)]
         res = match_and_score(preds, gts, mode="mask")
-        assert res.map50_mask == 0.0
+        assert res.map50 == 0.0
 
     def test_empty_gts_map_absent(self):
         res = match_and_score([pred((0, 0, 5, 5))], [], mode="box")
-        assert res.map50_box is None
+        assert res.map50 is None
         assert res.per_class_ap == {}
 
     def test_class_without_predictions_scores_zero(self):
@@ -159,13 +159,13 @@ class TestMatchAndScore:
         preds = [pred((0, 0, 10, 10), conf=1.0)]
         res = match_and_score(preds, gts, mode="box")
         assert res.per_class_ap == {1: 1.0, 2: 0.0}
-        assert res.map50_box == 0.5
+        assert res.map50 == 0.5
 
     def test_cross_image_isolation(self):
         gts = [gt((0, 0, 10, 10), image="a")]
         preds = [pred((0, 0, 10, 10), image="b", conf=1.0)]
         res = match_and_score(preds, gts, mode="box")
-        assert res.map50_box == 0.0
+        assert res.map50 == 0.0
 
 
 class TestGroundTruthIo:

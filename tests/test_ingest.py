@@ -7,7 +7,6 @@ from dropuq.calibration import parse_calibration_records
 from dropuq.evaluation import parse_ground_truth
 
 from dropuq.ingest import (
-    IngestConfig,
     ParseError,
     filter_background,
     parse_sample_set,
@@ -83,11 +82,6 @@ class TestParse:
         s = parse_sample_set(text)
         assert s.detections[0].bbox.as_tuple() == (0.0, 0.0, 30.0, 19.0)
 
-    def test_clamp_disabled_rejects_out_of_bounds(self):
-        text = "\n".join([HEADER, det_line(bbox=(-3, -2, 35, 19))])
-        with pytest.raises(ParseError):
-            parse_sample_set(text, IngestConfig(clamp_boxes=False))
-
     def test_box_outside_image_rejected(self):
         text = "\n".join([HEADER, det_line(bbox=(40, 25, 50, 28))])
         with pytest.raises(ParseError, match="line 2"):
@@ -152,8 +146,14 @@ class TestFilterBackground:
 
     def test_custom_threshold(self):
         s = sample_with_backgrounds([0.1, 0.3])
-        out = filter_background(s, IngestConfig(background_threshold=0.2))
+        out = filter_background(s, 0.2)
         assert len(out.detections) == 1
+
+    @pytest.mark.parametrize("threshold", [1.5, -0.1, float("nan")])
+    def test_threshold_outside_unit_interval_rejected(self, threshold):
+        s = sample_with_backgrounds([0.1, 0.3])
+        with pytest.raises(ValueError, match="background threshold"):
+            filter_background(s, threshold)
 
 
 

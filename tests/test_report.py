@@ -1,3 +1,4 @@
+import io
 import math
 import tracemalloc
 
@@ -5,6 +6,7 @@ import numpy as np
 import pytest
 
 from _scenes import separated_scene
+from dropuq import report
 from dropuq.clustering import ClusterConfig, InstanceCluster, cluster_pipeline
 from dropuq.model import BBox, Detection, RleMask, ScoreVector, rle_decode, rle_encode
 from dropuq.report import (
@@ -32,7 +34,7 @@ def make_cluster(boxes, scores=None, masks=None, height=20, width=20):
     return InstanceCluster(
         cluster_id=0,
         members=members,
-        source_labels=tuple((i, 0) for i in range(n)),
+        indices=tuple(range(n)),
         height=height,
         width=width,
     )
@@ -378,6 +380,21 @@ class TestPgm:
         data = path.read_bytes()
         assert data.startswith(b"P5\n2 2\n255\n")
         assert data[-4:] == bytes([0, 128, 255, 64])
+
+    def test_failed_write_leaves_no_file(self, tmp_path, monkeypatch):
+        # the pixel write fails after the header is out: nothing may appear
+        # under the final name
+        class FailingFile(io.FileIO):
+            def write(self, data):
+                if self.tell():
+                    raise OSError("disk full")
+                return super().write(data)
+
+        monkeypatch.setattr(report, "open", FailingFile, raising=False)
+        path = tmp_path / "x.pgm"
+        with pytest.raises(OSError):
+            write_pgm(np.full((4, 4), 0.5), path)
+        assert not path.exists()
 
     def test_pgm_rejects_out_of_range(self, tmp_path):
         with pytest.raises(ValueError):
