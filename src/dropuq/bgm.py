@@ -19,8 +19,10 @@ from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, List, Optional, Tuple
 
 import numpy as np
-from scipy.linalg import solve_triangular
-from scipy.special import betaln, digamma, gammaln, logsumexp
+
+# scipy.linalg and scipy.special are imported inside the functions that use
+# them: loading them takes about 0.4 s, which commands that never fit a
+# mixture (synth, report, eval, calibrate) should not pay at start-up.
 
 if TYPE_CHECKING:
     from .clustering import ClusterConfig
@@ -127,6 +129,8 @@ def _refresh_cholesky(post: _Posterior) -> None:
 
 
 def _expected_log_weights(post: _Posterior) -> np.ndarray:
+    from scipy.special import digamma
+
     dig_sum = digamma(post.stick_a + post.stick_b)
     dig_a = digamma(post.stick_a) - dig_sum
     dig_b = digamma(post.stick_b) - dig_sum
@@ -135,6 +139,9 @@ def _expected_log_weights(post: _Posterior) -> np.ndarray:
 
 def _e_step(X: np.ndarray, post: _Posterior) -> np.ndarray:
     """Log responsibilities under the current posterior."""
+    from scipy.linalg import solve_triangular
+    from scipy.special import digamma, logsumexp
+
     n, D = X.shape
     K = post.means.shape[0]
     log_rho = np.empty((n, K))
@@ -161,6 +168,8 @@ def _lower_bound(post: _Posterior, log_resp: np.ndarray) -> float:
     cross-entropy terms collapse into the posterior log-normalizers. Exact
     coordinate ascent keeps this sequence non-decreasing.
     """
+    from scipy.special import betaln, gammaln
+
     D = post.means.shape[1]
     resp = np.exp(log_resp)
     entropy = -float(np.sum(np.where(resp > 0.0, resp * log_resp, 0.0)))

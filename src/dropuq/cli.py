@@ -15,7 +15,6 @@ import json
 import os
 import re
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import replace
 from pathlib import Path
 from typing import List, Optional, Sequence, Tuple
@@ -171,11 +170,7 @@ def _cmd_cluster(args) -> int:
             "jobs": args.jobs,
         },
     )
-    if args.jobs > 1 and len(args.samples) > 1:
-        with ThreadPoolExecutor(max_workers=args.jobs) as pool:
-            results = list(pool.map(lambda p: _cluster_one(p, args), args.samples))
-    else:
-        results = [_cluster_one(p, args) for p in args.samples]
+    results = [_cluster_one(p, args) for p in args.samples]
     # Every file is checked before any is written: two images that map to
     # one clusters file would otherwise overwrite each other.
     owners = {}
@@ -315,7 +310,10 @@ def _parser() -> argparse.ArgumentParser:
     p = sub.add_parser("cluster", help="cluster sampled detections into instances")
     p.add_argument("samples", nargs="+", help="prediction-sample files")
     p.add_argument("--seed", type=int, default=0, help="master random seed")
-    p.add_argument("--jobs", type=_positive_int, default=1, help="parallel images")
+    p.add_argument(
+        "--jobs", type=_positive_int, default=1,
+        help="recorded in the manifest only; images are clustered one after another",
+    )
     p.add_argument("--out-dir", required=True, help="output directory")
     p.add_argument(
         "--algorithm", choices=("bgm", "agg"), default="bgm", help="clustering algorithm"
@@ -357,6 +355,9 @@ def main(argv: Optional[List[str]] = None) -> int:
         return args.func(args)
     except (ParseError, ValueError, OSError, json.JSONDecodeError, KeyError) as exc:
         print(f"dropuq: error: {exc}", file=sys.stderr)
+        return DATA_ERROR
+    except MemoryError as exc:
+        print(f"dropuq: error: out of memory ({exc or 'allocation failed'})", file=sys.stderr)
         return DATA_ERROR
 
 

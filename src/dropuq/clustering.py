@@ -1,8 +1,9 @@
 """Grouping sampled detections into instance clusters.
 
 The pipeline turns the N x M detections of one image into instance clusters:
-box features -> component-count heuristic -> mixture fit (or Ward linkage)
--> hard labels -> cluster assembly -> oversized-cluster split rule.
+box features -> connected components of the box-overlap graph -> per
+component, count heuristic and mixture fit (or Ward linkage) -> hard labels
+-> cluster assembly -> oversized-cluster split rule.
 """
 
 from __future__ import annotations
@@ -27,6 +28,7 @@ __all__ = [
     "estimate_component_count",
     "default_split_threshold",
     "box_features",
+    "overlap_components",
     "build_instance_clusters",
     "labels_from_clusters",
     "split_oversized",
@@ -34,6 +36,7 @@ __all__ = [
 ]
 
 _MAX_SPLIT_DEPTH = 3  # recursion cap for the oversized-cluster split rule
+_BLOCK_PAIRS = 1 << 20  # box pairs compared at once by overlap_components
 
 
 @dataclass(frozen=True)
@@ -96,11 +99,59 @@ def default_split_threshold(n_repetitions: int) -> int:
     return (3 * n_repetitions + 1) // 2
 
 
+def _split_threshold(cfg: ClusterConfig, n_repetitions: int) -> int:
+    return cfg.split_threshold or default_split_threshold(n_repetitions)
+
+
 def box_features(s: SampleSet) -> np.ndarray:
     """(n, 4) matrix of (x1, y1, x2, y2) rows in detection order."""
     if not s.detections:
         raise ClusteringError("nothing to cluster: 0 detections")
     return np.array([d.bbox.as_tuple() for d in s.detections], dtype=np.float64)
+
+
+def overlap_components(points: np.ndarray) -> np.ndarray:
+    """Connected components of the overlap graph of an (n, 4) box matrix.
+
+    Two boxes are joined when they intersect with positive area; boxes that
+    only touch are not. Components are numbered 0, 1, ... in the order of
+    their first row. Memory is linear in n: boxes are sorted by x1 and
+    compared a block of rows at a time, each block only against the boxes
+    whose x-extent can reach it.
+    """
+    n = points.shape[0]
+    order = np.argsort(points[:, 0], kind="stable")
+    x1, y1, x2, y2 = points[order].T
+    reach = np.maximum.accumulate(x2)  # rightmost end among the boxes so far
+    rows = max(1, _BLOCK_PAIRS // max(n, 1))
+    windows = []
+    for s in range(0, n, rows):
+        e = min(s + rows, n)
+        # Earlier boxes end left of x1[s], later ones start right of the
+        # block's rightmost end: neither can overlap a box of the block.
+        lo = int(np.searchsorted(reach, x1[s], side="right"))
+        hi = int(np.searchsorted(x1, x2[s:e].max(), side="left"))
+        windows.append((s, e, min(lo, s), max(hi, e)))
+    # Min-label propagation with pointer jumping. label[p] is always a
+    # sorted position in p's component and never above p, so it settles
+    # at the component's first sorted position.
+    label = np.arange(n)
+    while True:
+        new = label.copy()
+        for s, e, lo, hi in windows:
+            adj = (np.minimum(x2[s:e, None], x2[lo:hi]) > np.maximum(x1[s:e, None], x1[lo:hi])) & (
+                np.minimum(y2[s:e, None], y2[lo:hi]) > np.maximum(y1[s:e, None], y1[lo:hi])
+            )
+            new[s:e] = np.minimum(new[s:e], np.where(adj, new[lo:hi], n).min(axis=1))
+        while not np.array_equal(new[new], new):
+            new = new[new]
+        if np.array_equal(new, label):
+            break
+        label = new
+    root = np.empty(n, dtype=np.int64)
+    root[order] = label
+    _, first, inverse = np.unique(root, return_index=True, return_inverse=True)
+    return np.argsort(np.argsort(first))[inverse]
 
 
 def build_instance_clusters(s: SampleSet, labels: Sequence[int]) -> List[InstanceCluster]:
@@ -181,7 +232,7 @@ def split_oversized(
     heuristic, at least 2), recursively. A cluster that refuses to break
     apart is kept whole and flagged.
     """
-    threshold = cfg.split_threshold or default_split_threshold(n_repetitions)
+    threshold = _split_threshold(cfg, n_repetitions)
     out: List[InstanceCluster] = []
     for cluster in clusters:
         out.extend(_split_once(cluster, n_repetitions, threshold, cfg, depth=0))
@@ -191,18 +242,34 @@ def split_oversized(
 def cluster_pipeline(s: SampleSet, cfg: ClusterConfig = ClusterConfig()) -> List[InstanceCluster]:
     """Full clustering of one image's sampled detections.
 
-    For the mixture the component upper limit gets headroom over the count
-    heuristic (max(2*h, h+2)) and unused components are pruned by the
-    stick-breaking prior; the agglomerative comparator uses the heuristic
-    count directly.
+    Boxes that never overlap cannot be one instance, so the detections are
+    first split into the connected components of their box-overlap graph
+    (overlap_components) and each component is clustered on its own, with
+    its own count heuristic h and the same config. For the mixture the
+    component upper limit gets headroom over the heuristic (max(2*h, h+2))
+    and unused components are pruned by the stick-breaking prior; the
+    agglomerative comparator uses min(h, size) directly. A component with
+    h = 1 and no more members than the split threshold is one cluster
+    without a fit. Labels are offset per component, so clusters are ordered
+    by component, then by label within it; the split rule then runs over
+    all clusters.
     """
     points = box_features(s)
-    heuristic = estimate_component_count(len(s.detections), s.n_repetitions)
-    if cfg.algorithm == "bgm":
-        k_max = max(2 * heuristic, heuristic + 2)
-        state = fit_bgm(points, k_max, cfg)
-        labels = assign_labels(state)
-    else:
-        labels = fit_agglomerative(points, min(heuristic, len(s.detections)))
+    threshold = _split_threshold(cfg, s.n_repetitions)
+    components = overlap_components(points)
+    order = np.argsort(components, kind="stable")
+    labels = np.empty(len(points), dtype=np.int64)
+    offset = 0
+    for idx in np.split(order, np.cumsum(np.bincount(components))[:-1]):
+        heuristic = estimate_component_count(idx.size, s.n_repetitions)
+        if heuristic == 1 and idx.size <= threshold:
+            part = np.zeros(idx.size, dtype=np.int64)
+        elif cfg.algorithm == "bgm":
+            k_max = max(2 * heuristic, heuristic + 2)
+            part = assign_labels(fit_bgm(points[idx], k_max, cfg))
+        else:
+            part = fit_agglomerative(points[idx], min(heuristic, idx.size))
+        labels[idx] = offset + part
+        offset += int(part.max()) + 1
     clusters = build_instance_clusters(s, labels)
     return split_oversized(clusters, s.n_repetitions, cfg)

@@ -10,7 +10,9 @@ The first line is the header; every following line is one detection.
 ``scores[0]`` is the background class. ``mask_runs`` is optional and holds
 the run-length encoding of the binary mask (background run first). Field
 order is fixed and unknown fields are rejected. Boxes are clamped into the
-image; a box with no area left inside it is rejected.
+image; a box with no area left inside it is rejected. The header may declare
+at most MAX_PIXELS pixels (H * W), so that the per-pixel arrays of the mask
+statistics stay bounded.
 """
 
 from __future__ import annotations
@@ -22,6 +24,7 @@ from typing import IO, Iterable, Iterator, List, Optional, Tuple, Union
 from .model import BBox, Detection, RleMask, SampleSet, ScoreVector
 
 __all__ = [
+    "MAX_PIXELS",
     "ParseError",
     "parse_sample_set",
     "read_sample_set",
@@ -29,6 +32,7 @@ __all__ = [
     "filter_background",
 ]
 
+MAX_PIXELS = 1 << 26  # 8192 x 8192, twice the 7680 x 4320 of 8K UHD
 _HEADER_KEYS = ["image_id", "height", "width", "n_repetitions", "num_classes"]
 _DET_KEYS = ["repetition", "bbox", "scores"]
 
@@ -106,6 +110,11 @@ def parse_sample_set(stream: Union[str, IO[str], Iterable[str]]) -> SampleSet:
         raise ParseError(header_lineno, f"bad header value ({exc})") from exc
     if num_classes < 1:
         raise ParseError(header_lineno, f"num_classes must be >= 1, got {num_classes}")
+    if height * width > MAX_PIXELS:
+        raise ParseError(
+            header_lineno,
+            f"image of {height} x {width} pixels exceeds the limit of {MAX_PIXELS} pixels",
+        )
 
     detections = []
     for lineno, obj in records:

@@ -6,7 +6,7 @@ from dropuq.model import BBox
 from dropuq.synth import InstanceSpec, SceneSpec
 
 # grid anchors keep instance centers >= 140 px apart (>> 10 sigma for sigma <= 10)
-_CELLS = [(90 + 140 * (i % 4), 90 + 140 * (i // 4)) for i in range(16)]
+_SPACING = 140
 
 
 def separated_scene(
@@ -21,12 +21,13 @@ def separated_scene(
     miss_rate: float = 0.0,
     height: int = 640,
     width: int = 640,
+    columns: int = 4,
 ) -> SceneSpec:
-    """Scene with well-separated instances placed on a grid."""
+    """Scene with well-separated instances placed on a grid, row by row."""
     rng = np.random.default_rng(seed)
     instances = []
     for i in range(n_instances):
-        cx, cy = _CELLS[i]
+        cx, cy = 90 + _SPACING * (i % columns), 90 + _SPACING * (i // columns)
         w = rng.uniform(34, 70)
         h = rng.uniform(34, 70)
         instances.append(

@@ -80,6 +80,26 @@ def test_clustering_recovery():
     _accept(f"clustering recovery ({passed}/100 seeds, worst {worst_runtime:.2f}s)")
 
 
+def test_clustering_recovery_at_scale():
+    """64 separated instances (8 x 8 grid, 140 px spacing, sigma 3) x 100
+    repetitions: ARI >= 0.99 with the mixture and 1.0 with Ward, < 5 s each."""
+    spec = separated_scene(
+        1, 64, sigma=3.0, n_repetitions=100, columns=8, height=1160, width=1160
+    )
+    sample_set, labels, _ = generate(spec)
+    assert len(sample_set.detections) == 6400
+    results = []
+    for algorithm, floor in (("bgm", 0.99), ("agg", 1.0)):
+        start = time.monotonic()
+        clusters = cluster_pipeline(sample_set, ClusterConfig(algorithm=algorithm, seed=1))
+        elapsed = time.monotonic() - start
+        ari = adjusted_rand_index(labels, labels_from_clusters(sample_set, clusters))
+        assert ari >= floor, f"{algorithm}: ARI {ari:.4f} < {floor}"
+        assert elapsed < 5.0, f"{algorithm}: took {elapsed:.2f}s"
+        results.append(f"{algorithm} ARI {ari:.3f} in {elapsed:.2f}s")
+    _accept(f"clustering recovery at scale ({'; '.join(results)})")
+
+
 def test_effective_component_inference():
     """K_max = 2x true K still reports effective_components == true K."""
     for seed in range(20):

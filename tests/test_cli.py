@@ -1,5 +1,7 @@
 import argparse
 import json
+import os
+import resource
 import shutil
 import subprocess
 import sys
@@ -10,21 +12,29 @@ import pytest
 from _scenes import separated_scene
 from dropuq.calibration import serialize_calibration_records
 from dropuq.cli import _parser
-from dropuq.synth import generate_calibration_records, scene_spec_to_json
+from dropuq.ingest import MAX_PIXELS, serialize_sample_set
+from dropuq.synth import generate, generate_calibration_records, scene_spec_to_json
 
 SRC = str(Path(__file__).resolve().parent.parent / "src")
 
 
-def run_cli(*argv, check=True):
-    import os
-
+def run_cli(*argv, check=True, address_space=None):
+    """Run the CLI in a child process; address_space caps only the child's RLIMIT_AS."""
     env = dict(os.environ)
     env["PYTHONPATH"] = SRC + os.pathsep + env.get("PYTHONPATH", "")
+    limit = None
+    if address_space is not None:
+        env["OPENBLAS_NUM_THREADS"] = "1"  # per-thread BLAS buffers count against the cap
+
+        def limit():
+            resource.setrlimit(resource.RLIMIT_AS, (address_space, address_space))
+
     result = subprocess.run(
         [sys.executable, "-m", "dropuq", *map(str, argv)],
         capture_output=True,
         text=True,
         env=env,
+        preexec_fn=limit,
     )
     if check and result.returncode != 0:
         raise AssertionError(
@@ -126,6 +136,81 @@ class TestExitCodes:
         r = run_cli("cluster", f, "--out-dir", tmp_path / "o", check=False)
         assert r.returncode == 2
         assert "nothing to cluster" in r.stderr
+
+
+def one_mask_file(path, height, width):
+    """A samples file with one detection whose mask is one run of H * W pixels."""
+    header = {"image_id": "big", "height": height, "width": width,
+              "n_repetitions": 1, "num_classes": 1}
+    det = {"repetition": 0, "bbox": [0, 0, 10, 10], "scores": [0.1, 0.9],
+           "mask_runs": [height * width]}
+    path.write_text(json.dumps(header) + "\n" + json.dumps(det) + "\n")
+    return path
+
+
+def one_cluster_file(path):
+    """The clusters file 'cluster' writes for one_mask_file."""
+    doc = {"image_id": "big", "background_threshold": 0.45, "n_detections": 1,
+           "labels": [0], "clusters": [{"cluster_id": 0, "size": 1, "split_refused": False}]}
+    path.write_text(json.dumps(doc))
+    return path
+
+
+class TestHostileInput:
+    def test_huge_header_is_two(self, tmp_path):
+        # 50 000 x 50 000: mask statistics would need 18.6 GiB per array.
+        samples = one_mask_file(tmp_path / "huge.jsonl", 50_000, 50_000)
+        assert samples.stat().st_size < 200
+        clusters = one_cluster_file(tmp_path / "big_clusters.json")
+        for argv in (
+            ("cluster", samples, "--out-dir", tmp_path / "c"),
+            ("report", samples, "--clusters", clusters, "--out-dir", tmp_path / "r"),
+        ):
+            r = run_cli(*argv, check=False, address_space=3 << 30)
+            assert r.returncode == 2, r.stderr
+            assert f"exceeds the limit of {MAX_PIXELS} pixels" in r.stderr
+        assert not list((tmp_path / "c").glob("*_clusters.json"))
+        assert not list((tmp_path / "r").glob("*_report.json"))
+
+    def test_out_of_memory_is_two(self, tmp_path):
+        # At the limit the mask statistics need about 2 GiB; cap the child at 1 GiB.
+        side = int(MAX_PIXELS ** 0.5)
+        samples = one_mask_file(tmp_path / "edge.jsonl", side, side)
+        run_cli("cluster", samples, "--out-dir", tmp_path / "c", address_space=1 << 30)
+        clusters = tmp_path / "c" / "big_clusters.json"
+        r = run_cli("report", samples, "--clusters", clusters, "--out-dir", tmp_path / "r",
+                    check=False, address_space=1 << 30)
+        assert r.returncode == 2, r.stderr
+        assert "dropuq: error: out of memory" in r.stderr
+        assert "Traceback" not in r.stderr
+
+
+def run_python(code):
+    env = dict(os.environ)
+    env["PYTHONPATH"] = SRC + os.pathsep + env.get("PYTHONPATH", "")
+    return subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env)
+
+
+class TestLazyScipy:
+    def test_importing_cli_loads_no_scipy(self):
+        r = run_python("import sys, dropuq.cli; print('scipy' in sys.modules)")
+        assert r.returncode == 0, r.stderr
+        assert r.stdout.strip() == "False"
+
+    def test_cluster_without_fit_loads_no_scipy(self, tmp_path):
+        # Five separated box-only instances: five components, none needs a fit.
+        s, _, _ = generate(separated_scene(2, 5, sigma=3.0, n_repetitions=30))
+        samples = tmp_path / "scene2_samples.jsonl"
+        samples.write_text(serialize_sample_set(s))
+        r = run_python(
+            "import sys; from dropuq.cli import main; "
+            f"code = main(['cluster', {str(samples)!r}, '--out-dir', {str(tmp_path / 'o')!r}]); "
+            "print(code, 'scipy' in sys.modules)"
+        )
+        assert r.returncode == 0, r.stderr
+        assert r.stdout.splitlines()[-1] == "0 False"
+        doc = json.loads((tmp_path / "o" / "scene2_clusters.json").read_text())
+        assert [c["size"] for c in doc["clusters"]] == [30] * 5
 
 
 class TestPipeline:

@@ -1,16 +1,22 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
-from _scenes import separated_scene
+from _scenes import overlapping_scene, separated_scene
+from dropuq import clustering
 from dropuq.clustering import (
     ClusterConfig,
     ClusteringError,
+    assign_labels,
     box_features,
     build_instance_clusters,
     cluster_pipeline,
     default_split_threshold,
     estimate_component_count,
+    fit_bgm,
     labels_from_clusters,
+    overlap_components,
     split_oversized,
 )
 from dropuq.model import BBox, Detection, SampleSet, ScoreVector
@@ -92,6 +98,87 @@ class TestBoxFeatures:
     def test_empty_error(self):
         with pytest.raises(ClusteringError):
             box_features(SampleSet("img", 10, 10, 1, ()))
+
+
+def dense_components(points):
+    """Reference: flood fill over the full pairwise overlap matrix."""
+    x1, y1, x2, y2 = points.T
+    adj = (np.minimum(x2[:, None], x2) > np.maximum(x1[:, None], x1)) & (
+        np.minimum(y2[:, None], y2) > np.maximum(y1[:, None], y1)
+    )
+    labels = np.full(len(points), -1)
+    count = 0
+    for start in range(len(points)):
+        if labels[start] >= 0:
+            continue
+        labels[start] = count
+        stack = [start]
+        while stack:
+            for j in np.flatnonzero(adj[stack.pop()] & (labels < 0)):
+                labels[j] = count
+                stack.append(j)
+        count += 1
+    return labels
+
+
+def partition_sets(labels):
+    return sorted(tuple(np.flatnonzero(labels == k)) for k in np.unique(labels))
+
+
+class TestOverlapComponents:
+    def test_touching_boxes_stay_apart(self):
+        boxes = np.array([(0, 0, 10, 10), (10, 0, 20, 10), (0, 10, 10, 20), (10, 10, 20, 20)])
+        assert overlap_components(boxes.astype(float)).tolist() == [0, 1, 2, 3]
+
+    def test_chain_is_one_component(self):
+        # A-B and B-C overlap, A and C do not; B comes last in the input.
+        boxes = np.array([(0, 0, 10, 10), (16, 5, 26, 15), (8, 2, 18, 12)], dtype=float)
+        assert overlap_components(boxes).tolist() == [0, 0, 0]
+
+    def test_numbered_by_first_detection(self):
+        boxes = np.array(
+            [(500, 0, 510, 10), (0, 0, 10, 10), (900, 0, 910, 10), (5, 5, 15, 15), (505, 5, 515, 15)],
+            dtype=float,
+        )
+        assert overlap_components(boxes).tolist() == [0, 1, 2, 1, 0]
+
+    @pytest.mark.parametrize("block_pairs", [None, 256])
+    def test_matches_dense_reference(self, monkeypatch, block_pairs):
+        # A small block budget splits every input into many row blocks.
+        if block_pairs is not None:
+            monkeypatch.setattr(clustering, "_BLOCK_PAIRS", block_pairs)
+        rng = np.random.default_rng(0)
+        for _ in range(200):
+            n = int(rng.integers(1, 300))
+            corner = rng.integers(0, 60, (n, 2)).astype(float)
+            size = rng.integers(1, 8, (n, 2)).astype(float)
+            boxes = np.hstack([corner, corner + size])
+            assert np.array_equal(overlap_components(boxes), dense_components(boxes))
+
+    def test_permutation_permutes_components_only(self):
+        rng = np.random.default_rng(1)
+        corner = rng.uniform(0, 200, (400, 2))
+        boxes = np.hstack([corner, corner + rng.uniform(1, 12, (400, 2))])
+        base = overlap_components(boxes)
+        perm = rng.permutation(400)
+        moved = overlap_components(boxes[perm])
+        assert partition_sets(moved) == partition_sets(base[perm])
+        _, first = np.unique(moved, return_index=True)
+        assert np.all(np.diff(first) > 0)  # still numbered by first detection
+
+    def test_memory_linear_in_boxes(self):
+        # 6400 boxes in one component: an n x n float64 matrix takes 312 MB.
+        rng = np.random.default_rng(2)
+        corner = rng.normal(300.0, 3.0, (6400, 2))
+        boxes = np.hstack([corner, corner + 50.0])
+        tracemalloc.start()
+        try:
+            labels = overlap_components(boxes)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert labels.max() == 0
+        assert peak < 64 * 2**20
 
 
 class TestBuildInstanceClusters:
@@ -234,6 +321,49 @@ class TestClusterPipeline:
         s = SampleSet("img", 10, 10, 1, ())
         with pytest.raises(ClusteringError):
             cluster_pipeline(s, ClusterConfig(seed=0))
+
+    def test_single_instance_components_run_no_fit(self, monkeypatch):
+        def no_fit(*args, **kwargs):
+            raise AssertionError("no fit expected")
+
+        monkeypatch.setattr(clustering, "fit_bgm", no_fit)
+        monkeypatch.setattr(clustering, "fit_agglomerative", no_fit)
+        s, labels, _ = generate(separated_scene(9, 5, sigma=3.0))
+        for algorithm in ("bgm", "agg"):
+            clusters = cluster_pipeline(s, ClusterConfig(algorithm=algorithm, seed=9))
+            assert len(clusters) == 5
+            assert adjusted_rand_index(labels, labels_from_clusters(s, clusters)) == 1.0
+
+    def test_each_fit_sees_only_its_component(self, monkeypatch):
+        # Instances 0 and 1 overlap, 2 stands apart: one fit, on 2 x 30 points.
+        rng = np.random.default_rng(0)
+        centers = [(100, 100), (130, 100), (500, 500)]
+        boxes = [
+            tuple(np.add((cx, cy, cx + 60, cy + 60), rng.normal(0.0, 1.0, 4)))
+            for _ in range(30) for cx, cy in centers
+        ]
+        pair = simple_set(boxes, n_repetitions=30, reps=[i // 3 for i in range(90)])
+        calls = []
+
+        def recording_fit(points, k_max, cfg):
+            calls.append((len(points), k_max))
+            return fit_bgm(points, k_max, cfg)
+
+        monkeypatch.setattr(clustering, "fit_bgm", recording_fit)
+        clusters = cluster_pipeline(pair, ClusterConfig(seed=0))
+        assert calls == [(60, 4)]
+        assert [len(c) for c in clusters] == [30, 30, 30]
+        assert clusters[2].indices == tuple(range(2, 90, 3))
+
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_one_component_runs_the_whole_image_fit(self, seed):
+        s, _, _ = generate(overlapping_scene(seed, 3))
+        assert overlap_components(box_features(s)).max() == 0
+        cfg = ClusterConfig(seed=seed)
+        h = estimate_component_count(len(s.detections), s.n_repetitions)
+        whole = assign_labels(fit_bgm(box_features(s), max(2 * h, h + 2), cfg))
+        expected = split_oversized(build_instance_clusters(s, whole), s.n_repetitions, cfg)
+        assert cluster_pipeline(s, cfg) == expected
 
     def test_oversized_survivor_carries_refusal_flag(self):
         # 151 identical detections cannot split: the one oversized cluster

@@ -248,6 +248,28 @@ class TestMaskStatsOnCounts:
         assert s.coverage_count == n and not s.zero_mask
         assert peak < 40 * 2**20
 
+    def test_memory_bounded_at_1080p(self):
+        # 300 members of 1080x1920: a dense float64 stack would be ~4.6 GiB.
+        # Counts, mean, std and consensus take a few H x W arrays (57 MB
+        # measured, 51 MB with one member), whatever the member count.
+        h, w, n = 1080, 1920, 300
+        yy, xx = np.mgrid[0:h, 0:w]
+        shapes = [
+            rle_encode((yy - 540 - dy) ** 2 / 300.0**2 + (xx - 960 - dx) ** 2 / 500.0**2 <= 1.0)
+            for dy, dx in [(k % 3 - 1, k % 5 - 2) for k in range(15)]
+        ]
+        del yy, xx
+        masks = [shapes[k % len(shapes)] for k in range(n)]
+        c = make_cluster([(460, 240, 1460, 840)] * n, masks=masks, height=h, width=w)
+        tracemalloc.start()
+        try:
+            s = mask_stats(c)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert s.coverage_count == n and not s.zero_mask
+        assert peak < 6 * h * w * 8
+
     def test_box_only_cluster_allocates_no_heatmaps(self):
         # Two dense 980x980 float64 zero heatmaps would take 14.7 MB.
         h = w = 980
