@@ -2,7 +2,9 @@
 
 Temperature scaling divides logits by a single scalar fit on held-out
 records by NLL minimization; it rescales every class confidence without
-changing which class wins the argmax.
+changing which class wins the argmax. Records are held as columns in a
+CalibrationSet, an (N, K+1) logit array and an (N,) true-class array, which
+the parser, the generator and every consumer share.
 """
 
 from __future__ import annotations
@@ -10,7 +12,7 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass
-from typing import IO, Iterable, List, Optional, Sequence, Tuple, Union
+from typing import IO, Callable, Iterable, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -19,7 +21,7 @@ from .model import ScoreVector
 
 __all__ = [
     "LogitVector",
-    "CalibrationRecord",
+    "CalibrationSet",
     "ReliabilityBin",
     "ReliabilityDiagram",
     "softmax",
@@ -58,17 +60,64 @@ class LogitVector:
         return len(self.logits)
 
 
-@dataclass(frozen=True)
-class CalibrationRecord:
-    logits: LogitVector
-    true_class: int
+class _RowError(ValueError):
+    """An invalid row of a CalibrationSet; ``row`` is its 0-based index."""
+
+    def __init__(self, row: int, message: str):
+        super().__init__(f"row {row}: {message}")
+        self.row = row
+        self.message = message
+
+
+@dataclass(frozen=True, eq=False)
+class CalibrationSet:
+    """N calibration records as columns: logits (N, K+1), true classes (N,).
+
+    Both arrays are float64/int64 copies made read-only. Every row holds
+    finite logits, background at index 0 plus at least one class, and a
+    true class in [0, K].
+    """
+
+    logits: np.ndarray
+    true_class: np.ndarray
 
     def __post_init__(self):
-        if not 0 <= self.true_class < len(self.logits):
+        z = np.asarray(self.logits)
+        y = np.asarray(self.true_class)
+        if z.ndim != 2:
+            raise ValueError(f"logits must be an (N, K+1) array, got shape {z.shape}")
+        if len(z) and z.shape[1] < 2:  # every row is short, so the first one is
+            raise _RowError(0, f"logits need background plus >= 1 class, got {z.shape[1]}")
+        if y.shape != (len(z),):
+            raise ValueError(f"need one true class per row, got shape {y.shape}")
+        if z.dtype.kind not in "iuf" or y.dtype.kind not in "iu":
             raise ValueError(
-                f"true_class {self.true_class} out of range for "
-                f"{len(self.logits)} classes"
+                f"logits must be numbers and true classes integers, got {z.dtype}, {y.dtype}"
             )
+        z = z.astype(np.float64)
+        y = y.astype(np.int64)
+        finite = np.isfinite(z).all(axis=1)
+        in_range = (y >= 0) & (y < z.shape[1])
+        bad = ~(finite & in_range)
+        if bad.any():
+            i = int(np.argmax(bad))
+            if not finite[i]:
+                raise _RowError(i, f"logits must be finite, got {z[i].tolist()}")
+            raise _RowError(i, f"true_class {y[i]} out of range for {z.shape[1]} classes")
+        z.setflags(write=False)
+        y.setflags(write=False)
+        object.__setattr__(self, "logits", z)
+        object.__setattr__(self, "true_class", y)
+
+    def __len__(self) -> int:
+        return len(self.true_class)
+
+    def __eq__(self, other):
+        if not isinstance(other, CalibrationSet):
+            return NotImplemented
+        return np.array_equal(self.logits, other.logits) and np.array_equal(
+            self.true_class, other.true_class
+        )
 
 
 @dataclass(frozen=True)
@@ -106,29 +155,35 @@ def scaled_softmax(z: LogitVector, temperature: float) -> ScoreVector:
     return ScoreVector(tuple(float(v) for v in p))
 
 
-def _records_arrays(records: Sequence[CalibrationRecord]) -> Tuple[np.ndarray, np.ndarray]:
-    z = np.array([r.logits.logits for r in records], dtype=np.float64)
-    y = np.array([r.true_class for r in records], dtype=np.int64)
-    return z, y
+def _nll_function(records: CalibrationSet) -> Callable[[float], float]:
+    """NLL as a function of the temperature t, its t-free parts computed once.
+
+    With m the row maximum, NLL(t) = sum_i log sum_k exp((z_ik - m_i) / t)
+    + sum_i (m_i - z_iy) / t, because max(z / t) = max(z) / t for t > 0.
+    Each call then costs one divide, one exp and two sums, in one buffer.
+    """
+    z, y = records.logits, records.true_class
+    m = z.max(axis=1)
+    shifted = z - m[:, None]
+    gap = float(np.sum(m - z[np.arange(len(y)), y]))
+    scratch = np.empty_like(shifted)
+
+    def nll(t: float) -> float:
+        np.divide(shifted, t, out=scratch)
+        np.exp(scratch, out=scratch)
+        return float(np.log(scratch.sum(axis=1)).sum() + gap / t)
+
+    return nll
 
 
-def _nll(z: np.ndarray, y: np.ndarray, t: float) -> float:
-    zt = z / t
-    m = zt.max(axis=1)
-    log_norm = m + np.log(np.exp(zt - m[:, None]).sum(axis=1))
-    return float(np.sum(log_norm - zt[np.arange(len(y)), y]))
-
-
-def negative_log_likelihood(
-    records: Sequence[CalibrationRecord], temperature: float
-) -> float:
+def negative_log_likelihood(records: CalibrationSet, temperature: float) -> float:
     """Total NLL of the true classes under temperature-scaled softmax."""
     if temperature <= 0:
         raise ValueError(f"temperature must be positive, got {temperature}")
-    return _nll(*_records_arrays(records), temperature)
+    return _nll_function(records)(temperature)
 
 
-def fit_temperature(records: Sequence[CalibrationRecord]) -> float:
+def fit_temperature(records: CalibrationSet) -> float:
     """Fit the scaling temperature by golden-section search on the NLL.
 
     Searches T in [0.01, 100] down to a bracket width of 1e-4. The result
@@ -136,31 +191,31 @@ def fit_temperature(records: Sequence[CalibrationRecord]) -> float:
     """
     if not records:
         raise ValueError("cannot fit temperature on empty records")
-    z, y = _records_arrays(records)
+    nll = _nll_function(records)
 
     inv_phi = (math.sqrt(5.0) - 1.0) / 2.0
     a, b = T_SEARCH_LO, T_SEARCH_HI
     c = b - inv_phi * (b - a)
     d = a + inv_phi * (b - a)
-    fc, fd = _nll(z, y, c), _nll(z, y, d)
+    fc, fd = nll(c), nll(d)
     while b - a > 1e-4:
         if fc < fd:
             b, d, fd = d, c, fc
             c = b - inv_phi * (b - a)
-            fc = _nll(z, y, c)
+            fc = nll(c)
         else:
             a, c, fc = c, d, fd
             d = a + inv_phi * (b - a)
-            fd = _nll(z, y, d)
+            fd = nll(d)
     t = (a + b) / 2.0
     # Never worsen the unscaled baseline.
-    if _nll(z, y, 1.0) < _nll(z, y, t):
+    if nll(1.0) < nll(t):
         return 1.0
     return t
 
 
 def reliability(
-    records: Sequence[CalibrationRecord], temperature: float = 1.0, num_bins: int = 10
+    records: CalibrationSet, temperature: float = 1.0, num_bins: int = 10
 ) -> ReliabilityDiagram:
     """Bin records by top confidence into equal-width bins over [0, 1].
 
@@ -171,10 +226,9 @@ def reliability(
     if num_bins < 1:
         raise ValueError(f"num_bins must be >= 1, got {num_bins}")
     if records:
-        z, y = _records_arrays(records)
-        p = _softmax_rows(z / temperature)
+        p = _softmax_rows(records.logits / temperature)
         conf = p.max(axis=1)
-        correct = p.argmax(axis=1) == y
+        correct = p.argmax(axis=1) == records.true_class
         idx = np.minimum((conf * num_bins).astype(np.int64), num_bins - 1)
     else:
         conf = np.empty(0)
@@ -247,42 +301,69 @@ def focal_loss(
 
 def parse_calibration_records(
     stream: Union[str, IO[str], Iterable[str]],
-) -> List[CalibrationRecord]:
+) -> CalibrationSet:
     """Parse line-delimited {"logits": [...], "true_class": int} records.
 
-    Every record must hold as many logits as the first one.
+    Every record must hold as many logits as the first one, all numbers
+    (a string or null is an error; a boolean among numbers still reads as
+    1 or 0). The true class must be a JSON integer: not 1.0, "1" or true.
     """
-    records = []
-    first_line = 0
+    linenos, rows, classes = [], [], []
     for lineno, obj in _jsonl_records(stream, ["logits", "true_class"], []):
-        try:
-            record = CalibrationRecord(
-                logits=LogitVector(tuple(float(v) for v in obj["logits"])),
-                true_class=int(obj["true_class"]),
-            )
-        except (TypeError, ValueError) as exc:
-            raise ParseError(lineno, str(exc)) from exc
-        if not records:
-            first_line = lineno
-        elif len(record.logits) != len(records[0].logits):
+        logits = obj["logits"]
+        if not isinstance(logits, list):
+            raise ParseError(lineno, f"logits must be a list, got {logits!r}")
+        if rows and len(logits) != len(rows[0]):
             raise ParseError(
-                lineno,
-                f"{len(record.logits)} logits, but line {first_line} has "
-                f"{len(records[0].logits)}",
+                lineno, f"{len(logits)} logits, but line {linenos[0]} has {len(rows[0])}"
             )
-        records.append(record)
-    return records
+        linenos.append(lineno)
+        rows.append(logits)
+        classes.append(obj["true_class"])
+    if not rows:
+        return CalibrationSet(np.empty((0, 0)), np.empty(0, dtype=np.int64))
+
+    try:
+        z = np.array(rows)
+    except ValueError:  # rows nested to different depths
+        z = None
+    if z is None or z.ndim != 2 or z.dtype.kind not in "iuf":
+        i = int(np.argmax([not _number_row(r) for r in rows]))
+        raise ParseError(linenos[i], f"logits must be numbers, got {rows[i]!r}")
+    not_int = [type(c) is not int for c in classes]
+    if any(not_int):
+        i = int(np.argmax(not_int))
+        raise ParseError(linenos[i], f"true_class must be an integer, got {classes[i]!r}")
+    try:
+        y = np.array(classes, dtype=np.int64)
+    except OverflowError:  # a class beyond 64 bits is out of range too
+        i = int(np.argmax([not -(2**63) <= c < 2**63 for c in classes]))
+        raise ParseError(
+            linenos[i], f"true_class {classes[i]} out of range for {z.shape[1]} classes"
+        ) from None
+    try:
+        return CalibrationSet(z, y)
+    except _RowError as exc:
+        raise ParseError(linenos[exc.row], exc.message) from None
 
 
-def read_calibration_records(path) -> List[CalibrationRecord]:
+def _number_row(row: list) -> bool:
+    try:
+        a = np.array(row)
+    except ValueError:
+        return False
+    return a.ndim == 1 and a.dtype.kind in "iuf"
+
+
+def read_calibration_records(path) -> CalibrationSet:
     with open(path, "r", encoding="utf-8") as fh:
         return parse_calibration_records(fh)
 
 
-def serialize_calibration_records(records: Sequence[CalibrationRecord]) -> str:
+def serialize_calibration_records(records: CalibrationSet) -> str:
     lines = [
-        json.dumps({"logits": list(r.logits.logits), "true_class": r.true_class})
-        for r in records
+        json.dumps({"logits": z, "true_class": c})
+        for z, c in zip(records.logits.tolist(), records.true_class.tolist())
     ]
     return "\n".join(lines) + ("\n" if lines else "")
 

@@ -13,8 +13,9 @@ from typing import List, Sequence, Tuple
 
 import numpy as np
 
-from .calibration import CalibrationRecord, LogitVector
+from .calibration import CalibrationSet
 from .evaluation import GroundTruthInstance
+from .ingest import MAX_PIXELS
 from .model import BBox, Detection, SampleSet, ScoreVector, rasterize_box, rle_decode, rle_encode
 
 __all__ = [
@@ -65,6 +66,13 @@ class SceneSpec:
 
     def __post_init__(self):
         object.__setattr__(self, "instances", tuple(self.instances))
+        if self.height < 1 or self.width < 1:
+            raise ValueError(f"height and width must be >= 1, got {self.height} x {self.width}")
+        if self.height * self.width > MAX_PIXELS:
+            raise ValueError(
+                f"image of {self.height} x {self.width} pixels exceeds the limit of "
+                f"{MAX_PIXELS} pixels"
+            )
         if self.num_classes < 1:
             raise ValueError(f"num_classes must be >= 1, got {self.num_classes}")
         if self.n_repetitions < 1:
@@ -203,7 +211,7 @@ def generate(
 
 def generate_calibration_records(
     n: int, true_temperature: float, k: int, seed: int = 0
-) -> List[CalibrationRecord]:
+) -> CalibrationSet:
     """Records whose NLL-optimal temperature is the given one.
 
     Base logits are drawn calibrated (labels sampled from their own
@@ -221,13 +229,7 @@ def generate_calibration_records(
     p /= p.sum(axis=1, keepdims=True)
     u = rng.random(n)
     y = (np.cumsum(p, axis=1) < u[:, None]).sum(axis=1)
-    z = base * true_temperature
-    return [
-        CalibrationRecord(
-            logits=LogitVector(tuple(float(v) for v in z[i])), true_class=int(y[i])
-        )
-        for i in range(n)
-    ]
+    return CalibrationSet(base * true_temperature, y)
 
 
 def adjusted_rand_index(a: Sequence[int], b: Sequence[int]) -> float:

@@ -17,7 +17,7 @@ import numpy as np
 
 from _scenes import overlapping_scene, separated_scene
 from dropuq.calibration import (
-    CalibrationRecord,
+    CalibrationSet,
     LogitVector,
     ace,
     fit_temperature,
@@ -148,8 +148,7 @@ def test_elbo_monotonicity():
 
 def _grid_oracle_nll(records):
     """Exhaustive NLL over T in {0.01, 0.02, ..., 100}."""
-    z = np.array([r.logits.logits for r in records])
-    y = np.array([r.true_class for r in records])
+    z, y = records.logits, records.true_class
     z = z - z.max(axis=1, keepdims=True)
     grid = np.arange(1, 10001) * 0.01
     best = np.inf
@@ -182,12 +181,8 @@ def _miscalibrated_two_class(n, true_t, seed):
     confidence = rng.uniform(0.55, 0.95, n)
     gap = np.log(confidence / (1.0 - confidence))
     correct = rng.random(n) < confidence
-    return [
-        CalibrationRecord(
-            LogitVector((0.0, float(g * true_t))), 1 if c else 0
-        )
-        for g, c in zip(gap, correct)
-    ]
+    logits = np.stack([np.zeros(n), gap * true_t], axis=1)
+    return CalibrationSet(logits, correct.astype(np.int64))
 
 
 def test_calibration_direction():

@@ -1,10 +1,12 @@
+import hashlib
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
 from dropuq.calibration import (
-    CalibrationRecord,
+    CalibrationSet,
     LogitVector,
     ace,
     fit_temperature,
@@ -23,10 +25,15 @@ from dropuq.model import ScoreVector
 from dropuq.synth import generate_calibration_records
 
 
+def repeated(logits, true_class, n):
+    """A CalibrationSet of n copies of one record."""
+    return CalibrationSet(np.tile(np.asarray(logits, dtype=np.float64), (n, 1)),
+                          np.full(n, true_class))
+
+
 def grid_search_nll(records, step=0.01):
     """Oracle: exhaustive NLL over T in {step, 2*step, ..., 100}."""
-    z = np.array([r.logits.logits for r in records])
-    y = np.array([r.true_class for r in records])
+    z, y = records.logits, records.true_class
     z = z - z.max(axis=1, keepdims=True)
     grid = np.arange(1, int(round(100 / step)) + 1) * step
     best_t, best_nll = None, np.inf
@@ -104,14 +111,14 @@ class TestFitTemperature:
 
     def test_single_record_correct_dominant_pushes_low(self):
         # confidence helps: NLL keeps improving toward the low-T boundary
-        records = [CalibrationRecord(LogitVector((0.0, 3.0, 1.0)), 1)] * 20
+        records = repeated((0.0, 3.0, 1.0), 1, 20)
         t = fit_temperature(records)
         _, oracle_nll = grid_search_nll(records, step=0.01)
         assert t < 0.2
         assert negative_log_likelihood(records, t) <= oracle_nll + 1e-9
 
     def test_single_record_wrong_dominant_pushes_to_upper_bound(self):
-        records = [CalibrationRecord(LogitVector((0.0, 3.0, 1.0)), 2)] * 20
+        records = repeated((0.0, 3.0, 1.0), 2, 20)
         t = fit_temperature(records)
         oracle_t, oracle_nll = grid_search_nll(records, step=0.01)
         assert t > 99.0
@@ -129,12 +136,12 @@ class TestFitTemperature:
 
     def test_empty_records_error(self):
         with pytest.raises(ValueError):
-            fit_temperature([])
+            fit_temperature(parse_calibration_records(""))
 
 
 class TestReliability:
     def test_perfect_confidence(self):
-        records = [CalibrationRecord(LogitVector((0.0, 200.0)), 1)] * 5
+        records = repeated((0.0, 200.0), 1, 5)
         d = reliability(records, 1.0, 10)
         assert d.bins[-1].count == 5
         assert d.bins[-1].accuracy == 1.0
@@ -148,7 +155,7 @@ class TestReliability:
 
     def test_empty_bins_excluded(self):
         # two-class records: confidence >= 0.5, low bins stay empty
-        records = [CalibrationRecord(LogitVector((0.0, 0.1)), 1)] * 9
+        records = repeated((0.0, 0.1), 1, 9)
         d = reliability(records, 1.0, 10)
         assert sum(1 for b in d.bins if b.count > 0) == 1
         assert mce(d) == ace(d)
@@ -157,25 +164,25 @@ class TestReliability:
         # construct records with confidence c and accuracy p per bin, then
         # recount with a direct loop oracle
         rng = np.random.default_rng(3)
-        records = []
+        rows, classes = [], []
         plan = [(0.55, 0.6), (0.75, 0.7), (0.95, 0.9)]
         for conf, acc in plan:
             gap = math.log(conf / (1.0 - conf))
             for _ in range(1000):
                 correct = rng.random() < acc
-                records.append(
-                    CalibrationRecord(LogitVector((0.0, gap)), 1 if correct else 0)
-                )
+                rows.append((0.0, gap))
+                classes.append(1 if correct else 0)
+        records = CalibrationSet(np.array(rows), np.array(classes))
         d = reliability(records, 1.0, 10)
         counts = {}
         hits = {}
-        for r in records:
-            p = softmax(r.logits)
+        for row, true_class in zip(rows, classes):
+            p = softmax(LogitVector(row))
             conf = max(p.scores)
             b = min(int(conf * 10), 9)
             counts[b] = counts.get(b, 0) + 1
             hits[b] = hits.get(b, 0) + (
-                1 if int(np.argmax(p.scores)) == r.true_class else 0
+                1 if int(np.argmax(p.scores)) == true_class else 0
             )
         for i, b in enumerate(d.bins):
             assert b.count == counts.get(i, 0)
@@ -195,10 +202,8 @@ class TestMceAce:
         # accuracy 0.7 vs confidence 0.9 in one populated bin -> 0.2
         rng = np.random.default_rng(4)
         gap = math.log(0.9 / 0.1)
-        records = [
-            CalibrationRecord(LogitVector((0.0, gap)), 1 if rng.random() < 0.7 else 0)
-            for _ in range(4000)
-        ]
+        classes = [1 if rng.random() < 0.7 else 0 for _ in range(4000)]
+        records = CalibrationSet(np.tile((0.0, gap), (4000, 1)), np.array(classes))
         d = reliability(records, 1.0, 10)
         assert mce(d) == pytest.approx(0.2, abs=0.03)
         assert ace(d) == pytest.approx(0.2, abs=0.03)
@@ -210,7 +215,7 @@ class TestMceAce:
             assert mce(d) >= ace(d) - 1e-12
 
     def test_all_empty_error(self):
-        d = reliability([], 1.0, 5)
+        d = reliability(parse_calibration_records(""), 1.0, 5)
         with pytest.raises(ValueError):
             mce(d)
 
@@ -276,3 +281,194 @@ class TestRecordIo:
         with pytest.raises(ParseError, match="^line 3: 3 logits, but line 1 has 2") as err:
             parse_calibration_records(text)
         assert err.value.line_number == 3
+
+
+def reference_fit_and_reliability(records, bins=10):
+    """The record-by-record path this module used before CalibrationSet.
+
+    Builds one (LogitVector, true class) pair per record, turns them back
+    into arrays, fits T with the un-hoisted NLL and bins the softmax.
+    Returns (T, reliability CSV at T = 1, reliability CSV at T).
+    """
+    pairs = [
+        (LogitVector(tuple(row)), int(c))
+        for row, c in zip(records.logits.tolist(), records.true_class.tolist())
+    ]
+    z = np.array([p[0].logits for p in pairs], dtype=np.float64)
+    y = np.array([p[1] for p in pairs], dtype=np.int64)
+
+    def nll(t):
+        zt = z / t
+        m = zt.max(axis=1)
+        log_norm = m + np.log(np.exp(zt - m[:, None]).sum(axis=1))
+        return float(np.sum(log_norm - zt[np.arange(len(y)), y]))
+
+    inv_phi = (math.sqrt(5.0) - 1.0) / 2.0
+    a, b = 0.01, 100.0
+    c = b - inv_phi * (b - a)
+    d = a + inv_phi * (b - a)
+    fc, fd = nll(c), nll(d)
+    while b - a > 1e-4:
+        if fc < fd:
+            b, d, fd = d, c, fc
+            c = b - inv_phi * (b - a)
+            fc = nll(c)
+        else:
+            a, c, fc = c, d, fd
+            d = a + inv_phi * (b - a)
+            fd = nll(d)
+    t = (a + b) / 2.0
+    if nll(1.0) < nll(t):
+        t = 1.0
+
+    def csv(temperature):
+        shifted = z / temperature
+        e = np.exp(shifted - shifted.max(axis=-1, keepdims=True))
+        p = e / e.sum(axis=-1, keepdims=True)
+        conf = p.max(axis=1)
+        correct = p.argmax(axis=1) == y
+        idx = np.minimum((conf * bins).astype(np.int64), bins - 1)
+        out = ["bin_lo,bin_hi,confidence,accuracy,count"]
+        for i in range(bins):
+            member = idx == i
+            count = int(member.sum())
+            mean_conf = repr(float(conf[member].mean())) if count else ""
+            acc = repr(float(correct[member].mean())) if count else ""
+            out.append(f"{i / bins!r},{(i + 1) / bins!r},{mean_conf},{acc},{count}")
+        return "\n".join(out) + "\n"
+
+    return t, csv(1.0), csv(t)
+
+
+GOOD_RECORD = '{"logits": [0.0, 1.5, -2.0], "true_class": 1}'
+
+
+class TestColumnarPath:
+    def test_matches_record_by_record_reference(self):
+        rng = np.random.default_rng(17)
+        for i in range(24):
+            n = int(rng.choice([50, 400, 3000]))
+            k = int(rng.integers(1, 10))
+            true_t = float(rng.uniform(0.3, 3.5))
+            records = generate_calibration_records(n, true_t, k, seed=100 + i)
+            ref_t, ref_before, ref_after = reference_fit_and_reliability(records)
+            t = fit_temperature(records)
+            assert t == pytest.approx(ref_t, rel=1e-12, abs=0.0), (n, k, true_t)
+            assert reliability_csv(reliability(records, 1.0, 10)) == ref_before
+            assert reliability_csv(reliability(records, t, 10)) == ref_after
+
+    def test_separable_sets_fit_no_worse_than_reference(self):
+        # With a handful of records the argmax often gets every one right.
+        # Then the NLL falls toward T = 0.01 and flattens at rounding level,
+        # so the search stops on rounding noise and T may differ from the
+        # reference's; the NLL reached must not be worse.
+        rng = np.random.default_rng(18)
+        for i in range(40):
+            n = int(rng.integers(1, 8))
+            k = int(rng.integers(1, 10))
+            records = generate_calibration_records(n, float(rng.uniform(0.3, 3.5)), k, seed=i)
+            ref_t = reference_fit_and_reliability(records)[0]
+            t = fit_temperature(records)
+            assert negative_log_likelihood(records, t) <= negative_log_likelihood(
+                records, ref_t
+            ) + 1e-12
+
+    @pytest.mark.parametrize(
+        "bad, message",
+        [
+            ('{"logits": [NaN, 1.5, -2.0], "true_class": 1}', "logits must be finite"),
+            ('{"logits": [0.0, Infinity, -2.0], "true_class": 1}', "logits must be finite"),
+            ('{"logits": [0.0, 1.5, -Infinity], "true_class": 1}', "logits must be finite"),
+            ('{"logits": [0.0, 1e400, -2.0], "true_class": 1}', "logits must be finite"),
+            ('{"logits": [0.0, 1.5, -2.0], "true_class": 3}', "true_class 3 out of range"),
+            ('{"logits": [0.0, 1.5, -2.0], "true_class": -1}', "true_class -1 out of range"),
+            ('{"logits": [0.0, 1.5, -2.0], "true_class": 100000000000000000000}',
+             "true_class 100000000000000000000 out of range"),
+            ('{"logits": [0.0, 1.5, -2.0], "true_class": 1.7}', "true_class must be an integer"),
+            ('{"logits": [0.0, 1.5, -2.0], "true_class": 1.0}', "true_class must be an integer"),
+            ('{"logits": [0.0, 1.5, -2.0], "true_class": "1"}', "true_class must be an integer"),
+            ('{"logits": [0.0, 1.5, -2.0], "true_class": true}', "true_class must be an integer"),
+            ('{"logits": [0.0, 1.5, -2.0], "true_class": null}', "true_class must be an integer"),
+            ('{"logits": [0.0, "0.5", -2.0], "true_class": 1}', "logits must be numbers"),
+            ('{"logits": [0.0, null, -2.0], "true_class": 1}', "logits must be numbers"),
+            ('{"logits": [0.0, [1.5], -2.0], "true_class": 1}', "logits must be numbers"),
+            ('{"logits": [[0.0], [1.5], [2.0]], "true_class": 1}', "logits must be numbers"),
+            ('{"logits": 5, "true_class": 1}', "logits must be a list"),
+            ('{"logits": "abc", "true_class": 1}', "logits must be a list"),
+            ('{"logits": {"a": 1, "b": 2, "c": 3}, "true_class": 1}', "logits must be a list"),
+        ],
+    )
+    def test_bad_row_names_its_line(self, bad, message):
+        lines = [GOOD_RECORD, "", "  ", bad, "", GOOD_RECORD, bad]
+        with pytest.raises(ParseError, match=f"^line 4: {message}") as err:
+            parse_calibration_records("\n".join(lines) + "\n")
+        assert err.value.line_number == 4
+
+    @pytest.mark.parametrize(
+        "bad, message",
+        [
+            ('{"logits": [0.5], "true_class": 0}', "logits need background plus >= 1 class"),
+            ('{"logits": [], "true_class": 0}', "logits need background plus >= 1 class"),
+            ('{"logits": [0.0, 1.0], "true_class": 2}', "true_class 2 out of range"),
+        ],
+    )
+    def test_bad_first_row_names_its_line(self, bad, message):
+        text = f"\n\n{bad}\n{bad}\n"
+        with pytest.raises(ParseError, match=f"^line 3: {message}") as err:
+            parse_calibration_records(text)
+        assert err.value.line_number == 3
+
+    def test_arrays_are_read_only_copies(self):
+        z = np.array([[0.0, 1.0], [2.0, -1.0]])
+        y = np.array([1, 0])
+        records = CalibrationSet(z, y)
+        z[0, 0] = 9.0
+        y[0] = 0
+        assert records.logits[0, 0] == 0.0 and records.true_class[0] == 1
+        for parsed in (records, parse_calibration_records(GOOD_RECORD),
+                       generate_calibration_records(5, 1.0, 2, seed=0)):
+            assert parsed.logits.dtype == np.float64
+            assert parsed.true_class.dtype == np.int64
+            for array in (parsed.logits, parsed.true_class):
+                assert not array.flags.writeable
+                with pytest.raises(ValueError):
+                    array[0] = 0
+
+    def test_set_validates_direct_construction(self):
+        with pytest.raises(ValueError, match="row 1: logits must be finite"):
+            CalibrationSet(np.array([[0.0, 1.0], [np.nan, 1.0]]), np.array([1, 1]))
+        with pytest.raises(ValueError, match="row 0: true_class 2 out of range"):
+            CalibrationSet(np.array([[0.0, 1.0]]), np.array([2]))
+        with pytest.raises(ValueError, match="one true class per row"):
+            CalibrationSet(np.zeros((3, 2)), np.zeros(2, dtype=np.int64))
+        with pytest.raises(ValueError, match="true classes integers"):
+            CalibrationSet(np.zeros((2, 2)), np.array([True, False]))
+        with pytest.raises(ValueError, match="true classes integers"):
+            CalibrationSet(np.array([["0", "1"]]), np.array([1]))
+
+    def test_length_and_equality(self):
+        a = generate_calibration_records(30, 1.5, 3, seed=4)
+        assert len(a) == 30 and a
+        assert not parse_calibration_records("")
+        assert a == CalibrationSet(a.logits.copy(), a.true_class.copy())
+        assert a != generate_calibration_records(30, 1.5, 3, seed=5)
+        assert a != CalibrationSet(a.logits, (a.true_class + 1) % 4)
+
+    def test_parse_retains_only_the_arrays(self):
+        text = serialize_calibration_records(generate_calibration_records(20_000, 2.0, 9, seed=8))
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            records = parse_calibration_records(text)
+            retained = tracemalloc.get_traced_memory()[0] - before
+        finally:
+            tracemalloc.stop()
+        nbytes = records.logits.nbytes + records.true_class.nbytes
+        assert retained < 1.5 * nbytes, (retained, nbytes)
+
+    def test_generated_records_are_byte_stable(self):
+        # The inputs of the benchmark's calib workload are made this way.
+        text = serialize_calibration_records(generate_calibration_records(200, 2.0, 9, seed=1))
+        assert hashlib.sha256(text.encode()).hexdigest() == (
+            "5bd5be87515aa08b317b76796e6836878b5797825bc7aa581b1321ca34dcdaee"
+        )

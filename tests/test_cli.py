@@ -185,6 +185,33 @@ class TestHostileInput:
         assert "Traceback" not in r.stderr
 
 
+def scene_spec_file(path, height, width):
+    """A scene spec of one ellipse instance, with the header size given."""
+    doc = json.loads(scene_spec_to_json(separated_scene(0, 1, shape="ellipse")))
+    doc["height"], doc["width"] = height, width
+    path.write_text(json.dumps(doc))
+    return path
+
+
+class TestHostileSceneSpec:
+    def test_huge_spec_is_two(self, tmp_path):
+        # One ellipse on 50 000 x 50 000 pixels: rendering it takes 18.6 GiB.
+        spec = scene_spec_file(tmp_path / "huge.json", 50_000, 50_000)
+        r = run_cli("synth", spec, "--out-dir", tmp_path / "s", check=False,
+                    address_space=3 << 30)
+        assert r.returncode == 2, r.stderr
+        assert f"50000 x 50000 pixels exceeds the limit of {MAX_PIXELS} pixels" in r.stderr
+        assert not (tmp_path / "s").exists()
+
+    @pytest.mark.parametrize("height, width", [(0, 100), (100, 0), (-3, 100)])
+    def test_empty_spec_is_two(self, tmp_path, height, width):
+        spec = scene_spec_file(tmp_path / "empty.json", height, width)
+        r = run_cli("synth", spec, "--out-dir", tmp_path / "s", check=False)
+        assert r.returncode == 2, r.stderr
+        assert f"height and width must be >= 1, got {height} x {width}" in r.stderr
+        assert not (tmp_path / "s").exists()
+
+
 def run_python(code):
     env = dict(os.environ)
     env["PYTHONPATH"] = SRC + os.pathsep + env.get("PYTHONPATH", "")
@@ -211,6 +238,20 @@ class TestLazyScipy:
         assert r.stdout.splitlines()[-1] == "0 False"
         doc = json.loads((tmp_path / "o" / "scene2_clusters.json").read_text())
         assert [c["size"] for c in doc["clusters"]] == [30] * 5
+
+    def test_calibrate_loads_no_scipy(self, tmp_path):
+        records = tmp_path / "records.jsonl"
+        records.write_text(
+            serialize_calibration_records(generate_calibration_records(500, 2.0, 4, seed=3))
+        )
+        r = run_python(
+            "import sys; from dropuq.cli import main; "
+            f"code = main(['calibrate', {str(records)!r}, '--out-dir', {str(tmp_path / 'o')!r}]); "
+            "print(code, 'scipy' in sys.modules)"
+        )
+        assert r.returncode == 0, r.stderr
+        assert r.stdout.splitlines()[-1] == "0 False"
+        assert (tmp_path / "o" / "temperature.json").exists()
 
 
 class TestPipeline:
@@ -404,6 +445,25 @@ class TestCalibrate:
         r = run_cli("calibrate", path, "--out-dir", tmp_path / "cal", check=False)
         assert r.returncode == 2
         assert "line 2: 3 logits, but line 1 has 2" in r.stderr
+
+    @pytest.mark.parametrize(
+        "bad",
+        [
+            '{"logits": [0.0, 1.0], "true_class": 1.7}',
+            '{"logits": [0.0, 1.0], "true_class": "1"}',
+            '{"logits": [0.0, 1.0], "true_class": true}',
+            '{"logits": [0.0, "0.5"], "true_class": 1}',
+            '{"logits": [0.0, NaN], "true_class": 1}',
+            '{"logits": [0.0, 1.0], "true_class": 2}',
+        ],
+    )
+    def test_bad_value_names_line(self, tmp_path, bad):
+        path = tmp_path / "records.jsonl"
+        path.write_text('{"logits": [1, 2], "true_class": 1}\n\n' + bad + "\n")
+        r = run_cli("calibrate", path, "--out-dir", tmp_path / "cal", check=False)
+        assert r.returncode == 2, r.stderr
+        assert r.stderr.startswith("dropuq: error: line 3: "), r.stderr
+        assert not (tmp_path / "cal" / "temperature.json").exists()
 
     def test_empty_records_error(self, tmp_path):
         path = tmp_path / "records.jsonl"
