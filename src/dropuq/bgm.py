@@ -15,14 +15,14 @@ freedom = dimensionality.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import TYPE_CHECKING, List, Optional, Tuple
 
 import numpy as np
 
-# scipy.linalg and scipy.special are imported inside the functions that use
-# them: loading them takes about 0.4 s, which commands that never fit a
-# mixture (synth, report, eval, calibrate) should not pay at start-up.
+# scipy.special is imported inside the functions that use it: loading scipy
+# takes about 0.4 s, which commands that never fit a mixture (synth, report,
+# eval, calibrate) should not pay at start-up.
 
 if TYPE_CHECKING:
     from .clustering import ClusterConfig
@@ -31,6 +31,9 @@ __all__ = ["MixtureState", "ClusteringError", "fit_bgm", "assign_labels"]
 
 _LOG_2PI = math.log(2.0 * math.pi)
 _ELBO_TOL = 1e-4  # a restart converges once the lower bound moves less than this
+# Restarts whose final bounds differ by less than this, relative, tie and the
+# earlier one wins, so the choice does not hang on the bound's last bits.
+_TIE_RTOL = 1e-12
 
 
 class ClusteringError(ValueError):
@@ -60,36 +63,23 @@ class MixtureState:
     n_iter: int
 
 
-@dataclass
+@dataclass(frozen=True)
 class _Posterior:
-    """Mutable mid-fit posterior parameters."""
+    """Mid-fit posterior parameters; each M-step builds a new one."""
 
-    stick_a: np.ndarray       # (K,) Beta first parameter
-    stick_b: np.ndarray       # (K,) Beta second parameter
-    beta: np.ndarray          # (K,) mean-precision scaling
-    means: np.ndarray         # (K, D)
-    nu: np.ndarray            # (K,) Wishart degrees of freedom
-    scale_inv: np.ndarray     # (K, D, D) inverse scale matrices
-    chol: Optional[np.ndarray] = field(default=None)               # chol(scale_inv)
-    log_det_scale_inv: Optional[np.ndarray] = field(default=None)  # (K,)
+    stick_a: np.ndarray            # (K,) Beta first parameter
+    stick_b: np.ndarray            # (K,) Beta second parameter
+    beta: np.ndarray               # (K,) mean-precision scaling
+    means: np.ndarray              # (K, D)
+    nu: np.ndarray                 # (K,) Wishart degrees of freedom
+    scale_inv: np.ndarray          # (K, D, D) inverse scale matrices
+    chol: np.ndarray               # (K, D, D) lower Cholesky factors of scale_inv
+    log_det_scale_inv: np.ndarray  # (K,)
 
 
 def _exclusive_tail_sums(nk: np.ndarray) -> np.ndarray:
     """For each k, the total mass of components after k."""
     return np.concatenate((np.cumsum(nk[::-1])[-2::-1], [0.0]))
-
-
-def _weighted_moments(X: np.ndarray, resp: np.ndarray):
-    """Per-component soft counts, means and scatter matrices."""
-    nk = resp.sum(axis=0) + 10.0 * np.finfo(resp.dtype).eps
-    xk = (resp.T @ X) / nk[:, None]
-    K = resp.shape[1]
-    D = X.shape[1]
-    sk = np.empty((K, D, D))
-    for k in range(K):
-        diff = X - xk[k]
-        sk[k] = ((resp[:, k] * diff.T) @ diff) / nk[k]
-    return nk, xk, sk
 
 
 def _m_step(
@@ -101,31 +91,35 @@ def _m_step(
     nu0: float,
     scale_inv0: np.ndarray,
 ) -> _Posterior:
-    nk, xk, sk = _weighted_moments(X, resp)
-    stick_a = 1.0 + nk
-    stick_b = gamma0 + _exclusive_tail_sums(nk)
+    # Soft counts, means and scatter matrices of every component at once;
+    # diff is (K, n, D), so the scatter is one batched (D, n) @ (n, D) matmul.
+    nk = resp.sum(axis=0) + 10.0 * np.finfo(resp.dtype).eps
+    xk = (resp.T @ X) / nk[:, None]
+    diff = X - xk[:, None, :]
+    sk = ((resp.T[:, None, :] * diff.transpose(0, 2, 1)) @ diff) / nk[:, None, None]
     beta = beta0 + nk
-    means = (beta0 * m0 + nk[:, None] * xk) / beta[:, None]
-    nu = nu0 + nk
-    K, D = xk.shape
-    scale_inv = np.empty((K, D, D))
-    for k in range(K):
-        dk = xk[k] - m0
-        scale_inv[k] = scale_inv0 + nk[k] * sk[k] + (beta0 * nk[k] / beta[k]) * np.outer(dk, dk)
-    post = _Posterior(stick_a, stick_b, beta, means, nu, scale_inv)
-    _refresh_cholesky(post)
-    return post
-
-
-def _refresh_cholesky(post: _Posterior) -> None:
+    dk = xk - m0
+    scale_inv = (
+        scale_inv0
+        + nk[:, None, None] * sk
+        + (beta0 * nk / beta)[:, None, None] * (dk[:, :, None] * dk[:, None, :])
+    )
     try:
-        post.chol = np.linalg.cholesky(post.scale_inv)
+        chol = np.linalg.cholesky(scale_inv)
     except np.linalg.LinAlgError as exc:
         raise ClusteringError(
             "could not reach positive-definite covariances after regularization"
         ) from exc
-    diag = np.einsum("kii->ki", post.chol)
-    post.log_det_scale_inv = 2.0 * np.sum(np.log(diag), axis=1)
+    return _Posterior(
+        stick_a=1.0 + nk,
+        stick_b=gamma0 + _exclusive_tail_sums(nk),
+        beta=beta,
+        means=(beta0 * m0 + nk[:, None] * xk) / beta[:, None],
+        nu=nu0 + nk,
+        scale_inv=scale_inv,
+        chol=chol,
+        log_det_scale_inv=2.0 * np.sum(np.log(np.einsum("kii->ki", chol)), axis=1),
+    )
 
 
 def _expected_log_weights(post: _Posterior) -> np.ndarray:
@@ -139,26 +133,24 @@ def _expected_log_weights(post: _Posterior) -> np.ndarray:
 
 def _e_step(X: np.ndarray, post: _Posterior) -> np.ndarray:
     """Log responsibilities under the current posterior."""
-    from scipy.linalg import solve_triangular
-    from scipy.special import digamma, logsumexp
+    from scipy.special import digamma
 
-    n, D = X.shape
-    K = post.means.shape[0]
-    log_rho = np.empty((n, K))
-    e_log_pi = _expected_log_weights(post)
-    for k in range(K):
-        # E[log |Lambda_k|] and E[(x-mu)^T Lambda (x-mu)] under Normal-Wishart.
-        e_log_det = (
-            np.sum(digamma(0.5 * (post.nu[k] + 1.0 - np.arange(1, D + 1))))
-            + D * math.log(2.0)
-            - post.log_det_scale_inv[k]
-        )
-        y = solve_triangular(post.chol[k], (X - post.means[k]).T, lower=True)
-        quad = post.nu[k] * np.sum(y * y, axis=0)
-        log_rho[:, k] = e_log_pi[k] + 0.5 * (
-            e_log_det - D * _LOG_2PI - D / post.beta[k] - quad
-        )
-    return log_rho - logsumexp(log_rho, axis=1, keepdims=True)
+    D = X.shape[1]
+    # E[log |Lambda_k|] and E[(x-mu)^T Lambda (x-mu)] under Normal-Wishart;
+    # the quadratic form uses residuals whitened by the inverse factors.
+    e_log_det = (
+        np.sum(digamma(0.5 * (post.nu[:, None] + 1.0 - np.arange(1, D + 1))), axis=1)
+        + D * math.log(2.0)
+        - post.log_det_scale_inv
+    )
+    y = (X - post.means[:, None, :]) @ np.linalg.inv(post.chol).transpose(0, 2, 1)
+    quad = post.nu[:, None] * np.sum(y * y, axis=2)
+    log_rho = (
+        _expected_log_weights(post)[:, None]
+        + 0.5 * ((e_log_det - D * _LOG_2PI - D / post.beta)[:, None] - quad)
+    ).T
+    top = log_rho.max(axis=1, keepdims=True)
+    return log_rho - (top + np.log(np.sum(np.exp(log_rho - top), axis=1, keepdims=True)))
 
 
 def _lower_bound(post: _Posterior, log_resp: np.ndarray) -> float:
@@ -299,9 +291,8 @@ def fit_bgm(points: np.ndarray, k_max: int, cfg: "ClusterConfig") -> MixtureStat
                 converged = True
                 break
             prev = elbo
-        final = trace[-1] if trace else -np.inf
-        if best is None or final > best[0]:
-            best = (final, post, trace, converged, len(trace))
+        if best is None or trace[-1] > best[0] + _TIE_RTOL * abs(best[0]):
+            best = (trace[-1], post, trace, converged, len(trace))
 
     _, post, trace, converged, n_iter = best
     log_resp = _e_step(X, post)

@@ -12,6 +12,7 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass
+from itertools import chain
 from typing import IO, Callable, Iterable, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
@@ -305,8 +306,8 @@ def parse_calibration_records(
     """Parse line-delimited {"logits": [...], "true_class": int} records.
 
     Every record must hold as many logits as the first one, all numbers
-    (a string or null is an error; a boolean among numbers still reads as
-    1 or 0). The true class must be a JSON integer: not 1.0, "1" or true.
+    (a string, boolean or null is an error). The true class must be a JSON
+    integer: not 1.0, "1" or true.
     """
     linenos, rows, classes = [], [], []
     for lineno, obj in _jsonl_records(stream, ["logits", "true_class"], []):
@@ -327,7 +328,9 @@ def parse_calibration_records(
         z = np.array(rows)
     except ValueError:  # rows nested to different depths
         z = None
-    if z is None or z.ndim != 2 or z.dtype.kind not in "iuf":
+    bad = z is None or z.ndim != 2 or z.dtype.kind not in "iuf"
+    # np.array reads a boolean among numbers as 1 or 0, so scan the types too.
+    if bad or bool in set(map(type, chain.from_iterable(rows))):
         i = int(np.argmax([not _number_row(r) for r in rows]))
         raise ParseError(linenos[i], f"logits must be numbers, got {rows[i]!r}")
     not_int = [type(c) is not int for c in classes]
@@ -352,7 +355,7 @@ def _number_row(row: list) -> bool:
         a = np.array(row)
     except ValueError:
         return False
-    return a.ndim == 1 and a.dtype.kind in "iuf"
+    return a.ndim == 1 and a.dtype.kind in "iuf" and bool not in map(type, row)
 
 
 def read_calibration_records(path) -> CalibrationSet:

@@ -13,7 +13,7 @@ from typing import Dict, IO, Iterable, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
-from .ingest import ParseError, _jsonl_records
+from .ingest import _INT, _REAL, _STR, ParseError, _array, _jsonl_records, _scalar
 from .model import BBox, RleMask, box_iou, mask_iou
 from .report import ClusterReport
 
@@ -186,23 +186,20 @@ def parse_ground_truth(
     """Parse line-delimited {"image_id", "bbox", "class_id", "mask_runs"?}."""
     out = []
     for lineno, obj in _jsonl_records(stream, _GT_KEYS, ["mask_runs"]):
+        image_id = _scalar(obj, "image_id", _STR, lineno)
+        box_vals = _array(obj, "bbox", _REAL, lineno, length=4)
+        class_id = _scalar(obj, "class_id", _INT, lineno)
+        runs = _array(obj, "mask_runs", _INT, lineno) if "mask_runs" in obj else None
         try:
-            mask = None
-            if "mask_runs" in obj:
-                mask = RleMask(
-                    height=height,
-                    width=width,
-                    runs=tuple(int(r) for r in obj["mask_runs"]),
-                )
             out.append(
                 GroundTruthInstance(
-                    image_id=str(obj["image_id"]),
-                    bbox=BBox(*(float(v) for v in obj["bbox"])),
-                    class_id=int(obj["class_id"]),
-                    mask=mask,
+                    image_id=image_id,
+                    bbox=BBox(*map(float, box_vals)),
+                    class_id=class_id,
+                    mask=None if runs is None else RleMask(height, width, runs),
                 )
             )
-        except (TypeError, ValueError) as exc:
+        except (OverflowError, ValueError) as exc:
             raise ParseError(lineno, str(exc)) from exc
     return out
 

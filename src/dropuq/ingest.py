@@ -9,7 +9,10 @@ File format (one file per image, one JSON object per line):
 The first line is the header; every following line is one detection.
 ``scores[0]`` is the background class. ``mask_runs`` is optional and holds
 the run-length encoding of the binary mask (background run first). Field
-order is fixed and unknown fields are rejected. Boxes are clamped into the
+order is fixed and unknown fields are rejected. Values are typed strictly:
+``image_id`` is a string; the header counts, ``repetition`` and the mask runs
+are JSON integers; box coordinates and scores are numbers (an integer is a
+number, a boolean or a numeric string is not). Boxes are clamped into the
 image; a box with no area left inside it is rejected. The header may declare
 at most MAX_PIXELS pixels (H * W), so that the per-pixel arrays of the mask
 statistics stay bounded.
@@ -64,6 +67,36 @@ def _record(line: str, line_number: int, expected_keys: List[str], optional: Lis
     return obj
 
 
+_INT = (int,)  # a JSON integer; bool subclasses int in Python, but is not one
+_REAL = (int, float)
+_STR = (str,)
+_KINDS = {_INT: "integer", _REAL: "number", _STR: "string"}
+
+
+def _scalar(obj: dict, key: str, kind: tuple, lineno: int):
+    """obj[key] if its type is one of ``kind``, else ParseError."""
+    value = obj[key]
+    if type(value) not in kind:
+        raise ParseError(lineno, f"{key} must be a JSON {_KINDS[kind]}, got {value!r}")
+    return value
+
+
+def _array(obj: dict, key: str, kind: tuple, lineno: int, length: Optional[int] = None) -> list:
+    """obj[key] if it is a list (of ``length`` values, if given) whose value
+    types are in ``kind``, else ParseError."""
+    value = obj[key]
+    if type(value) is not list:
+        raise ParseError(lineno, f"{key} must be a list, got {value!r}")
+    if length is not None and len(value) != length:
+        raise ParseError(lineno, f"{key} needs {length} values, got {len(value)}")
+    for v in value:
+        if type(v) not in kind:
+            raise ParseError(
+                lineno, f"{key} must be a list of JSON {_KINDS[kind]}s, got {v!r}"
+            )
+    return value
+
+
 def _jsonl_records(
     stream: Union[str, IO[str], Iterable[str]],
     keys: List[str],
@@ -100,14 +133,10 @@ def parse_sample_set(stream: Union[str, IO[str], Iterable[str]]) -> SampleSet:
         raise ParseError(1, "missing header record")
 
     header_lineno, header = first
-    try:
-        image_id = str(header["image_id"])
-        height = int(header["height"])
-        width = int(header["width"])
-        n_repetitions = int(header["n_repetitions"])
-        num_classes = int(header["num_classes"])
-    except (TypeError, ValueError) as exc:
-        raise ParseError(header_lineno, f"bad header value ({exc})") from exc
+    image_id = _scalar(header, "image_id", _STR, header_lineno)
+    height, width, n_repetitions, num_classes = (
+        _scalar(header, key, _INT, header_lineno) for key in _HEADER_KEYS[1:]
+    )
     if num_classes < 1:
         raise ParseError(header_lineno, f"num_classes must be >= 1, got {num_classes}")
     if height * width > MAX_PIXELS:
@@ -118,14 +147,10 @@ def parse_sample_set(stream: Union[str, IO[str], Iterable[str]]) -> SampleSet:
 
     detections = []
     for lineno, obj in records:
-        try:
-            repetition = int(obj["repetition"])
-            box_vals = [float(v) for v in obj["bbox"]]
-            score_vals = [float(v) for v in obj["scores"]]
-        except (TypeError, ValueError) as exc:
-            raise ParseError(lineno, f"bad field value ({exc})") from exc
-        if len(box_vals) != 4:
-            raise ParseError(lineno, f"bbox needs 4 values, got {len(box_vals)}")
+        repetition = _scalar(obj, "repetition", _INT, lineno)
+        box_vals = _array(obj, "bbox", _REAL, lineno, length=4)
+        score_vals = _array(obj, "scores", _REAL, lineno)
+        runs = _array(obj, "mask_runs", _INT, lineno) if "mask_runs" in obj else None
         if len(score_vals) != num_classes + 1:
             raise ParseError(
                 lineno,
@@ -138,13 +163,10 @@ def parse_sample_set(stream: Union[str, IO[str], Iterable[str]]) -> SampleSet:
                 f"repetition {repetition} out of range [0, {n_repetitions})",
             )
         try:
-            bbox = BBox(*box_vals).clamped(width, height)
-            scores = ScoreVector(tuple(score_vals))
-            mask = None
-            if "mask_runs" in obj:
-                runs = tuple(int(r) for r in obj["mask_runs"])
-                mask = RleMask(height=height, width=width, runs=runs)
-        except (TypeError, ValueError) as exc:
+            bbox = BBox(*map(float, box_vals)).clamped(width, height)
+            scores = ScoreVector(score_vals)
+            mask = None if runs is None else RleMask(height=height, width=width, runs=runs)
+        except (OverflowError, ValueError) as exc:
             raise ParseError(lineno, str(exc)) from exc
         detections.append(
             Detection(bbox=bbox, scores=scores, mask=mask, repetition=repetition)

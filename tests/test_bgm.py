@@ -1,8 +1,13 @@
+import math
+
 import numpy as np
 import pytest
 
+from _scenes import overlapping_scene
+from dropuq import bgm, clustering
 from dropuq.bgm import ClusteringError, MixtureState, assign_labels, fit_bgm
-from dropuq.clustering import ClusterConfig
+from dropuq.clustering import ClusterConfig, cluster_pipeline
+from dropuq.synth import generate
 
 
 def blobs(centers, n_each, sigma, seed):
@@ -122,3 +127,125 @@ class TestAssignLabels:
         state = fit_bgm(x, 4, ClusterConfig(seed=9))
         expect = [int(np.argmax(row)) for row in state.responsibilities]
         assert assign_labels(state).tolist() == expect
+
+
+# The per-component updates that the batched _m_step and _e_step replaced,
+# kept as the reference: one scatter matrix, Cholesky solve and column of
+# log-densities per component, and scipy's logsumexp.
+def _reference_m_step(X, resp, gamma0, beta0, m0, nu0, scale_inv0):
+    nk = resp.sum(axis=0) + 10.0 * np.finfo(resp.dtype).eps
+    xk = (resp.T @ X) / nk[:, None]
+    K, D = xk.shape
+    sk = np.empty((K, D, D))
+    for k in range(K):
+        diff = X - xk[k]
+        sk[k] = ((resp[:, k] * diff.T) @ diff) / nk[k]
+    beta = beta0 + nk
+    scale_inv = np.empty((K, D, D))
+    for k in range(K):
+        dk = xk[k] - m0
+        scale_inv[k] = scale_inv0 + nk[k] * sk[k] + (beta0 * nk[k] / beta[k]) * np.outer(dk, dk)
+    chol = np.linalg.cholesky(scale_inv)
+    return bgm._Posterior(
+        stick_a=1.0 + nk,
+        stick_b=gamma0 + bgm._exclusive_tail_sums(nk),
+        beta=beta,
+        means=(beta0 * m0 + nk[:, None] * xk) / beta[:, None],
+        nu=nu0 + nk,
+        scale_inv=scale_inv,
+        chol=chol,
+        log_det_scale_inv=2.0 * np.sum(np.log(np.einsum("kii->ki", chol)), axis=1),
+    )
+
+
+def _reference_e_step(X, post):
+    from scipy.linalg import solve_triangular
+    from scipy.special import digamma, logsumexp
+
+    n, D = X.shape
+    K = post.means.shape[0]
+    log_rho = np.empty((n, K))
+    e_log_pi = bgm._expected_log_weights(post)
+    for k in range(K):
+        e_log_det = (
+            np.sum(digamma(0.5 * (post.nu[k] + 1.0 - np.arange(1, D + 1))))
+            + D * math.log(2.0)
+            - post.log_det_scale_inv[k]
+        )
+        y = solve_triangular(post.chol[k], (X - post.means[k]).T, lower=True)
+        quad = post.nu[k] * np.sum(y * y, axis=0)
+        log_rho[:, k] = e_log_pi[k] + 0.5 * (
+            e_log_det - D * bgm._LOG_2PI - D / post.beta[k] - quad
+        )
+    return log_rho - logsumexp(log_rho, axis=1, keepdims=True)
+
+
+def _close(a, b, rtol):
+    a, b = np.asarray(a), np.asarray(b)
+    return a.shape == b.shape and np.abs(a - b).max() <= rtol * np.abs(b).max()
+
+
+def _assert_same_fit(got: MixtureState, ref: MixtureState):
+    assert np.array_equal(assign_labels(got), assign_labels(ref))
+    assert (got.n_iter, got.converged) == (ref.n_iter, ref.converged)
+    assert got.effective_components == ref.effective_components
+    assert _close(got.means, ref.means, 1e-12)
+    assert _close(got.covariances, ref.covariances, 1e-12)
+    assert _close(got.responsibilities, ref.responsibilities, 1e-10)
+    # Last-bit differences grow along slowly converging traces: reordering
+    # the reference's own arithmetic moves a trace by up to 1e-11.
+    assert _close(got.elbo_trace, ref.elbo_trace, 1e-10)
+
+
+class TestReferenceEquivalence:
+    """The batched updates reproduce the per-component ones."""
+
+    @pytest.fixture
+    def reference(self, monkeypatch):
+        def use_reference():
+            monkeypatch.setattr(bgm, "_m_step", _reference_m_step)
+            monkeypatch.setattr(bgm, "_e_step", _reference_e_step)
+
+        return use_reference
+
+    def test_random_fits(self, reference):
+        rng = np.random.default_rng(2024)
+        cases = []
+        for i in range(200):
+            n = int(rng.integers(5, 401))
+            centers = rng.uniform(0, 400, (int(rng.integers(1, 6)), 4))
+            x = centers[rng.integers(len(centers), size=n)] + rng.normal(
+                0, rng.uniform(2, 30), (n, 4)
+            )
+            cases.append((x, int(rng.integers(1, 17)), ClusterConfig(seed=i % 7)))
+        got = [fit_bgm(x, k, cfg) for x, k, cfg in cases]
+        reference()
+        for state, (x, k, cfg) in zip(got, cases):
+            _assert_same_fit(state, fit_bgm(x, k, cfg))
+
+    def test_overlapping_scene_pipelines(self, reference, monkeypatch):
+        fits = []
+
+        def recording_fit(points, k_max, cfg):
+            fits.append(fit_bgm(points, k_max, cfg))
+            return fits[-1]
+
+        monkeypatch.setattr(clustering, "fit_bgm", recording_fit)
+
+        def run_all():
+            fits.clear()
+            labels = []
+            for seed in range(50):
+                n_instances = int(np.random.default_rng(seed).integers(2, 5))
+                sample_set, _, _ = generate(overlapping_scene(seed, n_instances))
+                clusters = cluster_pipeline(sample_set, ClusterConfig(seed=seed))
+                labels.append([c.indices for c in clusters])
+            return labels, list(fits)
+
+        got_labels, got_fits = run_all()
+        reference()
+        ref_labels, ref_fits = run_all()
+        assert got_labels == ref_labels
+        assert len(got_fits) == len(ref_fits) >= 50
+        for state, ref in zip(got_fits, ref_fits):
+            _assert_same_fit(state, ref)

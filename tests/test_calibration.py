@@ -396,6 +396,8 @@ class TestColumnarPath:
             ('{"logits": 5, "true_class": 1}', "logits must be a list"),
             ('{"logits": "abc", "true_class": 1}', "logits must be a list"),
             ('{"logits": {"a": 1, "b": 2, "c": 3}, "true_class": 1}', "logits must be a list"),
+            ('{"logits": [0.0, true, -2.0], "true_class": 1}', "logits must be numbers"),
+            ('{"logits": [false, 1.5, -2.0], "true_class": 1}', "logits must be numbers"),
         ],
     )
     def test_bad_row_names_its_line(self, bad, message):

@@ -254,6 +254,77 @@ class TestLazyScipy:
         assert (tmp_path / "o" / "temperature.json").exists()
 
 
+    def test_fit_loads_no_scipy_linalg(self):
+        r = run_python(
+            "import sys, numpy as np; from dropuq.bgm import fit_bgm; "
+            "from dropuq.clustering import ClusterConfig; "
+            "x = np.random.default_rng(0).normal(0, 5, (40, 4)); x[20:] += 50; "
+            "s = fit_bgm(x, 4, ClusterConfig(seed=0)); "
+            "print(s.effective_components, 'scipy.special' in sys.modules, "
+            "'scipy.linalg' in sys.modules)"
+        )
+        assert r.returncode == 0, r.stderr
+        assert r.stdout.strip() == "2 True False"
+
+
+SAMPLE_HEADER = {
+    "image_id": "img", "height": 10, "width": 10, "n_repetitions": 3, "num_classes": 2,
+}
+SAMPLE_DETECTION = {
+    "repetition": 0, "bbox": [1, 2, 5, 6], "scores": [0.1, 0.6, 0.3], "mask_runs": [0, 50, 50],
+}
+
+
+class TestStrictValueTypes:
+    """A value of the wrong JSON type exits 2 and names its line."""
+
+    def check(self, r, lineno):
+        assert r.returncode == 2, r.stderr
+        assert r.stderr.startswith(f"dropuq: error: line {lineno}: "), r.stderr
+
+    def cluster(self, tmp_path, header, detection):
+        path = tmp_path / "img_samples.jsonl"
+        lines = [header, SAMPLE_DETECTION, None, detection]
+        path.write_text("\n".join("" if d is None else json.dumps(d) for d in lines) + "\n")
+        return run_cli("cluster", path, "--out-dir", tmp_path / "o", check=False)
+
+    def test_well_typed_file_clusters(self, tmp_path):
+        r = self.cluster(tmp_path, SAMPLE_HEADER, SAMPLE_DETECTION)
+        assert r.returncode == 0, r.stderr
+
+    @pytest.mark.parametrize(
+        "key, value", [("height", 10.9), ("width", "10"), ("num_classes", True), ("image_id", 5)]
+    )
+    def test_bad_header_value(self, tmp_path, key, value):
+        self.check(self.cluster(tmp_path, {**SAMPLE_HEADER, key: value}, SAMPLE_DETECTION), 1)
+
+    @pytest.mark.parametrize(
+        "key, value",
+        [
+            ("repetition", 1.7),
+            ("repetition", True),
+            ("bbox", [1, 2, "5", 6]),
+            ("scores", [0.1, "0.9", 0.0]),
+            ("mask_runs", [0, 50.9, 49.1]),
+        ],
+    )
+    def test_bad_detection_value(self, tmp_path, key, value):
+        self.check(self.cluster(tmp_path, SAMPLE_HEADER, {**SAMPLE_DETECTION, key: value}), 4)
+
+    @pytest.mark.parametrize("class_id", [1.9, True, "1"])
+    def test_bad_ground_truth_class(self, pipeline_dirs, tmp_path, class_id):
+        good = {"image_id": "scene0", "bbox": [10, 10, 50, 50], "class_id": 1}
+        gt = tmp_path / "gt.jsonl"
+        gt.write_text(json.dumps(good) + "\n\n" + json.dumps({**good, "class_id": class_id}) + "\n")
+        r = run_cli(
+            "eval", pipeline_dirs / "synth" / "scene0_samples.jsonl",
+            "--clusters", pipeline_dirs / "clusters" / "scene0_clusters.json",
+            "--gt", gt, "--out-dir", tmp_path / "eval", check=False,
+        )
+        self.check(r, 3)
+        assert not (tmp_path / "eval" / "eval.csv").exists()
+
+
 class TestPipeline:
     def test_cluster_summary(self, pipeline_dirs):
         doc = json.loads((pipeline_dirs / "clusters" / "scene0_clusters.json").read_text())
@@ -455,6 +526,7 @@ class TestCalibrate:
             '{"logits": [0.0, "0.5"], "true_class": 1}',
             '{"logits": [0.0, NaN], "true_class": 1}',
             '{"logits": [0.0, 1.0], "true_class": 2}',
+            '{"logits": [0.0, true], "true_class": 1}',
         ],
     )
     def test_bad_value_names_line(self, tmp_path, bad):

@@ -110,6 +110,75 @@ def sample_with_backgrounds(bgs):
     return parse_sample_set("\n".join(lines))
 
 
+class TestStrictTypes:
+    """Values must have their JSON type: no coercion of strings, reals or booleans."""
+
+    def parse(self, header=None, **fields):
+        rec = {"repetition": 0, "bbox": [1, 2, 5, 6], "scores": [0.1, 0.6, 0.3], **fields}
+        return parse_sample_set("\n".join([header or HEADER, det_line(), "", json.dumps(rec)]))
+
+    def test_integers_are_numbers(self):
+        s = parse_sample_set("\n".join([HEADER, det_line(bbox=(1, 2, 5, 6), scores=(0, 1, 0))]))
+        det = s.detections[0]
+        assert det.bbox.as_tuple() == (1.0, 2.0, 5.0, 6.0)
+        assert all(type(v) is float for v in det.bbox.as_tuple() + det.scores.scores)
+
+    @pytest.mark.parametrize(
+        "key, value, message",
+        [
+            ("image_id", 5, "image_id must be a JSON string"),
+            ("height", 10.9, "height must be a JSON integer"),
+            ("width", "10", "width must be a JSON integer"),
+            ("n_repetitions", 3.0, "n_repetitions must be a JSON integer"),
+            ("num_classes", True, "num_classes must be a JSON integer"),
+        ],
+    )
+    def test_bad_header_value(self, key, value, message):
+        header = json.dumps({**json.loads(HEADER), key: value})
+        with pytest.raises(ParseError, match=f"^line 1: {message}"):
+            self.parse(header)
+
+    @pytest.mark.parametrize(
+        "key, value, message",
+        [
+            ("repetition", 1.7, "repetition must be a JSON integer"),
+            ("repetition", True, "repetition must be a JSON integer"),
+            ("repetition", "1", "repetition must be a JSON integer"),
+            ("bbox", [1, 2, "5", 6], "bbox must be a list of JSON numbers, got '5'"),
+            ("bbox", [1, 2, True, 6], "bbox must be a list of JSON numbers, got True"),
+            ("bbox", "1 2 5 6", "bbox must be a list"),
+            ("bbox", [1, 2, 10**400, 6], "int too large"),
+            ("scores", [0.1, 0.6, "0.3"], "scores must be a list of JSON numbers"),
+            ("scores", [0.1, 0.6, None], "scores must be a list of JSON numbers"),
+            ("scores", [0.1, 0.6, 10**400], "int too large"),
+            ("mask_runs", [0, 300.5, 299.5], "mask_runs must be a list of JSON integers"),
+            ("mask_runs", [0, True, 599], "mask_runs must be a list of JSON integers"),
+        ],
+    )
+    def test_bad_detection_value(self, key, value, message):
+        with pytest.raises(ParseError, match=f"^line 4: {message}") as err:
+            self.parse(**{key: value})
+        assert err.value.line_number == 4
+
+    @pytest.mark.parametrize(
+        "key, value, message",
+        [
+            ("image_id", 5, "image_id must be a JSON string"),
+            ("class_id", 1.9, "class_id must be a JSON integer"),
+            ("class_id", True, "class_id must be a JSON integer"),
+            ("class_id", "1", "class_id must be a JSON integer"),
+            ("bbox", [0, 0, "5", 5], "bbox must be a list of JSON numbers"),
+            ("bbox", [0, 0, 5], "bbox needs 4 values, got 3"),
+            ("mask_runs", [0, 300.5, 299.5], "mask_runs must be a list of JSON integers"),
+        ],
+    )
+    def test_bad_ground_truth_value(self, key, value, message):
+        good = {"image_id": "img0", "bbox": [1, 2, 5, 6], "class_id": 1}
+        text = json.dumps(good) + "\n\n" + json.dumps({**good, key: value})
+        with pytest.raises(ParseError, match=f"^line 3: .*{message}"):
+            parse_ground_truth(text, 20, 30)
+
+
 class TestFilterBackground:
     def test_all_zero_background_unchanged(self):
         s = sample_with_backgrounds([0.0, 0.0, 0.0])
