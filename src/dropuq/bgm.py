@@ -164,7 +164,8 @@ def _lower_bound(post: _Posterior, log_resp: np.ndarray) -> float:
 
     D = post.means.shape[1]
     resp = np.exp(log_resp)
-    entropy = -float(np.sum(np.where(resp > 0.0, resp * log_resp, 0.0)))
+    xlogx = np.multiply(resp, log_resp, out=np.zeros_like(resp), where=resp > 0.0)
+    entropy = -float(np.sum(xlogx))
     # log normalizer of each Wishart posterior (pi-power constants dropped).
     half_log_det_scale = -0.5 * post.log_det_scale_inv
     log_wishart = float(
@@ -319,7 +320,7 @@ def fit_bgm(points: np.ndarray, k_max: int, cfg: "ClusterConfig") -> MixtureStat
     return MixtureState(
         k_max=k_max,
         elbo_trace=tuple(trace),
-        effective_components=int(np.unique(np.argmax(resp, axis=1)).size),
+        effective_components=int(np.count_nonzero(np.bincount(np.argmax(resp, axis=1)))),
         reg_scale=reg,
         converged=converged,
         n_iter=n_iter,

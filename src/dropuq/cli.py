@@ -10,7 +10,6 @@ trees. Exit codes: 0 success, 1 usage error, 2 data error.
 from __future__ import annotations
 
 import argparse
-import hashlib
 import json
 import os
 import re
@@ -20,43 +19,10 @@ from pathlib import Path
 from typing import List, Optional, Sequence, Tuple
 
 from . import __version__
-from .calibration import (
-    ace,
-    fit_temperature,
-    mce,
-    read_calibration_records,
-    reliability,
-    reliability_csv,
-)
-from .clustering import (
-    ClusterConfig,
-    cluster_pipeline,
-    build_instance_clusters,
-    default_split_threshold,
-    labels_from_clusters,
-)
-from .evaluation import (
-    cluster_to_detection,
-    eval_csv,
-    match_and_score,
-    read_ground_truth,
-    serialize_ground_truth,
-)
-from .figures import (
-    box_figure,
-    class_figure,
-    heatmap_figure,
-    kde_figure,
-    reliability_figure,
-)
-from .ingest import (
-    ParseError,
-    filter_background,
-    read_sample_set,
-    serialize_sample_set,
-)
-from .report import build_report, report_to_json, write_pgm
-from .synth import generate, scene_spec_from_json
+
+# Each command imports the modules it runs inside its own functions, so a
+# process loads only those: with bytecode writing off, every module loaded
+# is compiled from source on each run.
 
 USAGE_ERROR = 1
 DATA_ERROR = 2
@@ -81,6 +47,8 @@ def _positive_int(text: str) -> int:
 
 def derive_seed(master: int, *tokens) -> int:
     """Deterministic sub-seed: SHA-256 over the master seed and a token path."""
+    import hashlib  # only synth and cluster derive seeds
+
     text = "dropuq:" + ":".join([str(master), *map(str, tokens)])
     return int.from_bytes(hashlib.sha256(text.encode()).digest()[:8], "big")
 
@@ -109,6 +77,10 @@ def _write_manifest(out_dir: Path, command: str, inputs: Sequence[str], config: 
 
 
 def _cmd_synth(args) -> int:
+    from .evaluation import serialize_ground_truth
+    from .ingest import serialize_sample_set
+    from .synth import generate, scene_spec_from_json
+
     out_dir = Path(args.out_dir)
     spec = scene_spec_from_json(Path(args.spec).read_text(encoding="utf-8"))
     if args.seed is not None:
@@ -131,6 +103,14 @@ def _cmd_synth(args) -> int:
 
 def _cluster_one(path: str, args) -> Tuple[dict, str]:
     """Cluster one samples file; returns its clusters document and summary line."""
+    from .clustering import (
+        ClusterConfig,
+        cluster_pipeline,
+        default_split_threshold,
+        labels_from_clusters,
+    )
+    from .ingest import filter_background, read_sample_set
+
     filtered = filter_background(read_sample_set(path), args.background_threshold)
     if not filtered.detections:
         raise ValueError(f"{path}: nothing to cluster after background filtering")
@@ -186,26 +166,50 @@ def _cmd_cluster(args) -> int:
 
 
 def _load_clustered(samples_path: str, clusters_path: str):
-    """Rebuild the clustered sample set a cluster run wrote to disk."""
+    """Rebuild the clustered sample set a cluster run wrote to disk.
+
+    The fields read back are typed as strictly as the input readers type
+    theirs; a bad one is a ValueError naming the field.
+    """
+    from .clustering import build_instance_clusters
+    from .ingest import (
+        _BOOL, _INT, _OBJECT, _REAL, _STR, ParseError, _array, _scalar,
+        filter_background, read_sample_set,
+    )
+
     doc = json.loads(Path(clusters_path).read_text(encoding="utf-8"))
-    filtered = filter_background(read_sample_set(samples_path), doc["background_threshold"])
-    if filtered.image_id != doc["image_id"]:
+    try:
+        if type(doc) is not dict:
+            raise ParseError(None, f"must be a JSON object, got {type(doc).__name__}")
+        image_id = _scalar(doc, "image_id", _STR, None)
+        threshold = _scalar(doc, "background_threshold", _REAL, None)
+        n_detections = _scalar(doc, "n_detections", _INT, None)
+        labels = _array(doc, "labels", _INT, None)
+        flags = {
+            _scalar(c, "cluster_id", _INT, None): _scalar(c, "split_refused", _BOOL, None)
+            for c in _array(doc, "clusters", _OBJECT, None)
+        }
+    except ParseError as exc:
+        raise ValueError(f"clusters file {clusters_path}: {exc}") from None
+    filtered = filter_background(read_sample_set(samples_path), threshold)
+    if filtered.image_id != image_id:
         raise ValueError(
-            f"clusters file is for image {doc['image_id']!r}, "
-            f"samples are {filtered.image_id!r}"
+            f"clusters file is for image {image_id!r}, samples are {filtered.image_id!r}"
         )
-    if len(filtered.detections) != doc["n_detections"]:
+    if len(filtered.detections) != n_detections:
         raise ValueError(
-            f"clusters file expects {doc['n_detections']} filtered detections, "
+            f"clusters file expects {n_detections} filtered detections, "
             f"samples produce {len(filtered.detections)}"
         )
-    clusters = build_instance_clusters(filtered, doc["labels"])
-    flags = {c["cluster_id"]: c["split_refused"] for c in doc["clusters"]}
+    clusters = build_instance_clusters(filtered, labels)
     clusters = [replace(c, split_refused=flags.get(c.cluster_id, False)) for c in clusters]
-    return filtered, clusters, doc
+    return filtered, clusters
 
 
 def _cmd_report(args) -> int:
+    from .figures import box_figure, class_figure, heatmap_figure, kde_figure
+    from .report import build_report, report_to_json, write_pgm
+
     out_dir = Path(args.out_dir)
     _write_manifest(
         out_dir,
@@ -213,7 +217,7 @@ def _cmd_report(args) -> int:
         [args.samples, args.clusters],
         {"mask_threshold": args.mask_threshold},
     )
-    filtered, clusters, _ = _load_clustered(args.samples, args.clusters)
+    filtered, clusters = _load_clustered(args.samples, args.clusters)
     name = _safe_name(filtered.image_id)
     for cluster in clusters:
         rep = build_report(cluster, mask_threshold=args.mask_threshold)
@@ -240,6 +244,16 @@ def _cmd_report(args) -> int:
 
 
 def _cmd_calibrate(args) -> int:
+    from .calibration import (
+        ace,
+        fit_temperature,
+        mce,
+        read_calibration_records,
+        reliability,
+        reliability_csv,
+    )
+    from .figures import reliability_figure
+
     out_dir = Path(args.out_dir)
     _write_manifest(out_dir, "calibrate", [args.records], {"bins": args.bins})
     records = read_calibration_records(args.records)
@@ -274,6 +288,9 @@ def _cmd_calibrate(args) -> int:
 
 
 def _cmd_eval(args) -> int:
+    from .evaluation import cluster_to_detection, eval_csv, match_and_score, read_ground_truth
+    from .report import build_report
+
     out_dir = Path(args.out_dir)
     _write_manifest(
         out_dir,
@@ -281,7 +298,7 @@ def _cmd_eval(args) -> int:
         [args.samples, args.clusters, args.gt],
         {"mode": args.mode, "mask_threshold": args.mask_threshold},
     )
-    filtered, clusters, _ = _load_clustered(args.samples, args.clusters)
+    filtered, clusters = _load_clustered(args.samples, args.clusters)
     gts = read_ground_truth(args.gt, filtered.height, filtered.width)
     preds = [
         cluster_to_detection(build_report(c, mask_threshold=args.mask_threshold), filtered.image_id)
@@ -353,7 +370,7 @@ def main(argv: Optional[List[str]] = None) -> int:
     args = _parser().parse_args(argv)
     try:
         return args.func(args)
-    except (ParseError, ValueError, OSError, json.JSONDecodeError, KeyError) as exc:
+    except (ValueError, OSError, KeyError) as exc:  # ParseError, JSONDecodeError are ValueErrors
         print(f"dropuq: error: {exc}", file=sys.stderr)
         return DATA_ERROR
     except MemoryError as exc:

@@ -36,7 +36,8 @@ __all__ = [
 ]
 
 _MAX_SPLIT_DEPTH = 3  # recursion cap for the oversized-cluster split rule
-_BLOCK_PAIRS = 1 << 20  # box pairs compared at once by overlap_components
+_BLOCK_PAIRS = 1 << 20  # memory cap: box pairs compared at once by overlap_components
+_BLOCK_ROWS = 64  # rows per overlap_components block when the cap allows
 
 
 @dataclass(frozen=True)
@@ -118,12 +119,17 @@ def overlap_components(points: np.ndarray) -> np.ndarray:
     their first row. Memory is linear in n: boxes are sorted by x1 and
     compared a block of rows at a time, each block only against the boxes
     whose x-extent can reach it.
+
+    A block holds _BLOCK_ROWS rows, or fewer where rows x n would exceed
+    _BLOCK_PAIRS. Short blocks let the x-window prune, since a block that
+    spans the image reaches every box; much shorter ones spend more on
+    per-block numpy calls than they save in pairs.
     """
     n = points.shape[0]
     order = np.argsort(points[:, 0], kind="stable")
     x1, y1, x2, y2 = points[order].T
     reach = np.maximum.accumulate(x2)  # rightmost end among the boxes so far
-    rows = max(1, _BLOCK_PAIRS // max(n, 1))
+    rows = max(1, min(_BLOCK_ROWS, _BLOCK_PAIRS // max(n, 1)))
     windows = []
     for s in range(0, n, rows):
         e = min(s + rows, n)
@@ -165,22 +171,23 @@ def build_instance_clusters(s: SampleSet, labels: Sequence[int]) -> List[Instanc
         raise ValueError(
             f"labels shape {labels.shape} does not match {len(s.detections)} detections"
         )
-    clusters = []
-    for new_id, label in enumerate(np.unique(labels)):
-        order = sorted(
-            np.flatnonzero(labels == label).tolist(),
-            key=lambda i: (s.detections[i].repetition, i),
+    if not s.detections:
+        return []
+    # One stable sort by (label, repetition) keeps position order within
+    # ties; np.unique is avoided because its plain form imports numpy.ma.
+    order = np.lexsort((np.array([d.repetition for d in s.detections]), labels))
+    ordered = labels[order]
+    groups = np.split(order, np.flatnonzero(ordered[1:] != ordered[:-1]) + 1)
+    return [
+        InstanceCluster(
+            cluster_id=new_id,
+            members=tuple(s.detections[i] for i in group),
+            indices=tuple(group),
+            height=s.height,
+            width=s.width,
         )
-        clusters.append(
-            InstanceCluster(
-                cluster_id=new_id,
-                members=tuple(s.detections[i] for i in order),
-                indices=tuple(order),
-                height=s.height,
-                width=s.width,
-            )
-        )
-    return clusters
+        for new_id, group in enumerate(g.tolist() for g in groups)
+    ]
 
 
 def labels_from_clusters(
@@ -207,10 +214,11 @@ def _split_once(
     k_max = max(2, estimate_component_count(len(cluster), n_repetitions))
     state = fit_bgm(points, k_max, cfg)
     labels = assign_labels(state)
-    if np.unique(labels).size < 2:
+    present = np.flatnonzero(np.bincount(labels))
+    if present.size < 2:
         return [replace(cluster, split_refused=True)]
     parts = []
-    for label in np.unique(labels):
+    for label in present:
         idx = np.flatnonzero(labels == label)
         part = replace(
             cluster,

@@ -9,13 +9,15 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
-from typing import Dict, IO, Iterable, List, Optional, Sequence, Tuple, Union
+from typing import IO, TYPE_CHECKING, Dict, Iterable, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
 from .ingest import _INT, _REAL, _STR, ParseError, _array, _jsonl_records, _scalar
 from .model import BBox, RleMask, box_iou, mask_iou
-from .report import ClusterReport
+
+if TYPE_CHECKING:
+    from .report import ClusterReport
 
 __all__ = [
     "GroundTruthInstance",

@@ -9,12 +9,13 @@ pixel checks; the SVG variant is a block-averaged preview.
 from __future__ import annotations
 
 import math
-from typing import List, Optional, Sequence, Tuple
+from typing import TYPE_CHECKING, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .calibration import ReliabilityDiagram
-from .report import ClusterReport, KdeCurve
+if TYPE_CHECKING:
+    from .calibration import ReliabilityDiagram
+    from .report import ClusterReport, KdeCurve
 
 __all__ = [
     "box_figure",

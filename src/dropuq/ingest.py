@@ -41,10 +41,10 @@ _DET_KEYS = ["repetition", "bbox", "scores"]
 
 
 class ParseError(ValueError):
-    """Malformed record; carries the 1-based line number."""
+    """Malformed record; carries the 1-based line number, None for a whole document."""
 
-    def __init__(self, line_number: int, message: str):
-        super().__init__(f"line {line_number}: {message}")
+    def __init__(self, line_number: Optional[int], message: str):
+        super().__init__(message if line_number is None else f"line {line_number}: {message}")
         self.line_number = line_number
 
 
@@ -70,10 +70,12 @@ def _record(line: str, line_number: int, expected_keys: List[str], optional: Lis
 _INT = (int,)  # a JSON integer; bool subclasses int in Python, but is not one
 _REAL = (int, float)
 _STR = (str,)
-_KINDS = {_INT: "integer", _REAL: "number", _STR: "string"}
+_BOOL = (bool,)
+_OBJECT = (dict,)
+_KINDS = {_INT: "integer", _REAL: "number", _STR: "string", _BOOL: "boolean", _OBJECT: "object"}
 
 
-def _scalar(obj: dict, key: str, kind: tuple, lineno: int):
+def _scalar(obj: dict, key: str, kind: tuple, lineno: Optional[int]):
     """obj[key] if its type is one of ``kind``, else ParseError."""
     value = obj[key]
     if type(value) not in kind:
@@ -81,7 +83,9 @@ def _scalar(obj: dict, key: str, kind: tuple, lineno: int):
     return value
 
 
-def _array(obj: dict, key: str, kind: tuple, lineno: int, length: Optional[int] = None) -> list:
+def _array(
+    obj: dict, key: str, kind: tuple, lineno: Optional[int], length: Optional[int] = None
+) -> list:
     """obj[key] if it is a list (of ``length`` values, if given) whose value
     types are in ``kind``, else ParseError."""
     value = obj[key]

@@ -10,12 +10,14 @@ import json
 import math
 import os
 from dataclasses import dataclass
-from typing import Optional, Sequence, Tuple
+from typing import TYPE_CHECKING, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .clustering import InstanceCluster
 from .model import BBox, RleMask, box_iou, mask_iou, rle_encode
+
+if TYPE_CHECKING:
+    from .clustering import InstanceCluster
 
 __all__ = [
     "BoxStats",

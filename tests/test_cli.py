@@ -267,6 +267,50 @@ class TestLazyScipy:
         assert r.stdout.strip() == "2 True False"
 
 
+class TestModuleSets:
+    """Each command loads only the modules it runs. The pipeline scene needs
+    no fit, so scipy stays unloaded, and with it numpy.ma."""
+
+    def loaded(self, *argv):
+        r = run_python(
+            "import sys; from dropuq.cli import main; "
+            f"code = main({list(map(str, argv))!r}); print(code, *sorted(sys.modules))"
+        )
+        assert r.returncode == 0, r.stderr
+        code, *modules = r.stdout.splitlines()[-1].split()
+        assert code == "0", r.stdout
+        return set(modules)
+
+    @pytest.mark.parametrize(
+        "command, absent",
+        [
+            ("cluster", ["dropuq.report", "dropuq.figures", "dropuq.evaluation",
+                         "dropuq.synth", "dropuq.calibration", "numpy.ma"]),
+            ("report", ["dropuq.synth", "numpy.ma"]),
+            ("eval", ["dropuq.synth", "numpy.ma"]),
+        ],
+    )
+    def test_scene_command(self, pipeline_dirs, tmp_path, command, absent):
+        samples = pipeline_dirs / "synth" / "scene0_samples.jsonl"
+        clusters = pipeline_dirs / "clusters" / "scene0_clusters.json"
+        gt = pipeline_dirs / "synth" / "scene0_gt.jsonl"
+        extra = {
+            "cluster": [],
+            "report": ["--clusters", clusters],
+            "eval": ["--clusters", clusters, "--gt", gt],
+        }[command]
+        loaded = self.loaded(command, samples, *extra, "--out-dir", tmp_path / "o")
+        assert sorted(loaded & set(absent)) == []
+
+    def test_calibrate(self, tmp_path):
+        records = tmp_path / "records.jsonl"
+        records.write_text(
+            serialize_calibration_records(generate_calibration_records(500, 2.0, 4, seed=3))
+        )
+        loaded = self.loaded("calibrate", records, "--out-dir", tmp_path / "o")
+        assert sorted(loaded & {"dropuq.clustering", "dropuq.bgm", "dropuq.report"}) == []
+
+
 SAMPLE_HEADER = {
     "image_id": "img", "height": 10, "width": 10, "n_repetitions": 3, "num_classes": 2,
 }
@@ -323,6 +367,44 @@ class TestStrictValueTypes:
         )
         self.check(r, 3)
         assert not (tmp_path / "eval" / "eval.csv").exists()
+
+
+class TestClustersFileTypes:
+    """A clusters-file value of the wrong JSON type exits 2 and names its field."""
+
+    @pytest.mark.parametrize("command", ["report", "eval"])
+    @pytest.mark.parametrize(
+        "field, bad",
+        [
+            pytest.param("background_threshold", lambda d: {**d, "background_threshold": "x"},
+                         id="threshold-string"),
+            pytest.param("n_detections", lambda d: {**d, "n_detections": str(d["n_detections"])},
+                         id="count-string"),
+            pytest.param("labels", lambda d: {**d, "labels": [0.5] + d["labels"][1:]},
+                         id="label-real"),
+            pytest.param("labels", lambda d: {**d, "labels": [True] * len(d["labels"])},
+                         id="label-bool"),
+            pytest.param("clusters", lambda d: {**d, "clusters": 5}, id="clusters-int"),
+            pytest.param("split_refused",
+                         lambda d: {**d, "clusters": [{**c, "split_refused": 0}
+                                                      for c in d["clusters"]]},
+                         id="refused-int"),
+            pytest.param("must be a JSON object", lambda d: [d], id="top-level-list"),
+        ],
+    )
+    def test_bad_value_is_two(self, pipeline_dirs, tmp_path, command, field, bad):
+        samples = pipeline_dirs / "synth" / "scene0_samples.jsonl"
+        doc = json.loads((pipeline_dirs / "clusters" / "scene0_clusters.json").read_text())
+        clusters = tmp_path / "scene0_clusters.json"
+        clusters.write_text(json.dumps(bad(doc)))
+        out = tmp_path / "o"
+        extra = ["--gt", pipeline_dirs / "synth" / "scene0_gt.jsonl"] if command == "eval" else []
+        r = run_cli(command, samples, "--clusters", clusters, *extra, "--out-dir", out,
+                    check=False)
+        assert r.returncode == 2, r.stderr
+        assert r.stderr.startswith(f"dropuq: error: clusters file {clusters}: "), r.stderr
+        assert field in r.stderr
+        assert [p.name for p in out.iterdir()] == ["manifest.json"]
 
 
 class TestPipeline:

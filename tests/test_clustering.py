@@ -154,6 +154,13 @@ class TestOverlapComponents:
             size = rng.integers(1, 8, (n, 2)).astype(float)
             boxes = np.hstack([corner, corner + size])
             assert np.array_equal(overlap_components(boxes), dense_components(boxes))
+        # Image-sized sets run the default budget with many blocks too; near
+        # the coverage of these boxes, components chain across blocks.
+        for _ in range(3):
+            n = int(rng.integers(1000, 2001))
+            corner = rng.uniform(0, 1000, (n, 2))
+            boxes = np.hstack([corner, corner + rng.uniform(1, 40, (n, 2))])
+            assert np.array_equal(overlap_components(boxes), dense_components(boxes))
 
     def test_permutation_permutes_components_only(self):
         rng = np.random.default_rng(1)
