@@ -9,7 +9,6 @@ the parser, the generator and every consumer share.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass
 from itertools import chain
@@ -17,7 +16,7 @@ from typing import IO, Callable, Iterable, List, Optional, Sequence, Tuple, Unio
 
 import numpy as np
 
-from .ingest import ParseError, _jsonl_records
+from .ingest import _REAL, ParseError, _jsonl_records, _parse_stream, _read_file
 from .model import ScoreVector
 
 __all__ = [
@@ -309,8 +308,16 @@ def parse_calibration_records(
     (a string, boolean or null is an error). The true class must be a JSON
     integer: not 1.0, "1" or true.
     """
+    return _parse_stream(_calibration_set, stream)
+
+
+def read_calibration_records(path) -> CalibrationSet:
+    return _read_file(_calibration_set, path)
+
+
+def _calibration_set(lines: Iterable[str], loads: Callable) -> CalibrationSet:
     linenos, rows, classes = [], [], []
-    for lineno, obj in _jsonl_records(stream, ["logits", "true_class"], []):
+    for lineno, obj in _jsonl_records(lines, loads, ["logits", "true_class"], []):
         logits = obj["logits"]
         if not isinstance(logits, list):
             raise ParseError(lineno, f"logits must be a list, got {logits!r}")
@@ -324,15 +331,15 @@ def parse_calibration_records(
     if not rows:
         return CalibrationSet(np.empty((0, 0)), np.empty(0, dtype=np.int64))
 
-    try:
-        z = np.array(rows)
-    except ValueError:  # rows nested to different depths
-        z = None
-    bad = z is None or z.ndim != 2 or z.dtype.kind not in "iuf"
-    # np.array reads a boolean among numbers as 1 or 0, so scan the types too.
-    if bad or bool in set(map(type, chain.from_iterable(rows))):
-        i = int(np.argmax([not _number_row(r) for r in rows]))
+    # One scan of the value types: a boolean is not a number, though it
+    # subclasses int, and an integer of any size is one.
+    if not set(map(type, chain.from_iterable(rows))).issubset(_REAL):
+        i = next(i for i, r in enumerate(rows) if not set(map(type, r)).issubset(_REAL))
         raise ParseError(linenos[i], f"logits must be numbers, got {rows[i]!r}")
+    try:
+        z = np.array(rows, dtype=np.float64)
+    except OverflowError:  # an integer beyond the double range is as infinite as 1e400
+        z = np.array([[_double(v) for v in r] for r in rows])
     not_int = [type(c) is not int for c in classes]
     if any(not_int):
         i = int(np.argmax(not_int))
@@ -350,25 +357,20 @@ def parse_calibration_records(
         raise ParseError(linenos[exc.row], exc.message) from None
 
 
-def _number_row(row: list) -> bool:
+def _double(v) -> float:
     try:
-        a = np.array(row)
-    except ValueError:
-        return False
-    return a.ndim == 1 and a.dtype.kind in "iuf" and bool not in map(type, row)
-
-
-def read_calibration_records(path) -> CalibrationSet:
-    with open(path, "r", encoding="utf-8") as fh:
-        return parse_calibration_records(fh)
+        return float(v)
+    except OverflowError:
+        return math.inf if v > 0 else -math.inf
 
 
 def serialize_calibration_records(records: CalibrationSet) -> str:
-    lines = [
-        json.dumps({"logits": z, "true_class": c})
+    # json.dumps writes a float with float.__repr__, and a CalibrationSet
+    # holds finite float64 logits and int64 classes: this is its text.
+    return "".join(
+        '{"logits": [%s], "true_class": %d}\n' % (", ".join(map(repr, z)), c)
         for z, c in zip(records.logits.tolist(), records.true_class.tolist())
-    ]
-    return "\n".join(lines) + ("\n" if lines else "")
+    )
 
 
 def reliability_csv(d: ReliabilityDiagram) -> str:

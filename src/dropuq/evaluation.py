@@ -9,11 +9,15 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
-from typing import IO, TYPE_CHECKING, Dict, Iterable, List, Optional, Sequence, Tuple, Union
+from typing import (
+    IO, TYPE_CHECKING, Callable, Dict, Iterable, List, Optional, Sequence, Tuple, Union,
+)
 
 import numpy as np
 
-from .ingest import _INT, _REAL, _STR, ParseError, _array, _jsonl_records, _scalar
+from .ingest import (
+    _INT, _REAL, _STR, ParseError, _array, _jsonl_records, _parse_stream, _read_file, _scalar,
+)
 from .model import BBox, RleMask, box_iou, mask_iou
 
 if TYPE_CHECKING:
@@ -186,8 +190,18 @@ def parse_ground_truth(
     width: int,
 ) -> List[GroundTruthInstance]:
     """Parse line-delimited {"image_id", "bbox", "class_id", "mask_runs"?}."""
+    return _parse_stream(_ground_truth, stream, height, width)
+
+
+def read_ground_truth(path, height: int, width: int) -> List[GroundTruthInstance]:
+    return _read_file(_ground_truth, path, height, width)
+
+
+def _ground_truth(
+    lines: Iterable[str], loads: Callable, height: int, width: int
+) -> List[GroundTruthInstance]:
     out = []
-    for lineno, obj in _jsonl_records(stream, _GT_KEYS, ["mask_runs"]):
+    for lineno, obj in _jsonl_records(lines, loads, _GT_KEYS, ["mask_runs"]):
         image_id = _scalar(obj, "image_id", _STR, lineno)
         box_vals = _array(obj, "bbox", _REAL, lineno, length=4)
         class_id = _scalar(obj, "class_id", _INT, lineno)
@@ -204,11 +218,6 @@ def parse_ground_truth(
         except (OverflowError, ValueError) as exc:
             raise ParseError(lineno, str(exc)) from exc
     return out
-
-
-def read_ground_truth(path, height: int, width: int) -> List[GroundTruthInstance]:
-    with open(path, "r", encoding="utf-8") as fh:
-        return parse_ground_truth(fh, height, width)
 
 
 def serialize_ground_truth(gts: Sequence[GroundTruthInstance]) -> str:

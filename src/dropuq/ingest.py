@@ -16,13 +16,22 @@ number, a boolean or a numeric string is not). Boxes are clamped into the
 image; a box with no area left inside it is rejected. The header may declare
 at most MAX_PIXELS pixels (H * W), so that the per-pixel arrays of the mask
 statistics stay bounded.
+
+Lines are decoded with orjson; the stdlib ``json`` decoder is the
+reference. A parse that raises ParseError under orjson runs again from the
+first line under ``json``, whose result or error the caller gets. orjson
+rejects NaN, Infinity, 1e400 and lone surrogates, which ``json`` accepts, and
+reads integers beyond 64 bits as floats, which no integer field accepts; on
+every other line the two decoders return equal values.
 """
 
 from __future__ import annotations
 
 import json
+from contextlib import nullcontext
 from dataclasses import replace
-from typing import IO, Iterable, Iterator, List, Optional, Tuple, Union
+from itertools import tee
+from typing import IO, Callable, Iterable, Iterator, List, Optional, Tuple, Union
 
 from .model import BBox, Detection, RleMask, SampleSet, ScoreVector
 
@@ -48,21 +57,19 @@ class ParseError(ValueError):
         self.line_number = line_number
 
 
-def _record(line: str, line_number: int, expected_keys: List[str], optional: List[str]):
+def _record(line: str, line_number: int, loads: Callable, keys: List[str], optional: List[str]):
     try:
-        obj = json.loads(line)
-    except json.JSONDecodeError as exc:
+        obj = loads(line)
+    except json.JSONDecodeError as exc:  # orjson's JSONDecodeError subclasses it
         raise ParseError(line_number, f"invalid JSON ({exc.msg})") from exc
     if not isinstance(obj, dict):
         raise ParseError(line_number, "record must be a JSON object")
-    keys = list(obj.keys())
-    allowed = expected_keys + optional
-    if keys[: len(expected_keys)] != expected_keys or any(
-        k not in allowed for k in keys[len(expected_keys):]
+    names = list(obj)
+    if names != keys and (
+        names[: len(keys)] != keys or any(k not in optional for k in names[len(keys):])
     ):
         raise ParseError(
-            line_number,
-            f"fields must be {expected_keys} (+ optional {optional}), got {keys}",
+            line_number, f"fields must be {keys} (+ optional {optional}), got {names}"
         )
     return obj
 
@@ -102,26 +109,54 @@ def _array(
 
 
 def _jsonl_records(
-    stream: Union[str, IO[str], Iterable[str]],
+    lines: Union[str, Iterable[str]],
+    loads: Callable,
     keys: List[str],
     optional: List[str],
     header: Optional[List[str]] = None,
 ) -> Iterator[Tuple[int, dict]]:
     """Yield (line_number, record) for every non-blank line of a JSONL stream.
 
-    Line numbers are 1-based and count blank lines. Each record is checked
-    by _record against ``keys`` then ``optional``; with ``header`` given,
-    the first record must have exactly those fields instead.
+    Line numbers are 1-based and count blank lines. Each line is decoded by
+    ``loads`` and checked by _record against ``keys`` then ``optional``; with
+    ``header`` given, the first record must have exactly those fields instead.
     """
-    lines = stream.splitlines() if isinstance(stream, str) else stream
+    if isinstance(lines, str):
+        lines = lines.splitlines()
     for lineno, line in enumerate(lines, start=1):
-        if not line.strip():
+        if not line or line.isspace():
             continue
         if header is not None:
-            yield lineno, _record(line, lineno, header, [])
+            yield lineno, _record(line, lineno, loads, header, [])
             header = None
         else:
-            yield lineno, _record(line, lineno, keys, optional)
+            yield lineno, _record(line, lineno, loads, keys, optional)
+
+
+def _decode_twice(parse: Callable, open_lines: Callable, *args):
+    """parse(lines, loads, *args) with orjson's loads, or, if that raises
+    ParseError, with json's on lines opened afresh (see the module docstring)."""
+    from orjson import loads
+
+    try:
+        with open_lines() as lines:
+            return parse(lines, loads, *args)
+    except ParseError:
+        pass
+    with open_lines() as lines:
+        return parse(lines, json.loads, *args)
+
+
+def _parse_stream(parse: Callable, stream: Union[str, IO[str], Iterable[str]], *args):
+    """_decode_twice over a string, or over an iterable read once: the second
+    pass replays the lines the first buffered, then reads on."""
+    passes = iter((stream, stream) if isinstance(stream, str) else tee(stream))
+    return _decode_twice(parse, lambda: nullcontext(next(passes)), *args)
+
+
+def _read_file(parse: Callable, path, *args):
+    """_decode_twice over a UTF-8 file, opened again for the second pass."""
+    return _decode_twice(parse, lambda: open(path, "r", encoding="utf-8"), *args)
 
 
 def parse_sample_set(stream: Union[str, IO[str], Iterable[str]]) -> SampleSet:
@@ -131,7 +166,15 @@ def parse_sample_set(stream: Union[str, IO[str], Iterable[str]]) -> SampleSet:
     repetition). Raises ParseError with the offending line number on any
     malformed record.
     """
-    records = _jsonl_records(stream, _DET_KEYS, ["mask_runs"], header=_HEADER_KEYS)
+    return _parse_stream(_sample_set, stream)
+
+
+def read_sample_set(path) -> SampleSet:
+    return _read_file(_sample_set, path)
+
+
+def _sample_set(lines: Iterable[str], loads: Callable) -> SampleSet:
+    records = _jsonl_records(lines, loads, _DET_KEYS, ["mask_runs"], header=_HEADER_KEYS)
     first = next(records, None)
     if first is None:
         raise ParseError(1, "missing header record")
@@ -187,11 +230,6 @@ def parse_sample_set(stream: Union[str, IO[str], Iterable[str]]) -> SampleSet:
         )
     except ValueError as exc:
         raise ParseError(header_lineno, str(exc)) from exc
-
-
-def read_sample_set(path) -> SampleSet:
-    with open(path, "r", encoding="utf-8") as fh:
-        return parse_sample_set(fh)
 
 
 def serialize_sample_set(s: SampleSet) -> str:

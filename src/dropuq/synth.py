@@ -9,14 +9,16 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
-from typing import List, Sequence, Tuple
+from typing import TYPE_CHECKING, List, Sequence, Tuple
 
 import numpy as np
 
-from .calibration import CalibrationSet
 from .evaluation import GroundTruthInstance
 from .ingest import MAX_PIXELS
 from .model import BBox, Detection, SampleSet, ScoreVector, rasterize_box, rle_decode, rle_encode
+
+if TYPE_CHECKING:
+    from .calibration import CalibrationSet
 
 __all__ = [
     "InstanceSpec",
@@ -218,6 +220,8 @@ def generate_calibration_records(
     softmax), then multiplied by the temperature; fitting on the output
     recovers approximately that temperature.
     """
+    from .calibration import CalibrationSet  # a scene never needs it
+
     if n < 1:
         raise ValueError(f"n must be >= 1, got {n}")
     if true_temperature <= 0:

@@ -1,4 +1,5 @@
 import hashlib
+import json
 import math
 import tracemalloc
 
@@ -14,6 +15,7 @@ from dropuq.calibration import (
     mce,
     negative_log_likelihood,
     parse_calibration_records,
+    read_calibration_records,
     reliability,
     reliability_csv,
     scaled_softmax,
@@ -474,3 +476,51 @@ class TestColumnarPath:
         assert hashlib.sha256(text.encode()).hexdigest() == (
             "5bd5be87515aa08b317b76796e6836878b5797825bc7aa581b1321ca34dcdaee"
         )
+
+
+class TestRecordText:
+    """The serialiser writes json.dumps's text; the reader reads every double back."""
+
+    def test_serializer_matches_json_dumps(self):
+        rng = np.random.default_rng(21)
+        special = np.array([0.0, -0.0, 1e-05, 1e16, 5e-324, -5e-324, 1.7976931348623157e308,
+                            0.1, 1 / 3, 2.0**-1022, 123456789.0])
+        for n, k in [(1, 1), (7, 2), (50, 9), (400, 4)]:
+            z = rng.normal(0.0, 10.0 ** rng.uniform(-8, 8), size=(n, k + 1))
+            z.flat[rng.integers(z.size, size=z.size // 2)] = rng.choice(special, z.size // 2)
+            records = CalibrationSet(z, rng.integers(0, k + 1, size=n))
+            expected = "".join(
+                json.dumps({"logits": row, "true_class": c}) + "\n"
+                for row, c in zip(records.logits.tolist(), records.true_class.tolist())
+            )
+            assert serialize_calibration_records(records) == expected
+        empty = CalibrationSet(np.empty((0, 0)), np.empty(0, dtype=np.int64))
+        assert serialize_calibration_records(empty) == ""
+
+    def test_random_doubles_read_back_bit_identical(self, tmp_path):
+        bits = np.random.default_rng(22).integers(0, 2**64, size=330_000, dtype=np.uint64)
+        z = bits.view(np.float64)
+        z = z[np.isfinite(z)][: 300_000].reshape(-1, 10)
+        assert z.size == 300_000
+        records = CalibrationSet(z, np.zeros(len(z), dtype=np.int64))
+        path = tmp_path / "records.jsonl"
+        path.write_text(serialize_calibration_records(records), encoding="utf-8")
+        parsed = read_calibration_records(path)
+        assert parsed.logits.view(np.uint64).tobytes() == z.view(np.uint64).tobytes()
+
+    @pytest.mark.parametrize(
+        "value, expected",
+        [("100000000000000000000", 1e20), ("-9223372036854775809", -9223372036854775809.0),
+         ("18446744073709551616", 2.0**64), ("9" * 300, float("9" * 300))],
+    )
+    def test_integer_logits_of_any_size_are_numbers(self, value, expected):
+        records = parse_calibration_records(f'{{"logits": [0.5, {value}], "true_class": 1}}')
+        assert records.logits.tolist() == [[0.5, expected]]
+
+    @pytest.mark.parametrize("value", ["1" + "0" * 400, "-1" + "0" * 400, "1e400", "-1e400"])
+    def test_logits_beyond_the_double_range_are_not_finite(self, value):
+        lines = [GOOD_RECORD, "", f'{{"logits": [0.0, {value}, -2.0], "true_class": 1}}']
+        sign = "-" if value.startswith("-") else ""
+        with pytest.raises(ParseError, match=rf"^line 3: logits must be finite, got \[0.0, "
+                                             rf"{sign}inf, -2.0\]"):
+            parse_calibration_records("\n".join(lines))

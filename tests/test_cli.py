@@ -310,6 +310,12 @@ class TestModuleSets:
         loaded = self.loaded("calibrate", records, "--out-dir", tmp_path / "o")
         assert sorted(loaded & {"dropuq.clustering", "dropuq.bgm", "dropuq.report"}) == []
 
+    def test_synth(self, scene_file, tmp_path):
+        # synth only writes files, so it needs neither the record decoder
+        # nor the calibration module.
+        loaded = self.loaded("synth", scene_file, "--out-dir", tmp_path / "o", "--seed", "5")
+        assert sorted(loaded & {"dropuq.calibration", "orjson"}) == []
+
 
 SAMPLE_HEADER = {
     "image_id": "img", "height": 10, "width": 10, "n_repetitions": 3, "num_classes": 2,

@@ -1,15 +1,24 @@
+import collections
 import io
 import json
 
+import numpy as np
 import pytest
 
-from dropuq.calibration import parse_calibration_records
-from dropuq.evaluation import parse_ground_truth
+from dropuq.calibration import (
+    CalibrationSet,
+    _calibration_set,
+    parse_calibration_records,
+    read_calibration_records,
+)
+from dropuq.evaluation import _ground_truth, parse_ground_truth, read_ground_truth
 
 from dropuq.ingest import (
     ParseError,
+    _sample_set,
     filter_background,
     parse_sample_set,
+    read_sample_set,
     serialize_sample_set,
 )
 
@@ -277,3 +286,199 @@ class TestJsonlReader:
         with pytest.raises(ParseError, match=f"^line {lineno}: {message}") as err:
             self.parse(fmt, lines, as_file)
         assert err.value.line_number == lineno
+
+
+# Values that the two decoders read differently or not at all, and values
+# near the edges of the integer and double ranges.
+TOKENS = [
+    "NaN", "Infinity", "-Infinity", "1e400", "-1e400", "1" + "0" * 400, "-1" + "0" * 400,
+    "100000000000000000000", "-9223372036854775809", "-9223372036854775808",
+    "18446744073709551616", "18446744073709551615", "9223372036854775807",
+    "-0", "-0.0", "0", "1", "2", "3", "-1", "1.0", "0.5", "1e-400", "5e-324",
+    "2.4703282292062328e-324", "1.7976931348623157e308", "1.7976931348623159e308",
+    "0.1000000000000000055511151231257827021181583404541015625", "1" * 40 + ".5",
+    "true", "false", "null", '"x"', '"\\udfff"', '"\\ud800\\udc00"', '"\\ud800x"',
+    "[]", "{}", "[1, 2]", "[[1]]",
+]
+_RAW = '"\\u0000raw"'  # json.dumps of the placeholder a token replaces
+_JSON_CHARS = '{}[],:"\\ 0eE.-'
+
+
+def _random_number(rng):
+    kind = rng.integers(4)
+    if kind == 0:
+        return int(rng.integers(-5, 40))
+    if kind == 1:
+        return float(rng.uniform(-5.0, 40.0))
+    if kind == 2:
+        return float(rng.integers(0, 30)) + 0.5
+    return float(rng.integers(0, 2**64, size=1, dtype=np.uint64).view(np.float64)[0])
+
+
+def _valid_record(fmt, rng):
+    """One valid record of the format, as a dict (the samples header aside)."""
+    runs = [[0, 600], [100, 7, 493], [599, 1]][rng.integers(3)]
+    box = [int(rng.integers(0, 10)), float(rng.uniform(0, 10)), 15, float(rng.uniform(12, 20))]
+    if fmt == "calibration":
+        return {"logits": [_random_number(rng) for _ in range(3)],
+                "true_class": int(rng.integers(3))}
+    if fmt == "ground_truth":
+        rec = {"image_id": f"img{rng.integers(3)}", "bbox": box,
+               "class_id": int(rng.integers(1, 3))}
+    else:
+        a, b = rng.uniform(0, 0.5, size=2)
+        rec = {"repetition": int(rng.integers(3)), "bbox": box,
+               "scores": [float(a), float(b), 1.0 - float(a) - float(b)]}
+    if rng.random() < 0.5:
+        rec["mask_runs"] = list(runs)
+    return rec
+
+
+def _mutated(rec, rng):
+    """rec as a JSON line with one field, list entry or character changed."""
+    rec = dict(rec)
+    kind = rng.integers(6)
+    key = list(rec)[rng.integers(len(rec))]
+    if kind <= 2:  # a value or a list entry becomes a raw token
+        if type(rec[key]) is list and rec[key] and kind > 0:
+            rec[key] = list(rec[key])
+            rec[key][rng.integers(len(rec[key]))] = "\0raw"
+        else:
+            rec[key] = "\0raw"
+        return json.dumps(rec).replace(_RAW, TOKENS[rng.integers(len(TOKENS))])
+    if kind == 3:  # a field dropped, duplicated or added
+        line = json.dumps(rec)
+        return [json.dumps({k: v for k, v in rec.items() if k != key}),
+                line[:-1] + f', "{key}": 1}}', line[:-1] + ', "x": 1}'][rng.integers(3)]
+    line = json.dumps(rec)
+    i = int(rng.integers(len(line)))
+    if kind == 4:
+        return line[:i] + line[i + 1:]
+    return line[:i] + _JSON_CHARS[rng.integers(len(_JSON_CHARS))] + line[i:]
+
+
+def _random_file(fmt, rng):
+    records = [_valid_record(fmt, rng) for _ in range(rng.integers(0, 5))]
+    lines = [json.dumps(r) for r in records]
+    if fmt == "samples":
+        header = {"image_id": "img0", "height": 20, "width": 30, "n_repetitions": 3,
+                  "num_classes": 2}
+        records.insert(0, header)
+        lines.insert(0, json.dumps(header))
+    if records and rng.random() < 0.8:
+        i = int(rng.integers(len(records)))
+        lines[i] = _mutated(records[i], rng)
+    if rng.random() < 0.3:
+        lines.insert(int(rng.integers(len(lines) + 1)), ["", "  ", "\t"][rng.integers(3)])
+    return "\n".join(lines) + "\n"
+
+
+def _outcome(parse, source):
+    """What a parse returns or raises, with every float compared by its bits."""
+    try:
+        result = parse(source)
+    except Exception as exc:  # noqa: BLE001 - the error is the outcome
+        return "error", type(exc).__name__, str(exc), getattr(exc, "line_number", None)
+    if isinstance(result, CalibrationSet):
+        return "ok", result.logits.shape, result.logits.tobytes(), result.true_class.tobytes()
+    return "ok", repr(result)
+
+
+REFERENCE = {  # each parser's body with the stdlib decoder alone
+    "samples": lambda text: _sample_set(text, json.loads),
+    "calibration": lambda text: _calibration_set(text, json.loads),
+    "ground_truth": lambda text: _ground_truth(text, json.loads, 20, 30),
+}
+READERS = {
+    "samples": read_sample_set,
+    "calibration": read_calibration_records,
+    "ground_truth": lambda path: read_ground_truth(path, 20, 30),
+}
+
+
+class TestDecoderRule:
+    """orjson decodes, and json decides: every parse equals a json-only parse."""
+
+    @pytest.mark.parametrize("fmt", sorted(FORMATS))
+    def test_matches_json_only_parse(self, fmt, tmp_path):
+        rng = np.random.default_rng(sorted(FORMATS).index(fmt))
+        parse, path = FORMATS[fmt][0], tmp_path / "records.jsonl"
+        kinds = collections.Counter()
+        for i in range(600):
+            text = _random_file(fmt, rng)
+            # A line read from a stream keeps its newline, one split from a
+            # string does not, so the reference reads the lines the same way.
+            if i % 3 == 0:
+                expected = _outcome(REFERENCE[fmt], text)
+                got = _outcome(parse, text)
+            elif i % 3 == 1:
+                expected = _outcome(REFERENCE[fmt], io.StringIO(text))
+                got = _outcome(parse, io.StringIO(text))
+            else:
+                path.write_text(text, encoding="utf-8")
+                with path.open(encoding="utf-8") as fh:
+                    expected = _outcome(REFERENCE[fmt], fh)
+                got = _outcome(READERS[fmt], path)
+            assert got == expected, text
+            kinds[expected[0]] += 1
+        assert kinds["ok"] > 100 and kinds["error"] > 100, kinds
+
+    @pytest.mark.parametrize(
+        "header, detection, message",
+        [
+            ({"height": 2**64}, {}, "line 1: image of 18446744073709551616 x 30 pixels exceeds"),
+            ({"width": 2**64}, {}, "line 1: image of 20 x 18446744073709551616 pixels exceeds"),
+            ({"num_classes": 2**64}, {},
+             "line 2: scores has 3 entries, expected 18446744073709551617 "
+             r"\(k=18446744073709551616 classes"),
+            ({"num_classes": -(2**63) - 1}, {},
+             "line 1: num_classes must be >= 1, got -9223372036854775809"),
+            ({"n_repetitions": -(2**63) - 1}, {},
+             r"line 2: repetition 0 out of range \[0, -9223372036854775809\)"),
+            ({}, {"repetition": 2**64},
+             r"line 2: repetition 18446744073709551616 out of range \[0, 3\)"),
+            ({}, {"repetition": -(2**63) - 1},
+             r"line 2: repetition -9223372036854775809 out of range \[0, 3\)"),
+            ({}, {"mask_runs": [0, 2**64, 10]},
+             "line 2: runs sum to 18446744073709551626, expected 600"),
+            ({}, {"mask_runs": [0, -(2**63) - 1, 10]}, "line 2: run lengths must be non-negative"),
+        ],
+    )
+    def test_samples_integers_beyond_64_bits(self, header, detection, message):
+        text = json.dumps({**json.loads(HEADER), **header}) + "\n" + json.dumps(
+            {**json.loads(det_line()), **detection}
+        )
+        with pytest.raises(ParseError, match=f"^{message}"):
+            parse_sample_set(text)
+
+    def test_samples_n_repetitions_beyond_64_bits(self):
+        header = json.dumps({**json.loads(HEADER), "n_repetitions": 2**64})
+        assert parse_sample_set(header + "\n" + det_line()).n_repetitions == 2**64
+
+    @pytest.mark.parametrize(
+        "fields, message",
+        [
+            ({"class_id": -(2**63) - 1},
+             "line 1: class_id must be a foreground class, got -9223372036854775809"),
+            ({"class_id": 1, "mask_runs": [0, 2**64, 10]},
+             "line 1: runs sum to 18446744073709551626, expected 600"),
+            ({"class_id": 1, "mask_runs": [0, -(2**63) - 1, 10]},
+             "line 1: run lengths must be non-negative"),
+        ],
+    )
+    def test_ground_truth_integers_beyond_64_bits(self, fields, message):
+        text = json.dumps({"image_id": "img0", "bbox": [1, 2, 5, 6], **fields})
+        with pytest.raises(ParseError, match=f"^{message}"):
+            parse_ground_truth(text, 20, 30)
+
+    def test_ground_truth_class_beyond_64_bits(self):
+        text = json.dumps({"image_id": "img0", "bbox": [1, 2, 5, 6], "class_id": 2**64})
+        assert parse_ground_truth(text, 20, 30)[0].class_id == 2**64
+
+    def test_lone_surrogate_image_id(self, tmp_path):
+        header = json.dumps({**json.loads(HEADER), "image_id": "\udfff"})
+        assert '"\\udfff"' in header
+        assert parse_sample_set(header + "\n" + det_line()).image_id == "\udfff"
+        path = tmp_path / "gt.jsonl"
+        path.write_text(json.dumps({"image_id": "\udfff", "bbox": [1, 2, 5, 6], "class_id": 1}))
+        assert read_ground_truth(path, 20, 30)[0].image_id == "\udfff"
