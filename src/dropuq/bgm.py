@@ -16,16 +16,15 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, List, Optional, Tuple
+from typing import List, Optional, Tuple
 
 import numpy as np
 
-# scipy.special is imported inside the functions that use it: loading scipy
-# takes about 0.4 s, which commands that never fit a mixture (synth, report,
-# eval, calibrate) should not pay at start-up.
+from .clustering import ClusterConfig, ClusteringError
 
-if TYPE_CHECKING:
-    from .clustering import ClusterConfig
+# scipy.special is imported inside the functions that use it: loading scipy
+# takes about 0.4 s, which a process that imports this module but fits no
+# mixture should not pay at start-up.
 
 __all__ = ["MixtureState", "ClusteringError", "fit_bgm", "assign_labels"]
 
@@ -34,10 +33,6 @@ _ELBO_TOL = 1e-4  # a restart converges once the lower bound moves less than thi
 # Restarts whose final bounds differ by less than this, relative, tie and the
 # earlier one wins, so the choice does not hang on the bound's last bits.
 _TIE_RTOL = 1e-12
-
-
-class ClusteringError(ValueError):
-    """Raised when a mixture fit cannot produce a valid state."""
 
 
 @dataclass(frozen=True)

@@ -40,6 +40,7 @@ __all__ = [
 
 T_SEARCH_LO = 0.01
 T_SEARCH_HI = 100.0
+_TEXT_BLOCK_ROWS = 4096  # rows printed per orjson call by serialize_calibration_records
 
 
 @dataclass(frozen=True)
@@ -161,17 +162,19 @@ def _nll_function(records: CalibrationSet) -> Callable[[float], float]:
     With m the row maximum, NLL(t) = sum_i log sum_k exp((z_ik - m_i) / t)
     + sum_i (m_i - z_iy) / t, because max(z / t) = max(z) / t for t > 0.
     Each call then costs one divide, one exp and two sums, in one buffer.
+    The buffer is class-major, (K+1, N), so the sum over classes adds K+1
+    contiguous rows instead of reducing N short ones.
     """
     z, y = records.logits, records.true_class
     m = z.max(axis=1)
-    shifted = z - m[:, None]
+    shifted = np.subtract(z.T, m, order="C")
     gap = float(np.sum(m - z[np.arange(len(y)), y]))
     scratch = np.empty_like(shifted)
 
     def nll(t: float) -> float:
         np.divide(shifted, t, out=scratch)
         np.exp(scratch, out=scratch)
-        return float(np.log(scratch.sum(axis=1)).sum() + gap / t)
+        return float(np.log(scratch.sum(axis=0)).sum() + gap / t)
 
     return nll
 
@@ -365,12 +368,34 @@ def _double(v) -> float:
 
 
 def serialize_calibration_records(records: CalibrationSet) -> str:
-    # json.dumps writes a float with float.__repr__, and a CalibrationSet
-    # holds finite float64 logits and int64 classes: this is its text.
-    return "".join(
-        '{"logits": [%s], "true_class": %d}\n' % (", ".join(map(repr, z)), c)
-        for z, c in zip(records.logits.tolist(), records.true_class.tolist())
-    )
+    """One '{"logits": [...], "true_class": c}' line per record, byte-identical
+    to what json.dumps writes for the record.
+
+    json.dumps prints a float with float.__repr__, the shortest text that
+    reads back to the same double. orjson prints the same digits for a whole
+    block of rows in one call, and the same text wherever x == 0 or
+    1e-4 <= |x| < 1e16; outside that it writes 0.00001 and 1e16 where repr
+    writes 1e-05 and 1e+16. So each block is printed by orjson, and only
+    the rows holding such a value are printed again with repr.
+    """
+    from orjson import OPT_SERIALIZE_NUMPY, dumps
+
+    z, y = records.logits, records.true_class
+    out = []
+    for s in range(0, len(y), _TEXT_BLOCK_ROWS):
+        block = np.ascontiguousarray(z[s : s + _TEXT_BLOCK_ROWS])  # orjson needs C order
+        # b"[[a,b],[c,d]]" -> [b"a, b", b"c, d"]
+        rows = dumps(block, option=OPT_SERIALIZE_NUMPY)[2:-2].replace(b",", b", ").split(b"], [")
+        a = np.abs(block)
+        for i in np.flatnonzero((((a < 1e-4) & (a != 0)) | (a >= 1e16)).any(axis=1)).tolist():
+            rows[i] = ", ".join(map(repr, block[i].tolist())).encode()
+        out.append(
+            b"".join(
+                b'{"logits": [%s], "true_class": %d}\n' % line
+                for line in zip(rows, y[s : s + _TEXT_BLOCK_ROWS].tolist())
+            ).decode()
+        )
+    return "".join(out)
 
 
 def reliability_csv(d: ReliabilityDiagram) -> str:

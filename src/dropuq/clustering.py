@@ -9,13 +9,12 @@ component, count heuristic and mixture fit (or Ward linkage) -> hard labels
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
+from importlib import import_module
 from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .bgm import ClusteringError, MixtureState, assign_labels, fit_bgm
 from .model import Detection, SampleSet
-from .ward import fit_agglomerative
 
 __all__ = [
     "ClusterConfig",
@@ -38,6 +37,22 @@ __all__ = [
 _MAX_SPLIT_DEPTH = 3  # recursion cap for the oversized-cluster split rule
 _BLOCK_PAIRS = 1 << 20  # memory cap: box pairs compared at once by overlap_components
 _BLOCK_ROWS = 64  # rows per overlap_components block when the cap allows
+# The fits are imported where they run: report and eval only rebuild clusters,
+# and with bytecode writing off every module loaded is compiled on each run.
+# These names of bgm and ward stay importable from this module.
+_FIT_NAMES = {"MixtureState": "bgm", "assign_labels": "bgm", "fit_bgm": "bgm",
+              "fit_agglomerative": "ward"}
+
+
+def __getattr__(name: str):
+    if name not in _FIT_NAMES:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    return getattr(import_module(f".{_FIT_NAMES[name]}", __package__), name)
+
+
+class ClusteringError(ValueError):
+    """Raised when there is nothing to cluster or a mixture fit cannot
+    produce a valid state."""
 
 
 @dataclass(frozen=True)
@@ -210,6 +225,8 @@ def _split_once(
         return [cluster]
     if depth >= _MAX_SPLIT_DEPTH:
         return [replace(cluster, split_refused=True)]
+    from .bgm import assign_labels, fit_bgm
+
     points = np.array([d.bbox.as_tuple() for d in cluster.members], dtype=np.float64)
     k_max = max(2, estimate_component_count(len(cluster), n_repetitions))
     state = fit_bgm(points, k_max, cfg)
@@ -273,9 +290,13 @@ def cluster_pipeline(s: SampleSet, cfg: ClusterConfig = ClusterConfig()) -> List
         if heuristic == 1 and idx.size <= threshold:
             part = np.zeros(idx.size, dtype=np.int64)
         elif cfg.algorithm == "bgm":
+            from .bgm import assign_labels, fit_bgm
+
             k_max = max(2 * heuristic, heuristic + 2)
             part = assign_labels(fit_bgm(points[idx], k_max, cfg))
         else:
+            from .ward import fit_agglomerative
+
             part = fit_agglomerative(points[idx], min(heuristic, idx.size))
         labels[idx] = offset + part
         offset += int(part.max()) + 1

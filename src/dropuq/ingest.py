@@ -120,10 +120,17 @@ def _jsonl_records(
     Line numbers are 1-based and count blank lines. Each line is decoded by
     ``loads`` and checked by _record against ``keys`` then ``optional``; with
     ``header`` given, the first record must have exactly those fields instead.
+    A string is split where a file opened in text mode splits, at \n, \r\n
+    and \r; str.splitlines would also split at U+2028 and others, which a
+    JSON string may hold. A line read from a stream ends in its terminator;
+    one is stripped before decoding, so that a string the line leaves open is
+    reported as unterminated from either source, not as holding a control
+    character.
     """
     if isinstance(lines, str):
-        lines = lines.splitlines()
+        lines = lines.replace("\r\n", "\n").replace("\r", "\n").split("\n")
     for lineno, line in enumerate(lines, start=1):
+        line = line.removesuffix("\n").removesuffix("\r")
         if not line or line.isspace():
             continue
         if header is not None:
@@ -184,8 +191,11 @@ def _sample_set(lines: Iterable[str], loads: Callable) -> SampleSet:
     height, width, n_repetitions, num_classes = (
         _scalar(header, key, _INT, header_lineno) for key in _HEADER_KEYS[1:]
     )
-    if num_classes < 1:
-        raise ParseError(header_lineno, f"num_classes must be >= 1, got {num_classes}")
+    # Checked here, so that a bad value names the header line and a product of
+    # two negative dims never passes the pixel limit below.
+    for key, value in (("height", height), ("width", width), ("num_classes", num_classes)):
+        if value < 1:
+            raise ParseError(header_lineno, f"{key} must be >= 1, got {value}")
     if height * width > MAX_PIXELS:
         raise ParseError(
             header_lineno,

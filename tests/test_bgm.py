@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from _scenes import overlapping_scene
-from dropuq import bgm, clustering
+from dropuq import bgm
 from dropuq.bgm import ClusteringError, MixtureState, assign_labels, fit_bgm
 from dropuq.clustering import ClusterConfig, cluster_pipeline
 from dropuq.synth import generate
@@ -230,7 +230,7 @@ class TestReferenceEquivalence:
             fits.append(fit_bgm(points, k_max, cfg))
             return fits[-1]
 
-        monkeypatch.setattr(clustering, "fit_bgm", recording_fit)
+        monkeypatch.setattr(bgm, "fit_bgm", recording_fit)
 
         def run_all():
             fits.clear()

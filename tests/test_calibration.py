@@ -6,6 +6,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from dropuq import calibration
 from dropuq.calibration import (
     CalibrationSet,
     LogitVector,
@@ -524,3 +525,71 @@ class TestRecordText:
         with pytest.raises(ParseError, match=rf"^line 3: logits must be finite, got \[0.0, "
                                              rf"{sign}inf, -2.0\]"):
             parse_calibration_records("\n".join(lines))
+
+
+def reference_record_text(records):
+    """Records formatted one value at a time with float.__repr__, which is how
+    json.dumps prints a float."""
+    return "".join(
+        '{"logits": [%s], "true_class": %d}\n' % (", ".join(map(repr, z)), c)
+        for z, c in zip(records.logits.tolist(), records.true_class.tolist())
+    )
+
+
+class TestBlockWriter:
+    """The block writer prints orjson's text where it equals repr's and repr's
+    elsewhere. An orjson whose float text changes fails here."""
+
+    def check(self, records, tmp_path):
+        text = serialize_calibration_records(records)
+        assert text == reference_record_text(records)
+        path = tmp_path / "records.jsonl"
+        path.write_text(text, encoding="utf-8")
+        parsed = read_calibration_records(path)
+        assert parsed.logits.tobytes() == records.logits.tobytes()
+        assert parsed.true_class.tobytes() == records.true_class.tobytes()
+
+    def test_random_doubles(self, tmp_path):
+        rng = np.random.default_rng(31)
+        bits = rng.integers(0, 2**64, size=660_000, dtype=np.uint64).view(np.float64)
+        every_exponent = bits[np.isfinite(bits)][:600_000]
+        # Random bits are rarely inside [1e-4, 1e16), where orjson's text is kept.
+        decades = rng.choice([-1.0, 1.0], 600_000) * 10.0 ** rng.uniform(-6, 18, 600_000)
+        z = np.concatenate([every_exponent, decades]).reshape(-1, 12)
+        assert z.size >= 1_000_000
+        self.check(CalibrationSet(z, rng.integers(0, 12, size=len(z))), tmp_path)
+
+    def test_boundary_values(self, tmp_path):
+        edges = [1e-4, np.nextafter(1e-4, 0), 1e16, np.nextafter(1e16, 0), 5e-324, -0.0, 0.0,
+                 np.finfo(np.float64).max, np.finfo(np.float64).tiny, 2.0**53, 1e15]
+        z = np.array(edges + [-v for v in edges])
+        rows = np.stack([np.roll(z, i) for i in range(len(z))])  # each value in each column
+        in_range = np.resize([0.5, -3.25, 1e-4, 9999999999999998.0], (len(rows), len(z) - 3))
+        records = CalibrationSet(
+            np.concatenate([rows, np.column_stack([rows[:, :3], in_range])]),
+            np.arange(2 * len(rows)) % 4,
+        )
+        self.check(records, tmp_path)
+
+    def test_mixed_rows(self, tmp_path):
+        rng = np.random.default_rng(32)
+        z = rng.normal(0.0, 3.0, size=(3 * calibration._TEXT_BLOCK_ROWS, 5))
+        out_of_range = rng.random(z.shape) < 0.02
+        z[out_of_range] = rng.choice([1e-05, -7e-300, 1e16, 3e200, 5e-324], out_of_range.sum())
+        self.check(CalibrationSet(z, rng.integers(0, 5, size=len(z))), tmp_path)
+
+    def test_fortran_order(self, tmp_path):
+        z = np.asfortranarray(np.random.default_rng(33).normal(0.0, 4.0, size=(5000, 7)))
+        records = CalibrationSet(z, np.arange(5000) % 7)
+        assert records.logits.flags.f_contiguous and not records.logits.flags.c_contiguous
+        self.check(records, tmp_path)
+
+    BLOCK = calibration._TEXT_BLOCK_ROWS
+
+    @pytest.mark.parametrize("n", [0, 1, BLOCK - 1, BLOCK, BLOCK + 1, 2 * BLOCK + 3])
+    def test_row_counts(self, n, tmp_path):
+        k = 3 if n else 0
+        z = np.random.default_rng(n).normal(0.0, 2.0, size=(n, k))
+        records = CalibrationSet(z, np.arange(n) % 3)
+        assert (serialize_calibration_records(records) == "") == (n == 0)
+        self.check(records, tmp_path)

@@ -269,7 +269,7 @@ class TestLazyScipy:
 
 class TestModuleSets:
     """Each command loads only the modules it runs. The pipeline scene needs
-    no fit, so scipy stays unloaded, and with it numpy.ma."""
+    no fit, so bgm, ward and scipy stay unloaded, and with scipy numpy.ma."""
 
     def loaded(self, *argv):
         r = run_python(
@@ -285,9 +285,10 @@ class TestModuleSets:
         "command, absent",
         [
             ("cluster", ["dropuq.report", "dropuq.figures", "dropuq.evaluation",
-                         "dropuq.synth", "dropuq.calibration", "numpy.ma"]),
-            ("report", ["dropuq.synth", "numpy.ma"]),
-            ("eval", ["dropuq.synth", "numpy.ma"]),
+                         "dropuq.synth", "dropuq.calibration", "dropuq.bgm", "dropuq.ward",
+                         "numpy.ma"]),
+            ("report", ["dropuq.synth", "dropuq.bgm", "dropuq.ward", "numpy.ma"]),
+            ("eval", ["dropuq.synth", "dropuq.bgm", "dropuq.ward", "numpy.ma"]),
         ],
     )
     def test_scene_command(self, pipeline_dirs, tmp_path, command, absent):

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from _scenes import overlapping_scene, separated_scene
-from dropuq import clustering
+from dropuq import bgm, clustering, ward
 from dropuq.clustering import (
     ClusterConfig,
     ClusteringError,
@@ -333,8 +333,8 @@ class TestClusterPipeline:
         def no_fit(*args, **kwargs):
             raise AssertionError("no fit expected")
 
-        monkeypatch.setattr(clustering, "fit_bgm", no_fit)
-        monkeypatch.setattr(clustering, "fit_agglomerative", no_fit)
+        monkeypatch.setattr(bgm, "fit_bgm", no_fit)
+        monkeypatch.setattr(ward, "fit_agglomerative", no_fit)
         s, labels, _ = generate(separated_scene(9, 5, sigma=3.0))
         for algorithm in ("bgm", "agg"):
             clusters = cluster_pipeline(s, ClusterConfig(algorithm=algorithm, seed=9))
@@ -356,7 +356,7 @@ class TestClusterPipeline:
             calls.append((len(points), k_max))
             return fit_bgm(points, k_max, cfg)
 
-        monkeypatch.setattr(clustering, "fit_bgm", recording_fit)
+        monkeypatch.setattr(bgm, "fit_bgm", recording_fit)
         clusters = cluster_pipeline(pair, ClusterConfig(seed=0))
         assert calls == [(60, 4)]
         assert [len(c) for c in clusters] == [30, 30, 30]

@@ -119,6 +119,27 @@ def sample_with_backgrounds(bgs):
     return parse_sample_set("\n".join(lines))
 
 
+class TestHeaderDims:
+    """Image dims are checked on the header line, before any detection."""
+
+    @pytest.mark.parametrize(
+        "dims, message",
+        [
+            ({"height": -5}, "height must be >= 1, got -5"),
+            ({"width": 0}, "width must be >= 1, got 0"),
+            ({"height": -9, "width": -10}, "height must be >= 1, got -9"),
+            ({"width": -(2**63) - 1}, "width must be >= 1, got -9223372036854775809"),
+        ],
+    )
+    def test_bad_dims_name_the_header(self, tmp_path, dims, message):
+        text = "\n".join([json.dumps({**json.loads(HEADER), **dims}), det_line()]) + "\n"
+        path = tmp_path / "samples.jsonl"
+        path.write_text(text, encoding="utf-8")
+        for parse, source in [(parse_sample_set, text), (read_sample_set, path)]:
+            with pytest.raises(ParseError, match=f"^line 1: {message}$"):
+                parse(source)
+
+
 class TestStrictTypes:
     """Values must have their JSON type: no coercion of strings, reals or booleans."""
 
@@ -406,22 +427,51 @@ class TestDecoderRule:
         kinds = collections.Counter()
         for i in range(600):
             text = _random_file(fmt, rng)
-            # A line read from a stream keeps its newline, one split from a
-            # string does not, so the reference reads the lines the same way.
+            # The reference splits the string; every entry point must agree with it.
+            expected = _outcome(REFERENCE[fmt], text)
             if i % 3 == 0:
-                expected = _outcome(REFERENCE[fmt], text)
                 got = _outcome(parse, text)
             elif i % 3 == 1:
-                expected = _outcome(REFERENCE[fmt], io.StringIO(text))
                 got = _outcome(parse, io.StringIO(text))
             else:
                 path.write_text(text, encoding="utf-8")
-                with path.open(encoding="utf-8") as fh:
-                    expected = _outcome(REFERENCE[fmt], fh)
                 got = _outcome(READERS[fmt], path)
             assert got == expected, text
             kinds[expected[0]] += 1
         assert kinds["ok"] > 100 and kinds["error"] > 100, kinds
+
+    @pytest.mark.parametrize("newline", ["\n", "\r\n"])
+    @pytest.mark.parametrize("fmt", sorted(FORMATS))
+    def test_unterminated_string_has_one_message(self, fmt, newline, tmp_path):
+        lines = FORMATS[fmt][1] + ['{"image_id": "img']
+        text = newline.join(lines) + newline
+        path = tmp_path / "records.jsonl"
+        path.write_text(text, encoding="utf-8")
+        message = f"line {len(lines)}: invalid JSON (Unterminated string starting at)"
+        outcomes = {
+            _outcome(FORMATS[fmt][0], text),
+            _outcome(FORMATS[fmt][0], io.StringIO(text)),
+            _outcome(READERS[fmt], path),
+        }
+        assert outcomes == {("error", "ParseError", message, len(lines))}
+
+    @pytest.mark.parametrize("newline", ["\n", "\r\n", "\r"])
+    def test_string_splits_where_a_file_does(self, newline, tmp_path):
+        # A JSON string may hold U+2028 and U+0085 raw; neither ends a line.
+        gt = {"image_id": "a\u2028b\x85c", "bbox": [1, 2, 5, 6], "class_id": 1}
+        text = newline.join(["", json.dumps(gt, ensure_ascii=False)] * 2) + newline
+        path = tmp_path / "gt.jsonl"
+        path.write_text(text, encoding="utf-8", newline="")
+        from_file = read_ground_truth(path, 20, 30)
+        assert [g.image_id for g in from_file] == [gt["image_id"]] * 2
+        assert parse_ground_truth(text, 20, 30) == from_file
+        bad = text.replace("2, 5", "2, 1", 1)  # the second line's box gets no area
+        with pytest.raises(ParseError, match="^line 2: ") as from_string:
+            parse_ground_truth(bad, 20, 30)
+        path.write_text(bad, encoding="utf-8", newline="")
+        with pytest.raises(ParseError, match="^line 2: ") as from_path:
+            read_ground_truth(path, 20, 30)
+        assert str(from_string.value) == str(from_path.value)
 
     @pytest.mark.parametrize(
         "header, detection, message",
