@@ -20,7 +20,7 @@ from typing import List, Optional, Tuple
 
 import numpy as np
 
-from .clustering import ClusterConfig, ClusteringError
+from .clustering import ClusteringError
 
 # scipy.special is imported inside the functions that use it: loading scipy
 # takes about 0.4 s, which a process that imports this module but fits no
@@ -30,6 +30,8 @@ __all__ = ["MixtureState", "ClusteringError", "fit_bgm", "assign_labels"]
 
 _LOG_2PI = math.log(2.0 * math.pi)
 _ELBO_TOL = 1e-4  # a restart converges once the lower bound moves less than this
+_MAX_ITERS = 500  # variational iterations per restart at most
+_N_INIT = 3  # restarts per fit
 # Restarts whose final bounds differ by less than this, relative, tie and the
 # earlier one wins, so the choice does not hang on the bound's last bits.
 _TIE_RTOL = 1e-12
@@ -44,7 +46,6 @@ class MixtureState:
     ``reg_scale / degrees_of_freedom[k]``.
     """
 
-    k_max: int
     weights: np.ndarray            # (K,) expected stick-breaking proportions, sum 1
     means: np.ndarray              # (K, D)
     covariances: np.ndarray        # (K, D, D) symmetric positive-definite
@@ -52,7 +53,6 @@ class MixtureState:
     elbo_trace: Tuple[float, ...]  # one value per variational iteration
     effective_components: int      # components owning >= 1 argmax point
     degrees_of_freedom: np.ndarray
-    mean_precision: np.ndarray
     reg_scale: float               # diagonal added to the prior scale matrix
     converged: bool
     n_iter: int
@@ -231,16 +231,17 @@ def _merged_responsibilities(X: np.ndarray, K: int) -> np.ndarray:
     return resp
 
 
-def fit_bgm(points: np.ndarray, k_max: int, cfg: "ClusterConfig") -> MixtureState:
+def fit_bgm(points: np.ndarray, k_max: int, seed: int) -> MixtureState:
     """Fit the stick-breaking variational mixture to an (n, D) point matrix.
 
-    Runs ``cfg.n_init`` restarts and keeps the run with the best final lower
-    bound. The restarts ladder across component scales so the bound can
-    arbitrate between split and merged basins: k-means seeding with k_max
-    centers, then the merged single-component candidate, then k-means with
-    k_max/2 centers, then random responsibilities. Iterates until the
-    lower-bound change drops below 1e-4 or ``cfg.max_iters`` is reached.
-    The stick-breaking concentration is 1/k_max.
+    Runs _N_INIT restarts, each seeded from ``seed`` and its index, and
+    keeps the run with the best final lower bound. The restarts ladder
+    across component scales so the bound can arbitrate between split and
+    merged basins: k-means seeding with k_max centers, then the merged
+    single-component candidate, then k-means with k_max/2 centers, then
+    random responsibilities. Iterates until the lower-bound change drops
+    below 1e-4 or _MAX_ITERS is reached. The stick-breaking concentration
+    is 1/k_max.
     """
     X = np.asarray(points, dtype=np.float64)
     if X.ndim != 2 or X.shape[0] < 1:
@@ -264,8 +265,8 @@ def fit_bgm(points: np.ndarray, k_max: int, cfg: "ClusterConfig") -> MixtureStat
 
     half = k_max // 2
     best: Optional[Tuple[float, _Posterior, List[float], bool, int]] = None
-    for restart in range(max(1, cfg.n_init)):
-        rng = np.random.default_rng([cfg.seed, restart])
+    for restart in range(_N_INIT):
+        rng = np.random.default_rng([seed, restart])
         if restart == 0:
             resp = _kmeans_responsibilities(X, k_max, rng)
         elif restart == 1:
@@ -278,7 +279,7 @@ def fit_bgm(points: np.ndarray, k_max: int, cfg: "ClusterConfig") -> MixtureStat
         trace: List[float] = []
         prev = -np.inf
         converged = False
-        for _ in range(cfg.max_iters):
+        for _ in range(_MAX_ITERS):
             log_resp = _e_step(X, post)
             post = _m_step(X, np.exp(log_resp), gamma0, beta0, m0, nu0, scale_inv0)
             elbo = _lower_bound(post, log_resp)
@@ -308,12 +309,10 @@ def fit_bgm(points: np.ndarray, k_max: int, cfg: "ClusterConfig") -> MixtureStat
         covariances=covariances,
         responsibilities=resp,
         degrees_of_freedom=post.nu.copy(),
-        mean_precision=post.beta.copy(),
     )
     for arr in arrays.values():
         arr.setflags(write=False)
     return MixtureState(
-        k_max=k_max,
         elbo_trace=tuple(trace),
         effective_components=int(np.count_nonzero(np.bincount(np.argmax(resp, axis=1)))),
         reg_scale=reg,

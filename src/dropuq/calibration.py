@@ -133,7 +133,6 @@ class ReliabilityBin:
 @dataclass(frozen=True)
 class ReliabilityDiagram:
     bins: Tuple[ReliabilityBin, ...]
-    num_bins: int
 
 
 def _softmax_rows(z: np.ndarray) -> np.ndarray:
@@ -251,7 +250,7 @@ def reliability(
                 count=count,
             )
         )
-    return ReliabilityDiagram(bins=tuple(bins), num_bins=num_bins)
+    return ReliabilityDiagram(bins=tuple(bins))
 
 
 def _gaps(d: ReliabilityDiagram) -> List[float]:

@@ -289,7 +289,6 @@ def _cmd_calibrate(args) -> int:
 
 def _cmd_eval(args) -> int:
     from .evaluation import cluster_to_detection, eval_csv, match_and_score, read_ground_truth
-    from .report import build_report
 
     out_dir = Path(args.out_dir)
     _write_manifest(
@@ -300,10 +299,7 @@ def _cmd_eval(args) -> int:
     )
     filtered, clusters = _load_clustered(args.samples, args.clusters)
     gts = read_ground_truth(args.gt, filtered.height, filtered.width)
-    preds = [
-        cluster_to_detection(build_report(c, mask_threshold=args.mask_threshold), filtered.image_id)
-        for c in clusters
-    ]
+    preds = [cluster_to_detection(c, filtered.image_id, args.mask_threshold) for c in clusters]
     modes = ["box", "mask"] if args.mode == "both" else [args.mode]
     results = [match_and_score(preds, gts, mode=m) for m in modes]
     _write_text(out_dir / "eval.csv", eval_csv(results))

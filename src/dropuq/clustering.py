@@ -9,7 +9,6 @@ component, count heuristic and mixture fit (or Ward linkage) -> hard labels
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from importlib import import_module
 from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -20,10 +19,6 @@ __all__ = [
     "ClusterConfig",
     "InstanceCluster",
     "ClusteringError",
-    "MixtureState",
-    "assign_labels",
-    "fit_bgm",
-    "fit_agglomerative",
     "estimate_component_count",
     "default_split_threshold",
     "box_features",
@@ -37,17 +32,8 @@ __all__ = [
 _MAX_SPLIT_DEPTH = 3  # recursion cap for the oversized-cluster split rule
 _BLOCK_PAIRS = 1 << 20  # memory cap: box pairs compared at once by overlap_components
 _BLOCK_ROWS = 64  # rows per overlap_components block when the cap allows
-# The fits are imported where they run: report and eval only rebuild clusters,
-# and with bytecode writing off every module loaded is compiled on each run.
-# These names of bgm and ward stay importable from this module.
-_FIT_NAMES = {"MixtureState": "bgm", "assign_labels": "bgm", "fit_bgm": "bgm",
-              "fit_agglomerative": "ward"}
-
-
-def __getattr__(name: str):
-    if name not in _FIT_NAMES:
-        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-    return getattr(import_module(f".{_FIT_NAMES[name]}", __package__), name)
+# bgm and ward are imported where a fit runs: report and eval only rebuild
+# clusters, and with bytecode writing off each module loaded is compiled.
 
 
 class ClusteringError(ValueError):
@@ -58,20 +44,14 @@ class ClusteringError(ValueError):
 @dataclass(frozen=True)
 class ClusterConfig:
     algorithm: str = "bgm"                 # "bgm" or "agg"
-    max_iters: int = 500
     split_threshold: Optional[int] = None  # None -> default_split_threshold(N)
     seed: int = 0
-    n_init: int = 3
 
     def __post_init__(self):
         if self.algorithm not in ("bgm", "agg"):
             raise ValueError(f"algorithm must be 'bgm' or 'agg', got {self.algorithm!r}")
         if self.split_threshold is not None and self.split_threshold < 1:
             raise ValueError(f"split_threshold must be >= 1, got {self.split_threshold}")
-        if self.max_iters < 1:
-            raise ValueError(f"max_iters must be >= 1, got {self.max_iters}")
-        if self.n_init < 1:
-            raise ValueError(f"n_init must be >= 1, got {self.n_init}")
 
 
 @dataclass(frozen=True)
@@ -219,7 +199,7 @@ def labels_from_clusters(
 
 
 def _split_once(
-    cluster: InstanceCluster, n_repetitions: int, threshold: int, cfg: ClusterConfig, depth: int
+    cluster: InstanceCluster, n_repetitions: int, threshold: int, seed: int, depth: int
 ) -> List[InstanceCluster]:
     if len(cluster) <= threshold:
         return [cluster]
@@ -229,7 +209,7 @@ def _split_once(
 
     points = np.array([d.bbox.as_tuple() for d in cluster.members], dtype=np.float64)
     k_max = max(2, estimate_component_count(len(cluster), n_repetitions))
-    state = fit_bgm(points, k_max, cfg)
+    state = fit_bgm(points, k_max, seed)
     labels = assign_labels(state)
     present = np.flatnonzero(np.bincount(labels))
     if present.size < 2:
@@ -242,7 +222,7 @@ def _split_once(
             members=tuple(cluster.members[i] for i in idx),
             indices=tuple(cluster.indices[i] for i in idx),
         )
-        parts.extend(_split_once(part, n_repetitions, threshold, cfg, depth + 1))
+        parts.extend(_split_once(part, n_repetitions, threshold, seed, depth + 1))
     return parts
 
 
@@ -260,7 +240,7 @@ def split_oversized(
     threshold = _split_threshold(cfg, n_repetitions)
     out: List[InstanceCluster] = []
     for cluster in clusters:
-        out.extend(_split_once(cluster, n_repetitions, threshold, cfg, depth=0))
+        out.extend(_split_once(cluster, n_repetitions, threshold, cfg.seed, depth=0))
     return [replace(c, cluster_id=i) for i, c in enumerate(out)]
 
 
@@ -293,7 +273,7 @@ def cluster_pipeline(s: SampleSet, cfg: ClusterConfig = ClusterConfig()) -> List
             from .bgm import assign_labels, fit_bgm
 
             k_max = max(2 * heuristic, heuristic + 2)
-            part = assign_labels(fit_bgm(points[idx], k_max, cfg))
+            part = assign_labels(fit_bgm(points[idx], k_max, cfg.seed))
         else:
             from .ward import fit_agglomerative
 

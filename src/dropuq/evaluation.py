@@ -21,7 +21,7 @@ from .ingest import (
 from .model import BBox, RleMask, box_iou, mask_iou
 
 if TYPE_CHECKING:
-    from .report import ClusterReport
+    from .clustering import InstanceCluster
 
 __all__ = [
     "GroundTruthInstance",
@@ -79,20 +79,26 @@ class EvalResult:
     matches: Tuple[MatchRecord, ...]
 
 
-def cluster_to_detection(r: ClusterReport, image_id: str = "") -> PredictedInstance:
-    """Collapse a cluster report into a single detection.
+def cluster_to_detection(
+    cluster: InstanceCluster, image_id: str = "", mask_threshold: float = 0.5
+) -> PredictedInstance:
+    """Collapse a cluster into a single detection.
 
     Box = mean box, class = best foreground mean score (background never
-    wins), confidence = that mean score, mask = consensus unless zero_mask.
+    wins), confidence = that mean score, mask = consensus at the threshold
+    unless zero_mask. No report is built.
     """
-    fg_means = r.class_stats.mean_scores[1:]
+    from .report import box_stats, class_stats, mask_stats
+
+    fg_means = class_stats(cluster).mean_scores[1:]
     class_id = 1 + int(np.argmax(fg_means))
+    masks = mask_stats(cluster, mask_threshold)
     return PredictedInstance(
         image_id=image_id,
-        bbox=r.box_stats.mean_box,
+        bbox=box_stats(cluster).mean_box,
         class_id=class_id,
         confidence=float(fg_means[class_id - 1]),
-        mask=None if r.mask_stats.zero_mask else r.mask_stats.consensus_mask,
+        mask=None if masks.zero_mask else masks.consensus_mask,
     )
 
 

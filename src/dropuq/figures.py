@@ -26,6 +26,7 @@ __all__ = [
 ]
 
 _MARGIN = 40.0
+_MAX_COLS = 128  # heatmap previews are block-averaged to at most this many columns
 
 
 def _f(x: float) -> str:
@@ -125,11 +126,11 @@ def class_figure(r: ClusterReport) -> str:
     return _svg(width, height, body)
 
 
-def heatmap_figure(values: np.ndarray, max_cols: int = 128) -> str:
-    """White-to-red heatmap of a [0, 1] array, block-averaged to max_cols."""
+def heatmap_figure(values: np.ndarray) -> str:
+    """White-to-red heatmap of a [0, 1] array, block-averaged to _MAX_COLS."""
     arr = np.asarray(values, dtype=np.float64)
     h, w = arr.shape
-    step = max(1, math.ceil(w / max_cols))
+    step = max(1, math.ceil(w / _MAX_COLS))
     rows = math.ceil(h / step)
     cols = math.ceil(w / step)
     cell = 4.0

@@ -130,8 +130,10 @@ def mask_stats(c: InstanceCluster, mask_threshold: float = 0.5) -> MaskStats:
     bounds to one difference array, whose cumulative sum is the per-pixel
     count c of members covering the pixel. Then mean = c / n and the
     population std of n Bernoulli values is sqrt(c (n - c)) / n, so memory
-    is O(H*W) whatever the member count.
+    is O(H*W) whatever the member count. The threshold must lie in [0, 1].
     """
+    if not 0.0 <= mask_threshold <= 1.0:
+        raise ValueError(f"mask threshold must be in [0, 1], got {mask_threshold}")
     masks = [m.mask for m in c.members if m.mask is not None]
     for m in masks:
         if m.height != c.height or m.width != c.width:

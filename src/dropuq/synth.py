@@ -14,7 +14,7 @@ from typing import TYPE_CHECKING, List, Sequence, Tuple
 import numpy as np
 
 from .evaluation import GroundTruthInstance
-from .ingest import MAX_PIXELS
+from .ingest import MAX_PIXELS, _INT, _OBJECT, _REAL, _STR, ParseError, _array, _scalar
 from .model import BBox, Detection, SampleSet, ScoreVector, rasterize_box, rle_decode, rle_encode
 
 if TYPE_CHECKING:
@@ -52,8 +52,8 @@ class InstanceSpec:
             v = getattr(self, name)
             if not 0.0 <= v <= 1.0:
                 raise ValueError(f"{name} must be in [0, 1], got {v}")
-        if self.box_jitter_sigma < 0.0:
-            raise ValueError(f"box_jitter_sigma must be >= 0, got {self.box_jitter_sigma}")
+        if not 0.0 <= self.box_jitter_sigma < np.inf:
+            raise ValueError(f"box_jitter_sigma must be in [0, inf), got {self.box_jitter_sigma}")
 
 
 @dataclass(frozen=True)
@@ -288,26 +288,41 @@ def scene_spec_to_json(spec: SceneSpec) -> str:
     return json.dumps(doc, sort_keys=True, indent=2) + "\n"
 
 
+def _optional(obj: dict, key: str, kind: tuple, default):
+    return _scalar(obj, key, kind, None) if key in obj else default
+
+
+def _float(value, key: str) -> float:
+    try:
+        return float(value)
+    except OverflowError:  # an integer beyond the double range
+        raise ParseError(None, f"{key} is out of range, got {value}") from None
+
+
 def scene_spec_from_json(text: str) -> SceneSpec:
+    """Read a scene spec, its values typed as the sample reader types its
+    fields (README lists them); a bad value is a ParseError naming it."""
     doc = json.loads(text)
+    if type(doc) is not dict:
+        raise ParseError(None, f"scene spec must be a JSON object, got {type(doc).__name__}")
     instances = tuple(
         InstanceSpec(
-            true_box=BBox(*(float(v) for v in inst["box"])),
-            true_class=int(inst["class_id"]),
-            shape=inst.get("shape", "ellipse"),
-            box_jitter_sigma=float(inst.get("box_jitter_sigma", 0.0)),
-            class_confusion=float(inst.get("class_confusion", 0.0)),
-            mask_noise=float(inst.get("mask_noise", 0.0)),
-            miss_rate=float(inst.get("miss_rate", 0.0)),
+            true_box=BBox(*(_float(v, "box") for v in _array(inst, "box", _REAL, None, 4))),
+            true_class=_scalar(inst, "class_id", _INT, None),
+            shape=_optional(inst, "shape", _STR, "ellipse"),
+            **{
+                key: _float(_optional(inst, key, _REAL, 0.0), key)
+                for key in ("box_jitter_sigma", "class_confusion", "mask_noise", "miss_rate")
+            },
         )
-        for inst in doc["instances"]
+        for inst in _array(doc, "instances", _OBJECT, None)
     )
     return SceneSpec(
-        image_id=str(doc["image_id"]),
-        height=int(doc["height"]),
-        width=int(doc["width"]),
-        num_classes=int(doc["num_classes"]),
-        n_repetitions=int(doc["n_repetitions"]),
+        image_id=_scalar(doc, "image_id", _STR, None),
+        height=_scalar(doc, "height", _INT, None),
+        width=_scalar(doc, "width", _INT, None),
+        num_classes=_scalar(doc, "num_classes", _INT, None),
+        n_repetitions=_scalar(doc, "n_repetitions", _INT, None),
         instances=instances,
-        seed=int(doc.get("seed", 0)),
+        seed=_optional(doc, "seed", _INT, 0),
     )

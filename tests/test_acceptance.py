@@ -27,12 +27,13 @@ from dropuq.calibration import (
     reliability,
     scaled_softmax,
 )
+from dropuq import bgm
+from dropuq.bgm import fit_bgm
 from dropuq.clustering import (
     ClusterConfig,
     box_features,
     build_instance_clusters,
     cluster_pipeline,
-    fit_bgm,
     labels_from_clusters,
     split_oversized,
 )
@@ -107,7 +108,7 @@ def test_effective_component_inference():
         true_k = int(rng.integers(1, 9))
         spec = separated_scene(seed + 300, true_k, sigma=2.0, n_repetitions=100)
         sample_set, _, _ = generate(spec)
-        state = fit_bgm(box_features(sample_set), 2 * true_k, ClusterConfig(seed=seed))
+        state = fit_bgm(box_features(sample_set), 2 * true_k, seed=seed)
         assert state.effective_components == true_k, (
             f"seed {seed}: true K {true_k}, effective {state.effective_components}"
         )
@@ -127,18 +128,16 @@ def test_split_rule():
     _accept("split rule (200 members -> 2 clusters at threshold 150)")
 
 
-def test_elbo_monotonicity():
+def test_elbo_monotonicity(monkeypatch):
     """1000 random fits: no variational step decreases the bound by > 1e-8."""
+    monkeypatch.setattr(bgm, "_MAX_ITERS", 200)
+    monkeypatch.setattr(bgm, "_N_INIT", 1)
     worst = 0.0
     for seed in range(1000):
         rng = np.random.default_rng(seed)
         n = int(rng.integers(5, 60))
         points = rng.normal(0.0, 40.0, (n, 4)) + rng.uniform(0.0, 400.0, 4)
-        state = fit_bgm(
-            points,
-            int(rng.integers(1, 7)),
-            ClusterConfig(seed=seed, max_iters=200, n_init=1),
-        )
+        state = fit_bgm(points, int(rng.integers(1, 7)), seed=seed)
         trace = np.asarray(state.elbo_trace)
         if trace.size > 1:
             worst = min(worst, float(np.min(np.diff(trace))))
@@ -252,7 +251,7 @@ def test_map_sanity():
     )
     sample_set, _, gts = generate(spec)
     clusters = cluster_pipeline(sample_set, ClusterConfig(seed=60))
-    preds = [cluster_to_detection(build_report(c), sample_set.image_id) for c in clusters]
+    preds = [cluster_to_detection(c, sample_set.image_id) for c in clusters]
     for mode in ("box", "mask"):
         result = match_and_score(preds, gts, mode=mode)
         assert result.map50 == 1.0, f"{mode} mAP {result.map50}"
@@ -386,8 +385,8 @@ def test_full_pipeline_runtime():
     sample_set, _, gts = generate(spec)
     filtered = filter_background(sample_set)
     clusters = cluster_pipeline(filtered, ClusterConfig(seed=0))
-    reports = [build_report(c) for c in clusters]
-    preds = [cluster_to_detection(r, sample_set.image_id) for r in reports]
+    reports = [build_report(c) for c in clusters]  # the report step, timed as in the CLI
+    preds = [cluster_to_detection(c, sample_set.image_id) for c in clusters]
     for mode in ("box", "mask"):
         result = match_and_score(preds, gts, mode=mode)
         assert result.map50 == 1.0

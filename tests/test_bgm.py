@@ -1,3 +1,4 @@
+import inspect
 import math
 
 import numpy as np
@@ -25,13 +26,13 @@ TWO_FAR = [(100, 100, 150, 160), (300, 250, 360, 320)]  # >> 20 sigma apart at s
 class TestFitBgm:
     def test_single_point_single_component(self):
         x = np.array([[1.0, 2.0, 3.0, 4.0]])
-        state = fit_bgm(x, 1, ClusterConfig(seed=0))
+        state = fit_bgm(x, 1, seed=0)
         assert state.effective_components == 1
         assert np.allclose(state.means[0], x[0], atol=1e-6)
 
     def test_two_separated_blobs(self):
         x, labels = blobs(TWO_FAR, 100, 2.0, seed=1)
-        state = fit_bgm(x, 5, ClusterConfig(seed=3))
+        state = fit_bgm(x, 5, seed=3)
         assert state.effective_components == 2
         got = assign_labels(state)
         # exact partition match up to component renumbering
@@ -42,7 +43,7 @@ class TestFitBgm:
             rng = np.random.default_rng(seed)
             n = int(rng.integers(5, 80))
             x = rng.normal(0, 40, (n, 4)) + rng.uniform(0, 400, 4)
-            state = fit_bgm(x, int(rng.integers(1, 7)), ClusterConfig(seed=seed))
+            state = fit_bgm(x, int(rng.integers(1, 7)), seed=seed)
             trace = np.asarray(state.elbo_trace)
             assert trace.size >= 1
             if trace.size > 1:
@@ -50,13 +51,13 @@ class TestFitBgm:
 
     def test_responsibilities_row_stochastic(self):
         x, _ = blobs(TWO_FAR, 60, 3.0, seed=5)
-        state = fit_bgm(x, 4, ClusterConfig(seed=5))
+        state = fit_bgm(x, 4, seed=5)
         sums = state.responsibilities.sum(axis=1)
         assert np.abs(sums - 1.0).max() < 1e-9
 
     def test_covariances_spd_with_floor(self):
         x, _ = blobs(TWO_FAR, 60, 3.0, seed=6)
-        state = fit_bgm(x, 4, ClusterConfig(seed=6))
+        state = fit_bgm(x, 4, seed=6)
         for k, cov in enumerate(state.covariances):
             assert np.allclose(cov, cov.T)
             min_eig = float(np.linalg.eigvalsh(cov).min())
@@ -66,33 +67,36 @@ class TestFitBgm:
 
     def test_weights_sum_to_one(self):
         x, _ = blobs(TWO_FAR, 50, 2.0, seed=7)
-        state = fit_bgm(x, 6, ClusterConfig(seed=7))
+        state = fit_bgm(x, 6, seed=7)
         assert state.weights.sum() == pytest.approx(1.0, abs=1e-12)
         assert (state.weights >= 0).all()
 
     def test_deterministic(self):
         x, _ = blobs(TWO_FAR, 50, 2.0, seed=8)
-        a = fit_bgm(x, 5, ClusterConfig(seed=11))
-        b = fit_bgm(x, 5, ClusterConfig(seed=11))
+        a = fit_bgm(x, 5, seed=11)
+        b = fit_bgm(x, 5, seed=11)
         assert np.array_equal(a.responsibilities, b.responsibilities)
         assert a.elbo_trace == b.elbo_trace
         assert np.array_equal(a.means, b.means)
 
     def test_identical_points_collapse(self):
         x = np.tile([10.0, 20.0, 30.0, 40.0], (151, 1))
-        state = fit_bgm(x, 3, ClusterConfig(seed=0))
+        state = fit_bgm(x, 3, seed=0)
         assert state.effective_components == 1
 
     def test_rejects_non_finite(self):
         x = np.array([[0.0, 1.0, 2.0, np.nan]])
         with pytest.raises(ClusteringError):
-            fit_bgm(x, 1, ClusterConfig(seed=0))
+            fit_bgm(x, 1, seed=0)
+
+    def test_signature_pinned(self):
+        assert list(inspect.signature(fit_bgm).parameters) == ["points", "k_max", "seed"]
 
     def test_rejects_empty_and_bad_kmax(self):
         with pytest.raises(ClusteringError):
-            fit_bgm(np.empty((0, 4)), 1, ClusterConfig(seed=0))
+            fit_bgm(np.empty((0, 4)), 1, seed=0)
         with pytest.raises(ClusteringError):
-            fit_bgm(np.ones((3, 4)), 0, ClusterConfig(seed=0))
+            fit_bgm(np.ones((3, 4)), 0, seed=0)
 
 
 class TestAssignLabels:
@@ -100,7 +104,6 @@ class TestAssignLabels:
         resp = np.asarray(resp, dtype=float)
         k = resp.shape[1]
         return MixtureState(
-            k_max=k,
             weights=np.full(k, 1.0 / k),
             means=np.zeros((k, 4)),
             covariances=np.stack([np.eye(4)] * k),
@@ -108,7 +111,6 @@ class TestAssignLabels:
             elbo_trace=(0.0,),
             effective_components=k,
             degrees_of_freedom=np.full(k, 4.0),
-            mean_precision=np.ones(k),
             reg_scale=1e-6,
             converged=True,
             n_iter=1,
@@ -124,7 +126,7 @@ class TestAssignLabels:
 
     def test_consistent_with_responsibilities(self):
         x, _ = blobs(TWO_FAR, 40, 2.5, seed=9)
-        state = fit_bgm(x, 4, ClusterConfig(seed=9))
+        state = fit_bgm(x, 4, seed=9)
         expect = [int(np.argmax(row)) for row in state.responsibilities]
         assert assign_labels(state).tolist() == expect
 
@@ -217,17 +219,17 @@ class TestReferenceEquivalence:
             x = centers[rng.integers(len(centers), size=n)] + rng.normal(
                 0, rng.uniform(2, 30), (n, 4)
             )
-            cases.append((x, int(rng.integers(1, 17)), ClusterConfig(seed=i % 7)))
-        got = [fit_bgm(x, k, cfg) for x, k, cfg in cases]
+            cases.append((x, int(rng.integers(1, 17)), i % 7))
+        got = [fit_bgm(x, k, seed) for x, k, seed in cases]
         reference()
-        for state, (x, k, cfg) in zip(got, cases):
-            _assert_same_fit(state, fit_bgm(x, k, cfg))
+        for state, (x, k, seed) in zip(got, cases):
+            _assert_same_fit(state, fit_bgm(x, k, seed))
 
     def test_overlapping_scene_pipelines(self, reference, monkeypatch):
         fits = []
 
-        def recording_fit(points, k_max, cfg):
-            fits.append(fit_bgm(points, k_max, cfg))
+        def recording_fit(points, k_max, seed):
+            fits.append(fit_bgm(points, k_max, seed))
             return fits[-1]
 
         monkeypatch.setattr(bgm, "fit_bgm", recording_fit)

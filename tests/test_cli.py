@@ -117,6 +117,19 @@ class TestExitCodes:
         assert "background threshold" in r.stderr
         assert not list(out.glob("*_clusters.json"))
 
+    @pytest.mark.parametrize("value", ["1.5", "-0.1", "nan"])
+    @pytest.mark.parametrize("command", ["report", "eval"])
+    def test_mask_threshold_out_of_range_is_two(self, pipeline_dirs, tmp_path, command, value):
+        samples = pipeline_dirs / "synth" / "scene0_samples.jsonl"
+        clusters = pipeline_dirs / "clusters" / "scene0_clusters.json"
+        gt = ["--gt", pipeline_dirs / "synth" / "scene0_gt.jsonl"] if command == "eval" else []
+        out = tmp_path / "o"
+        r = run_cli(command, samples, "--clusters", clusters, *gt, "--out-dir", out,
+                    "--mask-threshold", value, check=False)
+        assert r.returncode == 2
+        assert "mask threshold must be in [0, 1]" in r.stderr
+        assert sorted(p.name for p in out.iterdir()) == ["manifest.json"]
+
     def test_malformed_file_is_two(self, tmp_path):
         bad = tmp_path / "bad.jsonl"
         bad.write_text("this is not json\n")
@@ -211,6 +224,36 @@ class TestHostileSceneSpec:
         assert f"height and width must be >= 1, got {height} x {width}" in r.stderr
         assert not (tmp_path / "s").exists()
 
+    @pytest.mark.parametrize(
+        "field, value, message",
+        [
+            ("height", "1e400", "height must be a JSON integer, got inf"),
+            ("height", "10.9", "height must be a JSON integer, got 10.9"),
+            ("instances", "5", "instances must be a list, got 5"),
+            ("box", "[1, 2]", "box needs 4 values, got 2"),
+            ("box", f"[0, 0, 1{'0' * 400}, 5]", "box is out of range"),
+            ("box_jitter_sigma", "Infinity", "box_jitter_sigma must be in [0, inf), got inf"),
+            (None, "[1]", "scene spec must be a JSON object, got list"),
+        ],
+        ids=["inf-height", "fractional-height", "scalar-instances", "short-box", "huge-box",
+             "inf-jitter", "list-spec"],
+    )
+    def test_bad_spec_value_is_two(self, tmp_path, field, value, message):
+        doc = json.loads(scene_spec_to_json(separated_scene(0, 1, shape="ellipse")))
+        if field is None:
+            doc = "VALUE"
+        elif field in ("box", "box_jitter_sigma"):
+            doc["instances"][0][field] = "VALUE"
+        else:
+            doc[field] = "VALUE"
+        spec = tmp_path / "spec.json"
+        spec.write_text(json.dumps(doc).replace('"VALUE"', value))
+        r = run_cli("synth", spec, "--out-dir", tmp_path / "s", check=False)
+        assert r.returncode == 2, r.stderr
+        assert message in r.stderr
+        assert "Traceback" not in r.stderr
+        assert not (tmp_path / "s").exists()
+
 
 def run_python(code):
     env = dict(os.environ)
@@ -257,9 +300,8 @@ class TestLazyScipy:
     def test_fit_loads_no_scipy_linalg(self):
         r = run_python(
             "import sys, numpy as np; from dropuq.bgm import fit_bgm; "
-            "from dropuq.clustering import ClusterConfig; "
             "x = np.random.default_rng(0).normal(0, 5, (40, 4)); x[20:] += 50; "
-            "s = fit_bgm(x, 4, ClusterConfig(seed=0)); "
+            "s = fit_bgm(x, 4, seed=0); "
             "print(s.effective_components, 'scipy.special' in sys.modules, "
             "'scipy.linalg' in sys.modules)"
         )
@@ -441,6 +483,31 @@ class TestPipeline:
         summary = {ln.split(",")[0]: ln.split(",")[2] for ln in lines if ",mAP," in ln}
         assert float(summary["box"]) == 1.0
         assert float(summary["mask"]) == 1.0
+
+    @pytest.mark.parametrize("threshold, mask_ap", [("0.5", "1.0"), ("0.0", "0.0")])
+    def test_eval_builds_no_report(self, pipeline_dirs, tmp_path, monkeypatch, threshold, mask_ap):
+        # eval needs the mean box, the class scores and the consensus mask,
+        # not the IoU samples, densities or reports; eval.csv is unchanged.
+        from dropuq import report
+        from dropuq.cli import main
+
+        def unused(*args, **kwargs):
+            raise AssertionError("eval computed a report statistic it does not use")
+
+        for name in ("build_report", "kde", "iou_to_mean"):
+            monkeypatch.setattr(report, name, unused)
+        out = tmp_path / "eval"
+        code = main([
+            "eval", str(pipeline_dirs / "synth" / "scene0_samples.jsonl"),
+            "--clusters", str(pipeline_dirs / "clusters" / "scene0_clusters.json"),
+            "--gt", str(pipeline_dirs / "synth" / "scene0_gt.jsonl"),
+            "--out-dir", str(out), "--mask-threshold", threshold,
+        ])
+        assert code == 0
+        assert (out / "eval.csv").read_text() == (
+            "mode,class_id,ap\nbox,1,1.0\nbox,2,1.0\nbox,mAP,1.0\n"
+            f"mask,1,{mask_ap}\nmask,2,{mask_ap}\nmask,mAP,{mask_ap}\n"
+        )
 
     def test_manifests_written(self, pipeline_dirs):
         for sub in ("synth", "clusters", "reports", "eval"):

@@ -1,3 +1,4 @@
+import dataclasses
 import tracemalloc
 
 import numpy as np
@@ -5,16 +6,15 @@ import pytest
 
 from _scenes import overlapping_scene, separated_scene
 from dropuq import bgm, clustering, ward
+from dropuq.bgm import assign_labels, fit_bgm
 from dropuq.clustering import (
     ClusterConfig,
     ClusteringError,
-    assign_labels,
     box_features,
     build_instance_clusters,
     cluster_pipeline,
     default_split_threshold,
     estimate_component_count,
-    fit_bgm,
     labels_from_clusters,
     overlap_components,
     split_oversized,
@@ -58,6 +58,17 @@ class TestComponentCount:
     def test_bad_repetitions(self):
         with pytest.raises(ValueError):
             estimate_component_count(5, 0)
+
+
+class TestSurface:
+    def test_config_fields_pinned(self):
+        names = [f.name for f in dataclasses.fields(ClusterConfig)]
+        assert names == ["algorithm", "split_threshold", "seed"]
+
+    def test_fits_import_only_from_their_modules(self):
+        assert not hasattr(clustering, "__getattr__")
+        for name in ("MixtureState", "assign_labels", "fit_bgm", "fit_agglomerative"):
+            assert not hasattr(clustering, name), name
 
 
 class TestDefaultSplitThreshold:
@@ -352,9 +363,9 @@ class TestClusterPipeline:
         pair = simple_set(boxes, n_repetitions=30, reps=[i // 3 for i in range(90)])
         calls = []
 
-        def recording_fit(points, k_max, cfg):
+        def recording_fit(points, k_max, seed):
             calls.append((len(points), k_max))
-            return fit_bgm(points, k_max, cfg)
+            return fit_bgm(points, k_max, seed)
 
         monkeypatch.setattr(bgm, "fit_bgm", recording_fit)
         clusters = cluster_pipeline(pair, ClusterConfig(seed=0))
@@ -368,7 +379,7 @@ class TestClusterPipeline:
         assert overlap_components(box_features(s)).max() == 0
         cfg = ClusterConfig(seed=seed)
         h = estimate_component_count(len(s.detections), s.n_repetitions)
-        whole = assign_labels(fit_bgm(box_features(s), max(2 * h, h + 2), cfg))
+        whole = assign_labels(fit_bgm(box_features(s), max(2 * h, h + 2), seed=seed))
         expected = split_oversized(build_instance_clusters(s, whole), s.n_repetitions, cfg)
         assert cluster_pipeline(s, cfg) == expected
 

@@ -12,7 +12,7 @@ from dropuq.evaluation import (
 )
 from dropuq.ingest import ParseError
 from dropuq.model import BBox, rasterize_box
-from dropuq.report import build_report
+from dropuq.report import class_stats
 from dropuq.clustering import ClusterConfig, cluster_pipeline
 from dropuq.synth import generate
 from _scenes import separated_scene
@@ -38,32 +38,33 @@ def brute_force_ap(pr_points):
 
 
 class TestClusterToDetection:
-    def _report(self, seed=0, confusion=0.1):
+    def _cluster(self, seed=0, confusion=0.1):
         s, _, _ = generate(
             separated_scene(seed, 1, sigma=2.0, shape="ellipse",
                             class_confusion=confusion, height=200, width=300)
         )
         clusters = cluster_pipeline(s, ClusterConfig(seed=seed))
-        return build_report(clusters[0])
+        return clusters[0]
 
     def test_dominant_class_and_confidence(self):
-        r = self._report()
-        det = cluster_to_detection(r, "img")
-        assert det.class_id == int(np.argmax(r.class_stats.mean_scores[1:])) + 1
-        assert det.confidence == r.class_stats.mean_scores[det.class_id]
+        c = self._cluster()
+        det = cluster_to_detection(c, "img")
+        stats = class_stats(c)
+        assert det.class_id == int(np.argmax(stats.mean_scores[1:])) + 1
+        assert det.confidence == stats.mean_scores[det.class_id]
         assert det.mask is not None
 
     def test_background_never_selected(self):
         for seed in range(5):
             # heavy confusion: background mean is large but never wins
-            r = self._report(seed=seed, confusion=0.6)
-            det = cluster_to_detection(r)
+            c = self._cluster(seed=seed, confusion=0.6)
+            det = cluster_to_detection(c)
             assert det.class_id >= 1
 
     def test_zero_mask_cluster_has_no_mask(self):
         s, _, _ = generate(separated_scene(3, 1, sigma=2.0, shape="none", height=200, width=300))
         clusters = cluster_pipeline(s, ClusterConfig(seed=3))
-        det = cluster_to_detection(build_report(clusters[0]))
+        det = cluster_to_detection(clusters[0])
         assert det.mask is None
         assert det.bbox is not None
 

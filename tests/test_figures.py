@@ -1,8 +1,10 @@
+import inspect
 import math
 
 import numpy as np
 import pytest
 
+from dropuq import figures
 from dropuq.figures import _rect, _svg, heatmap_figure
 
 
@@ -49,11 +51,15 @@ class TestHeatmapFigure:
         arr = np.clip(1.0 - ((yy - 60) ** 2 + (xx - 80) ** 2) / 40.0**2, 0.0, 1.0)
         assert heatmap_figure(arr) == reference_heatmap(arr)
 
-    def test_small_max_cols(self):
+    def test_small_max_cols(self, monkeypatch):
         rng = np.random.default_rng(1)
         arr = np.where(rng.random((41, 59)) < 0.1, rng.random((41, 59)), 0.0)
         for max_cols in (1, 3, 8):
-            assert heatmap_figure(arr, max_cols) == reference_heatmap(arr, max_cols)
+            monkeypatch.setattr(figures, "_MAX_COLS", max_cols)
+            assert heatmap_figure(arr) == reference_heatmap(arr, max_cols)
+
+    def test_signature_pinned(self):
+        assert list(inspect.signature(heatmap_figure).parameters) == ["values"]
 
     def test_all_zero_is_blank(self):
         svg = heatmap_figure(np.zeros((20, 30)))

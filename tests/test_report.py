@@ -153,6 +153,12 @@ class TestMaskStats:
         with pytest.raises(ValueError):
             mask_stats(c)
 
+    @pytest.mark.parametrize("threshold", [-0.1, 1.5, math.nan])
+    def test_threshold_out_of_range_error(self, threshold):
+        c = make_cluster([(0, 0, 5, 5)], masks=[grid_mask([(0, 0)])])
+        with pytest.raises(ValueError, match="mask threshold must be in"):
+            mask_stats(c, threshold)
+
 
 def dense_mask_stats(c, mask_threshold=0.5):
     """Reference: stack every decoded member mask and reduce over the stack."""

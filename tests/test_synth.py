@@ -96,6 +96,14 @@ class TestGenerate:
         spec = separated_scene(6, 2, sigma=1.5, shape="box", mask_noise=0.1)
         assert scene_spec_from_json(scene_spec_to_json(spec)) == spec
 
+    def test_spec_defaults_and_integer_numbers(self):
+        text = (
+            '{"image_id": "d", "height": 40, "width": 60, "num_classes": 2, '
+            '"n_repetitions": 3, "instances": [{"box": [1, 2, 30, 20], "class_id": 2}]}'
+        )
+        expect = SceneSpec("d", 40, 60, 2, 3, (InstanceSpec(BBox(1.0, 2.0, 30.0, 20.0), 2),))
+        assert scene_spec_from_json(text) == expect
+
 
 class TestCalibrationRecords:
     def test_unit_temperature_recovered(self):
