@@ -299,8 +299,11 @@ def _cmd_eval(args) -> int:
     )
     filtered, clusters = _load_clustered(args.samples, args.clusters)
     gts = read_ground_truth(args.gt, filtered.height, filtered.width)
-    preds = [cluster_to_detection(c, filtered.image_id, args.mask_threshold) for c in clusters]
     modes = ["box", "mask"] if args.mode == "both" else [args.mode]
+    preds = [
+        cluster_to_detection(c, filtered.image_id, args.mask_threshold, "mask" in modes)
+        for c in clusters
+    ]
     results = [match_and_score(preds, gts, mode=m) for m in modes]
     _write_text(out_dir / "eval.csv", eval_csv(results))
     for res in results:
@@ -370,7 +373,8 @@ def main(argv: Optional[List[str]] = None) -> int:
         print(f"dropuq: error: {exc}", file=sys.stderr)
         return DATA_ERROR
     except MemoryError as exc:
-        print(f"dropuq: error: out of memory ({exc or 'allocation failed'})", file=sys.stderr)
+        reason = str(exc) or "allocation failed"  # MemoryError() has no message
+        print(f"dropuq: error: out of memory ({reason})", file=sys.stderr)
         return DATA_ERROR
 
 

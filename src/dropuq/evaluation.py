@@ -80,25 +80,35 @@ class EvalResult:
 
 
 def cluster_to_detection(
-    cluster: InstanceCluster, image_id: str = "", mask_threshold: float = 0.5
+    cluster: InstanceCluster,
+    image_id: str = "",
+    mask_threshold: float = 0.5,
+    with_mask: bool = True,
 ) -> PredictedInstance:
     """Collapse a cluster into a single detection.
 
     Box = mean box, class = best foreground mean score (background never
     wins), confidence = that mean score, mask = consensus at the threshold
-    unless zero_mask. No report is built.
+    unless zero_mask. With with_mask False the consensus is not built and
+    mask is None; the threshold is checked either way. No report is built.
     """
-    from .report import box_stats, class_stats, mask_stats
+    from .report import _check_mask_threshold, box_stats, class_stats, mask_stats
 
     fg_means = class_stats(cluster).mean_scores[1:]
     class_id = 1 + int(np.argmax(fg_means))
-    masks = mask_stats(cluster, mask_threshold)
+    mask = None
+    if with_mask:
+        masks = mask_stats(cluster, mask_threshold)
+        if not masks.zero_mask:
+            mask = masks.consensus_mask
+    else:
+        _check_mask_threshold(mask_threshold)
     return PredictedInstance(
         image_id=image_id,
         bbox=box_stats(cluster).mean_box,
         class_id=class_id,
         confidence=float(fg_means[class_id - 1]),
-        mask=None if masks.zero_mask else masks.consensus_mask,
+        mask=mask,
     )
 
 
@@ -235,7 +245,7 @@ def serialize_ground_truth(gts: Sequence[GroundTruthInstance]) -> str:
             "class_id": g.class_id,
         }
         if g.mask is not None:
-            rec["mask_runs"] = list(g.mask.runs)
+            rec["mask_runs"] = g.mask.runs.tolist()
         lines.append(json.dumps(rec))
     return "\n".join(lines) + ("\n" if lines else "")
 

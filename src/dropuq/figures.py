@@ -136,10 +136,13 @@ def heatmap_figure(values: np.ndarray) -> str:
     cell = 4.0
     body = [_rect(0, 0, cols * cell, rows * cell, fill="white")]
     # A block whose mean is > 0 has a pixel > 0, so blocks without one are
-    # skipped in a single pass over a zero-padded copy.
-    padded = np.zeros((rows * step, cols * step))
-    padded[:h, :w] = arr
-    lit = padded.reshape(rows, step, cols, step).max(axis=(1, 3)) > 0.0
+    # skipped. The test runs once on a zero-padded boolean copy, reduced
+    # over the rows of each block and then over its columns: contiguous
+    # reductions, unlike one over both axes at once.
+    positive = np.zeros((rows * step, cols * step), dtype=bool)
+    np.greater(arr, 0.0, out=positive[:h, :w])
+    lit = positive.reshape(rows, step, cols * step).any(axis=1)
+    lit = lit.reshape(rows, cols, step).any(axis=2)
     for i, j in np.argwhere(lit).tolist():
         block = arr[i * step : (i + 1) * step, j * step : (j + 1) * step]
         v = float(block.mean())

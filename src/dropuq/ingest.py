@@ -100,11 +100,9 @@ def _array(
         raise ParseError(lineno, f"{key} must be a list, got {value!r}")
     if length is not None and len(value) != length:
         raise ParseError(lineno, f"{key} needs {length} values, got {len(value)}")
-    for v in value:
-        if type(v) not in kind:
-            raise ParseError(
-                lineno, f"{key} must be a list of JSON {_KINDS[kind]}s, got {v!r}"
-            )
+    if not set(map(type, value)).issubset(kind):  # one C-level scan; mask runs are long
+        bad = next(v for v in value if type(v) not in kind)
+        raise ParseError(lineno, f"{key} must be a list of JSON {_KINDS[kind]}s, got {bad!r}")
     return value
 
 
@@ -264,7 +262,7 @@ def serialize_sample_set(s: SampleSet) -> str:
             "scores": list(det.scores.scores),
         }
         if det.mask is not None:
-            rec["mask_runs"] = list(det.mask.runs)
+            rec["mask_runs"] = det.mask.runs.tolist()
         out.append(json.dumps(rec))
     return "\n".join(out) + "\n"
 

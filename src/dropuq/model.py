@@ -8,7 +8,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Optional, Tuple
+from typing import Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -20,6 +20,7 @@ __all__ = [
     "SampleSet",
     "box_iou",
     "mask_iou",
+    "mask_ious",
     "rle_encode",
     "rle_decode",
     "rasterize_box",
@@ -79,39 +80,70 @@ class BBox:
         )
 
 
-@dataclass(frozen=True)
+_INT64_MAX = np.iinfo(np.int64).max
+
+
+@dataclass(frozen=True, eq=False)
 class RleMask:
     """Run-length encoded binary mask, row-major.
 
     Runs alternate background/foreground and start with a background run,
     which may have length zero. Zero-length runs are not allowed anywhere
-    else, and the runs must sum to height*width.
+    else, and the runs must sum to height*width. ``runs`` is held as a
+    read-only int64 array (a copy of what was passed); masks compare and
+    hash by value.
     """
 
     height: int
     width: int
-    runs: Tuple[int, ...]
+    runs: np.ndarray
 
     def __post_init__(self):
         if self.height < 1 or self.width < 1:
             raise ValueError(
                 f"mask dims must be positive, got {self.height}x{self.width}"
             )
-        runs = tuple(int(r) for r in self.runs)
-        object.__setattr__(self, "runs", runs)
-        if any(r < 0 for r in runs):
-            raise ValueError("run lengths must be non-negative")
-        if any(r == 0 for r in runs[1:]):
-            raise ValueError("zero-length run allowed only as the leading run")
-        total = sum(runs)
-        if total != self.height * self.width:
+        pixels = self.height * self.width
+        if pixels > _INT64_MAX:
             raise ValueError(
-                f"runs sum to {total}, expected {self.height * self.width}"
+                f"mask of {self.height} x {self.width} pixels exceeds 64-bit run bounds"
             )
+        try:
+            runs = np.array(self.runs, dtype=np.int64)
+        except OverflowError:
+            # A run beyond 64 bits: the checks below run on exact Python
+            # ints only to word the error, which the sum check always raises.
+            runs = np.array([int(r) for r in self.runs], dtype=object)
+        if runs.ndim != 1:
+            raise ValueError(f"runs must be one-dimensional, got shape {runs.shape}")
+        if runs.size and runs.min() < 0:
+            raise ValueError("run lengths must be non-negative")
+        if not runs[1:].all():
+            raise ValueError("zero-length run allowed only as the leading run")
+        if runs.size and runs.max() > _INT64_MAX // runs.size:
+            total = sum(runs.tolist())  # the int64 sum could wrap
+        else:
+            total = int(runs.sum())
+        if total != pixels:
+            raise ValueError(f"runs sum to {total}, expected {pixels}")
+        runs.flags.writeable = False
+        object.__setattr__(self, "runs", runs)
+
+    def __eq__(self, other):
+        if not isinstance(other, RleMask):
+            return NotImplemented
+        return (
+            self.height == other.height
+            and self.width == other.width
+            and np.array_equal(self.runs, other.runs)
+        )
+
+    def __hash__(self):
+        return hash((self.height, self.width, self.runs.tobytes()))
 
     @property
     def foreground_count(self) -> int:
-        return sum(self.runs[1::2])
+        return int(self.runs[1::2].sum())
 
     @property
     def is_empty(self) -> bool:
@@ -119,7 +151,7 @@ class RleMask:
 
     def foreground_intervals(self) -> Tuple[np.ndarray, np.ndarray]:
         """Half-open [start, end) flat-pixel bounds of the foreground runs."""
-        bounds = np.cumsum(np.asarray(self.runs, dtype=np.int64))
+        bounds = np.cumsum(self.runs)
         return bounds[:-1:2], bounds[1::2]
 
 
@@ -224,24 +256,47 @@ def mask_iou(a: RleMask, b: RleMask) -> float:
     Returns 0.0 when both masks are empty: an empty-vs-empty comparison
     carries no evidence and must not produce a fabricated perfect score.
     """
-    if a.height != b.height or a.width != b.width:
-        raise ValueError(
-            f"mask dims differ: {a.height}x{a.width} vs {b.height}x{b.width}"
-        )
-    # Sweep the run boundaries of both masks: +1 at each foreground start,
-    # -1 at each end. Pixels covered twice are the intersection.
-    starts_a, ends_a = a.foreground_intervals()
-    starts_b, ends_b = b.foreground_intervals()
-    pos = np.concatenate((starts_a, starts_b, ends_a, ends_b))
-    step = np.repeat([1, -1], len(starts_a) + len(starts_b))
-    order = np.argsort(pos, kind="stable")
-    pos = pos[order]
-    coverage = np.cumsum(step[order])
-    inter = int(np.diff(pos)[coverage[:-1] == 2].sum())
-    union = a.foreground_count + b.foreground_count - inter
-    if union == 0:
-        return 0.0
-    return inter / union
+    return float(mask_ious([a], b)[0])
+
+
+def mask_ious(masks: Sequence[RleMask], ref: RleMask) -> np.ndarray:
+    """Foreground IoU of each mask against ``ref``, as mask_iou defines it.
+
+    One pass over all masks in integer arithmetic: P(x), the count of
+    ``ref`` pixels before flat pixel x, is read off ref's run bounds, and a
+    mask's intersection with ``ref`` is the sum of P(end) - P(start) over
+    its foreground runs. Each IoU is one int64 division, as exact as the
+    division of Python ints for masks under 2^53 pixels.
+    """
+    for a in masks:
+        if a.height != ref.height or a.width != ref.width:
+            raise ValueError(
+                f"mask dims differ: {a.height}x{a.width} vs {ref.height}x{ref.width}"
+            )
+    if not masks:
+        return np.zeros(0)
+    # A zero-length run at pixel 0 comes first, so every x >= 0 has a run
+    # starting at or before it, even when ref is empty.
+    ref_starts, ref_ends = (np.concatenate(([0], b)) for b in ref.foreground_intervals())
+    ref_lengths = ref_ends - ref_starts
+    ref_before = np.cumsum(ref_lengths) - ref_lengths  # ref pixels before each run
+
+    def covered(x: np.ndarray) -> np.ndarray:
+        k = np.searchsorted(ref_starts, x, side="right") - 1  # last run starting <= x
+        return ref_before[k] + np.minimum(x - ref_starts[k], ref_lengths[k])
+
+    intervals = [a.foreground_intervals() for a in masks]
+    starts = np.concatenate([st for st, _ in intervals])
+    ends = np.concatenate([en for _, en in intervals])
+    offsets = np.cumsum([0] + [st.size for st, _ in intervals])
+
+    def per_mask(values: np.ndarray) -> np.ndarray:
+        total = np.concatenate(([0], np.cumsum(values)))
+        return total[offsets[1:]] - total[offsets[:-1]]
+
+    inter = per_mask(covered(ends) - covered(starts))
+    union = per_mask(ends - starts) + ref.foreground_count - inter
+    return np.divide(inter, union, out=np.zeros(len(masks)), where=union > 0)
 
 
 def rle_encode(bitmap: np.ndarray) -> RleMask:
@@ -256,16 +311,15 @@ def rle_encode(bitmap: np.ndarray) -> RleMask:
     starts = np.concatenate(([0], change))
     ends = np.concatenate((change, [flat.size]))
     lengths = ends - starts
-    runs = [int(x) for x in lengths]
     if flat[0]:
-        runs = [0] + runs
-    return RleMask(height=h, width=w, runs=tuple(runs))
+        lengths = np.concatenate(([0], lengths))
+    return RleMask(height=h, width=w, runs=lengths)
 
 
 def rle_decode(mask: RleMask) -> np.ndarray:
     """Decode an RleMask into a row-major boolean grid."""
     values = np.arange(len(mask.runs)) % 2 == 1
-    flat = np.repeat(values, np.asarray(mask.runs, dtype=np.int64))
+    flat = np.repeat(values, mask.runs)
     return flat.reshape(mask.height, mask.width)
 
 

@@ -14,7 +14,7 @@ from typing import TYPE_CHECKING, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .model import BBox, RleMask, box_iou, mask_iou, rle_encode
+from .model import BBox, RleMask, box_iou, mask_ious, rle_encode
 
 if TYPE_CHECKING:
     from .clustering import InstanceCluster
@@ -119,6 +119,11 @@ def class_stats(c: InstanceCluster) -> ClassStats:
     )
 
 
+def _check_mask_threshold(mask_threshold: float) -> None:
+    if not 0.0 <= mask_threshold <= 1.0:
+        raise ValueError(f"mask threshold must be in [0, 1], got {mask_threshold}")
+
+
 def mask_stats(c: InstanceCluster, mask_threshold: float = 0.5) -> MaskStats:
     """Pixelwise mean/std over mask-carrying members plus the consensus mask.
 
@@ -130,10 +135,12 @@ def mask_stats(c: InstanceCluster, mask_threshold: float = 0.5) -> MaskStats:
     bounds to one difference array, whose cumulative sum is the per-pixel
     count c of members covering the pixel. Then mean = c / n and the
     population std of n Bernoulli values is sqrt(c (n - c)) / n, so memory
-    is O(H*W) whatever the member count. The threshold must lie in [0, 1].
+    is O(H*W) whatever the member count. Counts are summed only over the
+    flat window [smallest start, largest end) of the members' foreground
+    runs; outside it c = 0, so mean and std are 0 and the consensus is
+    foreground only at threshold 0. The threshold must lie in [0, 1].
     """
-    if not 0.0 <= mask_threshold <= 1.0:
-        raise ValueError(f"mask threshold must be in [0, 1], got {mask_threshold}")
+    _check_mask_threshold(mask_threshold)
     masks = [m.mask for m in c.members if m.mask is not None]
     for m in masks:
         if m.height != c.height or m.width != c.width:
@@ -156,17 +163,23 @@ def mask_stats(c: InstanceCluster, mask_threshold: float = 0.5) -> MaskStats:
     intervals = [m.foreground_intervals() for m in masks]
     starts = np.concatenate([s for s, _ in intervals])
     ends = np.concatenate([e for _, e in intervals])
-    diff = np.bincount(starts, minlength=h * w + 1)
-    diff -= np.bincount(ends, minlength=h * w + 1)
-    counts = np.cumsum(diff[: h * w], out=diff[: h * w]).reshape(h, w)
-    mean = counts / n
+    lo = int(starts.min()) if starts.size else 0
+    hi = int(ends.max()) if ends.size else 0
+    diff = np.bincount(starts - lo, minlength=hi - lo + 1)
+    diff -= np.bincount(ends - lo, minlength=hi - lo + 1)
+    counts = np.cumsum(diff[: hi - lo], out=diff[: hi - lo])
+    mean = np.zeros(h * w)
+    np.divide(counts, n, out=mean[lo:hi])
     counts *= n - counts  # in place: n^2 times the variance, c (n - c)
-    std = np.sqrt(counts)
-    std /= n
-    consensus = rle_encode(mean >= mask_threshold)
+    std = np.zeros(h * w)
+    np.sqrt(counts, out=std[lo:hi])
+    std[lo:hi] /= n
+    consensus = np.full(h * w, 0.0 >= mask_threshold)
+    np.greater_equal(mean[lo:hi], mask_threshold, out=consensus[lo:hi])
+    consensus = rle_encode(consensus.reshape(h, w))
     return MaskStats(
-        mean_mask=mean,
-        std_mask=std,
+        mean_mask=mean.reshape(h, w),
+        std_mask=std.reshape(h, w),
         consensus_mask=consensus,
         zero_mask=consensus.is_empty,
         coverage_count=n,
@@ -181,16 +194,13 @@ def iou_to_mean(
 
     Box samples cover every member; mask samples cover mask-carrying members
     and are empty for a zero-mask cluster (no reference to compare against).
+    The mask samples come from one mask_ious pass over all members.
     """
     box_samples = tuple(box_iou(member.bbox, s.mean_box) for member in c.members)
     if m.zero_mask:
         return box_samples, ()
-    mask_samples = tuple(
-        mask_iou(member.mask, m.consensus_mask)
-        for member in c.members
-        if member.mask is not None
-    )
-    return box_samples, mask_samples
+    masks = [member.mask for member in c.members if member.mask is not None]
+    return box_samples, tuple(mask_ious(masks, m.consensus_mask).tolist())
 
 
 def kde(samples: Sequence[float]) -> KdeCurve:
@@ -285,7 +295,7 @@ def report_to_json(r: ClusterReport) -> str:
         "mask": {
             "height": r.mask_stats.consensus_mask.height,
             "width": r.mask_stats.consensus_mask.width,
-            "consensus_runs": list(r.mask_stats.consensus_mask.runs),
+            "consensus_runs": r.mask_stats.consensus_mask.runs.tolist(),
             "zero_mask": r.mask_stats.zero_mask,
             "coverage_count": r.mask_stats.coverage_count,
             "threshold": r.mask_stats.mask_threshold,
@@ -310,7 +320,9 @@ def write_pgm(values: np.ndarray, path) -> None:
         raise ValueError(f"expected a 2-D array, got shape {arr.shape}")
     if arr.min() < 0.0 or arr.max() > 1.0:
         raise ValueError("values must lie in [0, 1]")
-    pixels = np.rint(arr * 255.0).astype(np.uint8)
+    scaled = arr * 255.0
+    # Rounded in place: each full-size float temporary is fresh memory to fault in.
+    pixels = np.rint(scaled, out=scaled).astype(np.uint8)
     h, w = pixels.shape
     tmp = f"{path}.tmp"
     with open(tmp, "wb") as fh:

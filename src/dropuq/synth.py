@@ -21,6 +21,7 @@ if TYPE_CHECKING:
     from .calibration import CalibrationSet
 
 __all__ = [
+    "MAX_DETECTIONS",
     "InstanceSpec",
     "SceneSpec",
     "generate",
@@ -31,6 +32,9 @@ __all__ = [
 ]
 
 _SHAPES = ("box", "ellipse", "none")
+# Repetitions x instances a scene may draw: generate holds every detection
+# (and its mask runs) in memory before it writes any.
+MAX_DETECTIONS = 1 << 20
 
 
 @dataclass(frozen=True)
@@ -79,6 +83,11 @@ class SceneSpec:
             raise ValueError(f"num_classes must be >= 1, got {self.num_classes}")
         if self.n_repetitions < 1:
             raise ValueError(f"n_repetitions must be >= 1, got {self.n_repetitions}")
+        if self.n_repetitions * len(self.instances) > MAX_DETECTIONS:
+            raise ValueError(
+                f"{self.n_repetitions} repetitions x {len(self.instances)} instances exceed "
+                f"the limit of {MAX_DETECTIONS} detections"
+            )
         for inst in self.instances:
             if inst.true_class > self.num_classes:
                 raise ValueError(

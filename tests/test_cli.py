@@ -5,6 +5,7 @@ import resource
 import shutil
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import pytest
@@ -13,7 +14,9 @@ from _scenes import separated_scene
 from dropuq.calibration import serialize_calibration_records
 from dropuq.cli import _parser
 from dropuq.ingest import MAX_PIXELS, serialize_sample_set
-from dropuq.synth import generate, generate_calibration_records, scene_spec_to_json
+from dropuq.synth import (
+    MAX_DETECTIONS, generate, generate_calibration_records, scene_spec_to_json,
+)
 
 SRC = str(Path(__file__).resolve().parent.parent / "src")
 
@@ -198,6 +201,19 @@ class TestHostileInput:
         assert "Traceback" not in r.stderr
 
 
+@pytest.mark.parametrize("error, reason", [(MemoryError(), "allocation failed"),
+                                           (MemoryError("no room"), "no room")])
+def test_out_of_memory_message(tmp_path, monkeypatch, capsys, error, reason):
+    from dropuq import cli
+
+    def exhausted(args):
+        raise error
+
+    monkeypatch.setattr(cli, "_cmd_synth", exhausted)
+    assert cli.main(["synth", str(tmp_path / "spec.json"), "--out-dir", str(tmp_path)]) == 2
+    assert capsys.readouterr().err == f"dropuq: error: out of memory ({reason})\n"
+
+
 def scene_spec_file(path, height, width):
     """A scene spec of one ellipse instance, with the header size given."""
     doc = json.loads(scene_spec_to_json(separated_scene(0, 1, shape="ellipse")))
@@ -214,6 +230,27 @@ class TestHostileSceneSpec:
                     address_space=3 << 30)
         assert r.returncode == 2, r.stderr
         assert f"50000 x 50000 pixels exceeds the limit of {MAX_PIXELS} pixels" in r.stderr
+        assert not (tmp_path / "s").exists()
+
+    def test_too_many_detections_is_two(self, tmp_path, capsys):
+        # 20 000 000 repetitions of one instance: refused when the spec is
+        # read, before any detection is drawn.
+        from dropuq.cli import main
+
+        doc = json.loads(scene_spec_to_json(separated_scene(0, 1, shape="ellipse")))
+        doc["n_repetitions"] = 20_000_000
+        spec = tmp_path / "many.json"
+        spec.write_text(json.dumps(doc))
+        tracemalloc.start()
+        try:
+            code = main(["synth", str(spec), "--out-dir", str(tmp_path / "s")])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert code == 2
+        assert (f"20000000 repetitions x 1 instances exceed the limit of {MAX_DETECTIONS} "
+                "detections") in capsys.readouterr().err
+        assert peak < 4 * 2**20
         assert not (tmp_path / "s").exists()
 
     @pytest.mark.parametrize("height, width", [(0, 100), (100, 0), (-3, 100)])
@@ -508,6 +545,76 @@ class TestPipeline:
             "mode,class_id,ap\nbox,1,1.0\nbox,2,1.0\nbox,mAP,1.0\n"
             f"mask,1,{mask_ap}\nmask,2,{mask_ap}\nmask,mAP,{mask_ap}\n"
         )
+
+    @pytest.mark.parametrize("mode, calls", [("box", 0), ("mask", 2), ("both", 2)])
+    def test_eval_builds_consensus_only_for_masks(self, pipeline_dirs, tmp_path, monkeypatch,
+                                                  mode, calls):
+        # eval --mode box reads no mask, so no consensus is built; eval.csv
+        # holds the same rows as the eval of both modes.
+        from dropuq import report
+        from dropuq.cli import main
+
+        counted = []
+        original = report.mask_stats
+
+        def counting(*args, **kwargs):
+            counted.append(1)
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(report, "mask_stats", counting)
+        out = tmp_path / "eval"
+        code = main([
+            "eval", str(pipeline_dirs / "synth" / "scene0_samples.jsonl"),
+            "--clusters", str(pipeline_dirs / "clusters" / "scene0_clusters.json"),
+            "--gt", str(pipeline_dirs / "synth" / "scene0_gt.jsonl"),
+            "--out-dir", str(out), "--mode", mode,
+        ])
+        assert code == 0
+        assert len(counted) == calls
+        both = (pipeline_dirs / "eval" / "eval.csv").read_text().splitlines()
+        rows = [both[0]] + [r for r in both[1:] if mode in ("both", r.split(",")[0])]
+        assert (out / "eval.csv").read_text().splitlines() == rows
+
+    def test_eval_box_mode_checks_mask_threshold(self, pipeline_dirs, tmp_path, capsys):
+        from dropuq.cli import main
+
+        code = main([
+            "eval", str(pipeline_dirs / "synth" / "scene0_samples.jsonl"),
+            "--clusters", str(pipeline_dirs / "clusters" / "scene0_clusters.json"),
+            "--gt", str(pipeline_dirs / "synth" / "scene0_gt.jsonl"),
+            "--out-dir", str(tmp_path / "eval"), "--mode", "box", "--mask-threshold", "1.5",
+        ])
+        assert code == 2
+        assert "mask threshold must be in [0, 1], got 1.5" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("threshold", ["0.5", "0.0", "1.0"])
+    def test_mask_layer_matches_reference(self, pipeline_dirs, tmp_path, monkeypatch,
+                                          threshold):
+        # The report and eval trees are byte-identical to those made with the
+        # full-image mask statistics and pairwise IoU kept in the tests.
+        from _reference import reference_iou_to_mean, reference_mask_stats
+        from dropuq import report
+        from dropuq.cli import main
+
+        samples = str(pipeline_dirs / "synth" / "scene0_samples.jsonl")
+        clusters = str(pipeline_dirs / "clusters" / "scene0_clusters.json")
+        gt = str(pipeline_dirs / "synth" / "scene0_gt.jsonl")
+
+        def trees(root):
+            for argv in (
+                ["report", samples, "--clusters", clusters, "--out-dir", str(root / "report")],
+                ["eval", samples, "--clusters", clusters, "--gt", gt,
+                 "--out-dir", str(root / "eval")],
+            ):
+                assert main([*argv, "--mask-threshold", threshold]) == 0
+            return {k: v for k, v in snapshot(root).items() if "manifest" not in k}
+
+        array = trees(tmp_path / "array")
+        monkeypatch.setattr(report, "mask_stats", reference_mask_stats)
+        monkeypatch.setattr(report, "iou_to_mean", reference_iou_to_mean)
+        reference = trees(tmp_path / "reference")
+        assert any(name.endswith(".pgm") for name in array)
+        assert array == reference
 
     def test_manifests_written(self, pipeline_dirs):
         for sub in ("synth", "clusters", "reports", "eval"):

@@ -3,6 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from _reference import reference_mask_iou, reference_runs
 from dropuq.model import (
     BBox,
     Detection,
@@ -11,6 +12,7 @@ from dropuq.model import (
     ScoreVector,
     box_iou,
     mask_iou,
+    mask_ious,
     rasterize_box,
     rle_decode,
     rle_encode,
@@ -165,16 +167,141 @@ class TestMaskIouOnRuns:
         assert starts.tolist() == [] and ends.tolist() == []
 
 
+def random_grid(rng, h, w):
+    """A random mask whose foreground may touch the first or the last pixel."""
+    grid = rng.random((h, w)) < rng.uniform(0.0, 1.0)
+    kind = rng.integers(4)
+    if kind == 1:
+        grid.flat[0] = True
+    elif kind == 2:
+        grid.flat[-1] = True
+    elif kind == 3:
+        grid[:] = False
+    return grid
+
+
+def outcome(fn, *args):
+    try:
+        return fn(*args)
+    except ValueError as exc:
+        return f"ValueError: {exc}"
+
+
+class TestRunsAgainstReference:
+    """RleMask validates runs with array reductions; the tuple validator is the oracle."""
+
+    def check(self, h, w, runs):
+        got = outcome(lambda: RleMask(h, w, runs).runs.tolist())
+        want = outcome(lambda: list(reference_runs(h, w, runs)))
+        assert got == want, (h, w, runs)
+
+    def test_random_runs(self):
+        rng = np.random.default_rng(21)
+        for _ in range(2000):
+            h, w = (int(v) for v in rng.integers(1, 6, size=2))
+            runs = [int(v) for v in rng.integers(-1, 5, size=rng.integers(0, 9))]
+            if rng.random() < 0.5 and runs:  # often make the sum right
+                runs[-1] += h * w - sum(runs)
+            self.check(h, w, runs)
+
+    def test_encoded_grids(self):
+        rng = np.random.default_rng(22)
+        for _ in range(300):
+            h, w = (int(v) for v in rng.integers(1, 12, size=2))
+            runs = rle_encode(random_grid(rng, h, w)).runs.tolist()
+            self.check(h, w, runs)
+            self.check(h, w, tuple(runs))
+            self.check(h, w, np.array(runs))
+
+    @pytest.mark.parametrize(
+        "runs",
+        [
+            (), (0,), (6,), (0, 6), (0, 0, 6), (3, 0, 3), (-1, 7), (7, -1), (2, 3),
+            (0, 2**64, 10), (2**64,), (-(2**64), 10), (2**63, 2**63, 6),
+            (2**62, 2**62, 2**62, 2**62, 6), (2**63 - 1, 2**63 - 1, 8),
+            (True, 5), (6.0,), (6.9,),
+        ],
+    )
+    def test_edge_runs(self, runs):
+        self.check(2, 3, runs)
+
+    def test_int64_sum_does_not_wrap(self):
+        # Four runs of 2^62 wrap an int64 sum to 0, then + 6 would be "right".
+        with pytest.raises(ValueError, match=f"runs sum to {4 * 2**62 + 6}, expected 6"):
+            RleMask(2, 3, (2**62, 2**62, 2**62, 2**62, 6))
+
+    def test_runs_array_is_read_only_copy(self):
+        source = np.array([1, 2, 3])
+        m = RleMask(2, 3, source)
+        assert m.runs.dtype == np.int64 and not m.runs.flags.writeable
+        source[0] = 5
+        assert m.runs.tolist() == [1, 2, 3]
+        with pytest.raises(ValueError):
+            m.runs[0] = 2
+
+    def test_equality_and_hash_by_value(self):
+        a, b = RleMask(2, 3, (1, 2, 3)), RleMask(2, 3, [1, 2, 3])
+        assert a == b and hash(a) == hash(b) and len({a, b}) == 1
+        assert a != RleMask(2, 3, (0, 6)) and a != RleMask(3, 2, (1, 2, 3))
+        assert a != (1, 2, 3)
+
+    def test_two_dimensional_runs_rejected(self):
+        with pytest.raises(ValueError, match="one-dimensional"):
+            RleMask(2, 3, [[1, 2, 3]])
+
+
+class TestMaskIouAgainstReference:
+    """mask_iou and mask_ious against one boundary sweep per pair, bit for bit."""
+
+    def test_random_pairs(self):
+        rng = np.random.default_rng(23)
+        for _ in range(300):
+            h, w = (int(v) for v in rng.integers(1, 12, size=2))
+            a = rle_encode(random_grid(rng, h, w))
+            b = rle_encode(random_grid(rng, h, w))
+            assert mask_iou(a, b) == reference_mask_iou(a, b)
+
+    def test_many_against_one(self):
+        rng = np.random.default_rng(24)
+        for _ in range(100):
+            h, w = (int(v) for v in rng.integers(1, 15, size=2))
+            ref = rle_encode(random_grid(rng, h, w))
+            masks = [rle_encode(random_grid(rng, h, w)) for _ in range(rng.integers(1, 12))]
+            got = mask_ious(masks, ref)
+            assert got.tolist() == [reference_mask_iou(m, ref) for m in masks]
+
+    def test_large_masks(self):
+        rng = np.random.default_rng(25)
+        yy, xx = np.mgrid[0:120, 0:160]
+        ref = rle_encode((yy - 60) ** 2 + (xx - 80) ** 2 <= 40**2)
+        masks = []
+        for _ in range(20):
+            cy, cx = rng.integers(40, 80), rng.integers(50, 110)
+            grid = (yy - cy) ** 2 + (xx - cx) ** 2 <= rng.integers(20, 50) ** 2
+            grid ^= rng.random(grid.shape) < 0.02
+            masks.append(rle_encode(grid))
+        assert mask_ious(masks, ref).tolist() == [reference_mask_iou(m, ref) for m in masks]
+
+    def test_single_and_no_masks(self):
+        full = RleMask(2, 3, (0, 6))
+        assert mask_ious([full], full).tolist() == [1.0]
+        assert mask_ious([], full).shape == (0,)
+
+    def test_dim_mismatch(self):
+        with pytest.raises(ValueError, match="mask dims differ"):
+            mask_ious([RleMask(2, 2, (4,)), RleMask(2, 3, (6,))], RleMask(2, 2, (4,)))
+
+
 class TestRle:
     def test_all_background(self):
-        assert rle_encode(np.zeros((2, 2), dtype=bool)).runs == (4,)
+        assert rle_encode(np.zeros((2, 2), dtype=bool)).runs.tolist() == [4]
 
     def test_all_foreground(self):
-        assert rle_encode(np.ones((2, 2), dtype=bool)).runs == (0, 4)
+        assert rle_encode(np.ones((2, 2), dtype=bool)).runs.tolist() == [0, 4]
 
     def test_checker(self):
         grid = np.array([[False, True], [True, False]])
-        assert rle_encode(grid).runs == (1, 2, 1)
+        assert rle_encode(grid).runs.tolist() == [1, 2, 1]
 
     def test_decode_rejects_bad_sum(self):
         with pytest.raises(ValueError):

@@ -5,6 +5,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from _reference import reference_iou_to_mean, reference_mask_stats
 from _scenes import separated_scene
 from dropuq import report
 from dropuq.clustering import ClusterConfig, InstanceCluster, cluster_pipeline
@@ -427,3 +428,85 @@ class TestPgm:
     def test_pgm_rejects_out_of_range(self, tmp_path):
         with pytest.raises(ValueError):
             write_pgm(np.array([[1.5]]), tmp_path / "y.pgm")
+
+
+def edge_masks(rng, n, h, w):
+    """Random masks; some touch pixel 0 or the last pixel, some are empty."""
+    masks = []
+    for _ in range(n):
+        grid = rng.random((h, w)) < rng.uniform(0.0, 1.0)
+        kind = rng.integers(5)
+        if kind == 1:
+            grid.flat[0] = True
+        elif kind == 2:
+            grid.flat[-1] = True
+        elif kind == 3:
+            grid[:] = False
+        elif kind == 4:  # a small blob, so the count window is narrow
+            grid[:] = False
+            r, c = rng.integers(h), rng.integers(w)
+            grid[r : r + 2, c : c + 3] = True
+        masks.append(rle_encode(grid))
+    return masks
+
+
+class TestMaskLayerAgainstReference:
+    """Windowed mask_stats and one-pass iou_to_mean equal the full-image,
+    pairwise references bit for bit."""
+
+    def check(self, c, threshold):
+        got = mask_stats(c, threshold)
+        want = reference_mask_stats(c, threshold)
+        assert got.mean_mask.shape == got.std_mask.shape == (c.height, c.width)
+        assert got.mean_mask.tobytes() == want.mean_mask.tobytes()
+        assert got.std_mask.tobytes() == want.std_mask.tobytes()
+        assert got.consensus_mask == want.consensus_mask
+        assert (got.zero_mask, got.coverage_count) == (want.zero_mask, want.coverage_count)
+        bstats = box_stats(c)
+        assert iou_to_mean(c, bstats, got) == reference_iou_to_mean(c, bstats, want)
+
+    @pytest.mark.parametrize("threshold", [0.0, 0.3, 0.5, 1.0])
+    def test_random_clusters(self, threshold):
+        rng = np.random.default_rng(31)
+        for _ in range(60):
+            n = int(rng.integers(1, 12))
+            h, w = (int(v) for v in rng.integers(1, 16, size=2))
+            masks = edge_masks(rng, n, h, w)
+            if rng.random() < 0.2:
+                masks[int(rng.integers(n))] = None
+            c = make_cluster([(0, 0, 1, 1)] * n, masks=masks, height=h, width=w)
+            self.check(c, threshold)
+
+    @pytest.mark.parametrize("threshold", [0.0, 0.5, 1.0])
+    def test_single_member(self, threshold):
+        rng = np.random.default_rng(32)
+        for _ in range(30):
+            h, w = (int(v) for v in rng.integers(1, 10, size=2))
+            c = make_cluster([(0, 0, 1, 1)], masks=edge_masks(rng, 1, h, w), height=h, width=w)
+            self.check(c, threshold)
+
+    @pytest.mark.parametrize("threshold", [0.0, 0.5, 1.0])
+    def test_all_masks_empty(self, threshold):
+        c = make_cluster([(0, 0, 1, 1)] * 3, masks=[RleMask(4, 5, (20,))] * 3,
+                         height=4, width=5)
+        self.check(c, threshold)
+        assert mask_stats(c, threshold).zero_mask == (threshold > 0.0)
+
+    @pytest.mark.parametrize("threshold", [0.0, 0.5, 1.0])
+    def test_masks_at_both_ends(self, threshold):
+        first = np.zeros((6, 7), dtype=bool)
+        first.flat[:3] = True
+        last = np.zeros((6, 7), dtype=bool)
+        last.flat[-4:] = True
+        masks = [rle_encode(first), rle_encode(last), rle_encode(first | last)]
+        c = make_cluster([(0, 0, 1, 1)] * 3, masks=masks, height=6, width=7)
+        self.check(c, threshold)
+
+    def test_scene_clusters(self):
+        spec = separated_scene(3, 2, sigma=2.0, shape="ellipse", mask_noise=0.1,
+                               n_repetitions=30, height=200, width=280)
+        s, _, _ = generate(spec)
+        for c in cluster_pipeline(s, ClusterConfig(seed=3)):
+            for threshold in (0.0, 0.5, 1.0):
+                self.check(c, threshold)
+

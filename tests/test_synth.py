@@ -7,6 +7,7 @@ from dropuq.clustering import ClusterConfig, cluster_pipeline, labels_from_clust
 from dropuq.ingest import serialize_sample_set
 from dropuq.model import BBox
 from dropuq.synth import (
+    MAX_DETECTIONS,
     InstanceSpec,
     SceneSpec,
     adjusted_rand_index,
@@ -41,7 +42,7 @@ class TestGenerate:
         per_instance = {}
         for det, lab in zip(s.detections, labels):
             per_instance.setdefault(lab, set()).add(
-                (det.bbox.as_tuple(), det.scores.scores, det.mask.runs)
+                (det.bbox.as_tuple(), det.scores.scores, tuple(det.mask.runs.tolist()))
             )
         assert all(len(v) == 1 for v in per_instance.values())
         clusters = cluster_pipeline(s, ClusterConfig(seed=2))
@@ -103,6 +104,19 @@ class TestGenerate:
         )
         expect = SceneSpec("d", 40, 60, 2, 3, (InstanceSpec(BBox(1.0, 2.0, 30.0, 20.0), 2),))
         assert scene_spec_from_json(text) == expect
+
+
+    @pytest.mark.parametrize("n_instances", [1, 2, 3])
+    def test_detection_limit(self, n_instances):
+        # Checked on the spec, so neither side of the limit draws anything.
+        instances = tuple(InstanceSpec(BBox(0, 0, 5, 5), 1) for _ in range(n_instances))
+        at_limit = MAX_DETECTIONS // n_instances
+        assert SceneSpec("img", 10, 10, 1, at_limit, instances).n_repetitions == at_limit
+        with pytest.raises(ValueError, match=(
+            f"{at_limit + 1} repetitions x {n_instances} instances exceed the limit of "
+            f"{MAX_DETECTIONS} detections"
+        )):
+            SceneSpec("img", 10, 10, 1, at_limit + 1, instances)
 
 
 class TestCalibrationRecords:
