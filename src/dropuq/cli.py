@@ -16,7 +16,7 @@ import re
 import sys
 from dataclasses import replace
 from pathlib import Path
-from typing import List, Optional, Sequence, Tuple
+from typing import List, Optional, Tuple
 
 from . import __version__
 
@@ -63,17 +63,32 @@ def _write_text(path: Path, text: str) -> None:
     os.replace(tmp, path)
 
 
-def _write_manifest(out_dir: Path, command: str, inputs: Sequence[str], config: dict) -> None:
+def _write_manifest(args) -> Path:
+    """Write manifest.json into a new or existing --out-dir and return that path.
+
+    ``inputs`` holds the values of the file arguments the subcommand names in
+    its ``inputs`` default, in that order; ``config`` holds every other option.
+    """
+    from .ingest import json_document
+
+    out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
+    bookkeeping = ("command", "func", "inputs", "out_dir", *args.inputs)
+    config = {k: v for k, v in vars(args).items() if k not in bookkeeping}
+    inputs = []
+    for name in args.inputs:
+        value = getattr(args, name)
+        inputs += value if isinstance(value, list) else [value]
     doc = {
         "tool": "dropuq",
         "version": __version__,
-        "command": command,
-        "inputs": list(inputs),
+        "command": args.command,
+        "inputs": inputs,
         "out_dir": str(out_dir),
         "config": config,
     }
-    _write_text(out_dir / "manifest.json", json.dumps(doc, sort_keys=True, indent=2) + "\n")
+    _write_text(out_dir / "manifest.json", json_document(doc))
+    return out_dir
 
 
 def _cmd_synth(args) -> int:
@@ -81,11 +96,10 @@ def _cmd_synth(args) -> int:
     from .ingest import serialize_sample_set
     from .synth import generate, scene_spec_from_json
 
-    out_dir = Path(args.out_dir)
     spec = scene_spec_from_json(Path(args.spec).read_text(encoding="utf-8"))
     if args.seed is not None:
         spec = replace(spec, seed=derive_seed(args.seed, "synth", spec.image_id))
-    _write_manifest(out_dir, "synth", [args.spec], {"seed": args.seed})
+    out_dir = _write_manifest(args)
     sample_set, labels, gts = generate(spec)
     name = _safe_name(spec.image_id)
     _write_text(out_dir / f"{name}_samples.jsonl", serialize_sample_set(sample_set))
@@ -137,19 +151,9 @@ def _cluster_one(path: str, args) -> Tuple[dict, str]:
 
 
 def _cmd_cluster(args) -> int:
-    out_dir = Path(args.out_dir)
-    _write_manifest(
-        out_dir,
-        "cluster",
-        list(args.samples),
-        {
-            "algorithm": args.algorithm,
-            "seed": args.seed,
-            "split_threshold": args.split_threshold,
-            "background_threshold": args.background_threshold,
-            "jobs": args.jobs,
-        },
-    )
+    from .ingest import json_document
+
+    out_dir = _write_manifest(args)
     results = [_cluster_one(p, args) for p in args.samples]
     # Every file is checked before any is written: two images that map to
     # one clusters file would otherwise overwrite each other.
@@ -160,7 +164,7 @@ def _cmd_cluster(args) -> int:
             raise ValueError(f"{owners[name]} and {path} would both write {name}")
         owners[name] = path
     for name, (doc, line) in zip(owners, results):
-        _write_text(out_dir / name, json.dumps(doc, sort_keys=True, indent=2) + "\n")
+        _write_text(out_dir / name, json_document(doc))
         print(line)
     return 0
 
@@ -169,8 +173,11 @@ def _load_clustered(samples_path: str, clusters_path: str):
     """Rebuild the clustered sample set a cluster run wrote to disk.
 
     The fields read back are typed as strictly as the input readers type
-    theirs; a bad one is a ValueError naming the field.
+    theirs, and the clusters list must match the labels (see README); a bad
+    field is a ValueError naming it.
     """
+    import numpy as np
+
     from .clustering import build_instance_clusters
     from .ingest import (
         _BOOL, _INT, _OBJECT, _REAL, _STR, ParseError, _array, _scalar,
@@ -185,10 +192,19 @@ def _load_clustered(samples_path: str, clusters_path: str):
         threshold = _scalar(doc, "background_threshold", _REAL, None)
         n_detections = _scalar(doc, "n_detections", _INT, None)
         labels = _array(doc, "labels", _INT, None)
-        flags = {
-            _scalar(c, "cluster_id", _INT, None): _scalar(c, "split_refused", _BOOL, None)
-            for c in _array(doc, "clusters", _OBJECT, None)
-        }
+        entries = _array(doc, "clusters", _OBJECT, None)
+        k = len(entries)
+        if labels and not 0 <= min(labels) <= max(labels) < k:
+            bad = next(v for v in labels if not 0 <= v < k)
+            raise ParseError(None, f"labels must lie in [0, {k}), got {bad}")
+        counts = np.bincount(labels, minlength=k).tolist()
+        for i, c in enumerate(entries):
+            if (cid := _scalar(c, "cluster_id", _INT, None)) != i:
+                raise ParseError(None, f"clusters[{i}].cluster_id must be {i}, got {cid}")
+            if (size := _scalar(c, "size", _INT, None)) != counts[i] or size < 1:
+                raise ParseError(None, f"clusters[{i}].size must be >= 1 and equal the "
+                                       f"count of label {i}, {counts[i]}; got {size}")
+        flags = [_scalar(c, "split_refused", _BOOL, None) for c in entries]
     except ParseError as exc:
         raise ValueError(f"clusters file {clusters_path}: {exc}") from None
     filtered = filter_background(read_sample_set(samples_path), threshold)
@@ -202,21 +218,15 @@ def _load_clustered(samples_path: str, clusters_path: str):
             f"samples produce {len(filtered.detections)}"
         )
     clusters = build_instance_clusters(filtered, labels)
-    clusters = [replace(c, split_refused=flags.get(c.cluster_id, False)) for c in clusters]
-    return filtered, clusters
+    # Every label in [0, k) occurs, so cluster i here is entry i of the file.
+    return filtered, [replace(c, split_refused=f) for c, f in zip(clusters, flags)]
 
 
 def _cmd_report(args) -> int:
     from .figures import box_figure, class_figure, heatmap_figure, kde_figure
     from .report import build_report, report_to_json, write_pgm
 
-    out_dir = Path(args.out_dir)
-    _write_manifest(
-        out_dir,
-        "report",
-        [args.samples, args.clusters],
-        {"mask_threshold": args.mask_threshold},
-    )
+    out_dir = _write_manifest(args)
     filtered, clusters = _load_clustered(args.samples, args.clusters)
     name = _safe_name(filtered.image_id)
     for cluster in clusters:
@@ -229,16 +239,12 @@ def _cmd_report(args) -> int:
         )
         _write_text(out_dir / f"{stem}_classes.svg", class_figure(rep))
         _write_text(out_dir / f"{stem}_kde.svg", kde_figure(rep.box_kde, rep.mask_kde))
-        if not rep.mask_stats.zero_mask:
-            write_pgm(rep.mask_stats.mean_mask, out_dir / f"{stem}_mask_mean.pgm")
-            write_pgm(rep.mask_stats.std_mask, out_dir / f"{stem}_mask_std.pgm")
-            _write_text(
-                out_dir / f"{stem}_mask_mean.svg", heatmap_figure(rep.mask_stats.mean_mask)
-            )
-            _write_text(
-                out_dir / f"{stem}_mask_std.svg", heatmap_figure(rep.mask_stats.std_mask)
-            )
-        flag = " zero_mask" if rep.mask_stats.zero_mask else ""
+        masks = rep.mask_stats
+        if not masks.zero_mask:
+            for kind, values in (("mean", masks.mean_mask), ("std", masks.std_mask)):
+                write_pgm(values, out_dir / f"{stem}_mask_{kind}.pgm")
+                _write_text(out_dir / f"{stem}_mask_{kind}.svg", heatmap_figure(values))
+        flag = " zero_mask" if masks.zero_mask else ""
         print(f"{filtered.image_id} cluster {cluster.cluster_id}: {len(cluster)} members{flag}")
     return 0
 
@@ -253,9 +259,9 @@ def _cmd_calibrate(args) -> int:
         reliability_csv,
     )
     from .figures import reliability_figure
+    from .ingest import json_document
 
-    out_dir = Path(args.out_dir)
-    _write_manifest(out_dir, "calibrate", [args.records], {"bins": args.bins})
+    out_dir = _write_manifest(args)
     records = read_calibration_records(args.records)
     if not records:
         raise ValueError(f"{args.records}: no calibration records")
@@ -270,15 +276,12 @@ def _cmd_calibrate(args) -> int:
         "ace_after": ace(after),
         "already_calibrated": 0.95 <= temperature <= 1.05,
     }
-    _write_text(out_dir / "temperature.json", json.dumps(result, sort_keys=True, indent=2) + "\n")
-    _write_text(out_dir / "reliability_before.csv", reliability_csv(before))
-    _write_text(out_dir / "reliability_after.csv", reliability_csv(after))
-    _write_text(
-        out_dir / "reliability_before.svg", reliability_figure(before, "before calibration")
-    )
-    _write_text(
-        out_dir / "reliability_after.svg", reliability_figure(after, "after calibration")
-    )
+    _write_text(out_dir / "temperature.json", json_document(result))
+    for when, diagram in (("before", before), ("after", after)):
+        _write_text(out_dir / f"reliability_{when}.csv", reliability_csv(diagram))
+        _write_text(
+            out_dir / f"reliability_{when}.svg", reliability_figure(diagram, f"{when} calibration")
+        )
     print(f"temperature: {temperature:.4f}")
     print(f"mce: {result['mce_before']:.4f} -> {result['mce_after']:.4f}")
     print(f"ace: {result['ace_before']:.4f} -> {result['ace_after']:.4f}")
@@ -290,15 +293,10 @@ def _cmd_calibrate(args) -> int:
 def _cmd_eval(args) -> int:
     from .evaluation import cluster_to_detection, eval_csv, match_and_score, read_ground_truth
 
-    out_dir = Path(args.out_dir)
-    _write_manifest(
-        out_dir,
-        "eval",
-        [args.samples, args.clusters, args.gt],
-        {"mode": args.mode, "mask_threshold": args.mask_threshold},
-    )
+    out_dir = _write_manifest(args)
     filtered, clusters = _load_clustered(args.samples, args.clusters)
     gts = read_ground_truth(args.gt, filtered.height, filtered.width)
+    gts = [g for g in gts if g.image_id == filtered.image_id]  # score this image only
     modes = ["box", "mask"] if args.mode == "both" else [args.mode]
     preds = [
         cluster_to_detection(c, filtered.image_id, args.mask_threshold, "mask" in modes)
@@ -321,7 +319,7 @@ def _parser() -> argparse.ArgumentParser:
     p.add_argument("spec", help="scene spec JSON")
     p.add_argument("--out-dir", required=True, help="output directory")
     p.add_argument("--seed", type=int, default=None, help="override the spec seed")
-    p.set_defaults(func=_cmd_synth)
+    p.set_defaults(func=_cmd_synth, inputs=("spec",))
 
     p = sub.add_parser("cluster", help="cluster sampled detections into instances")
     p.add_argument("samples", nargs="+", help="prediction-sample files")
@@ -339,20 +337,20 @@ def _parser() -> argparse.ArgumentParser:
         help="re-cluster groups larger than this (default: 1.5 x repetitions)",
     )
     p.add_argument("--background-threshold", type=float, default=0.45)
-    p.set_defaults(func=_cmd_cluster)
+    p.set_defaults(func=_cmd_cluster, inputs=("samples",))
 
     p = sub.add_parser("report", help="per-cluster uncertainty reports and figures")
     p.add_argument("samples", help="prediction-sample file")
     p.add_argument("--clusters", required=True, help="clusters file from 'cluster'")
     p.add_argument("--out-dir", required=True, help="output directory")
     p.add_argument("--mask-threshold", type=float, default=0.5)
-    p.set_defaults(func=_cmd_report)
+    p.set_defaults(func=_cmd_report, inputs=("samples", "clusters"))
 
     p = sub.add_parser("calibrate", help="fit temperature and reliability metrics")
     p.add_argument("records", help="calibration records file")
     p.add_argument("--out-dir", required=True, help="output directory")
     p.add_argument("--bins", type=_positive_int, default=10)
-    p.set_defaults(func=_cmd_calibrate)
+    p.set_defaults(func=_cmd_calibrate, inputs=("records",))
 
     p = sub.add_parser("eval", help="mAP@0.5 against ground truth")
     p.add_argument("samples", help="prediction-sample file")
@@ -361,7 +359,7 @@ def _parser() -> argparse.ArgumentParser:
     p.add_argument("--mode", choices=("box", "mask", "both"), default="both")
     p.add_argument("--out-dir", required=True, help="output directory")
     p.add_argument("--mask-threshold", type=float, default=0.5)
-    p.set_defaults(func=_cmd_eval)
+    p.set_defaults(func=_cmd_eval, inputs=("samples", "clusters", "gt"))
     return parser
 
 

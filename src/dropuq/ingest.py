@@ -42,6 +42,7 @@ __all__ = [
     "read_sample_set",
     "serialize_sample_set",
     "filter_background",
+    "json_document",
 ]
 
 MAX_PIXELS = 1 << 26  # 8192 x 8192, twice the 7680 x 4320 of 8K UHD
@@ -238,6 +239,12 @@ def _sample_set(lines: Iterable[str], loads: Callable) -> SampleSet:
         )
     except ValueError as exc:
         raise ParseError(header_lineno, str(exc)) from exc
+
+
+def json_document(doc) -> str:
+    """The text of every JSON document a command writes: keys sorted, indented
+    by two spaces, ending in a newline."""
+    return json.dumps(doc, sort_keys=True, indent=2) + "\n"
 
 
 def serialize_sample_set(s: SampleSet) -> str:

@@ -6,7 +6,6 @@ a population (not sample) standard deviation.
 
 from __future__ import annotations
 
-import json
 import math
 import os
 from dataclasses import dataclass
@@ -14,6 +13,7 @@ from typing import TYPE_CHECKING, Optional, Sequence, Tuple
 
 import numpy as np
 
+from .ingest import json_document
 from .model import BBox, RleMask, box_iou, mask_ious, rle_encode
 
 if TYPE_CHECKING:
@@ -306,7 +306,7 @@ def report_to_json(r: ClusterReport) -> str:
         },
         "kde": {"box": _kde_dict(r.box_kde), "mask": _kde_dict(r.mask_kde)},
     }
-    return json.dumps(doc, sort_keys=True, indent=2) + "\n"
+    return json_document(doc)
 
 
 def write_pgm(values: np.ndarray, path) -> None:

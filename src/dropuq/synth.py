@@ -14,7 +14,9 @@ from typing import TYPE_CHECKING, List, Sequence, Tuple
 import numpy as np
 
 from .evaluation import GroundTruthInstance
-from .ingest import MAX_PIXELS, _INT, _OBJECT, _REAL, _STR, ParseError, _array, _scalar
+from .ingest import (
+    MAX_PIXELS, _INT, _OBJECT, _REAL, _STR, ParseError, _array, _scalar, json_document,
+)
 from .model import BBox, Detection, SampleSet, ScoreVector, rasterize_box, rle_decode, rle_encode
 
 if TYPE_CHECKING:
@@ -294,7 +296,19 @@ def scene_spec_to_json(spec: SceneSpec) -> str:
             for inst in spec.instances
         ],
     }
-    return json.dumps(doc, sort_keys=True, indent=2) + "\n"
+    return json_document(doc)
+
+
+_SPEC_KEYS = ("image_id", "height", "width", "num_classes", "n_repetitions", "seed", "instances")
+_INSTANCE_KEYS = (
+    "box", "class_id", "shape", "box_jitter_sigma", "class_confusion", "mask_noise", "miss_rate",
+)
+
+
+def _known_keys(obj: dict, keys: Tuple[str, ...], where: str) -> None:
+    unknown = [key for key in obj if key not in keys]
+    if unknown:
+        raise ParseError(None, f"unknown {where} key {unknown[0]!r}; known keys are {list(keys)}")
 
 
 def _optional(obj: dict, key: str, kind: tuple, default):
@@ -310,10 +324,14 @@ def _float(value, key: str) -> float:
 
 def scene_spec_from_json(text: str) -> SceneSpec:
     """Read a scene spec, its values typed as the sample reader types its
-    fields (README lists them); a bad value is a ParseError naming it."""
+    fields (README lists them); a bad value or an unknown key is a ParseError
+    naming it."""
     doc = json.loads(text)
     if type(doc) is not dict:
         raise ParseError(None, f"scene spec must be a JSON object, got {type(doc).__name__}")
+    _known_keys(doc, _SPEC_KEYS, "scene spec")
+    for inst in _array(doc, "instances", _OBJECT, None):
+        _known_keys(inst, _INSTANCE_KEYS, "instance")
     instances = tuple(
         InstanceSpec(
             true_box=BBox(*(_float(v, "box") for v in _array(inst, "box", _REAL, None, 4))),
@@ -324,7 +342,7 @@ def scene_spec_from_json(text: str) -> SceneSpec:
                 for key in ("box_jitter_sigma", "class_confusion", "mask_noise", "miss_rate")
             },
         )
-        for inst in _array(doc, "instances", _OBJECT, None)
+        for inst in doc["instances"]
     )
     return SceneSpec(
         image_id=_scalar(doc, "image_id", _STR, None),

@@ -10,6 +10,7 @@ from pathlib import Path
 
 import pytest
 
+import dropuq
 from _scenes import separated_scene
 from dropuq.calibration import serialize_calibration_records
 from dropuq.cli import _parser
@@ -271,15 +272,17 @@ class TestHostileSceneSpec:
             ("box", f"[0, 0, 1{'0' * 400}, 5]", "box is out of range"),
             ("box_jitter_sigma", "Infinity", "box_jitter_sigma must be in [0, inf), got inf"),
             (None, "[1]", "scene spec must be a JSON object, got list"),
+            ("mask_nosie", "0.5", "unknown instance key 'mask_nosie'"),
+            ("n_repetiton", "9", "unknown scene spec key 'n_repetiton'"),
         ],
         ids=["inf-height", "fractional-height", "scalar-instances", "short-box", "huge-box",
-             "inf-jitter", "list-spec"],
+             "inf-jitter", "list-spec", "unknown-instance-key", "unknown-spec-key"],
     )
     def test_bad_spec_value_is_two(self, tmp_path, field, value, message):
         doc = json.loads(scene_spec_to_json(separated_scene(0, 1, shape="ellipse")))
         if field is None:
             doc = "VALUE"
-        elif field in ("box", "box_jitter_sigma"):
+        elif field in ("box", "box_jitter_sigma", "mask_nosie"):
             doc["instances"][0][field] = "VALUE"
         else:
             doc[field] = "VALUE"
@@ -456,7 +459,8 @@ class TestStrictValueTypes:
 
 
 class TestClustersFileTypes:
-    """A clusters-file value of the wrong JSON type exits 2 and names its field."""
+    """A clusters-file value of the wrong JSON type, or a clusters list that
+    does not match the labels, exits 2 and names its field."""
 
     @pytest.mark.parametrize("command", ["report", "eval"])
     @pytest.mark.parametrize(
@@ -476,6 +480,19 @@ class TestClustersFileTypes:
                                                       for c in d["clusters"]]},
                          id="refused-int"),
             pytest.param("must be a JSON object", lambda d: [d], id="top-level-list"),
+            pytest.param("labels",
+                         lambda d: {**d, "labels": [5 + 2 * v for v in d["labels"]],
+                                    "clusters": [{**c, "cluster_id": 5 + 2 * c["cluster_id"],
+                                                  "split_refused": c["cluster_id"] == 0}
+                                                 for c in d["clusters"]]},
+                         id="relabeled"),
+            pytest.param("labels", lambda d: {**d, "clusters": []}, id="empty-list"),
+            pytest.param("cluster_id", lambda d: {**d, "clusters": d["clusters"] * 2},
+                         id="duplicated-list"),
+            pytest.param("size",
+                         lambda d: {**d, "clusters": [{**c, "size": c["size"] + 1}
+                                                      for c in d["clusters"]]},
+                         id="wrong-size"),
         ],
     )
     def test_bad_value_is_two(self, pipeline_dirs, tmp_path, command, field, bad):
@@ -520,6 +537,36 @@ class TestPipeline:
         summary = {ln.split(",")[0]: ln.split(",")[2] for ln in lines if ",mAP," in ln}
         assert float(summary["box"]) == 1.0
         assert float(summary["mask"]) == 1.0
+
+    def test_split_refused_read_back(self, pipeline_dirs, tmp_path):
+        from dropuq.cli import main
+
+        samples = pipeline_dirs / "synth" / "scene0_samples.jsonl"
+        doc = json.loads((pipeline_dirs / "clusters" / "scene0_clusters.json").read_text())
+        doc["clusters"][1]["split_refused"] = True
+        clusters = tmp_path / "scene0_clusters.json"
+        clusters.write_text(json.dumps(doc))
+        assert main(["report", str(samples), "--clusters", str(clusters),
+                     "--out-dir", str(tmp_path / "r")]) == 0
+        refused = [
+            json.loads((tmp_path / "r" / f"scene0_cluster_{i:03d}_report.json").read_text())
+            ["split_refused"]
+            for i in (0, 1)
+        ]
+        assert refused == [False, True]
+
+    def test_eval_scores_only_the_samples_image(self, pipeline_dirs, tmp_path):
+        from dropuq.cli import main
+
+        gt = tmp_path / "gt.jsonl"
+        gt.write_text((pipeline_dirs / "synth" / "scene0_gt.jsonl").read_text()
+                      + json.dumps({"image_id": "q", "bbox": [0, 0, 10, 10], "class_id": 1})
+                      + "\n")
+        samples = pipeline_dirs / "synth" / "scene0_samples.jsonl"
+        clusters = pipeline_dirs / "clusters" / "scene0_clusters.json"
+        assert main(["eval", str(samples), "--clusters", str(clusters), "--gt", str(gt),
+                     "--mode", "box", "--out-dir", str(tmp_path / "e")]) == 0
+        assert (tmp_path / "e" / "eval.csv").read_text().splitlines()[-1] == "box,mAP,1.0"
 
     @pytest.mark.parametrize("threshold, mask_ap", [("0.5", "1.0"), ("0.0", "0.0")])
     def test_eval_builds_no_report(self, pipeline_dirs, tmp_path, monkeypatch, threshold, mask_ap):
@@ -621,6 +668,44 @@ class TestPipeline:
             doc = json.loads((pipeline_dirs / sub / "manifest.json").read_text())
             assert doc["tool"] == "dropuq"
             assert doc["command"] in ("synth", "cluster", "report", "eval")
+
+    def test_manifest_records_every_option(self, scene_file, tmp_path):
+        from dropuq.cli import main
+
+        records = tmp_path / "records.jsonl"
+        records.write_text(
+            serialize_calibration_records(generate_calibration_records(200, 2.0, 3, seed=1))
+        )
+        samples = str(tmp_path / "synth" / "scene0_samples.jsonl")
+        clusters = str(tmp_path / "cluster" / "scene0_clusters.json")
+        gt = str(tmp_path / "synth" / "scene0_gt.jsonl")
+        # Non-default values, so that each one is seen to come from the command line.
+        runs = {
+            "synth": ([str(scene_file)], ["--seed", "3"]),
+            "cluster": ([samples], ["--seed", "4", "--jobs", "2", "--algorithm", "agg",
+                                    "--split-threshold", "70", "--background-threshold", "0.4"]),
+            "report": ([samples, "--clusters", clusters], ["--mask-threshold", "0.6"]),
+            "calibrate": ([str(records)], ["--bins", "7"]),
+            "eval": ([samples, "--clusters", clusters, "--gt", gt],
+                     ["--mode", "box", "--mask-threshold", "0.6"]),
+        }
+        files = {"synth": ["spec"], "cluster": ["samples"], "report": ["samples", "clusters"],
+                 "calibrate": ["records"], "eval": ["samples", "clusters", "gt"]}
+        for command, (inputs, options) in runs.items():
+            out = tmp_path / command
+            argv = [command, *inputs, "--out-dir", str(out) + "/", *options]
+            assert main(argv) == 0, command
+            parsed = vars(_parser().parse_args(argv))
+            names = [a[0].lstrip("-").replace("-", "_") for a in EXPECTED_ARGUMENTS[command]]
+            manifest = json.loads((out / "manifest.json").read_text())
+            assert manifest == {
+                "tool": "dropuq",
+                "version": dropuq.__version__,
+                "command": command,
+                "inputs": [p for p in inputs if not p.startswith("--")],
+                "out_dir": str(out),
+                "config": {n: parsed[n] for n in names if n not in files[command] + ["out_dir"]},
+            }, command
 
     def test_manifest_survives_data_error(self, pipeline_dirs, tmp_path):
         samples = pipeline_dirs / "synth" / "scene0_samples.jsonl"
