@@ -11,7 +11,6 @@ __version__ = "0.1.0"
 
 from .model import (
     BBox,
-    Detection,
     RleMask,
     SampleSet,
     ScoreVector,
@@ -25,7 +24,6 @@ from .model import (
 __all__ = [
     "__version__",
     "BBox",
-    "Detection",
     "RleMask",
     "SampleSet",
     "ScoreVector",

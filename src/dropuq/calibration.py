@@ -12,12 +12,12 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from itertools import chain
-from typing import IO, Callable, Iterable, List, Optional, Sequence, Tuple, Union
+from typing import Callable, Iterable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .ingest import _REAL, ParseError, _jsonl_records, _parse_stream, _read_file
-from .model import ScoreVector
+from .ingest import _REAL, ParseError, _jsonl_records, _read_file
+from .model import RowError, ScoreVector
 
 __all__ = [
     "LogitVector",
@@ -32,7 +32,6 @@ __all__ = [
     "mce",
     "ace",
     "focal_loss",
-    "parse_calibration_records",
     "read_calibration_records",
     "serialize_calibration_records",
     "reliability_csv",
@@ -61,15 +60,6 @@ class LogitVector:
         return len(self.logits)
 
 
-class _RowError(ValueError):
-    """An invalid row of a CalibrationSet; ``row`` is its 0-based index."""
-
-    def __init__(self, row: int, message: str):
-        super().__init__(f"row {row}: {message}")
-        self.row = row
-        self.message = message
-
-
 @dataclass(frozen=True, eq=False)
 class CalibrationSet:
     """N calibration records as columns: logits (N, K+1), true classes (N,).
@@ -88,7 +78,7 @@ class CalibrationSet:
         if z.ndim != 2:
             raise ValueError(f"logits must be an (N, K+1) array, got shape {z.shape}")
         if len(z) and z.shape[1] < 2:  # every row is short, so the first one is
-            raise _RowError(0, f"logits need background plus >= 1 class, got {z.shape[1]}")
+            raise RowError(0, f"logits need background plus >= 1 class, got {z.shape[1]}")
         if y.shape != (len(z),):
             raise ValueError(f"need one true class per row, got shape {y.shape}")
         if z.dtype.kind not in "iuf" or y.dtype.kind not in "iu":
@@ -103,8 +93,8 @@ class CalibrationSet:
         if bad.any():
             i = int(np.argmax(bad))
             if not finite[i]:
-                raise _RowError(i, f"logits must be finite, got {z[i].tolist()}")
-            raise _RowError(i, f"true_class {y[i]} out of range for {z.shape[1]} classes")
+                raise RowError(i, f"logits must be finite, got {z[i].tolist()}")
+            raise RowError(i, f"true_class {y[i]} out of range for {z.shape[1]} classes")
         z.setflags(write=False)
         y.setflags(write=False)
         object.__setattr__(self, "logits", z)
@@ -301,19 +291,13 @@ def focal_loss(
     return -alpha_t * (1.0 - p_t) ** gamma * math.log(p_t)
 
 
-def parse_calibration_records(
-    stream: Union[str, IO[str], Iterable[str]],
-) -> CalibrationSet:
-    """Parse line-delimited {"logits": [...], "true_class": int} records.
+def read_calibration_records(path) -> CalibrationSet:
+    """Read line-delimited {"logits": [...], "true_class": int} records.
 
     Every record must hold as many logits as the first one, all numbers
     (a string, boolean or null is an error). The true class must be a JSON
     integer: not 1.0, "1" or true.
     """
-    return _parse_stream(_calibration_set, stream)
-
-
-def read_calibration_records(path) -> CalibrationSet:
     return _read_file(_calibration_set, path)
 
 
@@ -355,7 +339,7 @@ def _calibration_set(lines: Iterable[str], loads: Callable) -> CalibrationSet:
         ) from None
     try:
         return CalibrationSet(z, y)
-    except _RowError as exc:
+    except RowError as exc:
         raise ParseError(linenos[exc.row], exc.message) from None
 
 

@@ -96,7 +96,10 @@ def _cmd_synth(args) -> int:
     from .ingest import serialize_sample_set
     from .synth import generate, scene_spec_from_json
 
-    spec = scene_spec_from_json(Path(args.spec).read_text(encoding="utf-8"))
+    try:
+        spec = scene_spec_from_json(Path(args.spec).read_text(encoding="utf-8"))
+    except json.JSONDecodeError as exc:
+        raise ValueError(f"scene spec {args.spec}: invalid JSON ({exc})") from None
     if args.seed is not None:
         spec = replace(spec, seed=derive_seed(args.seed, "synth", spec.image_id))
     out_dir = _write_manifest(args)
@@ -109,7 +112,7 @@ def _cmd_synth(args) -> int:
         json.dumps({"image_id": spec.image_id, "true_labels": labels}, sort_keys=True) + "\n",
     )
     print(
-        f"{spec.image_id}: {len(sample_set.detections)} detections, "
+        f"{spec.image_id}: {len(sample_set)} detections, "
         f"{len(gts)} instances, {spec.n_repetitions} repetitions"
     )
     return 0
@@ -126,7 +129,7 @@ def _cluster_one(path: str, args) -> Tuple[dict, str]:
     from .ingest import filter_background, read_sample_set
 
     filtered = filter_background(read_sample_set(path), args.background_threshold)
-    if not filtered.detections:
+    if not len(filtered):
         raise ValueError(f"{path}: nothing to cluster after background filtering")
     seed = derive_seed(args.seed, "cluster", filtered.image_id)
     split_threshold = args.split_threshold or default_split_threshold(filtered.n_repetitions)
@@ -139,7 +142,7 @@ def _cluster_one(path: str, args) -> Tuple[dict, str]:
         "seed": seed,
         "split_threshold": split_threshold,
         "background_threshold": args.background_threshold,
-        "n_detections": len(filtered.detections),
+        "n_detections": len(filtered),
         "labels": [int(v) for v in labels],
         "clusters": [
             {"cluster_id": c.cluster_id, "size": len(c), "split_refused": c.split_refused}
@@ -184,7 +187,10 @@ def _load_clustered(samples_path: str, clusters_path: str):
         filter_background, read_sample_set,
     )
 
-    doc = json.loads(Path(clusters_path).read_text(encoding="utf-8"))
+    try:
+        doc = json.loads(Path(clusters_path).read_text(encoding="utf-8"))
+    except json.JSONDecodeError as exc:
+        raise ValueError(f"clusters file {clusters_path}: invalid JSON ({exc})") from None
     try:
         if type(doc) is not dict:
             raise ParseError(None, f"must be a JSON object, got {type(doc).__name__}")
@@ -212,10 +218,10 @@ def _load_clustered(samples_path: str, clusters_path: str):
         raise ValueError(
             f"clusters file is for image {image_id!r}, samples are {filtered.image_id!r}"
         )
-    if len(filtered.detections) != n_detections:
+    if len(filtered) != n_detections:
         raise ValueError(
             f"clusters file expects {n_detections} filtered detections, "
-            f"samples produce {len(filtered.detections)}"
+            f"samples produce {len(filtered)}"
         )
     clusters = build_instance_clusters(filtered, labels)
     # Every label in [0, k) occurs, so cluster i here is entry i of the file.

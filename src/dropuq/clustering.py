@@ -1,7 +1,7 @@
 """Grouping sampled detections into instance clusters.
 
 The pipeline turns the N x M detections of one image into instance clusters:
-box features -> connected components of the box-overlap graph -> per
+boxes -> connected components of the box-overlap graph -> per
 component, count heuristic and mixture fit (or Ward linkage) -> hard labels
 -> cluster assembly -> oversized-cluster split rule.
 """
@@ -9,11 +9,11 @@ component, count heuristic and mixture fit (or Ward linkage) -> hard labels
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from typing import List, Optional, Sequence, Tuple
+from typing import List, Optional, Sequence
 
 import numpy as np
 
-from .model import Detection, SampleSet
+from .model import SampleSet
 
 __all__ = [
     "ClusterConfig",
@@ -21,7 +21,6 @@ __all__ = [
     "ClusteringError",
     "estimate_component_count",
     "default_split_threshold",
-    "box_features",
     "overlap_components",
     "build_instance_clusters",
     "labels_from_clusters",
@@ -54,19 +53,21 @@ class ClusterConfig:
             raise ValueError(f"split_threshold must be >= 1, got {self.split_threshold}")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class InstanceCluster:
-    """Detections judged to belong to one physical instance."""
+    """Detections judged to belong to one physical instance.
+
+    ``indices`` holds each member's position in the sample set, as an int64
+    array; ``members`` is the sample set's rows at those positions.
+    """
 
     cluster_id: int
-    members: Tuple[Detection, ...]
-    indices: Tuple[int, ...]  # each member's position in the sample set
-    height: int
-    width: int
+    indices: np.ndarray
+    members: SampleSet
     split_refused: bool = False  # oversized but would not break apart
 
     def __post_init__(self):
-        if not self.members:
+        if not len(self.members):
             raise ValueError("cluster must have at least one member")
         if len(self.indices) != len(self.members):
             raise ValueError("one index required per member")
@@ -97,13 +98,6 @@ def default_split_threshold(n_repetitions: int) -> int:
 
 def _split_threshold(cfg: ClusterConfig, n_repetitions: int) -> int:
     return cfg.split_threshold or default_split_threshold(n_repetitions)
-
-
-def box_features(s: SampleSet) -> np.ndarray:
-    """(n, 4) matrix of (x1, y1, x2, y2) rows in detection order."""
-    if not s.detections:
-        raise ClusteringError("nothing to cluster: 0 detections")
-    return np.array([d.bbox.as_tuple() for d in s.detections], dtype=np.float64)
 
 
 def overlap_components(points: np.ndarray) -> np.ndarray:
@@ -158,40 +152,28 @@ def overlap_components(points: np.ndarray) -> np.ndarray:
 def build_instance_clusters(s: SampleSet, labels: Sequence[int]) -> List[InstanceCluster]:
     """Group detections by label into clusters ordered by ascending label.
 
-    Members inside a cluster are sorted by (repetition, position in the
-    sample set); cluster ids are renumbered densely.
+    Members inside a cluster keep the sample set's order, which is by
+    (repetition, position); cluster ids are renumbered densely.
     """
     labels = np.asarray(labels)
-    if labels.shape != (len(s.detections),):
-        raise ValueError(
-            f"labels shape {labels.shape} does not match {len(s.detections)} detections"
-        )
-    if not s.detections:
+    if labels.shape != (len(s),):
+        raise ValueError(f"labels shape {labels.shape} does not match {len(s)} detections")
+    if not len(s):
         return []
-    # One stable sort by (label, repetition) keeps position order within
-    # ties; np.unique is avoided because its plain form imports numpy.ma.
-    order = np.lexsort((np.array([d.repetition for d in s.detections]), labels))
+    # np.unique is avoided because its plain form imports numpy.ma.
+    order = np.argsort(labels, kind="stable")
     ordered = labels[order]
     groups = np.split(order, np.flatnonzero(ordered[1:] != ordered[:-1]) + 1)
-    return [
-        InstanceCluster(
-            cluster_id=new_id,
-            members=tuple(s.detections[i] for i in group),
-            indices=tuple(group),
-            height=s.height,
-            width=s.width,
-        )
-        for new_id, group in enumerate(g.tolist() for g in groups)
-    ]
+    return [InstanceCluster(new_id, group, s.take(group)) for new_id, group in enumerate(groups)]
 
 
 def labels_from_clusters(
     s: SampleSet, clusters: Sequence[InstanceCluster]
 ) -> np.ndarray:
     """Invert a clustering back to one cluster id per detection."""
-    labels = np.full(len(s.detections), -1, dtype=np.int64)
+    labels = np.full(len(s), -1, dtype=np.int64)
     for c in clusters:
-        labels[list(c.indices)] = c.cluster_id
+        labels[c.indices] = c.cluster_id
     missing = np.flatnonzero(labels < 0)
     if missing.size:
         raise ValueError(f"detection {missing[0]} is in no cluster")
@@ -207,9 +189,8 @@ def _split_once(
         return [replace(cluster, split_refused=True)]
     from .bgm import assign_labels, fit_bgm
 
-    points = np.array([d.bbox.as_tuple() for d in cluster.members], dtype=np.float64)
     k_max = max(2, estimate_component_count(len(cluster), n_repetitions))
-    state = fit_bgm(points, k_max, seed)
+    state = fit_bgm(cluster.members.boxes, k_max, seed)
     labels = assign_labels(state)
     present = np.flatnonzero(np.bincount(labels))
     if present.size < 2:
@@ -217,11 +198,7 @@ def _split_once(
     parts = []
     for label in present:
         idx = np.flatnonzero(labels == label)
-        part = replace(
-            cluster,
-            members=tuple(cluster.members[i] for i in idx),
-            indices=tuple(cluster.indices[i] for i in idx),
-        )
+        part = replace(cluster, indices=cluster.indices[idx], members=cluster.members.take(idx))
         parts.extend(_split_once(part, n_repetitions, threshold, seed, depth + 1))
     return parts
 
@@ -259,7 +236,9 @@ def cluster_pipeline(s: SampleSet, cfg: ClusterConfig = ClusterConfig()) -> List
     by component, then by label within it; the split rule then runs over
     all clusters.
     """
-    points = box_features(s)
+    if not len(s):
+        raise ClusteringError("nothing to cluster: 0 detections")
+    points = s.boxes
     threshold = _split_threshold(cfg, s.n_repetitions)
     components = overlap_components(points)
     order = np.argsort(components, kind="stable")

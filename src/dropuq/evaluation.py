@@ -9,15 +9,11 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
-from typing import (
-    IO, TYPE_CHECKING, Callable, Dict, Iterable, List, Optional, Sequence, Tuple, Union,
-)
+from typing import TYPE_CHECKING, Callable, Dict, Iterable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .ingest import (
-    _INT, _REAL, _STR, ParseError, _array, _jsonl_records, _parse_stream, _read_file, _scalar,
-)
+from .ingest import _INT, _REAL, _STR, ParseError, _array, _jsonl_records, _read_file, _scalar
 from .model import BBox, RleMask, box_iou, mask_iou
 
 if TYPE_CHECKING:
@@ -30,7 +26,6 @@ __all__ = [
     "EvalResult",
     "cluster_to_detection",
     "match_and_score",
-    "parse_ground_truth",
     "read_ground_truth",
     "serialize_ground_truth",
     "eval_csv",
@@ -200,16 +195,8 @@ def match_and_score(
     )
 
 
-def parse_ground_truth(
-    stream: Union[str, IO[str], Iterable[str]],
-    height: int,
-    width: int,
-) -> List[GroundTruthInstance]:
-    """Parse line-delimited {"image_id", "bbox", "class_id", "mask_runs"?}."""
-    return _parse_stream(_ground_truth, stream, height, width)
-
-
 def read_ground_truth(path, height: int, width: int) -> List[GroundTruthInstance]:
+    """Read line-delimited {"image_id", "bbox", "class_id", "mask_runs"?}."""
     return _read_file(_ground_truth, path, height, width)
 
 

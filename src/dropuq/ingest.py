@@ -28,17 +28,15 @@ every other line the two decoders return equal values.
 from __future__ import annotations
 
 import json
-from contextlib import nullcontext
-from dataclasses import replace
-from itertools import tee
-from typing import IO, Callable, Iterable, Iterator, List, Optional, Tuple, Union
+from typing import Callable, Iterable, Iterator, List, Optional, Tuple
 
-from .model import BBox, Detection, RleMask, SampleSet, ScoreVector
+import numpy as np
+
+from .model import RleMask, RowError, SampleSet
 
 __all__ = [
     "MAX_PIXELS",
     "ParseError",
-    "parse_sample_set",
     "read_sample_set",
     "serialize_sample_set",
     "filter_background",
@@ -108,26 +106,21 @@ def _array(
 
 
 def _jsonl_records(
-    lines: Union[str, Iterable[str]],
+    lines: Iterable[str],
     loads: Callable,
     keys: List[str],
     optional: List[str],
     header: Optional[List[str]] = None,
 ) -> Iterator[Tuple[int, dict]]:
-    """Yield (line_number, record) for every non-blank line of a JSONL stream.
+    """Yield (line_number, record) for every non-blank line of a text file.
 
     Line numbers are 1-based and count blank lines. Each line is decoded by
     ``loads`` and checked by _record against ``keys`` then ``optional``; with
     ``header`` given, the first record must have exactly those fields instead.
-    A string is split where a file opened in text mode splits, at \n, \r\n
-    and \r; str.splitlines would also split at U+2028 and others, which a
-    JSON string may hold. A line read from a stream ends in its terminator;
-    one is stripped before decoding, so that a string the line leaves open is
-    reported as unterminated from either source, not as holding a control
+    A line's terminator is stripped before decoding, so that a string the
+    line leaves open is reported as unterminated, not as holding a control
     character.
     """
-    if isinstance(lines, str):
-        lines = lines.replace("\r\n", "\n").replace("\r", "\n").split("\n")
     for lineno, line in enumerate(lines, start=1):
         line = line.removesuffix("\n").removesuffix("\r")
         if not line or line.isspace():
@@ -139,43 +132,27 @@ def _jsonl_records(
             yield lineno, _record(line, lineno, loads, keys, optional)
 
 
-def _decode_twice(parse: Callable, open_lines: Callable, *args):
-    """parse(lines, loads, *args) with orjson's loads, or, if that raises
-    ParseError, with json's on lines opened afresh (see the module docstring)."""
+def _read_file(parse: Callable, path, *args):
+    """parse(lines, loads, *args) over a UTF-8 file with orjson's loads, or,
+    if that raises ParseError, with json's over the file opened afresh (see
+    the module docstring)."""
     from orjson import loads
 
     try:
-        with open_lines() as lines:
+        with open(path, "r", encoding="utf-8") as lines:
             return parse(lines, loads, *args)
     except ParseError:
         pass
-    with open_lines() as lines:
+    with open(path, "r", encoding="utf-8") as lines:
         return parse(lines, json.loads, *args)
 
 
-def _parse_stream(parse: Callable, stream: Union[str, IO[str], Iterable[str]], *args):
-    """_decode_twice over a string, or over an iterable read once: the second
-    pass replays the lines the first buffered, then reads on."""
-    passes = iter((stream, stream) if isinstance(stream, str) else tee(stream))
-    return _decode_twice(parse, lambda: nullcontext(next(passes)), *args)
-
-
-def _read_file(parse: Callable, path, *args):
-    """_decode_twice over a UTF-8 file, opened again for the second pass."""
-    return _decode_twice(parse, lambda: open(path, "r", encoding="utf-8"), *args)
-
-
-def parse_sample_set(stream: Union[str, IO[str], Iterable[str]]) -> SampleSet:
-    """Parse line-delimited prediction samples into a validated SampleSet.
-
-    Detections are grouped and sorted by repetition index (stable within a
-    repetition). Raises ParseError with the offending line number on any
-    malformed record.
-    """
-    return _parse_stream(_sample_set, stream)
-
-
 def read_sample_set(path) -> SampleSet:
+    """Read a prediction-sample file into a validated SampleSet.
+
+    Detections are sorted by repetition index (stable within a repetition).
+    Raises ParseError with the offending line number on any malformed record.
+    """
     return _read_file(_sample_set, path)
 
 
@@ -201,42 +178,31 @@ def _sample_set(lines: Iterable[str], loads: Callable) -> SampleSet:
             f"image of {height} x {width} pixels exceeds the limit of {MAX_PIXELS} pixels",
         )
 
-    detections = []
+    # Each line's types and lengths are checked here; its values, by SampleSet.
+    linenos, repetitions, boxes, scores, masks = [], [], [], [], []
     for lineno, obj in records:
-        repetition = _scalar(obj, "repetition", _INT, lineno)
-        box_vals = _array(obj, "bbox", _REAL, lineno, length=4)
-        score_vals = _array(obj, "scores", _REAL, lineno)
+        repetitions.append(_scalar(obj, "repetition", _INT, lineno))
+        boxes.append(_array(obj, "bbox", _REAL, lineno, length=4))
+        scores.append(_array(obj, "scores", _REAL, lineno))
         runs = _array(obj, "mask_runs", _INT, lineno) if "mask_runs" in obj else None
-        if len(score_vals) != num_classes + 1:
+        if len(scores[-1]) != num_classes + 1:
             raise ParseError(
                 lineno,
-                f"scores has {len(score_vals)} entries, expected "
+                f"scores has {len(scores[-1])} entries, expected "
                 f"{num_classes + 1} (k={num_classes} classes + background)",
             )
-        if not 0 <= repetition < n_repetitions:
-            raise ParseError(
-                lineno,
-                f"repetition {repetition} out of range [0, {n_repetitions})",
-            )
         try:
-            bbox = BBox(*map(float, box_vals)).clamped(width, height)
-            scores = ScoreVector(score_vals)
-            mask = None if runs is None else RleMask(height=height, width=width, runs=runs)
+            masks.append(None if runs is None else RleMask(height, width, runs))
         except (OverflowError, ValueError) as exc:
             raise ParseError(lineno, str(exc)) from exc
-        detections.append(
-            Detection(bbox=bbox, scores=scores, mask=mask, repetition=repetition)
-        )
+        linenos.append(lineno)
 
-    detections.sort(key=lambda d: d.repetition)
     try:
-        return SampleSet(
-            image_id=image_id,
-            height=height,
-            width=width,
-            n_repetitions=n_repetitions,
-            detections=tuple(detections),
-        )
+        if not linenos:  # the columns take their widths from the header
+            boxes, scores = np.empty((0, 4)), np.empty((0, num_classes + 1))
+        return SampleSet(image_id, height, width, n_repetitions, boxes, scores, repetitions, masks)
+    except RowError as exc:
+        raise ParseError(linenos[exc.row], exc.message) from None
     except ValueError as exc:
         raise ParseError(header_lineno, str(exc)) from exc
 
@@ -249,27 +215,19 @@ def json_document(doc) -> str:
 
 def serialize_sample_set(s: SampleSet) -> str:
     """Render a SampleSet back into the line-delimited file format."""
-    out = [
-        json.dumps(
-            {
-                "image_id": s.image_id,
-                "height": s.height,
-                "width": s.width,
-                "n_repetitions": s.n_repetitions,
-                "num_classes": s.detections[0].scores.num_classes
-                if s.detections
-                else 1,
-            }
-        )
-    ]
-    for det in s.detections:
-        rec = {
-            "repetition": det.repetition,
-            "bbox": list(det.bbox.as_tuple()),
-            "scores": list(det.scores.scores),
-        }
-        if det.mask is not None:
-            rec["mask_runs"] = det.mask.runs.tolist()
+    header = {
+        "image_id": s.image_id,
+        "height": s.height,
+        "width": s.width,
+        "n_repetitions": s.n_repetitions,
+        "num_classes": s.scores.shape[1] - 1,
+    }
+    out = [json.dumps(header)]
+    rows = zip(s.repetition.tolist(), s.boxes.tolist(), s.scores.tolist(), s.masks)
+    for repetition, box, scores, mask in rows:
+        rec = {"repetition": repetition, "bbox": box, "scores": scores}
+        if mask is not None:
+            rec["mask_runs"] = mask.runs.tolist()
         out.append(json.dumps(rec))
     return "\n".join(out) + "\n"
 
@@ -283,5 +241,4 @@ def filter_background(s: SampleSet, threshold: float = 0.45) -> SampleSet:
     """
     if not 0.0 <= threshold <= 1.0:
         raise ValueError(f"background threshold must be in [0, 1], got {threshold}")
-    kept = tuple(d for d in s.detections if d.scores.background <= threshold)
-    return replace(s, detections=kept)
+    return s.take(np.flatnonzero(s.scores[:, 0] <= threshold))

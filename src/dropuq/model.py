@@ -7,8 +7,8 @@ Every operation in this module is a pure function.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
-from typing import Optional, Sequence, Tuple
+from dataclasses import dataclass, replace
+from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -16,9 +16,10 @@ __all__ = [
     "BBox",
     "RleMask",
     "ScoreVector",
-    "Detection",
+    "RowError",
     "SampleSet",
     "box_iou",
+    "box_ious",
     "mask_iou",
     "mask_ious",
     "rle_encode",
@@ -65,19 +66,6 @@ class BBox:
 
     def as_tuple(self) -> Tuple[float, float, float, float]:
         return (self.x1, self.y1, self.x2, self.y2)
-
-    def clamped(self, width: float, height: float) -> "BBox":
-        """Clamp the box into [0, width] x [0, height].
-
-        Raises ValueError if the clamped box degenerates to zero area,
-        i.e. the box lies entirely outside the image.
-        """
-        return BBox(
-            min(max(self.x1, 0.0), width),
-            min(max(self.y1, 0.0), height),
-            min(max(self.x2, 0.0), width),
-            min(max(self.y2, 0.0), height),
-        )
 
 
 _INT64_MAX = np.iinfo(np.int64).max
@@ -179,75 +167,166 @@ class ScoreVector:
     def background(self) -> float:
         return self.scores[0]
 
-    @property
-    def num_classes(self) -> int:
-        """Number of foreground classes (k)."""
-        return len(self.scores) - 1
+
+class RowError(ValueError):
+    """An invalid row of a columnar set; ``row`` is its 0-based index."""
+
+    def __init__(self, row: int, message: str, noun: str = "row"):
+        super().__init__(f"{noun} {row}: {message}")
+        self.row = row
+        self.message = message
 
 
-@dataclass(frozen=True)
-class Detection:
-    """One sampled prediction: box, class scores, optional mask."""
+def _float_rows(rows) -> np.ndarray:
+    """A float64 copy of ``rows``; an integer beyond the double range is a
+    RowError naming its row."""
+    try:
+        return np.array(rows, dtype=np.float64)
+    except OverflowError:
+        for i, row in enumerate(rows):
+            try:
+                np.array(row, dtype=np.float64)
+            except OverflowError as exc:
+                raise RowError(i, str(exc), "detection") from None
+        raise
 
-    bbox: BBox
-    scores: ScoreVector
-    mask: Optional[RleMask]
-    repetition: int
 
-    def __post_init__(self):
-        if self.repetition < 0:
-            raise ValueError(f"repetition must be >= 0, got {self.repetition}")
-
-
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class SampleSet:
-    """All detections for one image across every MC-Dropout repetition."""
+    """All detections for one image across every MC-Dropout repetition, as columns.
+
+    Row i is one detection: ``boxes[i]`` (x1, y1, x2, y2), ``scores[i]`` (K+1
+    class probabilities, background first), ``repetition[i]`` and ``masks[i]``
+    (an RleMask or None). ``boxes``, ``scores`` and ``repetition`` are read-only
+    (n, 4) float64, (n, K+1) float64 and (n,) int64 copies, so K is known even
+    when n = 0; ``masks`` is a length-n tuple.
+
+    Every row is checked here, and a bad one raises RowError naming it: the
+    repetition lies in [0, n_repetitions); the box is finite, has positive
+    area, and keeps positive area when clamped into [0, width] x [0, height],
+    which is what is stored; the scores lie in [0, 1] and sum to 1 within
+    1e-6; a mask has the image's dims. Rows are then sorted stably by
+    repetition.
+    """
 
     image_id: str
     height: int
     width: int
     n_repetitions: int
-    detections: Tuple[Detection, ...] = field(default_factory=tuple)
+    boxes: np.ndarray
+    scores: np.ndarray
+    repetition: np.ndarray
+    masks: Tuple[Optional[RleMask], ...]
 
     def __post_init__(self):
         if self.height < 1 or self.width < 1:
             raise ValueError("image dims must be positive")
+        masks = tuple(self.masks)
+        n = len(masks)
+        boxes = _float_rows(self.boxes)
+        scores = _float_rows(self.scores)
+        try:
+            repetition = np.array(self.repetition, dtype=np.int64)
+        except OverflowError:  # beyond 64 bits: compared exactly below, then reported
+            repetition = np.array([int(r) for r in self.repetition], dtype=object)
+        if boxes.shape != (n, 4) or scores.ndim != 2 or len(scores) != n or repetition.shape != (n,):
+            raise ValueError(
+                f"need (n, 4) boxes, (n, K+1) scores, n repetitions and n masks; got shapes "
+                f"{boxes.shape}, {scores.shape}, {repetition.shape} and {n} masks"
+            )
+        if scores.shape[1] < 2:  # every row is short, so the first one is
+            message = "score vector needs background plus >=1 class"
+            raise RowError(0, message, "detection") if n else ValueError(message)
+        # Indices are int64: a repetition count beyond that range admits no more.
+        bound = min(self.n_repetitions, _INT64_MAX + 1)
+        dims = (self.width, self.height) * 2
+        # min(max(v, 0), limit), keeping v where it equals a bound as Python's min/max do
+        clamped = np.where(boxes < 0.0, 0.0, boxes)
+        clamped = np.where(clamped > np.array(dims, dtype=np.float64), dims, clamped)
+        total = np.zeros(n)  # summed left to right, as sum() adds a tuple
+        for column in scores.T:
+            total += column
+        image = (self.height, self.width)
+        rules = [  # (row passes, its message), in the order a file's line is checked
+            (((repetition >= 0) & (repetition < bound)).astype(bool),
+             lambda i: f"repetition {repetition[i]} out of range [0, {bound})"),
+            (np.isfinite(boxes).all(axis=1),
+             lambda i: f"box coordinates must be finite, got {tuple(boxes[i].tolist())}"),
+            (_positive_area(boxes), lambda i: _area_message(boxes[i].tolist())),
+            (_positive_area(clamped), lambda i: _area_message(  # a limit prints as given
+                min(max(v, 0.0), lim) for v, lim in zip(boxes[i].tolist(), dims))),
+            (((scores >= 0.0) & (scores <= 1.0)).all(axis=1),
+             lambda i: f"scores must lie in [0, 1], got {tuple(scores[i].tolist())}"),
+            (np.abs(total - 1.0) <= 1e-6,
+             lambda i: f"scores must sum to 1 within 1e-6, got {float(total[i])}"),
+            (np.array([m is None or (m.height, m.width) == image for m in masks], dtype=bool),
+             lambda i: f"mask dims {masks[i].height}x{masks[i].width} differ from "
+                       f"image dims {self.height}x{self.width}"),
+        ]
+        ok = np.logical_and.reduce([passed for passed, _ in rules])
+        if not ok.all():
+            i = int(np.argmin(ok))
+            message = next(describe(i) for passed, describe in rules if not passed[i])
+            raise RowError(i, message, "detection")
+        # After the rows: with n_repetitions < 1 every row is out of range,
+        # and a row names its line in a file.
         if self.n_repetitions < 1:
             raise ValueError("n_repetitions must be positive")
-        object.__setattr__(self, "detections", tuple(self.detections))
-        for i, det in enumerate(self.detections):
-            if det.repetition >= self.n_repetitions:
-                raise ValueError(
-                    f"detection {i}: repetition {det.repetition} out of range "
-                    f"[0, {self.n_repetitions})"
-                )
-            b = det.bbox
-            if b.x1 < 0 or b.y1 < 0 or b.x2 > self.width or b.y2 > self.height:
-                raise ValueError(
-                    f"detection {i}: box {b.as_tuple()} outside "
-                    f"[0,{self.width}]x[0,{self.height}]"
-                )
-            if det.mask is not None and (
-                det.mask.height != self.height or det.mask.width != self.width
-            ):
-                raise ValueError(
-                    f"detection {i}: mask dims {det.mask.height}x{det.mask.width} "
-                    f"differ from image dims {self.height}x{self.width}"
-                )
+        order = np.argsort(repetition, kind="stable")
+        columns = {"boxes": clamped, "scores": scores, "repetition": repetition.astype(np.int64)}
+        for name, column in columns.items():
+            column = column[order]
+            column.flags.writeable = False
+            object.__setattr__(self, name, column)
+        object.__setattr__(self, "masks", tuple(masks[i] for i in order.tolist()))
 
     def __len__(self) -> int:
-        return len(self.detections)
+        return len(self.masks)
+
+    def present_masks(self) -> List[RleMask]:
+        """The masks of the rows that carry one, in row order."""
+        return [m for m in self.masks if m is not None]
+
+    def __eq__(self, other):
+        if not isinstance(other, SampleSet):
+            return NotImplemented
+        fields = ("image_id", "height", "width", "n_repetitions", "masks")
+        columns = ("boxes", "scores", "repetition")
+        return all(getattr(self, f) == getattr(other, f) for f in fields) and all(
+            np.array_equal(getattr(self, c), getattr(other, c)) for c in columns
+        )
+
+    def take(self, idx) -> "SampleSet":
+        """The rows at the integer positions ``idx``, as a SampleSet (whose
+        rows are sorted stably by repetition, as every SampleSet's are)."""
+        idx = np.asarray(idx, dtype=np.int64)
+        masks = tuple(self.masks[i] for i in idx.tolist())
+        return replace(self, boxes=self.boxes[idx], scores=self.scores[idx],
+                       repetition=self.repetition[idx], masks=masks)
+
+
+def _positive_area(boxes: np.ndarray) -> np.ndarray:
+    return (boxes[:, 0] < boxes[:, 2]) & (boxes[:, 1] < boxes[:, 3])
+
+
+def _area_message(values) -> str:
+    return f"box must have strictly positive area, got {tuple(values)}"
 
 
 def box_iou(a: BBox, b: BBox) -> float:
     """Intersection over union of two boxes; 0.0 when disjoint."""
-    ix = min(a.x2, b.x2) - max(a.x1, b.x1)
-    iy = min(a.y2, b.y2) - max(a.y1, b.y1)
-    if ix <= 0.0 or iy <= 0.0:
-        return 0.0
+    return float(box_ious(np.array([a.as_tuple()]), b)[0])
+
+
+def box_ious(boxes: np.ndarray, ref: BBox) -> np.ndarray:
+    """IoU of each (x1, y1, x2, y2) row of ``boxes`` against ``ref``; 0.0 where
+    they are disjoint or only touch."""
+    x1, y1, x2, y2 = np.asarray(boxes, dtype=np.float64).reshape(-1, 4).T
+    ix = np.minimum(x2, ref.x2) - np.maximum(x1, ref.x1)
+    iy = np.minimum(y2, ref.y2) - np.maximum(y1, ref.y1)
     inter = ix * iy
-    union = a.area + b.area - inter
-    return inter / union
+    union = (x2 - x1) * (y2 - y1) + ref.area - inter
+    return np.divide(inter, union, out=np.zeros(len(x1)), where=(ix > 0.0) & (iy > 0.0))
 
 
 def mask_iou(a: RleMask, b: RleMask) -> float:
@@ -275,6 +354,7 @@ def mask_ious(masks: Sequence[RleMask], ref: RleMask) -> np.ndarray:
             )
     if not masks:
         return np.zeros(0)
+    starts, ends, offsets = _foreground_runs(masks)
     # A zero-length run at pixel 0 comes first, so every x >= 0 has a run
     # starting at or before it, even when ref is empty.
     ref_starts, ref_ends = (np.concatenate(([0], b)) for b in ref.foreground_intervals())
@@ -285,11 +365,6 @@ def mask_ious(masks: Sequence[RleMask], ref: RleMask) -> np.ndarray:
         k = np.searchsorted(ref_starts, x, side="right") - 1  # last run starting <= x
         return ref_before[k] + np.minimum(x - ref_starts[k], ref_lengths[k])
 
-    intervals = [a.foreground_intervals() for a in masks]
-    starts = np.concatenate([st for st, _ in intervals])
-    ends = np.concatenate([en for _, en in intervals])
-    offsets = np.cumsum([0] + [st.size for st, _ in intervals])
-
     def per_mask(values: np.ndarray) -> np.ndarray:
         total = np.concatenate(([0], np.cumsum(values)))
         return total[offsets[1:]] - total[offsets[:-1]]
@@ -297,6 +372,17 @@ def mask_ious(masks: Sequence[RleMask], ref: RleMask) -> np.ndarray:
     inter = per_mask(covered(ends) - covered(starts))
     union = per_mask(ends - starts) + ref.foreground_count - inter
     return np.divide(inter, union, out=np.zeros(len(masks)), where=union > 0)
+
+
+def _foreground_runs(masks: Sequence[RleMask]) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The foreground runs of one or more masks, concatenated: half-open
+    [start, end) flat-pixel bounds, and the offset of each mask's first run
+    (then the run count)."""
+    intervals = [a.foreground_intervals() for a in masks]
+    starts = np.concatenate([st for st, _ in intervals])
+    ends = np.concatenate([en for _, en in intervals])
+    offsets = np.cumsum([0] + [st.size for st, _ in intervals])
+    return starts, ends, offsets
 
 
 def rle_encode(bitmap: np.ndarray) -> RleMask:

@@ -14,7 +14,7 @@ from typing import TYPE_CHECKING, Optional, Sequence, Tuple
 import numpy as np
 
 from .ingest import json_document
-from .model import BBox, RleMask, box_iou, mask_ious, rle_encode
+from .model import BBox, RleMask, _foreground_runs, box_ious, mask_ious, rle_encode
 
 if TYPE_CHECKING:
     from .clustering import InstanceCluster
@@ -92,22 +92,20 @@ class ClusterReport:
 
 def box_stats(c: InstanceCluster) -> BoxStats:
     """Coordinate-wise mean box, per-edge std, and member centers."""
-    coords = np.array([m.bbox.as_tuple() for m in c.members], dtype=np.float64)
+    coords = c.members.boxes
     mean = coords.mean(axis=0)
     std = coords.std(axis=0)
+    centers = (coords[:, :2] + coords[:, 2:]) / 2.0
     return BoxStats(
         mean_box=BBox(*(float(v) for v in mean)),
         edge_std=tuple(float(v) for v in std),
-        centers=tuple(m.bbox.center for m in c.members),
+        centers=tuple(map(tuple, centers.tolist())),
     )
 
 
 def class_stats(c: InstanceCluster) -> ClassStats:
     """Per-class score mean and std across members, background included."""
-    lengths = {len(m.scores) for m in c.members}
-    if len(lengths) != 1:
-        raise ValueError(f"members disagree on class count: {sorted(lengths)}")
-    scores = np.array([m.scores.scores for m in c.members], dtype=np.float64)
+    scores = c.members.scores
     mean = scores.mean(axis=0)
     std = scores.std(axis=0)
     # Stable order: ties broken toward the lower class index.
@@ -141,14 +139,8 @@ def mask_stats(c: InstanceCluster, mask_threshold: float = 0.5) -> MaskStats:
     foreground only at threshold 0. The threshold must lie in [0, 1].
     """
     _check_mask_threshold(mask_threshold)
-    masks = [m.mask for m in c.members if m.mask is not None]
-    for m in masks:
-        if m.height != c.height or m.width != c.width:
-            raise ValueError(
-                f"mask dims {m.height}x{m.width} differ from image dims "
-                f"{c.height}x{c.width}"
-            )
-    h, w = c.height, c.width
+    masks = c.members.present_masks()  # of the image's dims, as SampleSet checks
+    h, w = c.members.height, c.members.width
     n = len(masks)
     if n == 0:
         zeros = np.broadcast_to(0.0, (h, w))  # read-only: nothing reads these heatmaps
@@ -160,9 +152,7 @@ def mask_stats(c: InstanceCluster, mask_threshold: float = 0.5) -> MaskStats:
             coverage_count=0,
             mask_threshold=mask_threshold,
         )
-    intervals = [m.foreground_intervals() for m in masks]
-    starts = np.concatenate([s for s, _ in intervals])
-    ends = np.concatenate([e for _, e in intervals])
+    starts, ends, _ = _foreground_runs(masks)
     lo = int(starts.min()) if starts.size else 0
     hi = int(ends.max()) if ends.size else 0
     diff = np.bincount(starts - lo, minlength=hi - lo + 1)
@@ -196,11 +186,10 @@ def iou_to_mean(
     and are empty for a zero-mask cluster (no reference to compare against).
     The mask samples come from one mask_ious pass over all members.
     """
-    box_samples = tuple(box_iou(member.bbox, s.mean_box) for member in c.members)
+    box_samples = tuple(box_ious(c.members.boxes, s.mean_box).tolist())
     if m.zero_mask:
         return box_samples, ()
-    masks = [member.mask for member in c.members if member.mask is not None]
-    return box_samples, tuple(mask_ious(masks, m.consensus_mask).tolist())
+    return box_samples, tuple(mask_ious(c.members.present_masks(), m.consensus_mask).tolist())
 
 
 def kde(samples: Sequence[float]) -> KdeCurve:

@@ -17,7 +17,7 @@ from .evaluation import GroundTruthInstance
 from .ingest import (
     MAX_PIXELS, _INT, _OBJECT, _REAL, _STR, ParseError, _array, _scalar, json_document,
 )
-from .model import BBox, Detection, SampleSet, ScoreVector, rasterize_box, rle_decode, rle_encode
+from .model import BBox, SampleSet, rasterize_box, rle_decode, rle_encode
 
 if TYPE_CHECKING:
     from .calibration import CalibrationSet
@@ -131,7 +131,9 @@ def _contour_band(m: np.ndarray, radius: int = 2) -> np.ndarray:
 
 def _jitter_box(
     box: BBox, sigma: float, width: int, height: int, rng: np.random.Generator
-) -> BBox:
+) -> Tuple[float, float, float, float]:
+    """A jittered copy of the box that keeps positive area inside the image,
+    or after 100 tries the box itself, which SampleSet clamps (or rejects)."""
     for _ in range(100):
         dx1, dy1, dx2, dy2 = rng.normal(0.0, sigma, 4) if sigma > 0 else (0.0,) * 4
         x1 = min(max(box.x1 + dx1, 0.0), float(width))
@@ -139,13 +141,13 @@ def _jitter_box(
         x2 = min(max(box.x2 + dx2, 0.0), float(width))
         y2 = min(max(box.y2 + dy2, 0.0), float(height))
         if x1 < x2 and y1 < y2:
-            return BBox(x1, y1, x2, y2)
-    return box.clamped(width, height)
+            return x1, y1, x2, y2
+    return box.as_tuple()
 
 
 def _sample_scores(
     inst: InstanceSpec, num_classes: int, rng: np.random.Generator
-) -> ScoreVector:
+) -> np.ndarray:
     # Half the leaked mass goes to background (it shows up among the top
     # scores of every instance), the rest spreads over the other classes.
     scores = np.zeros(num_classes + 1)
@@ -158,7 +160,7 @@ def _sample_scores(
             scores[others] = 0.5 * leak * rng.dirichlet(np.ones(len(others)))
     else:
         scores[0] = leak
-    return ScoreVector(tuple(float(v) for v in scores))
+    return scores
 
 
 def generate(
@@ -180,14 +182,15 @@ def generate(
     ]
     bands = [None if s is None else _contour_band(s) for s in shapes]
 
-    detections: List[Detection] = []
-    labels: List[int] = []
+    repetitions, boxes, scores, masks, labels = [], [], [], [], []
     for rep in range(spec.n_repetitions):
         for idx, inst in enumerate(spec.instances):
             if rng.random() < inst.miss_rate:
                 continue
-            box = _jitter_box(inst.true_box, inst.box_jitter_sigma, spec.width, spec.height, rng)
-            scores = _sample_scores(inst, spec.num_classes, rng)
+            boxes.append(
+                _jitter_box(inst.true_box, inst.box_jitter_sigma, spec.width, spec.height, rng)
+            )
+            scores.append(_sample_scores(inst, spec.num_classes, rng))
             mask = None
             if shapes[idx] is not None:
                 grid = shapes[idx]
@@ -198,9 +201,8 @@ def generate(
                     flat = grid.reshape(-1)
                     flat[flips] = ~flat[flips]
                 mask = rle_encode(grid)
-            detections.append(
-                Detection(bbox=box, scores=scores, mask=mask, repetition=rep)
-            )
+            repetitions.append(rep)
+            masks.append(mask)
             labels.append(idx)
 
     sample_set = SampleSet(
@@ -208,7 +210,10 @@ def generate(
         height=spec.height,
         width=spec.width,
         n_repetitions=spec.n_repetitions,
-        detections=tuple(detections),
+        boxes=np.reshape(boxes, (-1, 4)),
+        scores=np.reshape(scores, (-1, spec.num_classes + 1)),
+        repetition=repetitions,
+        masks=masks,
     )
     gts = [
         GroundTruthInstance(

@@ -2,15 +2,16 @@
 
 Each is the straightforward form that the array code in dropuq.model and
 dropuq.report replaced: a validator over a tuple of Python ints, mask
-statistics counted over every pixel of the image, and one boundary sweep
-per mask pair. The array code must give the same results bit for bit.
+statistics counted over every pixel of the image, one boundary sweep per
+mask pair, and the IoU of one pair of boxes in Python floats. The array code
+must give the same results bit for bit.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from dropuq.model import RleMask, box_iou, rle_encode
+from dropuq.model import RleMask, rle_encode
 from dropuq.report import MaskStats
 
 
@@ -27,6 +28,17 @@ def reference_runs(height, width, runs):
     if total != height * width:
         raise ValueError(f"runs sum to {total}, expected {height * width}")
     return runs
+
+
+def reference_box_iou(a, b):
+    """IoU of two (x1, y1, x2, y2) boxes in Python floats; 0.0 when disjoint."""
+    ix = min(a[2], b[2]) - max(a[0], b[0])
+    iy = min(a[3], b[3]) - max(a[1], b[1])
+    if ix <= 0.0 or iy <= 0.0:
+        return 0.0
+    inter = ix * iy
+    union = (a[2] - a[0]) * (a[3] - a[1]) + (b[2] - b[0]) * (b[3] - b[1]) - inter
+    return inter / union
 
 
 def _intervals(mask):
@@ -60,14 +72,8 @@ def reference_mask_stats(c, mask_threshold=0.5):
     """Mask statistics with the counts summed over every pixel of the image."""
     if not 0.0 <= mask_threshold <= 1.0:
         raise ValueError(f"mask threshold must be in [0, 1], got {mask_threshold}")
-    masks = [m.mask for m in c.members if m.mask is not None]
-    for m in masks:
-        if m.height != c.height or m.width != c.width:
-            raise ValueError(
-                f"mask dims {m.height}x{m.width} differ from image dims "
-                f"{c.height}x{c.width}"
-            )
-    h, w = c.height, c.width
+    masks = [m for m in c.members.masks if m is not None]
+    h, w = c.members.height, c.members.width
     n = len(masks)
     if n == 0:
         zeros = np.broadcast_to(0.0, (h, w))
@@ -88,12 +94,11 @@ def reference_mask_stats(c, mask_threshold=0.5):
 
 def reference_iou_to_mean(c, s, m):
     """IoU samples with one reference_mask_iou call per mask-carrying member."""
-    box_samples = tuple(box_iou(member.bbox, s.mean_box) for member in c.members)
+    mean = s.mean_box.as_tuple()
+    box_samples = tuple(reference_box_iou(box, mean) for box in c.members.boxes.tolist())
     if m.zero_mask:
         return box_samples, ()
     mask_samples = tuple(
-        reference_mask_iou(member.mask, m.consensus_mask)
-        for member in c.members
-        if member.mask is not None
+        reference_mask_iou(mask, m.consensus_mask) for mask in c.members.masks if mask is not None
     )
     return box_samples, mask_samples

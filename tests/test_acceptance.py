@@ -31,7 +31,6 @@ from dropuq import bgm
 from dropuq.bgm import fit_bgm
 from dropuq.clustering import (
     ClusterConfig,
-    box_features,
     build_instance_clusters,
     cluster_pipeline,
     labels_from_clusters,
@@ -88,7 +87,7 @@ def test_clustering_recovery_at_scale():
         1, 64, sigma=3.0, n_repetitions=100, columns=8, height=1160, width=1160
     )
     sample_set, labels, _ = generate(spec)
-    assert len(sample_set.detections) == 6400
+    assert len(sample_set) == 6400
     results = []
     for algorithm, floor in (("bgm", 0.99), ("agg", 1.0)):
         start = time.monotonic()
@@ -108,7 +107,7 @@ def test_effective_component_inference():
         true_k = int(rng.integers(1, 9))
         spec = separated_scene(seed + 300, true_k, sigma=2.0, n_repetitions=100)
         sample_set, _, _ = generate(spec)
-        state = fit_bgm(box_features(sample_set), 2 * true_k, seed=seed)
+        state = fit_bgm(sample_set.boxes, 2 * true_k, seed=seed)
         assert state.effective_components == true_k, (
             f"seed {seed}: true K {true_k}, effective {state.effective_components}"
         )
@@ -119,7 +118,7 @@ def test_split_rule():
     """A merged 200-member cluster (two instances, n=100) splits into 2."""
     spec = separated_scene(7, 2, sigma=2.0, n_repetitions=100)
     sample_set, labels, _ = generate(spec)
-    assert len(sample_set.detections) == 200
+    assert len(sample_set) == 200
     merged = build_instance_clusters(sample_set, [0] * 200)
     out = split_oversized(merged, 100, ClusterConfig(seed=7, split_threshold=150))
     assert len(out) == 2, f"expected 2 clusters, got {len(out)}"

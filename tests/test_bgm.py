@@ -241,7 +241,7 @@ class TestReferenceEquivalence:
                 n_instances = int(np.random.default_rng(seed).integers(2, 5))
                 sample_set, _, _ = generate(overlapping_scene(seed, n_instances))
                 clusters = cluster_pipeline(sample_set, ClusterConfig(seed=seed))
-                labels.append([c.indices for c in clusters])
+                labels.append([c.indices.tolist() for c in clusters])
             return labels, list(fits)
 
         got_labels, got_fits = run_all()

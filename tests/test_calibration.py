@@ -6,6 +6,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from _files import read_text
 from dropuq import calibration
 from dropuq.calibration import (
     CalibrationSet,
@@ -15,7 +16,6 @@ from dropuq.calibration import (
     focal_loss,
     mce,
     negative_log_likelihood,
-    parse_calibration_records,
     read_calibration_records,
     reliability,
     reliability_csv,
@@ -139,7 +139,7 @@ class TestFitTemperature:
 
     def test_empty_records_error(self):
         with pytest.raises(ValueError):
-            fit_temperature(parse_calibration_records(""))
+            fit_temperature(read_text(read_calibration_records, ""))
 
 
 class TestReliability:
@@ -218,7 +218,7 @@ class TestMceAce:
             assert mce(d) >= ace(d) - 1e-12
 
     def test_all_empty_error(self):
-        d = reliability(parse_calibration_records(""), 1.0, 5)
+        d = reliability(read_text(read_calibration_records, ""), 1.0, 5)
         with pytest.raises(ValueError):
             mce(d)
 
@@ -269,20 +269,20 @@ class TestRecordIo:
     def test_round_trip(self):
         records = generate_calibration_records(20, 1.7, 3, seed=9)
         text = serialize_calibration_records(records)
-        assert parse_calibration_records(text) == records
+        assert read_text(read_calibration_records, text) == records
 
     def test_rejects_unknown_fields(self):
         with pytest.raises(ParseError, match="line 1"):
-            parse_calibration_records('{"logits": [0, 1], "true_class": 1, "x": 2}')
+            read_text(read_calibration_records, '{"logits": [0, 1], "true_class": 1, "x": 2}')
 
     def test_rejects_bad_class(self):
         with pytest.raises(ParseError):
-            parse_calibration_records('{"logits": [0, 1], "true_class": 5}')
+            read_text(read_calibration_records, '{"logits": [0, 1], "true_class": 5}')
 
     def test_rejects_mixed_logit_counts(self):
         text = '{"logits": [1, 2], "true_class": 1}\n\n{"logits": [1, 2, 3], "true_class": 1}\n'
         with pytest.raises(ParseError, match="^line 3: 3 logits, but line 1 has 2") as err:
-            parse_calibration_records(text)
+            read_text(read_calibration_records, text)
         assert err.value.line_number == 3
 
 
@@ -406,7 +406,7 @@ class TestColumnarPath:
     def test_bad_row_names_its_line(self, bad, message):
         lines = [GOOD_RECORD, "", "  ", bad, "", GOOD_RECORD, bad]
         with pytest.raises(ParseError, match=f"^line 4: {message}") as err:
-            parse_calibration_records("\n".join(lines) + "\n")
+            read_text(read_calibration_records, "\n".join(lines) + "\n")
         assert err.value.line_number == 4
 
     @pytest.mark.parametrize(
@@ -420,7 +420,7 @@ class TestColumnarPath:
     def test_bad_first_row_names_its_line(self, bad, message):
         text = f"\n\n{bad}\n{bad}\n"
         with pytest.raises(ParseError, match=f"^line 3: {message}") as err:
-            parse_calibration_records(text)
+            read_text(read_calibration_records, text)
         assert err.value.line_number == 3
 
     def test_arrays_are_read_only_copies(self):
@@ -430,7 +430,7 @@ class TestColumnarPath:
         z[0, 0] = 9.0
         y[0] = 0
         assert records.logits[0, 0] == 0.0 and records.true_class[0] == 1
-        for parsed in (records, parse_calibration_records(GOOD_RECORD),
+        for parsed in (records, read_text(read_calibration_records, GOOD_RECORD),
                        generate_calibration_records(5, 1.0, 2, seed=0)):
             assert parsed.logits.dtype == np.float64
             assert parsed.true_class.dtype == np.int64
@@ -454,7 +454,7 @@ class TestColumnarPath:
     def test_length_and_equality(self):
         a = generate_calibration_records(30, 1.5, 3, seed=4)
         assert len(a) == 30 and a
-        assert not parse_calibration_records("")
+        assert not read_text(read_calibration_records, "")
         assert a == CalibrationSet(a.logits.copy(), a.true_class.copy())
         assert a != generate_calibration_records(30, 1.5, 3, seed=5)
         assert a != CalibrationSet(a.logits, (a.true_class + 1) % 4)
@@ -464,7 +464,7 @@ class TestColumnarPath:
         tracemalloc.start()
         try:
             before = tracemalloc.get_traced_memory()[0]
-            records = parse_calibration_records(text)
+            records = read_text(read_calibration_records, text)
             retained = tracemalloc.get_traced_memory()[0] - before
         finally:
             tracemalloc.stop()
@@ -515,7 +515,7 @@ class TestRecordText:
          ("18446744073709551616", 2.0**64), ("9" * 300, float("9" * 300))],
     )
     def test_integer_logits_of_any_size_are_numbers(self, value, expected):
-        records = parse_calibration_records(f'{{"logits": [0.5, {value}], "true_class": 1}}')
+        records = read_text(read_calibration_records, f'{{"logits": [0.5, {value}], "true_class": 1}}')
         assert records.logits.tolist() == [[0.5, expected]]
 
     @pytest.mark.parametrize("value", ["1" + "0" * 400, "-1" + "0" * 400, "1e400", "-1e400"])
@@ -524,7 +524,7 @@ class TestRecordText:
         sign = "-" if value.startswith("-") else ""
         with pytest.raises(ParseError, match=rf"^line 3: logits must be finite, got \[0.0, "
                                              rf"{sign}inf, -2.0\]"):
-            parse_calibration_records("\n".join(lines))
+            read_text(read_calibration_records, "\n".join(lines))
 
 
 def reference_record_text(records):

@@ -294,6 +294,18 @@ class TestHostileSceneSpec:
         assert "Traceback" not in r.stderr
         assert not (tmp_path / "s").exists()
 
+    def test_spec_that_is_not_json_names_the_file(self, tmp_path, capsys):
+        from dropuq.cli import main
+
+        spec = tmp_path / "bad.json"
+        spec.write_text("not json\n")
+        assert main(["synth", str(spec), "--out-dir", str(tmp_path / "s")]) == 2
+        assert capsys.readouterr().err == (
+            f"dropuq: error: scene spec {spec}: invalid JSON "
+            "(Expecting value: line 1 column 1 (char 0))\n"
+        )
+        assert not (tmp_path / "s").exists()
+
 
 def run_python(code):
     env = dict(os.environ)
@@ -507,6 +519,25 @@ class TestClustersFileTypes:
         assert r.returncode == 2, r.stderr
         assert r.stderr.startswith(f"dropuq: error: clusters file {clusters}: "), r.stderr
         assert field in r.stderr
+        assert [p.name for p in out.iterdir()] == ["manifest.json"]
+
+    @pytest.mark.parametrize("command", ["report", "eval"])
+    def test_file_that_is_not_json_names_the_file(self, pipeline_dirs, tmp_path, capsys,
+                                                   command):
+        from dropuq.cli import main
+
+        clusters = tmp_path / "bad.json"
+        clusters.write_text("not json\n")
+        out = tmp_path / "o"
+        gt = pipeline_dirs / "synth" / "scene0_gt.jsonl"
+        extra = ["--gt", str(gt)] if command == "eval" else []
+        argv = [command, str(pipeline_dirs / "synth" / "scene0_samples.jsonl"),
+                "--clusters", str(clusters), *extra, "--out-dir", str(out)]
+        assert main(argv) == 2
+        assert capsys.readouterr().err == (
+            f"dropuq: error: clusters file {clusters}: invalid JSON "
+            "(Expecting value: line 1 column 1 (char 0))\n"
+        )
         assert [p.name for p in out.iterdir()] == ["manifest.json"]
 
 

@@ -10,7 +10,6 @@ from dropuq.bgm import assign_labels, fit_bgm
 from dropuq.clustering import (
     ClusterConfig,
     ClusteringError,
-    box_features,
     build_instance_clusters,
     cluster_pipeline,
     default_split_threshold,
@@ -19,21 +18,14 @@ from dropuq.clustering import (
     overlap_components,
     split_oversized,
 )
-from dropuq.model import BBox, Detection, SampleSet, ScoreVector
+from dropuq.model import SampleSet
 from dropuq.synth import adjusted_rand_index, generate
 
 
 def simple_set(boxes, n_repetitions=1, reps=None):
-    dets = tuple(
-        Detection(
-            bbox=BBox(*b),
-            scores=ScoreVector((0.1, 0.9)),
-            mask=None,
-            repetition=0 if reps is None else reps[i],
-        )
-        for i, b in enumerate(boxes)
-    )
-    return SampleSet("img", 1000, 1000, n_repetitions, dets)
+    n = len(boxes)
+    reps = [0] * n if reps is None else reps
+    return SampleSet("img", 1000, 1000, n_repetitions, boxes, [(0.1, 0.9)] * n, reps, (None,) * n)
 
 
 class TestComponentCount:
@@ -83,32 +75,11 @@ class TestDefaultSplitThreshold:
     def test_merged_pair_splits_at_30_repetitions(self):
         spec = separated_scene(1, 2, sigma=2.0, n_repetitions=30)
         s, labels, _ = generate(spec)
-        assert len(s.detections) == 60
+        assert len(s) == 60
         merged = build_instance_clusters(s, [0] * 60)
         out = split_oversized(merged, 30, ClusterConfig(seed=1))
         assert len(out) == 2
         assert adjusted_rand_index(labels, labels_from_clusters(s, out)) == 1.0
-
-
-class TestBoxFeatures:
-    def test_single_detection(self):
-        s = simple_set([(0, 0, 10, 10)])
-        assert box_features(s).tolist() == [[0, 0, 10, 10]]
-
-    def test_rows_follow_detection_order(self):
-        boxes = [(0, 0, 10, 10), (5, 5, 20, 20), (1, 2, 3, 4)]
-        a = box_features(simple_set(boxes))
-        b = box_features(simple_set([boxes[2], boxes[0], boxes[1]]))
-        assert np.array_equal(a[[2, 0, 1]], b)
-
-    def test_shape(self):
-        rng = np.random.default_rng(0)
-        boxes = [(x, y, x + 5, y + 5) for x, y in rng.uniform(0, 900, (200, 2))]
-        assert box_features(simple_set(boxes)).shape == (200, 4)
-
-    def test_empty_error(self):
-        with pytest.raises(ClusteringError):
-            box_features(SampleSet("img", 10, 10, 1, ()))
 
 
 def dense_components(points):
@@ -218,15 +189,16 @@ class TestBuildInstanceClusters:
         s = simple_set(boxes, n_repetitions=4, reps=reps)
         labels = rng.integers(0, 6, 40)
         clusters = build_instance_clusters(s, labels)
-        members = [m for c in clusters for m in c.members]
-        assert sorted(map(id, members)) == sorted(map(id, s.detections))
+        assert sorted(np.concatenate([c.indices for c in clusters]).tolist()) == list(range(40))
+        assert all(c.members == s.take(c.indices) for c in clusters)
         assert labels_from_clusters(s, clusters).shape == (40,)
 
     def test_member_order_by_provenance(self):
-        boxes = [(0, 0, 5, 5)] * 4
+        boxes = [(i, 0, i + 5, 5) for i in range(4)]
         s = simple_set(boxes, n_repetitions=2, reps=[1, 0, 1, 0])
         clusters = build_instance_clusters(s, [0, 0, 0, 0])
-        assert clusters[0].indices == (1, 3, 0, 2)
+        assert clusters[0].indices.tolist() == [0, 1, 2, 3]
+        assert clusters[0].members.boxes[:, 0].tolist() == [1, 3, 0, 2]
 
     def test_uncovered_detection_rejected(self):
         s = simple_set([(0, 0, 5, 5), (1, 1, 6, 6), (2, 2, 7, 7)])
@@ -251,7 +223,7 @@ class TestSplitOversized:
     def test_merged_pair_splits_into_two(self):
         spec = separated_scene(1, 2, sigma=2.0)
         s, labels, _ = generate(spec)
-        assert len(s.detections) == 200
+        assert len(s) == 200
         merged = build_instance_clusters(s, [0] * 200)
         out = split_oversized(merged, 100, ClusterConfig(seed=1, split_threshold=150))
         assert len(out) == 2
@@ -270,9 +242,9 @@ class TestSplitOversized:
     def test_output_is_partition(self):
         spec = separated_scene(2, 3, sigma=2.0)
         s, _, _ = generate(spec)
-        merged = build_instance_clusters(s, [0] * len(s.detections))
+        merged = build_instance_clusters(s, [0] * len(s))
         out = split_oversized(merged, 100, ClusterConfig(seed=2))
-        assert sorted(i for c in out for i in c.indices) == list(range(len(s.detections)))
+        assert sorted(i for c in out for i in c.indices) == list(range(len(s)))
 
 
 class TestClusterPipeline:
@@ -299,44 +271,32 @@ class TestClusterPipeline:
     def test_partition_property(self):
         s, _, _ = generate(separated_scene(6, 4, sigma=3.0))
         clusters = cluster_pipeline(s, ClusterConfig(seed=6))
-        assert sorted(i for c in clusters for i in c.indices) == list(range(len(s.detections)))
+        assert sorted(i for c in clusters for i in c.indices) == list(range(len(s)))
 
     def test_translation_equivariance(self):
         spec = separated_scene(7, 3, sigma=2.0, width=2000, height=2000)
         s, _, _ = generate(spec)
         base = labels_from_clusters(s, cluster_pipeline(s, ClusterConfig(seed=7)))
-        shifted_dets = tuple(
-            Detection(
-                bbox=BBox(
-                    d.bbox.x1 + 37.25, d.bbox.y1 + 41.5, d.bbox.x2 + 37.25, d.bbox.y2 + 41.5
-                ),
-                scores=d.scores,
-                mask=d.mask,
-                repetition=d.repetition,
-            )
-            for d in s.detections
+        shifted = SampleSet(
+            s.image_id, s.height, s.width, s.n_repetitions,
+            s.boxes + (37.25, 41.5, 37.25, 41.5), s.scores, s.repetition, s.masks,
         )
-        shifted = SampleSet(s.image_id, s.height, s.width, s.n_repetitions, shifted_dets)
         moved = labels_from_clusters(shifted, cluster_pipeline(shifted, ClusterConfig(seed=7)))
         assert adjusted_rand_index(base, moved) == 1.0
 
     def test_permutation_invariance(self):
         s, _, _ = generate(separated_scene(8, 3, sigma=2.0))
         rng = np.random.default_rng(8)
-        perm = rng.permutation(len(s.detections))
-        permuted = SampleSet(
-            s.image_id,
-            s.height,
-            s.width,
-            s.n_repetitions,
-            tuple(s.detections[i] for i in perm),
-        )
+        perm = rng.permutation(len(s))
+        permuted = s.take(perm)
+        # A SampleSet re-sorts its rows by repetition: this is the order that survives.
+        perm = perm[np.argsort(s.repetition[perm], kind="stable")]
         base = labels_from_clusters(s, cluster_pipeline(s, ClusterConfig(seed=8)))
         moved = labels_from_clusters(permuted, cluster_pipeline(permuted, ClusterConfig(seed=8)))
         assert adjusted_rand_index(np.asarray(base)[perm], moved) == 1.0
 
     def test_empty_error(self):
-        s = SampleSet("img", 10, 10, 1, ())
+        s = SampleSet("img", 10, 10, 1, np.empty((0, 4)), np.empty((0, 2)), [], ())
         with pytest.raises(ClusteringError):
             cluster_pipeline(s, ClusterConfig(seed=0))
 
@@ -371,17 +331,20 @@ class TestClusterPipeline:
         clusters = cluster_pipeline(pair, ClusterConfig(seed=0))
         assert calls == [(60, 4)]
         assert [len(c) for c in clusters] == [30, 30, 30]
-        assert clusters[2].indices == tuple(range(2, 90, 3))
+        assert clusters[2].indices.tolist() == list(range(2, 90, 3))
 
     @pytest.mark.parametrize("seed", [0, 1, 2])
     def test_one_component_runs_the_whole_image_fit(self, seed):
         s, _, _ = generate(overlapping_scene(seed, 3))
-        assert overlap_components(box_features(s)).max() == 0
+        assert overlap_components(s.boxes).max() == 0
         cfg = ClusterConfig(seed=seed)
-        h = estimate_component_count(len(s.detections), s.n_repetitions)
-        whole = assign_labels(fit_bgm(box_features(s), max(2 * h, h + 2), seed=seed))
+        h = estimate_component_count(len(s), s.n_repetitions)
+        whole = assign_labels(fit_bgm(s.boxes, max(2 * h, h + 2), seed=seed))
         expected = split_oversized(build_instance_clusters(s, whole), s.n_repetitions, cfg)
-        assert cluster_pipeline(s, cfg) == expected
+        got = cluster_pipeline(s, cfg)
+        assert [(c.cluster_id, c.indices.tolist(), c.split_refused) for c in got] == [
+            (c.cluster_id, c.indices.tolist(), c.split_refused) for c in expected
+        ]
 
     def test_oversized_survivor_carries_refusal_flag(self):
         # 151 identical detections cannot split: the one oversized cluster

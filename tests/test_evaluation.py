@@ -1,13 +1,14 @@
 import numpy as np
 import pytest
 
+from _files import read_text
 from dropuq.evaluation import (
     GroundTruthInstance,
     PredictedInstance,
     cluster_to_detection,
     eval_csv,
     match_and_score,
-    parse_ground_truth,
+    read_ground_truth,
     serialize_ground_truth,
 )
 from dropuq.ingest import ParseError
@@ -176,11 +177,13 @@ class TestGroundTruthIo:
             gt((3, 4, 8, 9), cls=2, mask=rasterize_box(BBox(3, 4, 8, 9), 20, 30)),
         ]
         text = serialize_ground_truth(gts)
-        assert parse_ground_truth(text, 20, 30) == gts
+        assert read_text(read_ground_truth, text, 20, 30) == gts
 
     def test_rejects_background_class(self):
         with pytest.raises(ParseError):
-            parse_ground_truth('{"image_id": "a", "bbox": [0, 0, 5, 5], "class_id": 0}', 10, 10)
+            read_text(
+                read_ground_truth, '{"image_id": "a", "bbox": [0, 0, 5, 5], "class_id": 0}', 10, 10
+            )
 
     def test_csv_has_summary_rows(self):
         gts = [gt((0, 0, 10, 10))]

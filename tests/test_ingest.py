@@ -1,26 +1,24 @@
 import collections
-import io
+import gc
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
 
-from dropuq.calibration import (
-    CalibrationSet,
-    _calibration_set,
-    parse_calibration_records,
-    read_calibration_records,
-)
-from dropuq.evaluation import _ground_truth, parse_ground_truth, read_ground_truth
-
+from _files import read_text
+from _scenes import separated_scene
+from dropuq.calibration import CalibrationSet, _calibration_set, read_calibration_records
+from dropuq.evaluation import _ground_truth, read_ground_truth
 from dropuq.ingest import (
     ParseError,
     _sample_set,
     filter_background,
-    parse_sample_set,
     read_sample_set,
     serialize_sample_set,
 )
+from dropuq.model import SampleSet
+from dropuq.synth import generate
 
 HEADER = json.dumps(
     {"image_id": "img0", "height": 20, "width": 30, "n_repetitions": 3, "num_classes": 2}
@@ -36,65 +34,71 @@ def det_line(rep=0, bbox=(1, 2, 5, 6), scores=(0.1, 0.6, 0.3), mask_runs=None):
 
 class TestParse:
     def test_header_only(self):
-        s = parse_sample_set(HEADER)
+        s = read_text(read_sample_set, HEADER)
         assert s.image_id == "img0"
-        assert len(s.detections) == 0
+        assert len(s) == 0
+
+    def test_header_only_round_trip_keeps_class_count(self):
+        s = read_text(read_sample_set, HEADER)
+        assert s.scores.shape == (0, 3) and s.boxes.shape == (0, 4)
+        assert serialize_sample_set(s) == HEADER + "\n"
+        assert read_text(read_sample_set, serialize_sample_set(s)) == s
 
     def test_minimal_three_repetitions(self):
         text = "\n".join([HEADER, det_line(0), det_line(1), det_line(2)])
-        s = parse_sample_set(text)
-        assert len(s.detections) == 3
-        assert [d.repetition for d in s.detections] == [0, 1, 2]
+        s = read_text(read_sample_set, text)
+        assert len(s) == 3
+        assert s.repetition.tolist() == [0, 1, 2]
 
     def test_sorted_by_repetition(self):
         text = "\n".join([HEADER, det_line(2), det_line(0), det_line(1)])
-        s = parse_sample_set(text)
-        assert [d.repetition for d in s.detections] == [0, 1, 2]
+        s = read_text(read_sample_set, text)
+        assert s.repetition.tolist() == [0, 1, 2]
 
     def test_bad_rle_names_line(self):
         text = "\n".join([HEADER, det_line(0), det_line(1, mask_runs=[599])])
         with pytest.raises(ParseError, match="line 3") as err:
-            parse_sample_set(text)
+            read_text(read_sample_set, text)
         assert err.value.line_number == 3
 
     def test_wrong_score_length(self):
         text = "\n".join([HEADER, det_line(scores=(0.5, 0.5))])
         with pytest.raises(ParseError, match="line 2"):
-            parse_sample_set(text)
+            read_text(read_sample_set, text)
 
     def test_repetition_out_of_range(self):
         text = "\n".join([HEADER, det_line(rep=3)])
         with pytest.raises(ParseError, match="out of range"):
-            parse_sample_set(text)
+            read_text(read_sample_set, text)
 
     def test_unknown_field_rejected(self):
         rec = json.loads(det_line())
         rec["extra"] = 1
         with pytest.raises(ParseError, match="fields"):
-            parse_sample_set("\n".join([HEADER, json.dumps(rec)]))
+            read_text(read_sample_set, "\n".join([HEADER, json.dumps(rec)]))
 
     def test_field_order_enforced(self):
         rec = {"bbox": [1, 2, 5, 6], "repetition": 0, "scores": [0.1, 0.6, 0.3]}
         with pytest.raises(ParseError):
-            parse_sample_set("\n".join([HEADER, json.dumps(rec)]))
+            read_text(read_sample_set, "\n".join([HEADER, json.dumps(rec)]))
 
     def test_invalid_json_names_line(self):
         with pytest.raises(ParseError, match="line 2"):
-            parse_sample_set("\n".join([HEADER, "{not json"]))
+            read_text(read_sample_set, "\n".join([HEADER, "{not json"]))
 
     def test_missing_header(self):
         with pytest.raises(ParseError):
-            parse_sample_set("")
+            read_text(read_sample_set, "")
 
     def test_clamping(self):
         text = "\n".join([HEADER, det_line(bbox=(-3, -2, 35, 19))])
-        s = parse_sample_set(text)
-        assert s.detections[0].bbox.as_tuple() == (0.0, 0.0, 30.0, 19.0)
+        s = read_text(read_sample_set, text)
+        assert s.boxes.tolist() == [[0.0, 0.0, 30.0, 19.0]]
 
     def test_box_outside_image_rejected(self):
         text = "\n".join([HEADER, det_line(bbox=(40, 25, 50, 28))])
         with pytest.raises(ParseError, match="line 2"):
-            parse_sample_set(text)
+            read_text(read_sample_set, text)
 
     def test_round_trip(self):
         text = "\n".join(
@@ -105,8 +109,8 @@ class TestParse:
                 det_line(2, mask_runs=[0, 600]),
             ]
         )
-        s1 = parse_sample_set(text)
-        s2 = parse_sample_set(serialize_sample_set(s1))
+        s1 = read_text(read_sample_set, text)
+        s2 = read_text(read_sample_set, serialize_sample_set(s1))
         assert s1 == s2
         assert serialize_sample_set(s1) == serialize_sample_set(s2)
 
@@ -116,7 +120,7 @@ def sample_with_backgrounds(bgs):
     for i, bg in enumerate(bgs):
         rest = round(1.0 - bg, 12)
         lines.append(det_line(rep=0, scores=(bg, rest * 0.7, rest * 0.3)))
-    return parse_sample_set("\n".join(lines))
+    return read_text(read_sample_set, "\n".join(lines))
 
 
 class TestHeaderDims:
@@ -135,9 +139,8 @@ class TestHeaderDims:
         text = "\n".join([json.dumps({**json.loads(HEADER), **dims}), det_line()]) + "\n"
         path = tmp_path / "samples.jsonl"
         path.write_text(text, encoding="utf-8")
-        for parse, source in [(parse_sample_set, text), (read_sample_set, path)]:
-            with pytest.raises(ParseError, match=f"^line 1: {message}$"):
-                parse(source)
+        with pytest.raises(ParseError, match=f"^line 1: {message}$"):
+            read_sample_set(path)
 
 
 class TestStrictTypes:
@@ -145,13 +148,12 @@ class TestStrictTypes:
 
     def parse(self, header=None, **fields):
         rec = {"repetition": 0, "bbox": [1, 2, 5, 6], "scores": [0.1, 0.6, 0.3], **fields}
-        return parse_sample_set("\n".join([header or HEADER, det_line(), "", json.dumps(rec)]))
+        return read_text(read_sample_set, "\n".join([header or HEADER, det_line(), "", json.dumps(rec)]))
 
     def test_integers_are_numbers(self):
-        s = parse_sample_set("\n".join([HEADER, det_line(bbox=(1, 2, 5, 6), scores=(0, 1, 0))]))
-        det = s.detections[0]
-        assert det.bbox.as_tuple() == (1.0, 2.0, 5.0, 6.0)
-        assert all(type(v) is float for v in det.bbox.as_tuple() + det.scores.scores)
+        s = read_text(read_sample_set, "\n".join([HEADER, det_line(bbox=(1, 2, 5, 6), scores=(0, 1, 0))]))
+        assert s.boxes.tolist() == [[1.0, 2.0, 5.0, 6.0]] and s.scores.tolist() == [[0, 1, 0]]
+        assert s.boxes.dtype == s.scores.dtype == np.float64
 
     @pytest.mark.parametrize(
         "key, value, message",
@@ -206,22 +208,22 @@ class TestStrictTypes:
         good = {"image_id": "img0", "bbox": [1, 2, 5, 6], "class_id": 1}
         text = json.dumps(good) + "\n\n" + json.dumps({**good, key: value})
         with pytest.raises(ParseError, match=f"^line 3: .*{message}"):
-            parse_ground_truth(text, 20, 30)
+            read_text(read_ground_truth, text, 20, 30)
 
 
 class TestFilterBackground:
     def test_all_zero_background_unchanged(self):
         s = sample_with_backgrounds([0.0, 0.0, 0.0])
         out = filter_background(s)
-        assert out.detections == s.detections
+        assert out == s
 
     def test_paper_threshold(self):
         s = sample_with_backgrounds([0.46])
-        assert len(filter_background(s).detections) == 0
+        assert len(filter_background(s)) == 0
 
     def test_equal_to_threshold_kept(self):
         s = sample_with_backgrounds([0.45])
-        assert len(filter_background(s).detections) == 1
+        assert len(filter_background(s)) == 1
 
     def test_mixed_counts(self):
         bgs = [0.1, 0.5, 0.2, 0.46, 0.3, 0.0, 0.44, 0.9, 0.45, 0.12]
@@ -230,7 +232,7 @@ class TestFilterBackground:
         # direct scan oracle
         expect = sum(1 for b in bgs if b <= 0.45)
         assert expect == 7
-        assert len(out.detections) == expect
+        assert len(out) == expect
 
     def test_idempotent(self):
         s = sample_with_backgrounds([0.1, 0.5, 0.2, 0.46, 0.3])
@@ -241,12 +243,12 @@ class TestFilterBackground:
     def test_survivors_untouched_and_ordered(self):
         s = sample_with_backgrounds([0.1, 0.5, 0.2])
         out = filter_background(s)
-        assert out.detections == (s.detections[0], s.detections[2])
+        assert out == s.take([0, 2])
 
     def test_custom_threshold(self):
         s = sample_with_backgrounds([0.1, 0.3])
         out = filter_background(s, 0.2)
-        assert len(out.detections) == 1
+        assert len(out) == 1
 
     @pytest.mark.parametrize("threshold", [1.5, -0.1, float("nan")])
     def test_threshold_outside_unit_interval_rejected(self, threshold):
@@ -256,23 +258,23 @@ class TestFilterBackground:
 
 
 
-# Each format: parser, lines before the records, a valid record, and the
+# Each format: reader, lines before the records, a valid record, and the
 # same record with its fields out of order.
 FORMATS = {
     "samples": (
-        parse_sample_set,
+        read_sample_set,
         [HEADER],
         det_line(),
         json.dumps({"bbox": [1, 2, 5, 6], "repetition": 0, "scores": [0.1, 0.6, 0.3]}),
     ),
     "calibration": (
-        parse_calibration_records,
+        read_calibration_records,
         [],
         json.dumps({"logits": [0.0, 1.5], "true_class": 1}),
         json.dumps({"true_class": 1, "logits": [0.0, 1.5]}),
     ),
     "ground_truth": (
-        lambda stream: parse_ground_truth(stream, 20, 30),
+        lambda path: read_ground_truth(path, 20, 30),
         [],
         json.dumps({"image_id": "img0", "bbox": [1, 2, 5, 6], "class_id": 1}),
         json.dumps({"bbox": [1, 2, 5, 6], "image_id": "img0", "class_id": 1}),
@@ -281,16 +283,15 @@ FORMATS = {
 
 
 @pytest.mark.parametrize("fmt", sorted(FORMATS))
-@pytest.mark.parametrize("as_file", [False, True])
 class TestJsonlReader:
-    def parse(self, fmt, lines, as_file):
+    def parse(self, fmt, lines):
         text = "\n".join(FORMATS[fmt][1] + lines) + "\n"
-        return FORMATS[fmt][0](io.StringIO(text) if as_file else text)
+        return read_text(FORMATS[fmt][0], text)
 
-    def test_blank_lines_are_skipped(self, fmt, as_file):
+    def test_blank_lines_are_skipped(self, fmt):
         good = FORMATS[fmt][2]
-        spaced = self.parse(fmt, ["", good, "   ", good, ""], as_file)
-        assert spaced == self.parse(fmt, [good, good], as_file)
+        spaced = self.parse(fmt, ["", good, "   ", good, ""])
+        assert spaced == self.parse(fmt, [good, good])
 
     @pytest.mark.parametrize(
         "bad, message",
@@ -300,12 +301,12 @@ class TestJsonlReader:
             (None, "fields"),  # the valid record with its fields out of order
         ],
     )
-    def test_error_names_original_line(self, fmt, as_file, bad, message):
+    def test_error_names_original_line(self, fmt, bad, message):
         head, good, reordered = FORMATS[fmt][1:]
         lines = ["", good, "", "  ", bad if bad is not None else reordered]
         lineno = len(head) + len(lines)
         with pytest.raises(ParseError, match=f"^line {lineno}: {message}") as err:
-            self.parse(fmt, lines, as_file)
+            self.parse(fmt, lines)
         assert err.value.line_number == lineno
 
 
@@ -402,18 +403,26 @@ def _outcome(parse, source):
         return "error", type(exc).__name__, str(exc), getattr(exc, "line_number", None)
     if isinstance(result, CalibrationSet):
         return "ok", result.logits.shape, result.logits.tobytes(), result.true_class.tobytes()
+    if isinstance(result, SampleSet):
+        columns = (result.boxes, result.scores, result.repetition)
+        return ("ok", result.image_id, result.height, result.width, result.n_repetitions,
+                result.masks, *((c.shape, c.tobytes()) for c in columns))
     return "ok", repr(result)
 
 
-REFERENCE = {  # each parser's body with the stdlib decoder alone
-    "samples": lambda text: _sample_set(text, json.loads),
-    "calibration": lambda text: _calibration_set(text, json.loads),
-    "ground_truth": lambda text: _ground_truth(text, json.loads, 20, 30),
-}
-READERS = {
-    "samples": read_sample_set,
-    "calibration": read_calibration_records,
-    "ground_truth": lambda path: read_ground_truth(path, 20, 30),
+def _json_only(body, *args):
+    """A reader that runs a format's body over the file with the stdlib decoder alone."""
+    def read(path):
+        with open(path, encoding="utf-8") as lines:
+            return body(lines, json.loads, *args)
+
+    return read
+
+
+REFERENCE = {
+    "samples": _json_only(_sample_set),
+    "calibration": _json_only(_calibration_set),
+    "ground_truth": _json_only(_ground_truth, 20, 30),
 }
 
 
@@ -423,20 +432,12 @@ class TestDecoderRule:
     @pytest.mark.parametrize("fmt", sorted(FORMATS))
     def test_matches_json_only_parse(self, fmt, tmp_path):
         rng = np.random.default_rng(sorted(FORMATS).index(fmt))
-        parse, path = FORMATS[fmt][0], tmp_path / "records.jsonl"
+        read, path = FORMATS[fmt][0], tmp_path / "records.jsonl"
         kinds = collections.Counter()
-        for i in range(600):
-            text = _random_file(fmt, rng)
-            # The reference splits the string; every entry point must agree with it.
-            expected = _outcome(REFERENCE[fmt], text)
-            if i % 3 == 0:
-                got = _outcome(parse, text)
-            elif i % 3 == 1:
-                got = _outcome(parse, io.StringIO(text))
-            else:
-                path.write_text(text, encoding="utf-8")
-                got = _outcome(READERS[fmt], path)
-            assert got == expected, text
+        for _ in range(600):
+            path.write_text(_random_file(fmt, rng), encoding="utf-8")
+            expected = _outcome(REFERENCE[fmt], path)
+            assert _outcome(read, path) == expected, path.read_text(encoding="utf-8")
             kinds[expected[0]] += 1
         assert kinds["ok"] > 100 and kinds["error"] > 100, kinds
 
@@ -444,34 +445,23 @@ class TestDecoderRule:
     @pytest.mark.parametrize("fmt", sorted(FORMATS))
     def test_unterminated_string_has_one_message(self, fmt, newline, tmp_path):
         lines = FORMATS[fmt][1] + ['{"image_id": "img']
-        text = newline.join(lines) + newline
         path = tmp_path / "records.jsonl"
-        path.write_text(text, encoding="utf-8")
+        path.write_text(newline.join(lines) + newline, encoding="utf-8")
         message = f"line {len(lines)}: invalid JSON (Unterminated string starting at)"
-        outcomes = {
-            _outcome(FORMATS[fmt][0], text),
-            _outcome(FORMATS[fmt][0], io.StringIO(text)),
-            _outcome(READERS[fmt], path),
-        }
-        assert outcomes == {("error", "ParseError", message, len(lines))}
+        assert _outcome(FORMATS[fmt][0], path) == ("error", "ParseError", message, len(lines))
 
     @pytest.mark.parametrize("newline", ["\n", "\r\n", "\r"])
-    def test_string_splits_where_a_file_does(self, newline, tmp_path):
+    def test_file_splits_only_at_line_ends(self, newline, tmp_path):
         # A JSON string may hold U+2028 and U+0085 raw; neither ends a line.
         gt = {"image_id": "a\u2028b\x85c", "bbox": [1, 2, 5, 6], "class_id": 1}
         text = newline.join(["", json.dumps(gt, ensure_ascii=False)] * 2) + newline
         path = tmp_path / "gt.jsonl"
         path.write_text(text, encoding="utf-8", newline="")
-        from_file = read_ground_truth(path, 20, 30)
-        assert [g.image_id for g in from_file] == [gt["image_id"]] * 2
-        assert parse_ground_truth(text, 20, 30) == from_file
+        assert [g.image_id for g in read_ground_truth(path, 20, 30)] == [gt["image_id"]] * 2
         bad = text.replace("2, 5", "2, 1", 1)  # the second line's box gets no area
-        with pytest.raises(ParseError, match="^line 2: ") as from_string:
-            parse_ground_truth(bad, 20, 30)
         path.write_text(bad, encoding="utf-8", newline="")
-        with pytest.raises(ParseError, match="^line 2: ") as from_path:
+        with pytest.raises(ParseError, match="^line 2: "):
             read_ground_truth(path, 20, 30)
-        assert str(from_string.value) == str(from_path.value)
 
     @pytest.mark.parametrize(
         "header, detection, message",
@@ -499,11 +489,11 @@ class TestDecoderRule:
             {**json.loads(det_line()), **detection}
         )
         with pytest.raises(ParseError, match=f"^{message}"):
-            parse_sample_set(text)
+            read_text(read_sample_set, text)
 
     def test_samples_n_repetitions_beyond_64_bits(self):
         header = json.dumps({**json.loads(HEADER), "n_repetitions": 2**64})
-        assert parse_sample_set(header + "\n" + det_line()).n_repetitions == 2**64
+        assert read_text(read_sample_set, header + "\n" + det_line()).n_repetitions == 2**64
 
     @pytest.mark.parametrize(
         "fields, message",
@@ -519,16 +509,35 @@ class TestDecoderRule:
     def test_ground_truth_integers_beyond_64_bits(self, fields, message):
         text = json.dumps({"image_id": "img0", "bbox": [1, 2, 5, 6], **fields})
         with pytest.raises(ParseError, match=f"^{message}"):
-            parse_ground_truth(text, 20, 30)
+            read_text(read_ground_truth, text, 20, 30)
 
     def test_ground_truth_class_beyond_64_bits(self):
         text = json.dumps({"image_id": "img0", "bbox": [1, 2, 5, 6], "class_id": 2**64})
-        assert parse_ground_truth(text, 20, 30)[0].class_id == 2**64
+        assert read_text(read_ground_truth, text, 20, 30)[0].class_id == 2**64
 
     def test_lone_surrogate_image_id(self, tmp_path):
         header = json.dumps({**json.loads(HEADER), "image_id": "\udfff"})
         assert '"\\udfff"' in header
-        assert parse_sample_set(header + "\n" + det_line()).image_id == "\udfff"
+        assert read_text(read_sample_set, header + "\n" + det_line()).image_id == "\udfff"
         path = tmp_path / "gt.jsonl"
         path.write_text(json.dumps({"image_id": "\udfff", "bbox": [1, 2, 5, 6], "class_id": 1}))
         assert read_ground_truth(path, 20, 30)[0].image_id == "\udfff"
+
+
+def test_sample_set_retains_only_its_columns(tmp_path):
+    # 16 box-only instances x 1024 repetitions: 16 384 detections, whose
+    # columns take 80 bytes each (box, 4 scores, repetition, mask slot).
+    s, _, _ = generate(separated_scene(0, 16, sigma=3.0, n_repetitions=1024))
+    path = tmp_path / "samples.jsonl"
+    path.write_text(serialize_sample_set(s), encoding="utf-8")
+    read_sample_set(path)  # the decoder's first import is not the set's
+    gc.collect()
+    tracemalloc.start()
+    try:
+        read = read_sample_set(path)
+        gc.collect()
+        retained = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    assert len(read) == 16 * 1024
+    assert retained / len(read) <= 150, retained / len(read)

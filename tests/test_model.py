@@ -3,14 +3,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from _reference import reference_mask_iou, reference_runs
+from _reference import reference_box_iou, reference_mask_iou, reference_runs
 from dropuq.model import (
     BBox,
-    Detection,
     RleMask,
+    RowError,
     SampleSet,
     ScoreVector,
     box_iou,
+    box_ious,
     mask_iou,
     mask_ious,
     rasterize_box,
@@ -37,13 +38,6 @@ class TestBBox:
             BBox(0, 0, float("nan"), 10)
         with pytest.raises(ValueError):
             BBox(0, 0, float("inf"), 10)
-
-    def test_clamped(self):
-        assert BBox(-5, -5, 15, 12).clamped(10, 10) == BBox(0, 0, 10, 10)
-
-    def test_clamped_degenerate_rejected(self):
-        with pytest.raises(ValueError):
-            BBox(20, 20, 30, 30).clamped(10, 10)
 
 
 class TestBoxIou:
@@ -354,19 +348,102 @@ class TestDomainTypes:
             ScoreVector((1.5, -0.5))
         assert ScoreVector((0.25, 0.75)).background == 0.25
 
-    def test_sample_set_validates_repetition(self):
-        det = Detection(BBox(0, 0, 5, 5), ScoreVector((0.5, 0.5)), None, repetition=3)
-        with pytest.raises(ValueError):
-            SampleSet("img", 10, 10, 2, (det,))
 
-    def test_sample_set_validates_bounds(self):
-        det = Detection(BBox(0, 0, 50, 5), ScoreVector((0.5, 0.5)), None, repetition=0)
-        with pytest.raises(ValueError):
-            SampleSet("img", 10, 10, 1, (det,))
+def sample_set(boxes=((0, 0, 5, 5),), scores=((0.5, 0.5),), repetition=(0,), masks=(None,),
+               n_repetitions=2):
+    return SampleSet("img", 10, 10, n_repetitions, boxes, scores, repetition, masks)
 
-    def test_sample_set_validates_mask_dims(self):
-        det = Detection(
-            BBox(0, 0, 5, 5), ScoreVector((0.5, 0.5)), RleMask(3, 3, (9,)), repetition=0
+
+class TestSampleSet:
+    """A directly built SampleSet checks every value, naming the detection."""
+
+    @pytest.mark.parametrize(
+        "box, scores, repetition, message",
+        [
+            ((0, 0, 5, 5), (0.5, 0.5), 2, r"repetition 2 out of range \[0, 2\)"),
+            ((0, 0, 5, 5), (0.5, 0.5), -1, r"repetition -1 out of range \[0, 2\)"),
+            ((0, 0, 5, 5), (0.5, 0.5), 2**64, r"repetition 18446744073709551616 out of range"),
+            ((0, 0, np.nan, 5), (0.5, 0.5), 0, r"box coordinates must be finite"),
+            ((0, 0, np.inf, 5), (0.5, 0.5), 0, r"box coordinates must be finite"),
+            ((0, 0, 0, 5), (0.5, 0.5), 0, r"box must have strictly positive area, got \(0.0, 0.0, 0.0, 5.0\)"),
+            ((6, 0, 2, 5), (0.5, 0.5), 0, r"box must have strictly positive area, got \(6.0, 0.0, 2.0, 5.0\)"),
+            ((20, 0, 30, 5), (0.5, 0.5), 0, r"box must have strictly positive area, got \(10, 0.0, 10, 5.0\)"),
+            ((0, 0, 5, 5), (1.5, -0.5), 0, r"scores must lie in \[0, 1\]"),
+            ((0, 0, 5, 5), (np.nan, 0.5), 0, r"scores must lie in \[0, 1\]"),
+            ((0, 0, 5, 5), (0.5, 0.6), 0, r"scores must sum to 1 within 1e-6, got 1.1"),
+            ((0, 0, 5, 5), (0.5, 0.5, 10**400), 0, r"int too large to convert to float"),
+        ],
+    )
+    def test_rejects_bad_row(self, box, scores, repetition, message):
+        good = ((1, 1, 4, 4), (0.5, 0.5) + (0.0,) * (len(scores) - 2), 0)
+        boxes, score_rows, repetitions = zip(good, (box, scores, repetition), good)
+        with pytest.raises(RowError, match=f"^detection 1: {message}") as err:
+            sample_set(list(boxes), list(score_rows), list(repetitions), (None,) * 3)
+        assert err.value.row == 1
+
+    def test_rejects_short_score_vector(self):
+        with pytest.raises(RowError, match="^detection 0: score vector needs background"):
+            sample_set(scores=((1.0,),))
+
+    def test_rejects_mask_of_other_dims(self):
+        with pytest.raises(RowError, match="^detection 0: mask dims 3x3 differ"):
+            sample_set(masks=(RleMask(3, 3, (9,)),))
+
+    def test_clamps_boxes_into_the_image(self):
+        s = sample_set(boxes=((-3, 2, 50, 5),))
+        assert s.boxes.tolist() == [[0.0, 2.0, 10.0, 5.0]]
+
+    def test_columns_are_read_only_copies(self):
+        boxes = np.array([[0.0, 0.0, 5.0, 5.0]])
+        s = sample_set(boxes=boxes)
+        boxes[0, 0] = 1.0
+        assert s.boxes[0, 0] == 0.0
+        for column in (s.boxes, s.scores, s.repetition):
+            assert not column.flags.writeable
+        assert (s.boxes.dtype, s.scores.dtype, s.repetition.dtype) == (
+            np.float64, np.float64, np.int64
         )
-        with pytest.raises(ValueError):
-            SampleSet("img", 10, 10, 1, (det,))
+
+    def test_rows_sorted_stably_by_repetition(self):
+        boxes = [(i, 0, i + 1, 1) for i in range(4)]
+        s = sample_set(boxes, [(0.5, 0.5)] * 4, [1, 0, 1, 0], (None,) * 4)
+        assert s.repetition.tolist() == [0, 0, 1, 1]
+        assert s.boxes[:, 0].tolist() == [1, 3, 0, 2]
+        assert s.take([3, 0]).boxes[:, 0].tolist() == [1, 2]  # re-sorted by repetition
+
+    def test_empty_set_keeps_class_count(self):
+        s = sample_set(np.empty((0, 4)), np.empty((0, 4)), [], ())
+        assert len(s) == 0 and s.scores.shape == (0, 4)
+
+
+class TestBoxIous:
+    """box_ious is the scalar box_iou formula, bit for bit."""
+
+    def check(self, boxes, ref):
+        got = box_ious(np.array(boxes, dtype=np.float64), BBox(*ref))
+        want = [reference_box_iou(b, ref) for b in boxes]
+        assert got.tobytes() == np.array(want, dtype=np.float64).tobytes()
+        assert [box_iou(BBox(*b), BBox(*ref)) for b in boxes] == want
+
+    def test_random_boxes(self):
+        rng = np.random.default_rng(41)
+        for _ in range(50):
+            corners = rng.uniform(0, 100, size=(40, 2, 2))
+            corners.sort(axis=1)
+            boxes = corners.transpose(0, 2, 1).reshape(-1, 4)[:, [0, 2, 1, 3]]
+            boxes = boxes[(boxes[:, 0] < boxes[:, 2]) & (boxes[:, 1] < boxes[:, 3])]
+            self.check(boxes[1:].tolist(), tuple(boxes[0].tolist()))
+
+    def test_edge_cases(self):
+        ref = (10.0, 10.0, 20.0, 20.0)
+        boxes = [
+            (30.0, 30.0, 40.0, 40.0),  # disjoint
+            (20.0, 10.0, 30.0, 20.0),  # touching on an edge
+            (20.0, 20.0, 30.0, 30.0),  # touching at a corner
+            (12.0, 13.0, 17.0, 19.5),  # nested inside
+            (0.0, 0.0, 50.0, 50.0),    # nesting it
+            ref,                       # identical
+            (15.0, 0.1, 25.0, 10.3),   # partial overlap
+        ]
+        self.check(boxes, ref)
+        assert box_ious(np.empty((0, 4)), BBox(*ref)).shape == (0,)

@@ -9,7 +9,7 @@ from _reference import reference_iou_to_mean, reference_mask_stats
 from _scenes import separated_scene
 from dropuq import report
 from dropuq.clustering import ClusterConfig, InstanceCluster, cluster_pipeline
-from dropuq.model import BBox, Detection, RleMask, ScoreVector, rle_decode, rle_encode
+from dropuq.model import BBox, RleMask, SampleSet, rle_decode, rle_encode
 from dropuq.report import (
     DegenerateSamples,
     box_stats,
@@ -28,17 +28,8 @@ def make_cluster(boxes, scores=None, masks=None, height=20, width=20):
     n = len(boxes)
     scores = scores or [(0.1, 0.9)] * n
     masks = masks or [None] * n
-    members = tuple(
-        Detection(BBox(*boxes[i]), ScoreVector(scores[i]), masks[i], repetition=i)
-        for i in range(n)
-    )
-    return InstanceCluster(
-        cluster_id=0,
-        members=members,
-        indices=tuple(range(n)),
-        height=height,
-        width=width,
-    )
+    members = SampleSet("img", height, width, n, np.reshape(boxes, (-1, 4)), scores, range(n), masks)
+    return InstanceCluster(cluster_id=0, indices=np.arange(n), members=members)
 
 
 def grid_mask(rows, height=20, width=20):
@@ -96,15 +87,6 @@ class TestClassStats:
         # population std of {0.4, 0.6} is 0.1
         assert s.std_scores[1] == pytest.approx(0.1, abs=1e-12)
 
-    def test_inconsistent_lengths_error(self):
-        members = (
-            Detection(BBox(0, 0, 5, 5), ScoreVector((0.5, 0.5)), None, 0),
-            Detection(BBox(0, 0, 5, 5), ScoreVector((0.2, 0.3, 0.5)), None, 1),
-        )
-        c = InstanceCluster(0, members, ((0, 0), (1, 0)), 20, 20)
-        with pytest.raises(ValueError):
-            class_stats(c)
-
 
 class TestMaskStats:
     def test_identical_masks(self):
@@ -150,9 +132,10 @@ class TestMaskStats:
         assert np.array_equal(rle_decode(s.consensus_mask), s.mean_mask >= 0.5)
 
     def test_dim_mismatch_error(self):
-        c = make_cluster([(0, 0, 5, 5)], masks=[RleMask(5, 5, (25,))], height=20, width=20)
         with pytest.raises(ValueError):
-            mask_stats(c)
+            mask_stats(
+                make_cluster([(0, 0, 5, 5)], masks=[RleMask(5, 5, (25,))], height=20, width=20)
+            )
 
     @pytest.mark.parametrize("threshold", [-0.1, 1.5, math.nan])
     def test_threshold_out_of_range_error(self, threshold):
@@ -164,7 +147,7 @@ class TestMaskStats:
 def dense_mask_stats(c, mask_threshold=0.5):
     """Reference: stack every decoded member mask and reduce over the stack."""
     stack = np.stack(
-        [rle_decode(m.mask) for m in c.members if m.mask is not None]
+        [rle_decode(m) for m in c.members.masks if m is not None]
     ).astype(np.float64)
     mean = stack.mean(axis=0)
     return mean, stack.std(axis=0), rle_encode(mean >= mask_threshold)
@@ -457,7 +440,7 @@ class TestMaskLayerAgainstReference:
     def check(self, c, threshold):
         got = mask_stats(c, threshold)
         want = reference_mask_stats(c, threshold)
-        assert got.mean_mask.shape == got.std_mask.shape == (c.height, c.width)
+        assert got.mean_mask.shape == got.std_mask.shape == (c.members.height, c.members.width)
         assert got.mean_mask.tobytes() == want.mean_mask.tobytes()
         assert got.std_mask.tobytes() == want.std_mask.tobytes()
         assert got.consensus_mask == want.consensus_mask

@@ -1,8 +1,11 @@
+import json
+
 import numpy as np
 import pytest
 
 from _scenes import separated_scene
 from dropuq.calibration import fit_temperature
+from dropuq.cli import main
 from dropuq.clustering import ClusterConfig, cluster_pipeline, labels_from_clusters
 from dropuq.ingest import serialize_sample_set
 from dropuq.model import BBox
@@ -31,18 +34,18 @@ class TestGenerate:
     def test_label_bookkeeping(self):
         spec = separated_scene(1, 4, sigma=2.0, miss_rate=0.2)
         s, labels, gts = generate(spec)
-        assert len(labels) == len(s.detections)
+        assert len(labels) == len(s)
         assert set(labels) <= set(range(len(spec.instances)))
         assert len(gts) == len(spec.instances)
 
     def test_noiseless_repetitions_identical(self):
         spec = separated_scene(2, 2, sigma=0.0, shape="box")
         s, labels, _ = generate(spec)
-        assert len(s.detections) == 200
+        assert len(s) == 200
         per_instance = {}
-        for det, lab in zip(s.detections, labels):
+        for box, scores, mask, lab in zip(s.boxes.tolist(), s.scores.tolist(), s.masks, labels):
             per_instance.setdefault(lab, set()).add(
-                (det.bbox.as_tuple(), det.scores.scores, tuple(det.mask.runs.tolist()))
+                (tuple(box), tuple(scores), tuple(mask.runs.tolist()))
             )
         assert all(len(v) == 1 for v in per_instance.values())
         clusters = cluster_pipeline(s, ClusterConfig(seed=2))
@@ -60,13 +63,24 @@ class TestGenerate:
         )
         s, labels, gts = generate(spec)
         assert 0 not in labels
-        assert len(s.detections) == 20
+        assert len(s) == 20
         assert len(gts) == 2
+
+    def test_empty_sample_set_keeps_class_count(self, tmp_path):
+        spec = SceneSpec("img", 100, 100, 3, 5, (InstanceSpec(BBox(10, 10, 40, 40), 2, "none",
+                                                               miss_rate=1.0),))
+        spec_path = tmp_path / "spec.json"
+        spec_path.write_text(scene_spec_to_json(spec), encoding="utf-8")
+        assert main(["synth", str(spec_path), "--out-dir", str(tmp_path / "out")]) == 0
+        lines = (tmp_path / "out" / "img_samples.jsonl").read_text(encoding="utf-8").splitlines()
+        assert len(lines) == 1 and json.loads(lines[0])["num_classes"] == 3
+        gt = json.loads((tmp_path / "out" / "img_gt.jsonl").read_text(encoding="utf-8"))
+        assert gt["class_id"] == 2
 
     def test_edge_noise_statistics(self):
         spec = separated_scene(3, 1, sigma=2.0, n_repetitions=1000, height=2000, width=2000)
         s, _, _ = generate(spec)
-        coords = np.array([d.bbox.as_tuple() for d in s.detections])
+        coords = s.boxes
         for axis in range(4):
             std = coords[:, axis].std()
             assert abs(std - 2.0) / 2.0 < 0.1
@@ -75,9 +89,8 @@ class TestGenerate:
         spec = separated_scene(4, 1, class_confusion=0.2, n_repetitions=200)
         s, _, _ = generate(spec)
         true_class = spec.instances[0].true_class
-        for det in s.detections:
-            assert det.scores.scores[true_class] == pytest.approx(0.8, abs=1e-9)
-            assert det.scores.background == pytest.approx(0.1, abs=1e-9)
+        assert np.abs(s.scores[:, true_class] - 0.8).max() <= 1e-9
+        assert np.abs(s.scores[:, 0] - 0.1).max() <= 1e-9
 
     def test_mask_noise_flips_contour_only(self):
         clean = separated_scene(5, 1, shape="ellipse", mask_noise=0.0)
@@ -87,7 +100,7 @@ class TestGenerate:
         from dropuq.model import rle_decode
 
         base = rle_decode(gc[0].mask)
-        flipped = rle_decode(sn.detections[0].mask) != base
+        flipped = rle_decode(sn.masks[0]) != base
         # all flipped pixels are near the contour: dilate(base) & ~erode(base)
         from dropuq.synth import _contour_band
 
