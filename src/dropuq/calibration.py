@@ -17,7 +17,7 @@ from typing import Callable, Iterable, List, Optional, Sequence, Tuple
 import numpy as np
 
 from .ingest import _REAL, ParseError, _jsonl_records, _read_file
-from .model import RowError, ScoreVector
+from .model import RowError, ScoreVector, _check, _equal_fields
 
 __all__ = [
     "LogitVector",
@@ -87,14 +87,11 @@ class CalibrationSet:
             )
         z = z.astype(np.float64)
         y = y.astype(np.int64)
-        finite = np.isfinite(z).all(axis=1)
-        in_range = (y >= 0) & (y < z.shape[1])
-        bad = ~(finite & in_range)
-        if bad.any():
-            i = int(np.argmax(bad))
-            if not finite[i]:
-                raise RowError(i, f"logits must be finite, got {z[i].tolist()}")
-            raise RowError(i, f"true_class {y[i]} out of range for {z.shape[1]} classes")
+        _check([
+            (np.isfinite(z).all(axis=1), lambda i: f"logits must be finite, got {z[i].tolist()}"),
+            ((y >= 0) & (y < z.shape[1]),
+             lambda i: f"true_class {y[i]} out of range for {z.shape[1]} classes"),
+        ], RowError)
         z.setflags(write=False)
         y.setflags(write=False)
         object.__setattr__(self, "logits", z)
@@ -103,12 +100,7 @@ class CalibrationSet:
     def __len__(self) -> int:
         return len(self.true_class)
 
-    def __eq__(self, other):
-        if not isinstance(other, CalibrationSet):
-            return NotImplemented
-        return np.array_equal(self.logits, other.logits) and np.array_equal(
-            self.true_class, other.true_class
-        )
+    __eq__ = _equal_fields
 
 
 @dataclass(frozen=True)

@@ -26,6 +26,7 @@ from . import __version__
 
 USAGE_ERROR = 1
 DATA_ERROR = 2
+MAX_BINS = 1000  # reliability scans every record once per bin
 
 
 class _Parser(argparse.ArgumentParser):
@@ -35,13 +36,15 @@ class _Parser(argparse.ArgumentParser):
         raise SystemExit(USAGE_ERROR)
 
 
-def _positive_int(text: str) -> int:
+def _positive_int(text: str, limit: Optional[int] = None) -> int:
     try:
         value = int(text)
     except ValueError:
         raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
     if value < 1:
         raise argparse.ArgumentTypeError(f"must be >= 1, got {value}")
+    if limit is not None and value > limit:
+        raise argparse.ArgumentTypeError(f"must be <= {limit}, got {value}")
     return value
 
 
@@ -355,7 +358,7 @@ def _parser() -> argparse.ArgumentParser:
     p = sub.add_parser("calibrate", help="fit temperature and reliability metrics")
     p.add_argument("records", help="calibration records file")
     p.add_argument("--out-dir", required=True, help="output directory")
-    p.add_argument("--bins", type=_positive_int, default=10)
+    p.add_argument("--bins", type=lambda text: _positive_int(text, MAX_BINS), default=10)
     p.set_defaults(func=_cmd_calibrate, inputs=("records",))
 
     p = sub.add_parser("eval", help="mAP@0.5 against ground truth")

@@ -32,7 +32,7 @@ from typing import Callable, Iterable, Iterator, List, Optional, Tuple
 
 import numpy as np
 
-from .model import RleMask, RowError, SampleSet
+from .model import RowError, SampleSet
 
 __all__ = [
     "MAX_PIXELS",
@@ -184,17 +184,13 @@ def _sample_set(lines: Iterable[str], loads: Callable) -> SampleSet:
         repetitions.append(_scalar(obj, "repetition", _INT, lineno))
         boxes.append(_array(obj, "bbox", _REAL, lineno, length=4))
         scores.append(_array(obj, "scores", _REAL, lineno))
-        runs = _array(obj, "mask_runs", _INT, lineno) if "mask_runs" in obj else None
+        masks.append(_array(obj, "mask_runs", _INT, lineno) if "mask_runs" in obj else None)
         if len(scores[-1]) != num_classes + 1:
             raise ParseError(
                 lineno,
                 f"scores has {len(scores[-1])} entries, expected "
                 f"{num_classes + 1} (k={num_classes} classes + background)",
             )
-        try:
-            masks.append(None if runs is None else RleMask(height, width, runs))
-        except (OverflowError, ValueError) as exc:
-            raise ParseError(lineno, str(exc)) from exc
         linenos.append(lineno)
 
     try:
@@ -223,11 +219,12 @@ def serialize_sample_set(s: SampleSet) -> str:
         "num_classes": s.scores.shape[1] - 1,
     }
     out = [json.dumps(header)]
-    rows = zip(s.repetition.tolist(), s.boxes.tolist(), s.scores.tolist(), s.masks)
-    for repetition, box, scores, mask in rows:
+    runs, offsets = s.mask_runs.tolist(), s.mask_offsets.tolist()
+    rows = zip(s.repetition.tolist(), s.boxes.tolist(), s.scores.tolist(), offsets, offsets[1:])
+    for repetition, box, scores, start, end in rows:
         rec = {"repetition": repetition, "bbox": box, "scores": scores}
-        if mask is not None:
-            rec["mask_runs"] = mask.runs.tolist()
+        if end > start:
+            rec["mask_runs"] = runs[start:end]
         out.append(json.dumps(rec))
     return "\n".join(out) + "\n"
 

@@ -6,9 +6,10 @@ Every operation in this module is a pure function.
 
 from __future__ import annotations
 
+import copy
 import math
-from dataclasses import dataclass, replace
-from typing import List, Optional, Sequence, Tuple
+from dataclasses import InitVar, dataclass, field, fields
+from typing import Callable, Sequence, Tuple
 
 import numpy as np
 
@@ -26,6 +27,13 @@ __all__ = [
     "rle_decode",
     "rasterize_box",
 ]
+
+
+def _equal_fields(a, b) -> bool:
+    """Equality of two dataclasses of one type, comparing array fields by value."""
+    return type(a) is type(b) and all(
+        np.array_equal(getattr(a, f.name), getattr(b, f.name)) for f in fields(a)
+    )
 
 
 @dataclass(frozen=True)
@@ -88,43 +96,17 @@ class RleMask:
 
     def __post_init__(self):
         if self.height < 1 or self.width < 1:
-            raise ValueError(
-                f"mask dims must be positive, got {self.height}x{self.width}"
-            )
-        pixels = self.height * self.width
-        if pixels > _INT64_MAX:
+            raise ValueError(f"mask dims must be positive, got {self.height}x{self.width}")
+        if self.height * self.width > _INT64_MAX:
             raise ValueError(
                 f"mask of {self.height} x {self.width} pixels exceeds 64-bit run bounds"
             )
-        try:
-            runs = np.array(self.runs, dtype=np.int64)
-        except OverflowError:
-            # A run beyond 64 bits: the checks below run on exact Python
-            # ints only to word the error, which the sum check always raises.
-            runs = np.array([int(r) for r in self.runs], dtype=object)
-        if runs.ndim != 1:
-            raise ValueError(f"runs must be one-dimensional, got shape {runs.shape}")
-        if runs.size and runs.min() < 0:
-            raise ValueError("run lengths must be non-negative")
-        if not runs[1:].all():
-            raise ValueError("zero-length run allowed only as the leading run")
-        if runs.size and runs.max() > _INT64_MAX // runs.size:
-            total = sum(runs.tolist())  # the int64 sum could wrap
-        else:
-            total = int(runs.sum())
-        if total != pixels:
-            raise ValueError(f"runs sum to {total}, expected {pixels}")
+        runs, _, rules = _run_column([self.runs], self.height * self.width)
+        _check(rules, lambda row, message: ValueError(message))
         runs.flags.writeable = False
         object.__setattr__(self, "runs", runs)
 
-    def __eq__(self, other):
-        if not isinstance(other, RleMask):
-            return NotImplemented
-        return (
-            self.height == other.height
-            and self.width == other.width
-            and np.array_equal(self.runs, other.runs)
-        )
+    __eq__ = _equal_fields
 
     def __hash__(self):
         return hash((self.height, self.width, self.runs.tobytes()))
@@ -137,10 +119,54 @@ class RleMask:
     def is_empty(self) -> bool:
         return self.foreground_count == 0
 
-    def foreground_intervals(self) -> Tuple[np.ndarray, np.ndarray]:
-        """Half-open [start, end) flat-pixel bounds of the foreground runs."""
-        bounds = np.cumsum(self.runs)
-        return bounds[:-1:2], bounds[1::2]
+
+def _run_column(rows: Sequence, pixels: int) -> Tuple[np.ndarray, np.ndarray, list]:
+    """The run sequences ``rows`` (None: no mask) of masks of ``pixels`` pixels
+    as one column, row i's runs being ``runs[offsets[i]:offsets[i + 1]]``, and
+    the run rules as (row passes, message for row i) pairs, in checking order.
+    A run beyond 64 bits makes ``runs`` exact Python ints, only to word the
+    error, which the sum rule always raises."""
+    has_mask = np.array([r is not None for r in rows], dtype=bool)
+    try:
+        parts = [np.asarray(r, dtype=np.int64) for r in rows if r is not None]
+    except OverflowError:
+        parts = [np.array([int(v) for v in r], dtype=object) for r in rows if r is not None]
+    for part in parts:
+        if part.ndim != 1:
+            raise ValueError(f"runs must be one-dimensional, got shape {part.shape}")
+    lengths = np.zeros(len(rows), dtype=np.int64)
+    lengths[has_mask] = [part.size for part in parts]
+    offsets = np.concatenate(([0], np.cumsum(lengths)))
+    runs = np.concatenate([np.zeros(0, np.int64)] + parts)
+    wraps = runs.size and runs.max() > _INT64_MAX // runs.size  # a row's int64 sum could wrap
+    totals = _row_sums(runs.astype(object) if wraps else runs, offsets)
+    row = np.repeat(np.arange(len(rows)), lengths)  # the row of each run
+
+    def rows_without(flagged: np.ndarray) -> np.ndarray:
+        return np.bincount(row[flagged], minlength=len(rows)) == 0
+
+    rules = [
+        (rows_without(runs < 0), lambda i: "run lengths must be non-negative"),
+        (rows_without((runs == 0) & (np.arange(runs.size) > offsets[row])),
+         lambda i: "zero-length run allowed only as the leading run"),
+        (~has_mask | (totals == pixels), lambda i: f"runs sum to {totals[i]}, expected {pixels}"),
+    ]
+    return runs, offsets, rules
+
+
+def _row_sums(values: np.ndarray, offsets: np.ndarray) -> np.ndarray:
+    """The sum of each row's values in a column with ``offsets``."""
+    running = np.concatenate(([0], np.cumsum(values)))
+    return running[offsets[1:]] - running[offsets[:-1]]
+
+
+def _check(rules, error: Callable[[int, str], Exception]) -> None:
+    """Raise error(row, message) for the first row that fails a (row passes,
+    message for row i) rule, with the message of the first rule it fails."""
+    ok = np.logical_and.reduce([passed for passed, _ in rules])
+    if not ok.all():
+        i = int(np.argmin(ok))
+        raise error(i, next(describe(i) for passed, describe in rules if not passed[i]))
 
 
 @dataclass(frozen=True)
@@ -196,17 +222,18 @@ class SampleSet:
     """All detections for one image across every MC-Dropout repetition, as columns.
 
     Row i is one detection: ``boxes[i]`` (x1, y1, x2, y2), ``scores[i]`` (K+1
-    class probabilities, background first), ``repetition[i]`` and ``masks[i]``
-    (an RleMask or None). ``boxes``, ``scores`` and ``repetition`` are read-only
-    (n, 4) float64, (n, K+1) float64 and (n,) int64 copies, so K is known even
-    when n = 0; ``masks`` is a length-n tuple.
+    class probabilities, background first), ``repetition[i]`` and its mask
+    runs ``mask_runs[mask_offsets[i]:mask_offsets[i + 1]]``, empty for no
+    mask. All five are read-only arrays: boxes and scores (n, 4) and (n, K+1)
+    float64, so K is known when n = 0, the rest int64. ``masks`` holds run
+    sequences or None.
 
     Every row is checked here, and a bad one raises RowError naming it: the
-    repetition lies in [0, n_repetitions); the box is finite, has positive
-    area, and keeps positive area when clamped into [0, width] x [0, height],
-    which is what is stored; the scores lie in [0, 1] and sum to 1 within
-    1e-6; a mask has the image's dims. Rows are then sorted stably by
-    repetition.
+    mask runs follow RleMask's rules for the image's dims; the repetition
+    lies in [0, n_repetitions); the box is finite, has positive area, and
+    keeps positive area when clamped into [0, width] x [0, height], which is
+    what is stored; the scores lie in [0, 1] and sum to 1 within 1e-6. Rows
+    are then sorted stably by repetition.
     """
 
     image_id: str
@@ -216,12 +243,13 @@ class SampleSet:
     boxes: np.ndarray
     scores: np.ndarray
     repetition: np.ndarray
-    masks: Tuple[Optional[RleMask], ...]
+    masks: InitVar[Sequence]
+    mask_runs: np.ndarray = field(init=False)
+    mask_offsets: np.ndarray = field(init=False)
 
-    def __post_init__(self):
+    def __post_init__(self, masks):
         if self.height < 1 or self.width < 1:
             raise ValueError("image dims must be positive")
-        masks = tuple(self.masks)
         n = len(masks)
         boxes = _float_rows(self.boxes)
         scores = _float_rows(self.scores)
@@ -237,6 +265,7 @@ class SampleSet:
         if scores.shape[1] < 2:  # every row is short, so the first one is
             message = "score vector needs background plus >=1 class"
             raise RowError(0, message, "detection") if n else ValueError(message)
+        runs, offsets, run_rules = _run_column(masks, self.height * self.width)
         # Indices are int64: a repetition count beyond that range admits no more.
         bound = min(self.n_repetitions, _INT64_MAX + 1)
         dims = (self.width, self.height) * 2
@@ -246,8 +275,7 @@ class SampleSet:
         total = np.zeros(n)  # summed left to right, as sum() adds a tuple
         for column in scores.T:
             total += column
-        image = (self.height, self.width)
-        rules = [  # (row passes, its message), in the order a file's line is checked
+        _check(run_rules + [  # in the order a file's line is checked
             (((repetition >= 0) & (repetition < bound)).astype(bool),
              lambda i: f"repetition {repetition[i]} out of range [0, {bound})"),
             (np.isfinite(boxes).all(axis=1),
@@ -259,50 +287,43 @@ class SampleSet:
              lambda i: f"scores must lie in [0, 1], got {tuple(scores[i].tolist())}"),
             (np.abs(total - 1.0) <= 1e-6,
              lambda i: f"scores must sum to 1 within 1e-6, got {float(total[i])}"),
-            (np.array([m is None or (m.height, m.width) == image for m in masks], dtype=bool),
-             lambda i: f"mask dims {masks[i].height}x{masks[i].width} differ from "
-                       f"image dims {self.height}x{self.width}"),
-        ]
-        ok = np.logical_and.reduce([passed for passed, _ in rules])
-        if not ok.all():
-            i = int(np.argmin(ok))
-            message = next(describe(i) for passed, describe in rules if not passed[i])
-            raise RowError(i, message, "detection")
+        ], lambda row, message: RowError(row, message, "detection"))
         # After the rows: with n_repetitions < 1 every row is out of range,
         # and a row names its line in a file.
         if self.n_repetitions < 1:
             raise ValueError("n_repetitions must be positive")
-        order = np.argsort(repetition, kind="stable")
-        columns = {"boxes": clamped, "scores": scores, "repetition": repetition.astype(np.int64)}
+        repetition = repetition.astype(np.int64)
+        self._set_rows(clamped, scores, repetition, runs, offsets,
+                       np.argsort(repetition, kind="stable"))
+
+    def _set_rows(self, boxes, scores, repetition, runs, offsets, order) -> None:
+        """Hold rows ``order`` of the given columns, read-only, as this set's rows."""
+        starts = offsets[:-1][order]
+        lengths = offsets[1:][order] - starts
+        new_offsets = np.zeros(len(order) + 1, dtype=np.int64)
+        np.cumsum(lengths, out=new_offsets[1:])
+        # Run j of the new column is run j - new start + old start of its row.
+        taken = np.arange(new_offsets[-1]) + np.repeat(starts - new_offsets[:-1], lengths)
+        columns = {"boxes": boxes[order], "scores": scores[order], "repetition": repetition[order],
+                   "mask_runs": runs[taken], "mask_offsets": new_offsets}
         for name, column in columns.items():
-            column = column[order]
             column.flags.writeable = False
             object.__setattr__(self, name, column)
-        object.__setattr__(self, "masks", tuple(masks[i] for i in order.tolist()))
 
     def __len__(self) -> int:
-        return len(self.masks)
+        return len(self.repetition)
 
-    def present_masks(self) -> List[RleMask]:
-        """The masks of the rows that carry one, in row order."""
-        return [m for m in self.masks if m is not None]
-
-    def __eq__(self, other):
-        if not isinstance(other, SampleSet):
-            return NotImplemented
-        fields = ("image_id", "height", "width", "n_repetitions", "masks")
-        columns = ("boxes", "scores", "repetition")
-        return all(getattr(self, f) == getattr(other, f) for f in fields) and all(
-            np.array_equal(getattr(self, c), getattr(other, c)) for c in columns
-        )
+    __eq__ = _equal_fields
 
     def take(self, idx) -> "SampleSet":
         """The rows at the integer positions ``idx``, as a SampleSet (whose
-        rows are sorted stably by repetition, as every SampleSet's are)."""
+        rows are sorted stably by repetition, as every SampleSet's are); they
+        were checked when this set was built, so they are not checked again."""
         idx = np.asarray(idx, dtype=np.int64)
-        masks = tuple(self.masks[i] for i in idx.tolist())
-        return replace(self, boxes=self.boxes[idx], scores=self.scores[idx],
-                       repetition=self.repetition[idx], masks=masks)
+        out = copy.copy(self)
+        out._set_rows(self.boxes, self.scores, self.repetition, self.mask_runs,
+                      self.mask_offsets, idx[np.argsort(self.repetition[idx], kind="stable")])
+        return out
 
 
 def _positive_area(boxes: np.ndarray) -> np.ndarray:
@@ -335,11 +356,14 @@ def mask_iou(a: RleMask, b: RleMask) -> float:
     Returns 0.0 when both masks are empty: an empty-vs-empty comparison
     carries no evidence and must not produce a fabricated perfect score.
     """
-    return float(mask_ious([a], b)[0])
+    if a.height != b.height or a.width != b.width:
+        raise ValueError(f"mask dims differ: {a.height}x{a.width} vs {b.height}x{b.width}")
+    return float(mask_ious(a.runs, np.array([0, a.runs.size]), b)[0])
 
 
-def mask_ious(masks: Sequence[RleMask], ref: RleMask) -> np.ndarray:
-    """Foreground IoU of each mask against ``ref``, as mask_iou defines it.
+def mask_ious(runs: np.ndarray, offsets: np.ndarray, ref: RleMask) -> np.ndarray:
+    """Foreground IoU against ``ref``, as mask_iou defines it, of each mask in
+    a run column of masks of ref's dims (a row with no runs has no mask).
 
     One pass over all masks in integer arithmetic: P(x), the count of
     ``ref`` pixels before flat pixel x, is read off ref's run bounds, and a
@@ -347,17 +371,12 @@ def mask_ious(masks: Sequence[RleMask], ref: RleMask) -> np.ndarray:
     its foreground runs. Each IoU is one int64 division, as exact as the
     division of Python ints for masks under 2^53 pixels.
     """
-    for a in masks:
-        if a.height != ref.height or a.width != ref.width:
-            raise ValueError(
-                f"mask dims differ: {a.height}x{a.width} vs {ref.height}x{ref.width}"
-            )
-    if not masks:
-        return np.zeros(0)
-    starts, ends, offsets = _foreground_runs(masks)
+    pixels = ref.height * ref.width
+    starts, ends, per_mask = _foreground_bounds(runs, offsets, pixels)
+    ref_starts, ref_ends, _ = _foreground_bounds(ref.runs, np.array([0, ref.runs.size]), pixels)
     # A zero-length run at pixel 0 comes first, so every x >= 0 has a run
     # starting at or before it, even when ref is empty.
-    ref_starts, ref_ends = (np.concatenate(([0], b)) for b in ref.foreground_intervals())
+    ref_starts, ref_ends = np.concatenate(([0], ref_starts)), np.concatenate(([0], ref_ends))
     ref_lengths = ref_ends - ref_starts
     ref_before = np.cumsum(ref_lengths) - ref_lengths  # ref pixels before each run
 
@@ -365,41 +384,44 @@ def mask_ious(masks: Sequence[RleMask], ref: RleMask) -> np.ndarray:
         k = np.searchsorted(ref_starts, x, side="right") - 1  # last run starting <= x
         return ref_before[k] + np.minimum(x - ref_starts[k], ref_lengths[k])
 
-    def per_mask(values: np.ndarray) -> np.ndarray:
-        total = np.concatenate(([0], np.cumsum(values)))
-        return total[offsets[1:]] - total[offsets[:-1]]
-
-    inter = per_mask(covered(ends) - covered(starts))
-    union = per_mask(ends - starts) + ref.foreground_count - inter
-    return np.divide(inter, union, out=np.zeros(len(masks)), where=union > 0)
+    inter = _row_sums(covered(ends) - covered(starts), per_mask)
+    union = _row_sums(ends - starts, per_mask) + ref.foreground_count - inter
+    return np.divide(inter, union, out=np.zeros(len(union)), where=union > 0)
 
 
-def _foreground_runs(masks: Sequence[RleMask]) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """The foreground runs of one or more masks, concatenated: half-open
-    [start, end) flat-pixel bounds, and the offset of each mask's first run
-    (then the run count)."""
-    intervals = [a.foreground_intervals() for a in masks]
-    starts = np.concatenate([st for st, _ in intervals])
-    ends = np.concatenate([en for _, en in intervals])
-    offsets = np.cumsum([0] + [st.size for st, _ in intervals])
-    return starts, ends, offsets
+def _foreground_bounds(
+    runs: np.ndarray, offsets: np.ndarray, pixels: int
+) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The foreground runs of each mask of ``pixels`` pixels in a checked run
+    column, concatenated: their half-open [start, end) flat-pixel bounds,
+    and the offsets of each mask's runs among them."""
+    lengths = np.diff(offsets)
+    # Every mask's runs sum to ``pixels``, so the running sum over the column
+    # exceeds the k-th mask's own bounds by k * pixels. int64 arithmetic is
+    # modular, so the difference is exact even where the running sum wraps.
+    ordinal = np.cumsum(lengths > 0) - 1
+    bounds = np.cumsum(runs) - np.repeat(ordinal * pixels, lengths)
+    position = np.arange(runs.size) - np.repeat(offsets[:-1], lengths)  # within its mask
+    ends = np.flatnonzero(position % 2)  # foreground runs sit at odd positions
+    per_mask = np.concatenate(([0], np.cumsum(lengths[lengths > 0] // 2)))
+    return bounds[ends - 1], bounds[ends], per_mask
+
+
+def _encode_runs(bitmap) -> np.ndarray:
+    """The runs of a non-empty row-major boolean grid, background run first."""
+    grid = np.asarray(bitmap, dtype=bool)
+    if grid.ndim != 2 or grid.size == 0:
+        raise ValueError(f"bitmap must be a non-empty 2-D grid, got shape {grid.shape}")
+    flat = grid.reshape(-1)
+    # Boundaries between runs: positions where the value changes.
+    change = np.flatnonzero(flat[1:] != flat[:-1]) + 1
+    lengths = np.diff(np.concatenate(([0], change, [flat.size])))
+    return np.concatenate(([0], lengths)) if flat[0] else lengths
 
 
 def rle_encode(bitmap: np.ndarray) -> RleMask:
     """Encode a row-major boolean grid as an RleMask."""
-    grid = np.asarray(bitmap, dtype=bool)
-    if grid.ndim != 2 or grid.size == 0:
-        raise ValueError(f"bitmap must be a non-empty 2-D grid, got shape {grid.shape}")
-    h, w = grid.shape
-    flat = grid.reshape(-1)
-    # Boundaries between runs: positions where the value changes.
-    change = np.flatnonzero(flat[1:] != flat[:-1]) + 1
-    starts = np.concatenate(([0], change))
-    ends = np.concatenate((change, [flat.size]))
-    lengths = ends - starts
-    if flat[0]:
-        lengths = np.concatenate(([0], lengths))
-    return RleMask(height=h, width=w, runs=lengths)
+    return RleMask(*np.shape(bitmap), runs=_encode_runs(bitmap))
 
 
 def rle_decode(mask: RleMask) -> np.ndarray:

@@ -14,7 +14,7 @@ from typing import TYPE_CHECKING, Optional, Sequence, Tuple
 import numpy as np
 
 from .ingest import json_document
-from .model import BBox, RleMask, _foreground_runs, box_ious, mask_ious, rle_encode
+from .model import BBox, RleMask, _foreground_bounds, box_ious, mask_ious, rle_encode
 
 if TYPE_CHECKING:
     from .clustering import InstanceCluster
@@ -38,6 +38,7 @@ __all__ = [
 
 
 _KDE_GRID_SIZE = 256  # points on which a density curve is evaluated
+_KDE_BLOCK_VALUES = 1 << 16  # (grid point, sample) pairs evaluated at once: memory O(n)
 
 
 class DegenerateSamples(ValueError):
@@ -139,9 +140,8 @@ def mask_stats(c: InstanceCluster, mask_threshold: float = 0.5) -> MaskStats:
     foreground only at threshold 0. The threshold must lie in [0, 1].
     """
     _check_mask_threshold(mask_threshold)
-    masks = c.members.present_masks()  # of the image's dims, as SampleSet checks
     h, w = c.members.height, c.members.width
-    n = len(masks)
+    n = int(np.count_nonzero(np.diff(c.members.mask_offsets)))  # a mask has at least one run
     if n == 0:
         zeros = np.broadcast_to(0.0, (h, w))  # read-only: nothing reads these heatmaps
         return MaskStats(
@@ -152,7 +152,7 @@ def mask_stats(c: InstanceCluster, mask_threshold: float = 0.5) -> MaskStats:
             coverage_count=0,
             mask_threshold=mask_threshold,
         )
-    starts, ends, _ = _foreground_runs(masks)
+    starts, ends, _ = _foreground_bounds(c.members.mask_runs, c.members.mask_offsets, h * w)
     lo = int(starts.min()) if starts.size else 0
     hi = int(ends.max()) if ends.size else 0
     diff = np.bincount(starts - lo, minlength=hi - lo + 1)
@@ -189,7 +189,8 @@ def iou_to_mean(
     box_samples = tuple(box_ious(c.members.boxes, s.mean_box).tolist())
     if m.zero_mask:
         return box_samples, ()
-    return box_samples, tuple(mask_ious(c.members.present_masks(), m.consensus_mask).tolist())
+    ious = mask_ious(c.members.mask_runs, c.members.mask_offsets, m.consensus_mask)
+    return box_samples, tuple(ious.tolist())
 
 
 def kde(samples: Sequence[float]) -> KdeCurve:
@@ -206,8 +207,12 @@ def kde(samples: Sequence[float]) -> KdeCurve:
         raise DegenerateSamples("samples have zero variance")
     h = std * x.size ** (-0.2)
     grid = np.linspace(x.min() - 3.0 * h, x.max() + 3.0 * h, _KDE_GRID_SIZE)
-    z = (grid[:, None] - x[None, :]) / h
-    density = np.exp(-0.5 * z * z).sum(axis=1) / (x.size * h * math.sqrt(2.0 * math.pi))
+    density = np.empty(_KDE_GRID_SIZE)
+    step = max(1, _KDE_BLOCK_VALUES // x.size)
+    for lo in range(0, _KDE_GRID_SIZE, step):  # each row sums as in one (grid, x) matrix
+        z = (grid[lo:lo + step, None] - x) / h
+        density[lo:lo + step] = np.exp(-0.5 * z * z).sum(axis=1)
+    density /= x.size * h * math.sqrt(2.0 * math.pi)
     return KdeCurve(
         grid=tuple(float(v) for v in grid),
         density=tuple(float(v) for v in density),

@@ -17,7 +17,7 @@ from .evaluation import GroundTruthInstance
 from .ingest import (
     MAX_PIXELS, _INT, _OBJECT, _REAL, _STR, ParseError, _array, _scalar, json_document,
 )
-from .model import BBox, SampleSet, rasterize_box, rle_decode, rle_encode
+from .model import BBox, SampleSet, _encode_runs, rasterize_box, rle_decode, rle_encode
 
 if TYPE_CHECKING:
     from .calibration import CalibrationSet
@@ -200,7 +200,7 @@ def generate(
                     flips = band_idx[rng.random(band_idx.size) < inst.mask_noise]
                     flat = grid.reshape(-1)
                     flat[flips] = ~flat[flips]
-                mask = rle_encode(grid)
+                mask = _encode_runs(grid)
             repetitions.append(rep)
             masks.append(mask)
             labels.append(idx)

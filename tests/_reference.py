@@ -3,11 +3,15 @@
 Each is the straightforward form that the array code in dropuq.model and
 dropuq.report replaced: a validator over a tuple of Python ints, mask
 statistics counted over every pixel of the image, one boundary sweep per
-mask pair, and the IoU of one pair of boxes in Python floats. The array code
-must give the same results bit for bit.
+mask pair, the foreground bounds of one mask at a time, the IoU of one pair
+of boxes in Python floats, and a density curve built from one (grid, sample)
+matrix. The array code must give the same results bit for bit. A sample set's
+run column is read here one row at a time, as RleMask objects (``masks_of``).
 """
 
 from __future__ import annotations
+
+import math
 
 import numpy as np
 
@@ -41,7 +45,25 @@ def reference_box_iou(a, b):
     return inter / union
 
 
-def _intervals(mask):
+def mask_rows(s):
+    """Each row's mask runs as an int64 array, or None for a row without a mask."""
+    offsets = s.mask_offsets.tolist()
+    return [s.mask_runs[a:b] if b > a else None for a, b in zip(offsets, offsets[1:])]
+
+
+def masks_of(s):
+    """Each row's mask as an RleMask, or None for a row without a mask."""
+    return [None if r is None else RleMask(s.height, s.width, r) for r in mask_rows(s)]
+
+
+def run_column(masks):
+    """(runs, offsets): the run column of one row per RleMask."""
+    runs = [np.zeros(0, np.int64)] + [m.runs for m in masks]
+    return np.concatenate(runs), np.cumsum([0] + [m.runs.size for m in masks])
+
+
+def reference_foreground_intervals(mask):
+    """Half-open [start, end) flat-pixel bounds of one mask's foreground runs."""
     bounds = np.cumsum(np.asarray(mask.runs.tolist(), dtype=np.int64))
     return bounds[:-1:2], bounds[1::2]
 
@@ -52,8 +74,8 @@ def reference_mask_iou(a, b):
         raise ValueError(
             f"mask dims differ: {a.height}x{a.width} vs {b.height}x{b.width}"
         )
-    starts_a, ends_a = _intervals(a)
-    starts_b, ends_b = _intervals(b)
+    starts_a, ends_a = reference_foreground_intervals(a)
+    starts_b, ends_b = reference_foreground_intervals(b)
     pos = np.concatenate((starts_a, starts_b, ends_a, ends_b))
     step = np.repeat([1, -1], len(starts_a) + len(starts_b))
     order = np.argsort(pos, kind="stable")
@@ -72,13 +94,13 @@ def reference_mask_stats(c, mask_threshold=0.5):
     """Mask statistics with the counts summed over every pixel of the image."""
     if not 0.0 <= mask_threshold <= 1.0:
         raise ValueError(f"mask threshold must be in [0, 1], got {mask_threshold}")
-    masks = [m for m in c.members.masks if m is not None]
+    masks = [m for m in masks_of(c.members) if m is not None]
     h, w = c.members.height, c.members.width
     n = len(masks)
     if n == 0:
         zeros = np.broadcast_to(0.0, (h, w))
         return MaskStats(zeros, zeros, RleMask(h, w, (h * w,)), True, 0, mask_threshold)
-    intervals = [_intervals(m) for m in masks]
+    intervals = [reference_foreground_intervals(m) for m in masks]
     starts = np.concatenate([s for s, _ in intervals])
     ends = np.concatenate([e for _, e in intervals])
     diff = np.bincount(starts, minlength=h * w + 1)
@@ -98,7 +120,14 @@ def reference_iou_to_mean(c, s, m):
     box_samples = tuple(reference_box_iou(box, mean) for box in c.members.boxes.tolist())
     if m.zero_mask:
         return box_samples, ()
-    mask_samples = tuple(
-        reference_mask_iou(mask, m.consensus_mask) for mask in c.members.masks if mask is not None
-    )
+    masks = [mask for mask in masks_of(c.members) if mask is not None]
+    mask_samples = tuple(reference_mask_iou(mask, m.consensus_mask) for mask in masks)
     return box_samples, mask_samples
+
+
+def reference_kde_density(samples, grid, bandwidth):
+    """The Gaussian kernel density at every grid point from one (grid, sample)
+    matrix of standardised distances."""
+    x = np.asarray(samples, dtype=np.float64)
+    z = (grid[:, None] - x[None, :]) / bandwidth
+    return np.exp(-0.5 * z * z).sum(axis=1) / (x.size * bandwidth * math.sqrt(2.0 * math.pi))

@@ -100,6 +100,8 @@ class TestExitCodes:
             ("cluster", "--split-threshold", "0"),
             ("calibrate", "--bins", "0"),
             ("calibrate", "--bins", "x"),
+            ("calibrate", "--bins", "1001"),
+            ("calibrate", "--bins", "100000000"),
         ],
     )
     def test_bad_count_is_usage_error(self, tmp_path, command, flag, value):
@@ -879,6 +881,16 @@ class TestCalibrate:
         for name in ("reliability_before.csv", "reliability_after.csv",
                      "reliability_before.svg", "reliability_after.svg"):
             assert (tmp_path / "cal" / name).exists()
+
+    def test_bins_at_the_bound(self, tmp_path):
+        from dropuq.cli import MAX_BINS
+
+        path = tmp_path / "records.jsonl"
+        records = generate_calibration_records(300, 2.0, 3, seed=4)
+        path.write_text(serialize_calibration_records(records))
+        run_cli("calibrate", path, "--out-dir", tmp_path / "cal", "--bins", str(MAX_BINS))
+        csv = (tmp_path / "cal" / "reliability_after.csv").read_text().splitlines()
+        assert MAX_BINS == 1000 and len(csv) == 1 + MAX_BINS
 
     def test_already_calibrated_note(self, tmp_path):
         records = generate_calibration_records(4000, 1.0, 5, seed=12)

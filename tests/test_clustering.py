@@ -4,6 +4,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from _reference import mask_rows
 from _scenes import overlapping_scene, separated_scene
 from dropuq import bgm, clustering, ward
 from dropuq.bgm import assign_labels, fit_bgm
@@ -279,7 +280,7 @@ class TestClusterPipeline:
         base = labels_from_clusters(s, cluster_pipeline(s, ClusterConfig(seed=7)))
         shifted = SampleSet(
             s.image_id, s.height, s.width, s.n_repetitions,
-            s.boxes + (37.25, 41.5, 37.25, 41.5), s.scores, s.repetition, s.masks,
+            s.boxes + (37.25, 41.5, 37.25, 41.5), s.scores, s.repetition, mask_rows(s),
         )
         moved = labels_from_clusters(shifted, cluster_pipeline(shifted, ClusterConfig(seed=7)))
         assert adjusted_rand_index(base, moved) == 1.0

@@ -61,6 +61,11 @@ class TestParse:
             read_text(read_sample_set, text)
         assert err.value.line_number == 3
 
+    def test_empty_mask_runs_rejected(self):
+        text = "\n".join([HEADER, det_line(0), det_line(1, mask_runs=[])])
+        with pytest.raises(ParseError, match=r"^line 3: runs sum to 0, expected 600$"):
+            read_text(read_sample_set, text)
+
     def test_wrong_score_length(self):
         text = "\n".join([HEADER, det_line(scores=(0.5, 0.5))])
         with pytest.raises(ParseError, match="line 2"):
@@ -404,9 +409,10 @@ def _outcome(parse, source):
     if isinstance(result, CalibrationSet):
         return "ok", result.logits.shape, result.logits.tobytes(), result.true_class.tobytes()
     if isinstance(result, SampleSet):
-        columns = (result.boxes, result.scores, result.repetition)
+        columns = (result.boxes, result.scores, result.repetition, result.mask_runs,
+                   result.mask_offsets)
         return ("ok", result.image_id, result.height, result.width, result.n_repetitions,
-                result.masks, *((c.shape, c.tobytes()) for c in columns))
+                *((c.shape, c.tobytes()) for c in columns))
     return "ok", repr(result)
 
 
@@ -541,3 +547,24 @@ def test_sample_set_retains_only_its_columns(tmp_path):
         tracemalloc.stop()
     assert len(read) == 16 * 1024
     assert retained / len(read) <= 150, retained / len(read)
+
+
+def test_mask_set_retains_its_runs_and_little_else(tmp_path):
+    # 3 ellipse-mask instances x 100 repetitions of 480 x 640: each detection
+    # holds about 200 runs, which are 8 bytes each in any int64 form.
+    spec = separated_scene(3, 3, shape="ellipse", mask_noise=0.1, height=480, width=640)
+    path = tmp_path / "samples.jsonl"
+    path.write_text(serialize_sample_set(generate(spec)[0]), encoding="utf-8")
+    lines = path.read_text(encoding="utf-8").splitlines()[1:]
+    run_bytes = 8 * sum(len(json.loads(line).get("mask_runs", [])) for line in lines)
+    read_sample_set(path)
+    gc.collect()
+    tracemalloc.start()
+    try:
+        read = read_sample_set(path)
+        gc.collect()
+        retained = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    assert len(read) == 300 and run_bytes > 300 * 1000
+    assert (retained - run_bytes) / len(read) <= 150, (retained - run_bytes) / len(read)

@@ -3,13 +3,22 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from _reference import reference_box_iou, reference_mask_iou, reference_runs
+from _reference import (
+    mask_rows,
+    masks_of,
+    reference_box_iou,
+    reference_foreground_intervals,
+    reference_mask_iou,
+    reference_runs,
+    run_column,
+)
 from dropuq.model import (
     BBox,
     RleMask,
     RowError,
     SampleSet,
     ScoreVector,
+    _foreground_bounds,
     box_iou,
     box_ious,
     mask_iou,
@@ -154,10 +163,10 @@ class TestMaskIouOnRuns:
 
     def test_foreground_intervals(self):
         m = RleMask(1, 10, (0, 2, 3, 1, 4))
-        starts, ends = m.foreground_intervals()
+        starts, ends, _ = _foreground_bounds(*run_column([m]), 10)
         assert starts.tolist() == [0, 5]
         assert ends.tolist() == [2, 6]
-        starts, ends = RleMask(1, 10, (10,)).foreground_intervals()
+        starts, ends, _ = _foreground_bounds(*run_column([RleMask(1, 10, (10,))]), 10)
         assert starts.tolist() == [] and ends.tolist() == []
 
 
@@ -261,7 +270,7 @@ class TestMaskIouAgainstReference:
             h, w = (int(v) for v in rng.integers(1, 15, size=2))
             ref = rle_encode(random_grid(rng, h, w))
             masks = [rle_encode(random_grid(rng, h, w)) for _ in range(rng.integers(1, 12))]
-            got = mask_ious(masks, ref)
+            got = mask_ious(*run_column(masks), ref)
             assert got.tolist() == [reference_mask_iou(m, ref) for m in masks]
 
     def test_large_masks(self):
@@ -274,16 +283,14 @@ class TestMaskIouAgainstReference:
             grid = (yy - cy) ** 2 + (xx - cx) ** 2 <= rng.integers(20, 50) ** 2
             grid ^= rng.random(grid.shape) < 0.02
             masks.append(rle_encode(grid))
-        assert mask_ious(masks, ref).tolist() == [reference_mask_iou(m, ref) for m in masks]
+        assert mask_ious(*run_column(masks), ref).tolist() == [
+            reference_mask_iou(m, ref) for m in masks
+        ]
 
     def test_single_and_no_masks(self):
         full = RleMask(2, 3, (0, 6))
-        assert mask_ious([full], full).tolist() == [1.0]
-        assert mask_ious([], full).shape == (0,)
-
-    def test_dim_mismatch(self):
-        with pytest.raises(ValueError, match="mask dims differ"):
-            mask_ious([RleMask(2, 2, (4,)), RleMask(2, 3, (6,))], RleMask(2, 2, (4,)))
+        assert mask_ious(*run_column([full]), full).tolist() == [1.0]
+        assert mask_ious(*run_column([]), full).shape == (0,)
 
 
 class TestRle:
@@ -385,9 +392,9 @@ class TestSampleSet:
         with pytest.raises(RowError, match="^detection 0: score vector needs background"):
             sample_set(scores=((1.0,),))
 
-    def test_rejects_mask_of_other_dims(self):
-        with pytest.raises(RowError, match="^detection 0: mask dims 3x3 differ"):
-            sample_set(masks=(RleMask(3, 3, (9,)),))
+    def test_rejects_runs_of_other_pixel_count(self):
+        with pytest.raises(RowError, match=r"^detection 1: runs sum to 9, expected 100$"):
+            sample_set([(0, 0, 5, 5)] * 2, [(0.5, 0.5)] * 2, [0, 0], ([0, 100], [9]))
 
     def test_clamps_boxes_into_the_image(self):
         s = sample_set(boxes=((-3, 2, 50, 5),))
@@ -414,6 +421,68 @@ class TestSampleSet:
     def test_empty_set_keeps_class_count(self):
         s = sample_set(np.empty((0, 4)), np.empty((0, 4)), [], ())
         assert len(s) == 0 and s.scores.shape == (0, 4)
+
+
+def random_mask_set(rng):
+    """A random SampleSet whose rows mix masks and no masks, and repeat repetitions."""
+    n = int(rng.integers(0, 12))
+    h, w = int(rng.integers(1, 5)), int(rng.integers(8, 20))
+    rows = [None if rng.random() < 0.4 else rle_encode(random_grid(rng, h, w)).runs.tolist()
+            for _ in range(n)]
+    boxes = np.reshape([(0.5 * i, 0, 0.5 * i + 1, 1) for i in range(n)], (n, 4))
+    scores = np.tile([0.25, 0.75], (n, 1))
+    return SampleSet("img", h, w, 3, boxes, scores, rng.integers(0, 3, size=n), rows)
+
+
+class TestRunColumn:
+    """A SampleSet's masks are one run column; take gathers rows without re-checking them."""
+
+    def test_take_is_the_set_built_from_those_rows(self):
+        rng = np.random.default_rng(41)
+        for _ in range(300):
+            s = random_mask_set(rng)
+            if rng.random() < 0.5:  # distinct rows, unsorted
+                idx = rng.permutation(len(s))[: rng.integers(0, len(s) + 1)]
+            else:  # rows may repeat
+                idx = rng.integers(0, max(len(s), 1), size=rng.integers(0, 2 * len(s) + 1))
+            rows = mask_rows(s)
+            want = SampleSet(s.image_id, s.height, s.width, s.n_repetitions, s.boxes[idx],
+                             s.scores[idx], s.repetition[idx], [rows[i] for i in idx])
+            got = s.take(idx)
+            assert got == want
+            assert all(not c.flags.writeable for c in (got.mask_runs, got.mask_offsets))
+            assert got.mask_runs.dtype == got.mask_offsets.dtype == np.int64
+
+    def test_rows_keep_their_masks(self):
+        rows = [[0, 6], None, [2, 4], [6]]
+        s = SampleSet("img", 2, 3, 2, [(0, 0, 1, 1)] * 4, [(0.5, 0.5)] * 4, [1, 0, 1, 0], rows)
+
+        def listed(s):
+            return [None if r is None else r.tolist() for r in mask_rows(s)]
+
+        assert listed(s) == [None, [6], [0, 6], [2, 4]]
+        assert s.mask_offsets.tolist() == [0, 0, 1, 3, 5]
+        # Row 0 has repetition 0; rows 3 and 2 keep their order.
+        assert listed(s.take([3, 0, 2])) == [None, [2, 4], [0, 6]]
+
+    def test_foreground_bounds_match_each_mask(self):
+        rng = np.random.default_rng(42)
+        for _ in range(200):
+            s = random_mask_set(rng)
+            pixels = s.height * s.width
+            starts, ends, first = _foreground_bounds(s.mask_runs, s.mask_offsets, pixels)
+            masks = [m for m in masks_of(s) if m is not None]
+            intervals = [reference_foreground_intervals(m) for m in masks]
+            assert starts.tolist() == [v for st, _ in intervals for v in st.tolist()]
+            assert ends.tolist() == [v for _, en in intervals for v in en.tolist()]
+            assert first.tolist() == np.cumsum([0] + [st.size for st, _ in intervals]).tolist()
+
+    def test_foreground_bounds_exact_where_the_running_sum_wraps(self):
+        # Four masks of 2^62 pixels: the running sum passes 2^63 at the second.
+        pixels = 2**62
+        runs = np.array([pixels - 5, 5] * 4, dtype=np.int64)
+        starts, ends, _ = _foreground_bounds(runs, np.arange(0, 9, 2), pixels)
+        assert starts.tolist() == [pixels - 5] * 4 and ends.tolist() == [pixels] * 4
 
 
 class TestBoxIous:

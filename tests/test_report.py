@@ -5,7 +5,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from _reference import reference_iou_to_mean, reference_mask_stats
+from _reference import masks_of, reference_iou_to_mean, reference_kde_density, reference_mask_stats
 from _scenes import separated_scene
 from dropuq import report
 from dropuq.clustering import ClusterConfig, InstanceCluster, cluster_pipeline
@@ -27,7 +27,7 @@ from dropuq.synth import generate
 def make_cluster(boxes, scores=None, masks=None, height=20, width=20):
     n = len(boxes)
     scores = scores or [(0.1, 0.9)] * n
-    masks = masks or [None] * n
+    masks = [None if m is None else m.runs for m in masks or [None] * n]
     members = SampleSet("img", height, width, n, np.reshape(boxes, (-1, 4)), scores, range(n), masks)
     return InstanceCluster(cluster_id=0, indices=np.arange(n), members=members)
 
@@ -147,7 +147,7 @@ class TestMaskStats:
 def dense_mask_stats(c, mask_threshold=0.5):
     """Reference: stack every decoded member mask and reduce over the stack."""
     stack = np.stack(
-        [rle_decode(m) for m in c.members.masks if m is not None]
+        [rle_decode(m) for m in masks_of(c.members) if m is not None]
     ).astype(np.float64)
     mean = stack.mean(axis=0)
     return mean, stack.std(axis=0), rle_encode(mean >= mask_threshold)
@@ -334,6 +334,29 @@ class TestKde:
             curve = kde(rng.uniform(0, 1, 500))
             integral = float(np.trapezoid(curve.density, curve.grid))
             assert abs(integral - 1.0) < 1e-2
+
+    def test_memory_linear_in_sample_count(self):
+        # One (256, n) matrix of distances took 6 KB per sample.
+        x = np.random.default_rng(6).normal(0.0, 1.0, 20_000)
+        tracemalloc.start()
+        try:
+            curve = kde(x)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 1024 * x.size, peak / x.size
+        want = reference_kde_density(x, np.array(curve.grid), curve.bandwidth)
+        assert np.array(curve.density).tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("block_values", [1, 300, 2**16])
+    def test_blocks_give_the_matrix_density(self, monkeypatch, block_values):
+        monkeypatch.setattr(report, "_KDE_BLOCK_VALUES", block_values)
+        rng = np.random.default_rng(7)
+        for n in (2, 3, 8, 9, 255, 256, 257, 1000, 4097):
+            x = rng.normal(0.0, 1.0, n)
+            curve = kde(x)
+            want = reference_kde_density(x, np.array(curve.grid), curve.bandwidth)
+            assert np.array(curve.density).tobytes() == want.tobytes(), n
 
     def test_density_non_negative(self):
         curve = kde(np.random.default_rng(5).normal(0, 2, 200))

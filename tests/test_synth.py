@@ -3,6 +3,7 @@ import json
 import numpy as np
 import pytest
 
+from _reference import masks_of
 from _scenes import separated_scene
 from dropuq.calibration import fit_temperature
 from dropuq.cli import main
@@ -43,7 +44,7 @@ class TestGenerate:
         s, labels, _ = generate(spec)
         assert len(s) == 200
         per_instance = {}
-        for box, scores, mask, lab in zip(s.boxes.tolist(), s.scores.tolist(), s.masks, labels):
+        for box, scores, mask, lab in zip(s.boxes.tolist(), s.scores.tolist(), masks_of(s), labels):
             per_instance.setdefault(lab, set()).add(
                 (tuple(box), tuple(scores), tuple(mask.runs.tolist()))
             )
@@ -100,7 +101,7 @@ class TestGenerate:
         from dropuq.model import rle_decode
 
         base = rle_decode(gc[0].mask)
-        flipped = rle_decode(sn.masks[0]) != base
+        flipped = rle_decode(masks_of(sn)[0]) != base
         # all flipped pixels are near the contour: dilate(base) & ~erode(base)
         from dropuq.synth import _contour_band
 
