@@ -13,7 +13,6 @@ from .model import (
     BBox,
     RleMask,
     SampleSet,
-    ScoreVector,
     box_iou,
     mask_iou,
     rasterize_box,
@@ -26,7 +25,6 @@ __all__ = [
     "BBox",
     "RleMask",
     "SampleSet",
-    "ScoreVector",
     "box_iou",
     "mask_iou",
     "rasterize_box",

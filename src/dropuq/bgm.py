@@ -235,13 +235,13 @@ def fit_bgm(points: np.ndarray, k_max: int, seed: int) -> MixtureState:
     """Fit the stick-breaking variational mixture to an (n, D) point matrix.
 
     Runs _N_INIT restarts, each seeded from ``seed`` and its index, and
-    keeps the run with the best final lower bound. The restarts ladder
-    across component scales so the bound can arbitrate between split and
-    merged basins: k-means seeding with k_max centers, then the merged
-    single-component candidate, then k-means with k_max/2 centers, then
-    random responsibilities. Iterates until the lower-bound change drops
-    below 1e-4 or _MAX_ITERS is reached. The stick-breaking concentration
-    is 1/k_max.
+    keeps the run with the best final lower bound. The three restarts span
+    component scales so the bound can arbitrate between split and merged
+    basins: k-means seeding with k_max centers, then the merged
+    single-component candidate, then k-means with k_max // 2 centers when
+    k_max >= 4, or random responsibilities when k_max < 4. Each iterates
+    until the lower-bound change drops below 1e-4 or _MAX_ITERS is reached.
+    The stick-breaking concentration is 1/k_max.
     """
     X = np.asarray(points, dtype=np.float64)
     if X.ndim != 2 or X.shape[0] < 1:

@@ -17,15 +17,13 @@ from typing import Callable, Iterable, List, Optional, Sequence, Tuple
 import numpy as np
 
 from .ingest import _REAL, ParseError, _jsonl_records, _read_file
-from .model import RowError, ScoreVector, _check, _equal_fields
+from .model import RowError, _check, _equal_fields
 
 __all__ = [
-    "LogitVector",
     "CalibrationSet",
     "ReliabilityBin",
     "ReliabilityDiagram",
     "softmax",
-    "scaled_softmax",
     "negative_log_likelihood",
     "fit_temperature",
     "reliability",
@@ -40,24 +38,6 @@ __all__ = [
 T_SEARCH_LO = 0.01
 T_SEARCH_HI = 100.0
 _TEXT_BLOCK_ROWS = 4096  # rows printed per orjson call by serialize_calibration_records
-
-
-@dataclass(frozen=True)
-class LogitVector:
-    """Unconstrained pre-softmax class scores, index 0 = background."""
-
-    logits: Tuple[float, ...]
-
-    def __post_init__(self):
-        logits = tuple(float(z) for z in self.logits)
-        object.__setattr__(self, "logits", logits)
-        if len(logits) < 2:
-            raise ValueError("logit vector needs background plus >=1 class")
-        if any(not math.isfinite(z) for z in logits):
-            raise ValueError(f"logits must be finite, got {logits}")
-
-    def __len__(self) -> int:
-        return len(self.logits)
 
 
 @dataclass(frozen=True, eq=False)
@@ -117,24 +97,32 @@ class ReliabilityDiagram:
     bins: Tuple[ReliabilityBin, ...]
 
 
-def _softmax_rows(z: np.ndarray) -> np.ndarray:
-    shifted = z - z.max(axis=-1, keepdims=True)
-    e = np.exp(shifted)
+def _temperature(t: float) -> float:
+    """The temperature rule: T must be a finite number > 0."""
+    if not (math.isfinite(t) and t > 0):
+        raise ValueError(f"temperature must be finite and positive, got {t}")
+    return t
+
+
+def softmax(logits: np.ndarray, temperature: float = 1.0) -> np.ndarray:
+    """Softmax of logits / T over the last axis of an (N, K+1) array.
+
+    Each row is divided by T, then shifted by its maximum, which keeps exp
+    from overflowing. A row whose maximum overflows to +inf when divided by
+    T is shifted first instead, (z - max z) / T, which can only overflow to
+    -inf, where exp is 0; every other row keeps the divide-then-shift bytes.
+    """
+    t = _temperature(temperature)
+    z = np.asarray(logits, dtype=np.float64)
+    with np.errstate(over="ignore"):
+        scaled = z / t
+        top = scaled.max(axis=-1, keepdims=True)
+        overflow = np.isposinf(top)
+        if overflow.any():
+            scaled = np.where(overflow, (z - z.max(axis=-1, keepdims=True)) / t, scaled)
+            top = np.where(overflow, 0.0, top)
+    e = np.exp(scaled - top)
     return e / e.sum(axis=-1, keepdims=True)
-
-
-def softmax(z: LogitVector) -> ScoreVector:
-    """Softmax with max-subtraction for overflow safety."""
-    p = _softmax_rows(np.asarray(z.logits, dtype=np.float64))
-    return ScoreVector(tuple(float(v) for v in p))
-
-
-def scaled_softmax(z: LogitVector, temperature: float) -> ScoreVector:
-    """Softmax of z / T. Preserves the argmax class for any T > 0."""
-    if temperature <= 0:
-        raise ValueError(f"temperature must be positive, got {temperature}")
-    p = _softmax_rows(np.asarray(z.logits, dtype=np.float64) / temperature)
-    return ScoreVector(tuple(float(v) for v in p))
 
 
 def _nll_function(records: CalibrationSet) -> Callable[[float], float]:
@@ -162,9 +150,7 @@ def _nll_function(records: CalibrationSet) -> Callable[[float], float]:
 
 def negative_log_likelihood(records: CalibrationSet, temperature: float) -> float:
     """Total NLL of the true classes under temperature-scaled softmax."""
-    if temperature <= 0:
-        raise ValueError(f"temperature must be positive, got {temperature}")
-    return _nll_function(records)(temperature)
+    return _nll_function(records)(_temperature(temperature))
 
 
 def fit_temperature(records: CalibrationSet) -> float:
@@ -209,15 +195,11 @@ def reliability(
     """
     if num_bins < 1:
         raise ValueError(f"num_bins must be >= 1, got {num_bins}")
-    if records:
-        p = _softmax_rows(records.logits / temperature)
-        conf = p.max(axis=1)
-        correct = p.argmax(axis=1) == records.true_class
-        idx = np.minimum((conf * num_bins).astype(np.int64), num_bins - 1)
-    else:
-        conf = np.empty(0)
-        correct = np.empty(0, dtype=bool)
-        idx = np.empty(0, dtype=np.int64)
+    # An empty set may have no classes, and a row needs one for max and argmax.
+    p = softmax(records.logits if records else np.zeros((0, 1)), temperature)
+    conf = p.max(axis=1)
+    correct = p.argmax(axis=1) == records.true_class
+    idx = np.minimum((conf * num_bins).astype(np.int64), num_bins - 1)
 
     bins = []
     for i in range(num_bins):
@@ -256,31 +238,31 @@ def ace(d: ReliabilityDiagram) -> float:
 
 
 def focal_loss(
-    p: ScoreVector,
-    true_class: int,
+    records: CalibrationSet,
+    temperature: float = 1.0,
     alpha: Optional[Sequence[float]] = None,
-    gamma: float = 2.0,
-) -> float:
-    """-alpha_t * (1 - p_t)^gamma * log(p_t) with p_t the true-class score.
+    gamma: float | Sequence[float] = 2.0,
+) -> np.ndarray:
+    """Each record's -alpha_y * (1 - p_y)^gamma * log(p_y), p_y being its true
+    class's probability under the temperature-scaled softmax. ``gamma`` is
+    one number or one per record.
 
     Evaluation only; with gamma = 0 and unit alpha this is cross-entropy.
     """
-    if not 0 <= true_class < len(p):
-        raise ValueError(f"true_class {true_class} out of range")
-    if gamma < 0:
-        raise ValueError(f"gamma must be non-negative, got {gamma}")
-    if alpha is None:
-        alpha_t = 1.0
-    else:
-        if len(alpha) != len(p):
-            raise ValueError("alpha needs one weight per class")
-        if any(a <= 0 for a in alpha):
-            raise ValueError("alpha entries must be positive")
-        alpha_t = float(alpha[true_class])
-    p_t = p.scores[true_class]
-    if p_t == 0.0:
-        raise ValueError("true-class probability is 0: focal loss is infinite")
-    return -alpha_t * (1.0 - p_t) ** gamma * math.log(p_t)
+    gamma = np.asarray(gamma, dtype=np.float64)
+    if not (np.isfinite(gamma) & (gamma >= 0)).all():
+        raise ValueError(f"gamma must be finite and non-negative, got {gamma}")
+    y = records.true_class
+    p = softmax(records.logits, temperature)
+    weights = np.ones(p.shape[1]) if alpha is None else np.asarray(alpha, dtype=np.float64)
+    if weights.shape != (p.shape[1],):
+        raise ValueError("alpha needs one weight per class")
+    if not (np.isfinite(weights) & (weights > 0)).all():
+        raise ValueError("alpha entries must be finite and positive")
+    p_y = p[np.arange(len(y)), y]
+    if not p_y.all():
+        raise RowError(int(np.argmin(p_y)), "true-class probability is 0: focal loss is infinite")
+    return -weights[y] * (1.0 - p_y) ** gamma * np.log(p_y)
 
 
 def read_calibration_records(path) -> CalibrationSet:

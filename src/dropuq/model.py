@@ -16,7 +16,6 @@ import numpy as np
 __all__ = [
     "BBox",
     "RleMask",
-    "ScoreVector",
     "RowError",
     "SampleSet",
     "box_iou",
@@ -167,31 +166,6 @@ def _check(rules, error: Callable[[int, str], Exception]) -> None:
     if not ok.all():
         i = int(np.argmin(ok))
         raise error(i, next(describe(i) for passed, describe in rules if not passed[i]))
-
-
-@dataclass(frozen=True)
-class ScoreVector:
-    """Per-class probability vector; index 0 is the background class."""
-
-    scores: Tuple[float, ...]
-
-    def __post_init__(self):
-        scores = tuple(float(s) for s in self.scores)
-        object.__setattr__(self, "scores", scores)
-        if len(scores) < 2:
-            raise ValueError("score vector needs background plus >=1 class")
-        if any(not math.isfinite(s) or s < 0.0 or s > 1.0 for s in scores):
-            raise ValueError(f"scores must lie in [0, 1], got {scores}")
-        total = sum(scores)
-        if abs(total - 1.0) > 1e-6:
-            raise ValueError(f"scores must sum to 1 within 1e-6, got {total}")
-
-    def __len__(self) -> int:
-        return len(self.scores)
-
-    @property
-    def background(self) -> float:
-        return self.scores[0]
 
 
 class RowError(ValueError):

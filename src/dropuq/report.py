@@ -9,6 +9,7 @@ from __future__ import annotations
 import math
 import os
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import TYPE_CHECKING, Optional, Sequence, Tuple
 
 import numpy as np
@@ -123,6 +124,12 @@ def _check_mask_threshold(mask_threshold: float) -> None:
         raise ValueError(f"mask threshold must be in [0, 1], got {mask_threshold}")
 
 
+@lru_cache(maxsize=16)
+def _background_mask(height: int, width: int) -> RleMask:
+    """The all-background mask of one image size, built once: RleMask is immutable."""
+    return RleMask(height, width, (height * width,))
+
+
 def mask_stats(c: InstanceCluster, mask_threshold: float = 0.5) -> MaskStats:
     """Pixelwise mean/std over mask-carrying members plus the consensus mask.
 
@@ -147,7 +154,7 @@ def mask_stats(c: InstanceCluster, mask_threshold: float = 0.5) -> MaskStats:
         return MaskStats(
             mean_mask=zeros,
             std_mask=zeros,
-            consensus_mask=RleMask(h, w, (h * w,)),
+            consensus_mask=_background_mask(h, w),
             zero_mask=True,
             coverage_count=0,
             mask_threshold=mask_threshold,

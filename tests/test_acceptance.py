@@ -18,14 +18,13 @@ import numpy as np
 from _scenes import overlapping_scene, separated_scene
 from dropuq.calibration import (
     CalibrationSet,
-    LogitVector,
     ace,
     fit_temperature,
     focal_loss,
     mce,
     negative_log_likelihood,
     reliability,
-    scaled_softmax,
+    softmax,
 )
 from dropuq import bgm
 from dropuq.bgm import fit_bgm
@@ -200,10 +199,15 @@ def test_calibration_direction():
 def test_argmax_invariance():
     """10^5 random logit vectors x random T > 0: argmax always preserved."""
     rng = np.random.default_rng(99)
-    for _ in range(100_000):
-        z = LogitVector(tuple(rng.normal(0.0, 4.0, 6)))
-        t = float(rng.uniform(0.01, 100.0))
-        assert int(np.argmax(scaled_softmax(z, t).scores)) == int(np.argmax(z.logits))
+    cases = [(rng.normal(0.0, 4.0, 6), float(rng.uniform(0.01, 100.0))) for _ in range(100_000)]
+    z = np.array([logits for logits, _ in cases])
+    t = np.array([[temperature] for _, temperature in cases])
+    # Dividing by T = 1 is exact, so softmax(z / t) holds softmax(z_i, t_i) in
+    # row i, bit for bit; the first 1000 rows check that.
+    p = softmax(z / t)
+    for i in range(1000):
+        assert softmax(z[i : i + 1], float(t[i, 0])).tobytes() == p[i : i + 1].tobytes()
+    assert (p.argmax(axis=1) == z.argmax(axis=1)).all()
     _accept("argmax invariance (10^5 cases)")
 
 
@@ -211,18 +215,20 @@ def test_focal_loss_reduction():
     """gamma=0, alpha=1 equals cross-entropy to 1e-12 over 10^4 vectors;
     focal <= CE for all gamma >= 0."""
     rng = np.random.default_rng(5)
-    from dropuq.model import ScoreVector
-
+    rows, classes, gammas = [], [], []
     for _ in range(10_000):
         raw = rng.dirichlet(np.ones(5))
         true_class = int(rng.integers(0, 5))
         if raw[true_class] <= 0.0:
             continue
-        p = ScoreVector(tuple(raw))
-        ce = -math.log(p.scores[true_class])
-        assert abs(focal_loss(p, true_class, gamma=0.0) - ce) <= 1e-12
-        gamma = float(rng.uniform(0.0, 8.0))
-        assert focal_loss(p, true_class, gamma=gamma) <= ce + 1e-12
+        rows.append(raw)
+        classes.append(true_class)
+        gammas.append(float(rng.uniform(0.0, 8.0)))
+    # Logits log(p) have softmax p, to rounding.
+    records = CalibrationSet(np.log(rows), np.array(classes))
+    ce = -np.log([raw[c] for raw, c in zip(rows, classes)])
+    assert (np.abs(focal_loss(records, gamma=0.0) - ce) <= 1e-12).all()
+    assert (focal_loss(records, gamma=gammas) <= ce + 1e-12).all()
     _accept("focal-loss reduction (10^4 vectors)")
 
 

@@ -10,7 +10,6 @@ from _files import read_text
 from dropuq import calibration
 from dropuq.calibration import (
     CalibrationSet,
-    LogitVector,
     ace,
     fit_temperature,
     focal_loss,
@@ -19,12 +18,10 @@ from dropuq.calibration import (
     read_calibration_records,
     reliability,
     reliability_csv,
-    scaled_softmax,
     serialize_calibration_records,
     softmax,
 )
 from dropuq.ingest import ParseError
-from dropuq.model import ScoreVector
 from dropuq.synth import generate_calibration_records
 
 
@@ -51,53 +48,93 @@ def grid_search_nll(records, step=0.01):
     return best_t, best_nll
 
 
+def one_row(logits, temperature=1.0):
+    """The softmax of one logit vector, through the (N, K+1) interface."""
+    return softmax(np.array([logits], dtype=np.float64), temperature)[0]
+
+
 class TestSoftmax:
     def test_uniform(self):
-        assert softmax(LogitVector((0.0, 0.0, 0.0))).scores == pytest.approx(
-            (1 / 3, 1 / 3, 1 / 3), abs=1e-12
-        )
+        assert one_row((0.0, 0.0, 0.0)) == pytest.approx((1 / 3, 1 / 3, 1 / 3), abs=1e-12)
 
     @pytest.mark.parametrize("shift", [-100.0, 0.0, 3.5, 250.0])
     def test_log_ratio(self, shift):
-        p = softmax(LogitVector((shift, shift + math.log(2.0))))
-        assert p.scores[0] == pytest.approx(1 / 3, abs=1e-12)
-        assert p.scores[1] == pytest.approx(2 / 3, abs=1e-12)
+        p = one_row((shift, shift + math.log(2.0)))
+        assert p[0] == pytest.approx(1 / 3, abs=1e-12)
+        assert p[1] == pytest.approx(2 / 3, abs=1e-12)
 
     def test_no_overflow(self):
-        p = softmax(LogitVector((1000.0, 0.0)))
-        assert p.scores[0] == pytest.approx(1.0, abs=1e-12)
-        assert p.scores[1] == pytest.approx(0.0, abs=1e-12)
+        p = one_row((1000.0, 0.0))
+        assert p[0] == pytest.approx(1.0, abs=1e-12)
+        assert p[1] == pytest.approx(0.0, abs=1e-12)
 
     def test_sums_to_one(self):
         rng = np.random.default_rng(0)
-        for _ in range(50):
-            p = softmax(LogitVector(tuple(rng.normal(0, 5, 6))))
-            assert abs(sum(p.scores) - 1.0) < 1e-12
+        p = softmax(np.array([rng.normal(0, 5, 6) for _ in range(50)]))
+        assert (np.abs(p.sum(axis=1) - 1.0) < 1e-12).all()
+
+    def test_overflowing_row_is_shifted_first(self):
+        # 1e308 / 0.5 overflows, so the first row is shifted before it is
+        # divided; the other rows keep the divide-then-shift bytes.
+        z = np.array([[1e308, -1e308, 0.0], [2.0, -1.0, 0.5], [0.0, 300.0, 1.0]])
+        p = softmax(z, 0.5)
+        assert p[0].tolist() == [1.0, 0.0, 0.0]
+        scaled = z[1:] / 0.5
+        e = np.exp(scaled - scaled.max(axis=1, keepdims=True))
+        assert p[1:].tobytes() == (e / e.sum(axis=1, keepdims=True)).tobytes()
+        assert softmax(np.array([[1.0, 2.0]]), 1e-308).tolist() == [[0.0, 1.0]]
+
+
+BAD_TEMPERATURES = [0.0, -1.0, math.nan, math.inf]
 
 
 class TestScaledSoftmax:
     def test_identity_temperature(self):
-        z = LogitVector((0.3, -1.2, 2.0))
-        assert scaled_softmax(z, 1.0) == softmax(z)
+        z = np.array([[0.3, -1.2, 2.0]])
+        assert softmax(z, 1.0).tobytes() == softmax(z).tobytes()
 
     def test_large_temperature_uniform(self):
-        p = scaled_softmax(LogitVector((5.0, -3.0, 1.0)), 1e6)
-        assert max(abs(v - 1 / 3) for v in p.scores) < 1e-5
+        p = one_row((5.0, -3.0, 1.0), 1e6)
+        assert max(abs(v - 1 / 3) for v in p) < 1e-5
 
     def test_argmax_preserved(self):
         rng = np.random.default_rng(1)
         for _ in range(300):
-            z = LogitVector(tuple(rng.normal(0, 4, 5)))
+            z = rng.normal(0, 4, 5)
             t = float(rng.uniform(0.01, 50.0))
-            assert int(np.argmax(scaled_softmax(z, t).scores)) == int(
-                np.argmax(z.logits)
-            )
+            assert int(np.argmax(one_row(z, t))) == int(np.argmax(z))
 
     def test_rejects_bad_temperature(self):
-        with pytest.raises(ValueError):
-            scaled_softmax(LogitVector((0.0, 1.0)), 0.0)
-        with pytest.raises(ValueError):
-            scaled_softmax(LogitVector((0.0, 1.0)), -1.0)
+        for t in BAD_TEMPERATURES:
+            with pytest.raises(ValueError, match="temperature must be finite and positive"):
+                one_row((0.0, 1.0), t)
+
+
+class TestTemperatureRule:
+    """Every function of a temperature rejects one that is not finite and > 0,
+    as softmax does (TestScaledSoftmax)."""
+
+    records = CalibrationSet(np.array([[0.0, 1.0, -1.0], [2.0, 0.5, 0.0]]), np.array([1, 0]))
+
+    @pytest.mark.parametrize("t", BAD_TEMPERATURES)
+    @pytest.mark.parametrize(
+        "call",
+        [
+            lambda r, t: reliability(r, t, 10),
+            lambda r, t: negative_log_likelihood(r, t),
+            lambda r, t: focal_loss(r, t),
+        ],
+        ids=["reliability", "negative_log_likelihood", "focal_loss"],
+    )
+    def test_rejects(self, call, t):
+        with pytest.raises(ValueError, match="temperature must be finite and positive"):
+            call(self.records, t)
+
+    def test_reliability_of_no_records_checks_it_too(self):
+        empty = read_text(read_calibration_records, "")
+        with pytest.raises(ValueError, match="temperature must be finite and positive"):
+            reliability(empty, 0.0, 10)
+        assert sum(b.count for b in reliability(empty, 1.0, 10).bins) == 0
 
 
 class TestFitTemperature:
@@ -180,17 +217,25 @@ class TestReliability:
         counts = {}
         hits = {}
         for row, true_class in zip(rows, classes):
-            p = softmax(LogitVector(row))
-            conf = max(p.scores)
+            p = one_row(row)
+            conf = max(p)
             b = min(int(conf * 10), 9)
             counts[b] = counts.get(b, 0) + 1
             hits[b] = hits.get(b, 0) + (
-                1 if int(np.argmax(p.scores)) == true_class else 0
+                1 if int(np.argmax(p)) == true_class else 0
             )
         for i, b in enumerate(d.bins):
             assert b.count == counts.get(i, 0)
             if b.count:
                 assert b.accuracy == pytest.approx(hits[i] / counts[i], abs=1e-12)
+
+    def test_overflowing_records_are_binned(self):
+        records = CalibrationSet(
+            np.array([[1e308, -1e308, 0.0], [2.0, -1.0, 0.5], [0.0, 300.0, 1.0]]), np.array([0, 0, 1])
+        )
+        d = reliability(records, 0.5, 10)
+        assert sum(b.count for b in d.bins) == 3
+        assert d.bins[-1].count == 3 and d.bins[-1].accuracy == 1.0
 
     def test_csv_shape(self):
         records = generate_calibration_records(100, 1.0, 3, seed=1)
@@ -223,46 +268,75 @@ class TestMceAce:
             mce(d)
 
 
+def from_probabilities(rows, true_classes):
+    """Records whose softmax is ``rows``, to rounding: logits log(p)."""
+    return CalibrationSet(np.log(np.asarray(rows, dtype=np.float64)), np.asarray(true_classes))
+
+
 class TestFocalLoss:
     def test_gamma_zero_is_cross_entropy(self):
         rng = np.random.default_rng(5)
+        rows, classes = [], []
         for _ in range(200):
             raw = rng.dirichlet(np.ones(4))
-            p = ScoreVector(tuple(raw))
             t = int(rng.integers(0, 4))
-            if p.scores[t] == 0.0:
+            if raw[t] == 0.0:
                 continue
-            assert focal_loss(p, t, gamma=0.0) == pytest.approx(
-                -math.log(p.scores[t]), abs=1e-12
-            )
+            rows.append(raw)
+            classes.append(t)
+        expected = [-math.log(raw[t]) for raw, t in zip(rows, classes)]
+        got = focal_loss(from_probabilities(rows, classes), gamma=0.0)
+        assert got.tolist() == pytest.approx(expected, abs=1e-12)
 
     def test_certain_prediction_zero_loss(self):
-        assert focal_loss(ScoreVector((0.0, 1.0)), 1, gamma=2.0) == 0.0
+        # exp(-1000) is 0, so the true class holds probability 1
+        assert focal_loss(CalibrationSet(np.array([[-1000.0, 0.0]]), np.array([1])),
+                          gamma=2.0).tolist() == [0.0]
 
     def test_half_probability_value(self):
-        got = focal_loss(ScoreVector((0.5, 0.5)), 1, gamma=2.0)
-        assert got == pytest.approx(0.25 * math.log(2.0), abs=1e-12)
+        got = focal_loss(CalibrationSet(np.zeros((1, 2)), np.array([1])), gamma=2.0)
+        assert got[0] == pytest.approx(0.25 * math.log(2.0), abs=1e-12)
 
     def test_never_exceeds_cross_entropy(self):
         rng = np.random.default_rng(6)
+        rows, classes, gammas = [], [], []
         for _ in range(200):
             raw = rng.dirichlet(np.ones(5))
             t = int(rng.integers(0, 5))
             if raw[t] == 0.0:
                 continue
-            p = ScoreVector(tuple(raw))
-            gamma = float(rng.uniform(0, 6))
-            assert focal_loss(p, t, gamma=gamma) <= -math.log(p.scores[t]) + 1e-12
+            rows.append(raw)
+            classes.append(t)
+            gammas.append(float(rng.uniform(0, 6)))
+        ce = -np.log([raw[t] for raw, t in zip(rows, classes)])
+        assert (focal_loss(from_probabilities(rows, classes), gamma=gammas) <= ce + 1e-12).all()
 
     def test_alpha_weights(self):
-        p = ScoreVector((0.25, 0.75))
-        assert focal_loss(p, 1, alpha=(1.0, 2.0), gamma=0.0) == pytest.approx(
+        records = from_probabilities([(0.25, 0.75)], [1])
+        assert focal_loss(records, alpha=(1.0, 2.0), gamma=0.0)[0] == pytest.approx(
             -2.0 * math.log(0.75), abs=1e-12
         )
 
     def test_zero_probability_error(self):
-        with pytest.raises(ValueError):
-            focal_loss(ScoreVector((1.0, 0.0)), 1)
+        # exp(-1000) is 0: the true class has probability 0
+        with pytest.raises(ValueError, match="row 1: true-class probability is 0"):
+            focal_loss(CalibrationSet(np.array([[0.0, 1.0], [0.0, -1000.0]]), np.array([1, 1])))
+
+    @pytest.mark.parametrize(
+        "kwargs, message",
+        [
+            ({"gamma": -0.5}, "gamma must be finite and non-negative"),
+            ({"gamma": math.nan}, "gamma must be finite and non-negative"),
+            ({"gamma": [0.0, -1.0]}, "gamma must be finite and non-negative"),
+            ({"alpha": (1.0, 2.0)}, "alpha needs one weight per class"),
+            ({"alpha": (1.0, 0.0, 2.0)}, "alpha entries must be finite and positive"),
+            ({"alpha": (1.0, math.nan, 2.0)}, "alpha entries must be finite and positive"),
+        ],
+    )
+    def test_rejects_bad_parameters(self, kwargs, message):
+        records = CalibrationSet(np.array([[0.0, 1.0, -1.0], [2.0, 0.5, 0.0]]), np.array([1, 0]))
+        with pytest.raises(ValueError, match=message):
+            focal_loss(records, **kwargs)
 
 
 class TestRecordIo:
@@ -289,16 +363,12 @@ class TestRecordIo:
 def reference_fit_and_reliability(records, bins=10):
     """The record-by-record path this module used before CalibrationSet.
 
-    Builds one (LogitVector, true class) pair per record, turns them back
-    into arrays, fits T with the un-hoisted NLL and bins the softmax.
+    Reads every record as Python numbers, turns them back into arrays,
+    fits T with the un-hoisted NLL and bins the softmax.
     Returns (T, reliability CSV at T = 1, reliability CSV at T).
     """
-    pairs = [
-        (LogitVector(tuple(row)), int(c))
-        for row, c in zip(records.logits.tolist(), records.true_class.tolist())
-    ]
-    z = np.array([p[0].logits for p in pairs], dtype=np.float64)
-    y = np.array([p[1] for p in pairs], dtype=np.int64)
+    z = np.array(records.logits.tolist(), dtype=np.float64)
+    y = np.array(records.true_class.tolist(), dtype=np.int64)
 
     def nll(t):
         zt = z / t

@@ -17,7 +17,6 @@ from dropuq.model import (
     RleMask,
     RowError,
     SampleSet,
-    ScoreVector,
     _foreground_bounds,
     box_iou,
     box_ious,
@@ -349,11 +348,12 @@ class TestRasterizeAgainstBoxIou:
 
 class TestDomainTypes:
     def test_score_vector_checks_sum(self):
-        with pytest.raises(ValueError):
-            ScoreVector((0.5, 0.6))
-        with pytest.raises(ValueError):
-            ScoreVector((1.5, -0.5))
-        assert ScoreVector((0.25, 0.75)).background == 0.25
+        # A detection's score vector is a SampleSet row, checked there.
+        with pytest.raises(ValueError, match="scores must sum to 1"):
+            sample_set(scores=((0.5, 0.6),))
+        with pytest.raises(ValueError, match=r"scores must lie in \[0, 1\]"):
+            sample_set(scores=((1.5, -0.5),))
+        assert sample_set(scores=((0.25, 0.75),)).scores[0, 0] == 0.25
 
 
 def sample_set(boxes=((0, 0, 5, 5),), scores=((0.5, 0.5),), repetition=(0,), masks=(None,),
