@@ -134,6 +134,8 @@ def _nll_function(records: CalibrationSet) -> Callable[[float], float]:
     The buffer is class-major, (K+1, N), so the sum over classes adds K+1
     contiguous rows instead of reducing N short ones.
     """
+    if not records:
+        raise ValueError("cannot compute the NLL of empty records")
     z, y = records.logits, records.true_class
     m = z.max(axis=1)
     shifted = np.subtract(z.T, m, order="C")
@@ -159,8 +161,6 @@ def fit_temperature(records: CalibrationSet) -> float:
     Searches T in [0.01, 100] down to a bracket width of 1e-4. The result
     never yields a worse NLL than the unscaled T = 1 baseline.
     """
-    if not records:
-        raise ValueError("cannot fit temperature on empty records")
     nll = _nll_function(records)
 
     inv_phi = (math.sqrt(5.0) - 1.0) / 2.0
@@ -249,6 +249,8 @@ def focal_loss(
 
     Evaluation only; with gamma = 0 and unit alpha this is cross-entropy.
     """
+    if not records:
+        raise ValueError("cannot compute the focal loss of empty records")
     gamma = np.asarray(gamma, dtype=np.float64)
     if not (np.isfinite(gamma) & (gamma >= 0)).all():
         raise ValueError(f"gamma must be finite and non-negative, got {gamma}")

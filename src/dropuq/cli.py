@@ -123,12 +123,9 @@ def _cmd_synth(args) -> int:
 
 def _cluster_one(path: str, args) -> Tuple[dict, str]:
     """Cluster one samples file; returns its clusters document and summary line."""
-    from .clustering import (
-        ClusterConfig,
-        cluster_pipeline,
-        default_split_threshold,
-        labels_from_clusters,
-    )
+    import numpy as np
+
+    from .clustering import cluster_pipeline, default_split_threshold
     from .ingest import filter_background, read_sample_set
 
     filtered = filter_background(read_sample_set(path), args.background_threshold)
@@ -136,9 +133,8 @@ def _cluster_one(path: str, args) -> Tuple[dict, str]:
         raise ValueError(f"{path}: nothing to cluster after background filtering")
     seed = derive_seed(args.seed, "cluster", filtered.image_id)
     split_threshold = args.split_threshold or default_split_threshold(filtered.n_repetitions)
-    ccfg = ClusterConfig(algorithm=args.algorithm, split_threshold=split_threshold, seed=seed)
-    clusters = cluster_pipeline(filtered, ccfg)
-    labels = labels_from_clusters(filtered, clusters)
+    labels, refused = cluster_pipeline(filtered, args.algorithm, split_threshold, seed)
+    sizes = np.bincount(labels).tolist()
     doc = {
         "image_id": filtered.image_id,
         "algorithm": args.algorithm,
@@ -146,14 +142,13 @@ def _cluster_one(path: str, args) -> Tuple[dict, str]:
         "split_threshold": split_threshold,
         "background_threshold": args.background_threshold,
         "n_detections": len(filtered),
-        "labels": [int(v) for v in labels],
+        "labels": labels.tolist(),
         "clusters": [
-            {"cluster_id": c.cluster_id, "size": len(c), "split_refused": c.split_refused}
-            for c in clusters
+            {"cluster_id": i, "size": size, "split_refused": flag}
+            for i, (size, flag) in enumerate(zip(sizes, refused.tolist()))
         ],
     }
-    sizes = ", ".join(str(len(c)) for c in clusters)
-    return doc, f"{filtered.image_id}: {len(clusters)} clusters (sizes {sizes})"
+    return doc, f"{filtered.image_id}: {len(sizes)} clusters (sizes {', '.join(map(str, sizes))})"
 
 
 def _cmd_cluster(args) -> int:
@@ -226,9 +221,8 @@ def _load_clustered(samples_path: str, clusters_path: str):
             f"clusters file expects {n_detections} filtered detections, "
             f"samples produce {len(filtered)}"
         )
-    clusters = build_instance_clusters(filtered, labels)
-    # Every label in [0, k) occurs, so cluster i here is entry i of the file.
-    return filtered, [replace(c, split_refused=f) for c, f in zip(clusters, flags)]
+    # Every label in [0, k) occurs, so cluster i is entry i of the file.
+    return filtered, build_instance_clusters(filtered, labels, flags)
 
 
 def _cmd_report(args) -> int:

@@ -1,30 +1,29 @@
 """Grouping sampled detections into instance clusters.
 
-The pipeline turns the N x M detections of one image into instance clusters:
-boxes -> connected components of the box-overlap graph -> per
-component, count heuristic and mixture fit (or Ward linkage) -> hard labels
--> cluster assembly -> oversized-cluster split rule.
+The pipeline labels the N x M detections of one image: boxes -> connected
+components of the box-overlap graph -> per component, count heuristic and
+mixture fit (or Ward linkage) -> oversized-cluster split rule -> one label
+per detection and one split flag per cluster -> (build_instance_clusters)
+instance clusters.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
-from typing import List, Optional, Sequence
+from dataclasses import dataclass
+from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
 from .model import SampleSet
 
 __all__ = [
-    "ClusterConfig",
     "InstanceCluster",
     "ClusteringError",
     "estimate_component_count",
     "default_split_threshold",
     "overlap_components",
     "build_instance_clusters",
-    "labels_from_clusters",
-    "split_oversized",
+    "split_labels",
     "cluster_pipeline",
 ]
 
@@ -40,37 +39,17 @@ class ClusteringError(ValueError):
     produce a valid state."""
 
 
-@dataclass(frozen=True)
-class ClusterConfig:
-    algorithm: str = "bgm"                 # "bgm" or "agg"
-    split_threshold: Optional[int] = None  # None -> default_split_threshold(N)
-    seed: int = 0
-
-    def __post_init__(self):
-        if self.algorithm not in ("bgm", "agg"):
-            raise ValueError(f"algorithm must be 'bgm' or 'agg', got {self.algorithm!r}")
-        if self.split_threshold is not None and self.split_threshold < 1:
-            raise ValueError(f"split_threshold must be >= 1, got {self.split_threshold}")
-
-
 @dataclass(frozen=True, eq=False)
 class InstanceCluster:
-    """Detections judged to belong to one physical instance.
-
-    ``indices`` holds each member's position in the sample set, as an int64
-    array; ``members`` is the sample set's rows at those positions.
+    """Detections judged to belong to one physical instance, as made by
+    build_instance_clusters: ``indices`` holds each member's position in the
+    sample set (int64), ``members`` the sample set's rows at those positions.
     """
 
     cluster_id: int
     indices: np.ndarray
     members: SampleSet
     split_refused: bool = False  # oversized but would not break apart
-
-    def __post_init__(self):
-        if not len(self.members):
-            raise ValueError("cluster must have at least one member")
-        if len(self.indices) != len(self.members):
-            raise ValueError("one index required per member")
 
     def __len__(self) -> int:
         return len(self.members)
@@ -94,10 +73,6 @@ def default_split_threshold(n_repetitions: int) -> int:
     if n_repetitions < 1:
         raise ValueError(f"n_repetitions must be >= 1, got {n_repetitions}")
     return (3 * n_repetitions + 1) // 2
-
-
-def _split_threshold(cfg: ClusterConfig, n_repetitions: int) -> int:
-    return cfg.split_threshold or default_split_threshold(n_repetitions)
 
 
 def overlap_components(points: np.ndarray) -> np.ndarray:
@@ -149,97 +124,97 @@ def overlap_components(points: np.ndarray) -> np.ndarray:
     return np.argsort(np.argsort(first))[inverse]
 
 
-def build_instance_clusters(s: SampleSet, labels: Sequence[int]) -> List[InstanceCluster]:
-    """Group detections by label into clusters ordered by ascending label.
-
-    Members inside a cluster keep the sample set's order, which is by
-    (repetition, position); cluster ids are renumbered densely.
-    """
-    labels = np.asarray(labels)
-    if labels.shape != (len(s),):
-        raise ValueError(f"labels shape {labels.shape} does not match {len(s)} detections")
-    if not len(s):
+def _label_groups(labels: np.ndarray) -> List[np.ndarray]:
+    """Each label's positions in ascending order, by ascending label."""
+    if not len(labels):
         return []
     # np.unique is avoided because its plain form imports numpy.ma.
     order = np.argsort(labels, kind="stable")
     ordered = labels[order]
-    groups = np.split(order, np.flatnonzero(ordered[1:] != ordered[:-1]) + 1)
-    return [InstanceCluster(new_id, group, s.take(group)) for new_id, group in enumerate(groups)]
+    return np.split(order, np.flatnonzero(ordered[1:] != ordered[:-1]) + 1)
 
 
-def labels_from_clusters(
-    s: SampleSet, clusters: Sequence[InstanceCluster]
-) -> np.ndarray:
-    """Invert a clustering back to one cluster id per detection."""
-    labels = np.full(len(s), -1, dtype=np.int64)
-    for c in clusters:
-        labels[c.indices] = c.cluster_id
-    missing = np.flatnonzero(labels < 0)
-    if missing.size:
-        raise ValueError(f"detection {missing[0]} is in no cluster")
-    return labels
-
-
-def _split_once(
-    cluster: InstanceCluster, n_repetitions: int, threshold: int, seed: int, depth: int
+def build_instance_clusters(
+    s: SampleSet, labels: Sequence[int], split_refused: Optional[Sequence[bool]] = None
 ) -> List[InstanceCluster]:
-    if len(cluster) <= threshold:
-        return [cluster]
-    if depth >= _MAX_SPLIT_DEPTH:
-        return [replace(cluster, split_refused=True)]
-    from .bgm import assign_labels, fit_bgm
+    """Group detections by label into clusters ordered by ascending label.
 
-    k_max = max(2, estimate_component_count(len(cluster), n_repetitions))
-    state = fit_bgm(cluster.members.boxes, k_max, seed)
-    labels = assign_labels(state)
-    present = np.flatnonzero(np.bincount(labels))
-    if present.size < 2:
-        return [replace(cluster, split_refused=True)]
-    parts = []
-    for label in present:
-        idx = np.flatnonzero(labels == label)
-        part = replace(cluster, indices=cluster.indices[idx], members=cluster.members.take(idx))
-        parts.extend(_split_once(part, n_repetitions, threshold, seed, depth + 1))
-    return parts
-
-
-def split_oversized(
-    clusters: Sequence[InstanceCluster], n_repetitions: int, cfg: ClusterConfig
-) -> List[InstanceCluster]:
-    """Re-cluster any group larger than the split threshold.
-
-    The threshold is ``cfg.split_threshold``, or default_split_threshold of
-    the repetition count when that is None. Oversized clusters are refit
-    with the mixture on their own box features (upper limit from the count
-    heuristic, at least 2), recursively. A cluster that refuses to break
-    apart is kept whole and flagged.
+    Members inside a cluster keep the sample set's order, which is by
+    (repetition, position); cluster ids are renumbered densely. Cluster i
+    is flagged with ``split_refused[i]`` (none is when that is None).
     """
-    threshold = _split_threshold(cfg, n_repetitions)
-    out: List[InstanceCluster] = []
-    for cluster in clusters:
-        out.extend(_split_once(cluster, n_repetitions, threshold, cfg.seed, depth=0))
-    return [replace(c, cluster_id=i) for i, c in enumerate(out)]
+    labels = np.asarray(labels)
+    if labels.shape != (len(s),):
+        raise ValueError(f"labels shape {labels.shape} does not match {len(s)} detections")
+    groups = _label_groups(labels)
+    flags = [False] * len(groups) if split_refused is None else list(split_refused)
+    if len(flags) != len(groups):
+        raise ValueError(f"{len(flags)} split flags for {len(groups)} clusters")
+    return [
+        InstanceCluster(i, g, s.take(g), bool(f)) for i, (g, f) in enumerate(zip(groups, flags))
+    ]
 
 
-def cluster_pipeline(s: SampleSet, cfg: ClusterConfig = ClusterConfig()) -> List[InstanceCluster]:
-    """Full clustering of one image's sampled detections.
+def split_labels(
+    points: np.ndarray, labels: Sequence[int], n_repetitions: int, threshold: int, seed: int
+) -> Tuple[np.ndarray, np.ndarray]:
+    """Split rule: refit each label group of more than ``threshold`` rows of
+    an (n, 4) box matrix with the mixture on its own boxes, in row order
+    (upper limit from the count heuristic, at least 2), and each part again,
+    to a depth of _MAX_SPLIT_DEPTH; a group that will not break apart stays
+    whole and is flagged. Returns one int64 label per row, numbered by input
+    label and then part, depth first, and one split_refused flag per label.
+    """
+    parts: List[Tuple[np.ndarray, bool]] = []
+
+    def split(idx: np.ndarray, depth: int) -> None:
+        if idx.size > threshold and depth < _MAX_SPLIT_DEPTH:
+            from .bgm import assign_labels, fit_bgm
+
+            k_max = max(2, estimate_component_count(idx.size, n_repetitions))
+            sub = assign_labels(fit_bgm(points[idx], k_max, seed))
+            present = np.flatnonzero(np.bincount(sub))
+            if present.size > 1:
+                for label in present:
+                    split(idx[sub == label], depth + 1)
+                return
+        parts.append((idx, idx.size > threshold))  # refused when still oversized
+
+    for group in _label_groups(np.asarray(labels)):
+        split(group, 0)
+    out = np.empty(len(labels), dtype=np.int64)
+    for i, (idx, _) in enumerate(parts):
+        out[idx] = i
+    return out, np.array([refused for _, refused in parts], dtype=bool)
+
+
+def cluster_pipeline(
+    s: SampleSet, algorithm: str = "bgm", split_threshold: Optional[int] = None, seed: int = 0
+) -> Tuple[np.ndarray, np.ndarray]:
+    """Full clustering of one image's sampled detections with ``algorithm``
+    "bgm" or "agg": one int64 cluster id per detection and one split_refused
+    flag per cluster, which build_instance_clusters turns into clusters.
 
     Boxes that never overlap cannot be one instance, so the detections are
     first split into the connected components of their box-overlap graph
     (overlap_components) and each component is clustered on its own, with
-    its own count heuristic h and the same config. For the mixture the
-    component upper limit gets headroom over the heuristic (max(2*h, h+2))
-    and unused components are pruned by the stick-breaking prior; the
-    agglomerative comparator uses min(h, size) directly. A component with
-    h = 1 and no more members than the split threshold is one cluster
-    without a fit. Labels are offset per component, so clusters are ordered
-    by component, then by label within it; the split rule then runs over
-    all clusters.
+    its own count heuristic h. For the mixture the component upper limit
+    gets headroom over the heuristic (max(2*h, h+2)) and unused components
+    are pruned by the stick-breaking prior; the agglomerative comparator
+    uses min(h, size) directly. A component with h = 1 and no more members
+    than the split threshold (default_split_threshold when None) is one
+    cluster without a fit. Labels are offset per component, so clusters are
+    ordered by component, then by label within it; split_labels then runs
+    over all of them.
     """
+    if algorithm not in ("bgm", "agg"):
+        raise ValueError(f"algorithm must be 'bgm' or 'agg', got {algorithm!r}")
+    if split_threshold is not None and split_threshold < 1:
+        raise ValueError(f"split_threshold must be >= 1, got {split_threshold}")
     if not len(s):
         raise ClusteringError("nothing to cluster: 0 detections")
     points = s.boxes
-    threshold = _split_threshold(cfg, s.n_repetitions)
+    threshold = split_threshold or default_split_threshold(s.n_repetitions)
     components = overlap_components(points)
     order = np.argsort(components, kind="stable")
     labels = np.empty(len(points), dtype=np.int64)
@@ -248,16 +223,15 @@ def cluster_pipeline(s: SampleSet, cfg: ClusterConfig = ClusterConfig()) -> List
         heuristic = estimate_component_count(idx.size, s.n_repetitions)
         if heuristic == 1 and idx.size <= threshold:
             part = np.zeros(idx.size, dtype=np.int64)
-        elif cfg.algorithm == "bgm":
+        elif algorithm == "bgm":
             from .bgm import assign_labels, fit_bgm
 
             k_max = max(2 * heuristic, heuristic + 2)
-            part = assign_labels(fit_bgm(points[idx], k_max, cfg.seed))
+            part = assign_labels(fit_bgm(points[idx], k_max, seed))
         else:
             from .ward import fit_agglomerative
 
             part = fit_agglomerative(points[idx], min(heuristic, idx.size))
         labels[idx] = offset + part
         offset += int(part.max()) + 1
-    clusters = build_instance_clusters(s, labels)
-    return split_oversized(clusters, s.n_repetitions, cfg)
+    return split_labels(points, labels, s.n_repetitions, threshold, seed)

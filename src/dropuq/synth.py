@@ -180,7 +180,8 @@ def generate(
         else _render_shape(inst.true_box, inst.shape, spec.height, spec.width)
         for inst in spec.instances
     ]
-    bands = [None if s is None else _contour_band(s) for s in shapes]
+    # Flat indices of each shape's contour band, where mask noise flips pixels.
+    bands = [None if s is None else np.flatnonzero(_contour_band(s)) for s in shapes]
 
     repetitions, boxes, scores, masks, labels = [], [], [], [], []
     for rep in range(spec.n_repetitions):
@@ -196,8 +197,7 @@ def generate(
                 grid = shapes[idx]
                 if inst.mask_noise > 0.0:
                     grid = grid.copy()
-                    band_idx = np.flatnonzero(bands[idx])
-                    flips = band_idx[rng.random(band_idx.size) < inst.mask_noise]
+                    flips = bands[idx][rng.random(bands[idx].size) < inst.mask_noise]
                     flat = grid.reshape(-1)
                     flat[flips] = ~flat[flips]
                 mask = _encode_runs(grid)

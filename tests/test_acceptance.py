@@ -28,13 +28,7 @@ from dropuq.calibration import (
 )
 from dropuq import bgm
 from dropuq.bgm import fit_bgm
-from dropuq.clustering import (
-    ClusterConfig,
-    build_instance_clusters,
-    cluster_pipeline,
-    labels_from_clusters,
-    split_oversized,
-)
+from dropuq.clustering import build_instance_clusters, cluster_pipeline, split_labels
 from dropuq.evaluation import (
     GroundTruthInstance,
     PredictedInstance,
@@ -68,10 +62,10 @@ def test_clustering_recovery():
         spec = separated_scene(seed, n_instances, sigma=sigma, n_repetitions=100)
         sample_set, labels, _ = generate(spec)
         start = time.monotonic()
-        clusters = cluster_pipeline(sample_set, ClusterConfig(seed=seed))
+        got, _ = cluster_pipeline(sample_set, seed=seed)
         elapsed = time.monotonic() - start
         worst_runtime = max(worst_runtime, elapsed)
-        ari = adjusted_rand_index(labels, labels_from_clusters(sample_set, clusters))
+        ari = adjusted_rand_index(labels, got)
         if ari >= 0.99:
             passed += 1
     assert passed >= 95, f"ARI >= 0.99 on only {passed}/100 seeds"
@@ -90,9 +84,9 @@ def test_clustering_recovery_at_scale():
     results = []
     for algorithm, floor in (("bgm", 0.99), ("agg", 1.0)):
         start = time.monotonic()
-        clusters = cluster_pipeline(sample_set, ClusterConfig(algorithm=algorithm, seed=1))
+        got, _ = cluster_pipeline(sample_set, algorithm, seed=1)
         elapsed = time.monotonic() - start
-        ari = adjusted_rand_index(labels, labels_from_clusters(sample_set, clusters))
+        ari = adjusted_rand_index(labels, got)
         assert ari >= floor, f"{algorithm}: ARI {ari:.4f} < {floor}"
         assert elapsed < 5.0, f"{algorithm}: took {elapsed:.2f}s"
         results.append(f"{algorithm} ARI {ari:.3f} in {elapsed:.2f}s")
@@ -118,10 +112,8 @@ def test_split_rule():
     spec = separated_scene(7, 2, sigma=2.0, n_repetitions=100)
     sample_set, labels, _ = generate(spec)
     assert len(sample_set) == 200
-    merged = build_instance_clusters(sample_set, [0] * 200)
-    out = split_oversized(merged, 100, ClusterConfig(seed=7, split_threshold=150))
-    assert len(out) == 2, f"expected 2 clusters, got {len(out)}"
-    got = labels_from_clusters(sample_set, out)
+    got, refused = split_labels(sample_set.boxes, [0] * 200, 100, threshold=150, seed=7)
+    assert len(refused) == 2, f"expected 2 clusters, got {len(refused)}"
     assert adjusted_rand_index(labels, got) == 1.0
     _accept("split rule (200 members -> 2 clusters at threshold 150)")
 
@@ -240,7 +232,7 @@ def test_bernoulli_identity():
             mask_noise=0.3, height=160, width=240,
         )
         sample_set, _, _ = generate(spec)
-        clusters = cluster_pipeline(sample_set, ClusterConfig(seed=seed))
+        clusters = build_instance_clusters(sample_set, *cluster_pipeline(sample_set, seed=seed))
         for cluster in clusters:
             stats = mask_stats(cluster)
             expect = np.sqrt(stats.mean_mask * (1.0 - stats.mean_mask))
@@ -255,7 +247,7 @@ def test_map_sanity():
         60, 3, sigma=0.0, n_repetitions=100, shape="box", height=200, width=400
     )
     sample_set, _, gts = generate(spec)
-    clusters = cluster_pipeline(sample_set, ClusterConfig(seed=60))
+    clusters = build_instance_clusters(sample_set, *cluster_pipeline(sample_set, seed=60))
     preds = [cluster_to_detection(c, sample_set.image_id) for c in clusters]
     for mode in ("box", "mask"):
         result = match_and_score(preds, gts, mode=mode)
@@ -312,12 +304,8 @@ def test_comparator_ordering():
         spec = overlapping_scene(seed, n_instances)
         sample_set, labels, _ = generate(spec)
         for algorithm, bucket in (("bgm", bgm_scores), ("agg", agg_scores)):
-            clusters = cluster_pipeline(
-                sample_set, ClusterConfig(algorithm=algorithm, seed=seed)
-            )
-            bucket.append(
-                adjusted_rand_index(labels, labels_from_clusters(sample_set, clusters))
-            )
+            got, _ = cluster_pipeline(sample_set, algorithm, seed=seed)
+            bucket.append(adjusted_rand_index(labels, got))
     mean_bgm = float(np.mean(bgm_scores))
     mean_agg = float(np.mean(agg_scores))
     line = f"mean ARI: BGM {mean_bgm:.4f}, AGG {mean_agg:.4f}"
@@ -389,7 +377,7 @@ def test_full_pipeline_runtime():
     )
     sample_set, _, gts = generate(spec)
     filtered = filter_background(sample_set)
-    clusters = cluster_pipeline(filtered, ClusterConfig(seed=0))
+    clusters = build_instance_clusters(filtered, *cluster_pipeline(filtered, seed=0))
     reports = [build_report(c) for c in clusters]  # the report step, timed as in the CLI
     preds = [cluster_to_detection(c, sample_set.image_id) for c in clusters]
     for mode in ("box", "mask"):

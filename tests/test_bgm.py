@@ -7,7 +7,7 @@ import pytest
 from _scenes import overlapping_scene
 from dropuq import bgm
 from dropuq.bgm import ClusteringError, MixtureState, assign_labels, fit_bgm
-from dropuq.clustering import ClusterConfig, cluster_pipeline
+from dropuq.clustering import cluster_pipeline
 from dropuq.synth import generate
 
 
@@ -240,8 +240,7 @@ class TestReferenceEquivalence:
             for seed in range(50):
                 n_instances = int(np.random.default_rng(seed).integers(2, 5))
                 sample_set, _, _ = generate(overlapping_scene(seed, n_instances))
-                clusters = cluster_pipeline(sample_set, ClusterConfig(seed=seed))
-                labels.append([c.indices.tolist() for c in clusters])
+                labels.append(cluster_pipeline(sample_set, seed=seed)[0].tolist())
             return labels, list(fits)
 
         got_labels, got_fits = run_all()

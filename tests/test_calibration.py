@@ -178,6 +178,15 @@ class TestFitTemperature:
         with pytest.raises(ValueError):
             fit_temperature(read_text(read_calibration_records, ""))
 
+    @pytest.mark.parametrize("call, name", [
+        (lambda r: negative_log_likelihood(r, 1.0), "the NLL"),
+        (focal_loss, "the focal loss"),
+    ], ids=["negative_log_likelihood", "focal_loss"])
+    def test_empty_records_named(self, call, name):
+        # An empty file reads as logits of shape (0, 0), which has no row maximum.
+        with pytest.raises(ValueError, match=f"cannot compute {name} of empty records"):
+            call(read_text(read_calibration_records, ""))
+
 
 class TestReliability:
     def test_perfect_confidence(self):

@@ -571,6 +571,21 @@ class TestPipeline:
         assert float(summary["box"]) == 1.0
         assert float(summary["mask"]) == 1.0
 
+    def test_cluster_builds_no_instance_cluster(self, pipeline_dirs, tmp_path, monkeypatch):
+        # cluster writes labels, sizes and flags straight from the arrays.
+        from dropuq import clustering
+        from dropuq.cli import main
+
+        def unused(*args, **kwargs):
+            raise AssertionError("cluster built an InstanceCluster")
+
+        monkeypatch.setattr(clustering, "build_instance_clusters", unused)
+        monkeypatch.setattr(clustering, "InstanceCluster", unused)
+        samples = pipeline_dirs / "synth" / "scene0_samples.jsonl"
+        assert main(["cluster", str(samples), "--out-dir", str(tmp_path), "--seed", "5"]) == 0
+        name = "scene0_clusters.json"
+        assert (tmp_path / name).read_bytes() == (pipeline_dirs / "clusters" / name).read_bytes()
+
     def test_split_refused_read_back(self, pipeline_dirs, tmp_path):
         from dropuq.cli import main
 
@@ -794,6 +809,47 @@ class TestDeterminism:
         shutil.rmtree(root)
         chain(root)
         assert snapshot(root) == first
+
+    # SHA-256 of the tree test_golden_tree writes, manifest.json aside. A
+    # change that moves any output byte of synth, cluster, report or eval
+    # on this scene changes it.
+    GOLDEN_TREE = "a228a6a551f20e1737e00d719248b6114018b8113310d9e3f9436a616286d231"
+
+    def test_golden_tree(self, tmp_path):
+        # 3 separated ellipse-mask instances x 20 repetitions; a split
+        # threshold of 12 splits every instance and refuses one part.
+        import hashlib
+
+        from dropuq.cli import main
+
+        spec = separated_scene(3, 3, sigma=2.0, n_repetitions=20, shape="ellipse",
+                               class_confusion=0.1, mask_noise=0.1, height=160, width=440,
+                               columns=3)
+        scene = tmp_path / "scene.json"
+        scene.write_text(scene_spec_to_json(spec))
+        root = tmp_path / "tree"
+        samples = str(root / "synth" / "scene3_samples.jsonl")
+        gt = str(root / "synth" / "scene3_gt.jsonl")
+        clusters = str(root / "bgm" / "scene3_clusters.json")
+        for argv in (
+            ["synth", str(scene), "--out-dir", str(root / "synth")],
+            ["cluster", samples, "--out-dir", str(root / "bgm"), "--seed", "2",
+             "--split-threshold", "12"],
+            ["cluster", samples, "--out-dir", str(root / "agg"), "--seed", "2",
+             "--algorithm", "agg", "--split-threshold", "12"],
+            ["report", samples, "--clusters", clusters, "--out-dir", str(root / "report")],
+            ["eval", samples, "--clusters", clusters, "--gt", gt, "--mode", "both",
+             "--out-dir", str(root / "eval")],
+        ):
+            assert main(argv) == 0, argv[0]
+        doc = json.loads(Path(clusters).read_text())
+        assert len(doc["clusters"]) > 3
+        assert any(c["split_refused"] for c in doc["clusters"])
+        digest = hashlib.sha256()
+        for name, data in snapshot(root).items():
+            if Path(name).name != "manifest.json":
+                digest.update(name.encode() + b"\0" + hashlib.sha256(data).digest())
+        assert digest.hexdigest() == self.GOLDEN_TREE
 
     def test_algorithms_differ_in_flag_only(self, pipeline_dirs, tmp_path):
         samples = pipeline_dirs / "synth" / "scene0_samples.jsonl"

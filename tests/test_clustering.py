@@ -1,4 +1,5 @@
-import dataclasses
+import hashlib
+import inspect
 import tracemalloc
 
 import numpy as np
@@ -9,15 +10,13 @@ from _scenes import overlapping_scene, separated_scene
 from dropuq import bgm, clustering, ward
 from dropuq.bgm import assign_labels, fit_bgm
 from dropuq.clustering import (
-    ClusterConfig,
     ClusteringError,
     build_instance_clusters,
     cluster_pipeline,
     default_split_threshold,
     estimate_component_count,
-    labels_from_clusters,
     overlap_components,
-    split_oversized,
+    split_labels,
 )
 from dropuq.model import SampleSet
 from dropuq.synth import adjusted_rand_index, generate
@@ -54,9 +53,21 @@ class TestComponentCount:
 
 
 class TestSurface:
-    def test_config_fields_pinned(self):
-        names = [f.name for f in dataclasses.fields(ClusterConfig)]
-        assert names == ["algorithm", "split_threshold", "seed"]
+    def test_pipeline_parameters_pinned(self):
+        params = inspect.signature(cluster_pipeline).parameters
+        assert [(p.name, p.default) for p in params.values()] == [
+            ("s", inspect.Parameter.empty), ("algorithm", "bgm"),
+            ("split_threshold", None), ("seed", 0),
+        ]
+
+    @pytest.mark.parametrize("kwargs, message", [
+        ({"algorithm": "kmeans"}, "algorithm must be 'bgm' or 'agg', got 'kmeans'"),
+        ({"split_threshold": 0}, "split_threshold must be >= 1, got 0"),
+    ])
+    def test_bad_parameter_rejected(self, kwargs, message):
+        s = simple_set([(0, 0, 5, 5)])
+        with pytest.raises(ValueError, match=message):
+            cluster_pipeline(s, **kwargs)
 
     def test_fits_import_only_from_their_modules(self):
         assert not hasattr(clustering, "__getattr__")
@@ -77,10 +88,9 @@ class TestDefaultSplitThreshold:
         spec = separated_scene(1, 2, sigma=2.0, n_repetitions=30)
         s, labels, _ = generate(spec)
         assert len(s) == 60
-        merged = build_instance_clusters(s, [0] * 60)
-        out = split_oversized(merged, 30, ClusterConfig(seed=1))
-        assert len(out) == 2
-        assert adjusted_rand_index(labels, labels_from_clusters(s, out)) == 1.0
+        got, refused = split_labels(s.boxes, [0] * 60, 30, default_split_threshold(30), seed=1)
+        assert refused.tolist() == [False, False]
+        assert adjusted_rand_index(labels, got) == 1.0
 
 
 def dense_components(points):
@@ -192,7 +202,10 @@ class TestBuildInstanceClusters:
         clusters = build_instance_clusters(s, labels)
         assert sorted(np.concatenate([c.indices for c in clusters]).tolist()) == list(range(40))
         assert all(c.members == s.take(c.indices) for c in clusters)
-        assert labels_from_clusters(s, clusters).shape == (40,)
+        assert [labels[c.indices].tolist() for c in clusters] == [
+            [k] * np.count_nonzero(labels == k) for k in np.unique(labels)
+        ]
+        assert not any(c.split_refused for c in clusters)
 
     def test_member_order_by_provenance(self):
         boxes = [(i, 0, i + 5, 5) for i in range(4)]
@@ -201,11 +214,14 @@ class TestBuildInstanceClusters:
         assert clusters[0].indices.tolist() == [0, 1, 2, 3]
         assert clusters[0].members.boxes[:, 0].tolist() == [1, 3, 0, 2]
 
-    def test_uncovered_detection_rejected(self):
+    def test_split_flags_follow_clusters(self):
         s = simple_set([(0, 0, 5, 5), (1, 1, 6, 6), (2, 2, 7, 7)])
-        clusters = build_instance_clusters(s, [0, 1, 1])
-        with pytest.raises(ValueError, match="detection 0"):
-            labels_from_clusters(s, clusters[1:])
+        clusters = build_instance_clusters(s, [4, 1, 1], [True, False])
+        assert [(c.indices.tolist(), c.split_refused) for c in clusters] == [
+            ([1, 2], True), ([0], False)
+        ]
+        with pytest.raises(ValueError, match="1 split flags for 2 clusters"):
+            build_instance_clusters(s, [0, 1, 1], [True])
 
     def test_label_shape_mismatch(self):
         s = simple_set([(0, 0, 5, 5)])
@@ -216,73 +232,85 @@ class TestBuildInstanceClusters:
 class TestSplitOversized:
     def test_small_clusters_unchanged(self):
         s, labels, _ = generate(separated_scene(0, 2, sigma=2.0))
-        clusters = build_instance_clusters(s, labels)
-        out = split_oversized(clusters, 100, ClusterConfig(seed=0))
-        assert [c.members for c in out] == [c.members for c in clusters]
-        assert not any(c.split_refused for c in out)
+        got, refused = split_labels(s.boxes, labels, 100, default_split_threshold(100), seed=0)
+        assert got.tolist() == labels
+        assert refused.tolist() == [False, False]
 
     def test_merged_pair_splits_into_two(self):
         spec = separated_scene(1, 2, sigma=2.0)
         s, labels, _ = generate(spec)
         assert len(s) == 200
-        merged = build_instance_clusters(s, [0] * 200)
-        out = split_oversized(merged, 100, ClusterConfig(seed=1, split_threshold=150))
-        assert len(out) == 2
-        got = labels_from_clusters(s, out)
+        got, refused = split_labels(s.boxes, [0] * 200, 100, threshold=150, seed=1)
+        assert refused.tolist() == [False, False]
         assert adjusted_rand_index(labels, got) == 1.0
 
     def test_identical_points_refuse_split(self):
         boxes = [(10, 10, 40, 40)] * 151
         s = simple_set(boxes, n_repetitions=151, reps=list(range(151)))
-        merged = build_instance_clusters(s, [0] * 151)
-        out = split_oversized(merged, 151, ClusterConfig(seed=0, split_threshold=150))
-        assert len(out) == 1
-        assert out[0].split_refused
-        assert len(out[0]) == 151
+        got, refused = split_labels(s.boxes, [0] * 151, 151, threshold=150, seed=0)
+        assert got.tolist() == [0] * 151
+        assert refused.tolist() == [True]
 
     def test_output_is_partition(self):
         spec = separated_scene(2, 3, sigma=2.0)
         s, _, _ = generate(spec)
-        merged = build_instance_clusters(s, [0] * len(s))
-        out = split_oversized(merged, 100, ClusterConfig(seed=2))
-        assert sorted(i for c in out for i in c.indices) == list(range(len(s)))
+        got, refused = split_labels(s.boxes, [0] * len(s), 100, default_split_threshold(100), 2)
+        assert got.shape == (len(s),)
+        assert np.bincount(got).min() >= 1
+        assert refused.shape == (got.max() + 1,)
+
+    @pytest.mark.parametrize("algorithm, clusters, digest", [
+        ("bgm", 24, "db22f721fc8ebaa17ae59030efc48c2be602fc4519b15111b0541fa8260f6fc1"),
+        ("agg", 21, "d1c3b4eb96d56186d9a1384b463c0f63ca9107b681f6eb5acffb3264fd418c2d"),
+    ])
+    def test_dense_scene_pinned(self, algorithm, clusters, digest):
+        # 20 overlapping instances x 100 repetitions, threshold 60: the rule
+        # splits some clusters and refuses 20. The counts and the SHA-256 of
+        # the int64 labels are pinned, so any change to a fit's input rows,
+        # their order or the numbering shows.
+        s, _, _ = generate(overlapping_scene(0, 20))
+        labels, refused = cluster_pipeline(s, algorithm, split_threshold=60, seed=1)
+        assert (refused.size, int(refused.sum())) == (clusters, 20)
+        assert labels.dtype == np.int64
+        assert hashlib.sha256(labels.tobytes()).hexdigest() == digest
 
 
 class TestClusterPipeline:
     def test_single_instance_single_cluster(self):
         s, labels, _ = generate(separated_scene(3, 1, sigma=2.0))
-        clusters = cluster_pipeline(s, ClusterConfig(seed=3))
-        assert len(clusters) == 1
-        assert adjusted_rand_index(labels, labels_from_clusters(s, clusters)) == 1.0
+        got, refused = cluster_pipeline(s, seed=3)
+        assert len(refused) == 1
+        assert adjusted_rand_index(labels, got) == 1.0
 
     @pytest.mark.parametrize("algorithm", ["bgm", "agg"])
     def test_three_instances_recovered(self, algorithm):
         s, labels, _ = generate(separated_scene(4, 3, sigma=2.0))
-        clusters = cluster_pipeline(s, ClusterConfig(algorithm=algorithm, seed=4))
-        got = labels_from_clusters(s, clusters)
+        got, _ = cluster_pipeline(s, algorithm, seed=4)
         assert adjusted_rand_index(labels, got) >= 0.99
 
     def test_deterministic(self):
         s, _, _ = generate(separated_scene(5, 3, sigma=2.0))
-        a = cluster_pipeline(s, ClusterConfig(seed=5))
-        b = cluster_pipeline(s, ClusterConfig(seed=5))
-        assert [c.members for c in a] == [c.members for c in b]
-        assert [c.cluster_id for c in a] == [c.cluster_id for c in b]
+        a = cluster_pipeline(s, seed=5)
+        b = cluster_pipeline(s, seed=5)
+        assert np.array_equal(a[0], b[0])
+        assert np.array_equal(a[1], b[1])
 
     def test_partition_property(self):
         s, _, _ = generate(separated_scene(6, 4, sigma=3.0))
-        clusters = cluster_pipeline(s, ClusterConfig(seed=6))
-        assert sorted(i for c in clusters for i in c.indices) == list(range(len(s)))
+        labels, refused = cluster_pipeline(s, seed=6)
+        assert labels.shape == (len(s),)
+        assert np.bincount(labels).min() >= 1  # ids 0..k-1, each used
+        assert refused.shape == (labels.max() + 1,)
 
     def test_translation_equivariance(self):
         spec = separated_scene(7, 3, sigma=2.0, width=2000, height=2000)
         s, _, _ = generate(spec)
-        base = labels_from_clusters(s, cluster_pipeline(s, ClusterConfig(seed=7)))
+        base, _ = cluster_pipeline(s, seed=7)
         shifted = SampleSet(
             s.image_id, s.height, s.width, s.n_repetitions,
             s.boxes + (37.25, 41.5, 37.25, 41.5), s.scores, s.repetition, mask_rows(s),
         )
-        moved = labels_from_clusters(shifted, cluster_pipeline(shifted, ClusterConfig(seed=7)))
+        moved, _ = cluster_pipeline(shifted, seed=7)
         assert adjusted_rand_index(base, moved) == 1.0
 
     def test_permutation_invariance(self):
@@ -292,14 +320,14 @@ class TestClusterPipeline:
         permuted = s.take(perm)
         # A SampleSet re-sorts its rows by repetition: this is the order that survives.
         perm = perm[np.argsort(s.repetition[perm], kind="stable")]
-        base = labels_from_clusters(s, cluster_pipeline(s, ClusterConfig(seed=8)))
-        moved = labels_from_clusters(permuted, cluster_pipeline(permuted, ClusterConfig(seed=8)))
-        assert adjusted_rand_index(np.asarray(base)[perm], moved) == 1.0
+        base, _ = cluster_pipeline(s, seed=8)
+        moved, _ = cluster_pipeline(permuted, seed=8)
+        assert adjusted_rand_index(base[perm], moved) == 1.0
 
     def test_empty_error(self):
         s = SampleSet("img", 10, 10, 1, np.empty((0, 4)), np.empty((0, 2)), [], ())
         with pytest.raises(ClusteringError):
-            cluster_pipeline(s, ClusterConfig(seed=0))
+            cluster_pipeline(s, seed=0)
 
     def test_single_instance_components_run_no_fit(self, monkeypatch):
         def no_fit(*args, **kwargs):
@@ -309,9 +337,9 @@ class TestClusterPipeline:
         monkeypatch.setattr(ward, "fit_agglomerative", no_fit)
         s, labels, _ = generate(separated_scene(9, 5, sigma=3.0))
         for algorithm in ("bgm", "agg"):
-            clusters = cluster_pipeline(s, ClusterConfig(algorithm=algorithm, seed=9))
-            assert len(clusters) == 5
-            assert adjusted_rand_index(labels, labels_from_clusters(s, clusters)) == 1.0
+            got, refused = cluster_pipeline(s, algorithm, seed=9)
+            assert len(refused) == 5
+            assert adjusted_rand_index(labels, got) == 1.0
 
     def test_each_fit_sees_only_its_component(self, monkeypatch):
         # Instances 0 and 1 overlap, 2 stands apart: one fit, on 2 x 30 points.
@@ -329,29 +357,27 @@ class TestClusterPipeline:
             return fit_bgm(points, k_max, seed)
 
         monkeypatch.setattr(bgm, "fit_bgm", recording_fit)
-        clusters = cluster_pipeline(pair, ClusterConfig(seed=0))
+        labels, _ = cluster_pipeline(pair, seed=0)
         assert calls == [(60, 4)]
-        assert [len(c) for c in clusters] == [30, 30, 30]
-        assert clusters[2].indices.tolist() == list(range(2, 90, 3))
+        assert np.bincount(labels).tolist() == [30, 30, 30]
+        assert np.flatnonzero(labels == 2).tolist() == list(range(2, 90, 3))
 
     @pytest.mark.parametrize("seed", [0, 1, 2])
     def test_one_component_runs_the_whole_image_fit(self, seed):
         s, _, _ = generate(overlapping_scene(seed, 3))
         assert overlap_components(s.boxes).max() == 0
-        cfg = ClusterConfig(seed=seed)
         h = estimate_component_count(len(s), s.n_repetitions)
         whole = assign_labels(fit_bgm(s.boxes, max(2 * h, h + 2), seed=seed))
-        expected = split_oversized(build_instance_clusters(s, whole), s.n_repetitions, cfg)
-        got = cluster_pipeline(s, cfg)
-        assert [(c.cluster_id, c.indices.tolist(), c.split_refused) for c in got] == [
-            (c.cluster_id, c.indices.tolist(), c.split_refused) for c in expected
-        ]
+        threshold = default_split_threshold(s.n_repetitions)
+        expected = split_labels(s.boxes, whole, s.n_repetitions, threshold, seed)
+        got = cluster_pipeline(s, seed=seed)
+        assert got[0].tolist() == expected[0].tolist()
+        assert got[1].tolist() == expected[1].tolist()
 
     def test_oversized_survivor_carries_refusal_flag(self):
         # 151 identical detections cannot split: the one oversized cluster
         # in the pipeline output must be flagged
         boxes = [(10, 10, 40, 40)] * 151
         s = simple_set(boxes, n_repetitions=151, reps=list(range(151)))
-        clusters = cluster_pipeline(s, ClusterConfig(seed=0, split_threshold=150))
-        for c in clusters:
-            assert (len(c) > 150) == c.split_refused
+        labels, refused = cluster_pipeline(s, split_threshold=150, seed=0)
+        assert (np.bincount(labels) > 150).tolist() == refused.tolist()

@@ -14,7 +14,7 @@ from dropuq.evaluation import (
 from dropuq.ingest import ParseError
 from dropuq.model import BBox, rasterize_box
 from dropuq.report import class_stats
-from dropuq.clustering import ClusterConfig, cluster_pipeline
+from dropuq.clustering import build_instance_clusters, cluster_pipeline
 from dropuq.synth import generate
 from _scenes import separated_scene
 
@@ -44,8 +44,7 @@ class TestClusterToDetection:
             separated_scene(seed, 1, sigma=2.0, shape="ellipse",
                             class_confusion=confusion, height=200, width=300)
         )
-        clusters = cluster_pipeline(s, ClusterConfig(seed=seed))
-        return clusters[0]
+        return build_instance_clusters(s, *cluster_pipeline(s, seed=seed))[0]
 
     def test_dominant_class_and_confidence(self):
         c = self._cluster()
@@ -64,8 +63,7 @@ class TestClusterToDetection:
 
     def test_zero_mask_cluster_has_no_mask(self):
         s, _, _ = generate(separated_scene(3, 1, sigma=2.0, shape="none", height=200, width=300))
-        clusters = cluster_pipeline(s, ClusterConfig(seed=3))
-        det = cluster_to_detection(clusters[0])
+        det = cluster_to_detection(build_instance_clusters(s, *cluster_pipeline(s, seed=3))[0])
         assert det.mask is None
         assert det.bbox is not None
 

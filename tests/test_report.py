@@ -8,7 +8,7 @@ import pytest
 from _reference import masks_of, reference_iou_to_mean, reference_kde_density, reference_mask_stats
 from _scenes import separated_scene
 from dropuq import report
-from dropuq.clustering import ClusterConfig, InstanceCluster, cluster_pipeline
+from dropuq.clustering import InstanceCluster, build_instance_clusters, cluster_pipeline
 from dropuq.model import BBox, RleMask, SampleSet, rle_decode, rle_encode
 from dropuq.report import (
     DegenerateSamples,
@@ -302,7 +302,7 @@ class TestIouToMean:
 
     def test_samples_in_unit_interval(self):
         s, _, _ = generate(separated_scene(0, 2, sigma=3.0, shape="ellipse", mask_noise=0.1, height=200, width=400))
-        clusters = cluster_pipeline(s, ClusterConfig(seed=0))
+        clusters = build_instance_clusters(s, *cluster_pipeline(s, seed=0))
         for c in clusters:
             bs = box_stats(c)
             ms = mask_stats(c)
@@ -387,7 +387,7 @@ class TestBuildReport:
 
     def test_deterministic_serialization(self):
         s, _, _ = generate(separated_scene(1, 2, sigma=2.0, shape="ellipse", mask_noise=0.1, height=200, width=400))
-        clusters = cluster_pipeline(s, ClusterConfig(seed=1))
+        clusters = build_instance_clusters(s, *cluster_pipeline(s, seed=1))
         a = [report_to_json(build_report(c)) for c in clusters]
         b = [report_to_json(build_report(c)) for c in clusters]
         assert a == b
@@ -396,7 +396,7 @@ class TestBuildReport:
         sigma = 2.0
         spec = separated_scene(2, 1, sigma=sigma, n_repetitions=400, height=400, width=400)
         s, _, _ = generate(spec)
-        clusters = cluster_pipeline(s, ClusterConfig(seed=2))
+        clusters = build_instance_clusters(s, *cluster_pipeline(s, seed=2))
         assert len(clusters) == 1
         r = build_report(clusters[0])
         true_box = spec.instances[0].true_box
@@ -512,7 +512,7 @@ class TestMaskLayerAgainstReference:
         spec = separated_scene(3, 2, sigma=2.0, shape="ellipse", mask_noise=0.1,
                                n_repetitions=30, height=200, width=280)
         s, _, _ = generate(spec)
-        for c in cluster_pipeline(s, ClusterConfig(seed=3)):
+        for c in build_instance_clusters(s, *cluster_pipeline(s, seed=3)):
             for threshold in (0.0, 0.5, 1.0):
                 self.check(c, threshold)
 

@@ -7,7 +7,7 @@ from _reference import masks_of
 from _scenes import separated_scene
 from dropuq.calibration import fit_temperature
 from dropuq.cli import main
-from dropuq.clustering import ClusterConfig, cluster_pipeline, labels_from_clusters
+from dropuq.clustering import cluster_pipeline
 from dropuq.ingest import serialize_sample_set
 from dropuq.model import BBox
 from dropuq.synth import (
@@ -49,8 +49,7 @@ class TestGenerate:
                 (tuple(box), tuple(scores), tuple(mask.runs.tolist()))
             )
         assert all(len(v) == 1 for v in per_instance.values())
-        clusters = cluster_pipeline(s, ClusterConfig(seed=2))
-        assert adjusted_rand_index(labels, labels_from_clusters(s, clusters)) == 1.0
+        assert adjusted_rand_index(labels, cluster_pipeline(s, seed=2)[0]) == 1.0
 
     def test_full_miss_rate_omits_instance(self):
         box = BBox(10, 10, 40, 40)
