@@ -298,8 +298,7 @@ def _cmd_eval(args) -> int:
 
     out_dir = _write_manifest(args)
     filtered, clusters = _load_clustered(args.samples, args.clusters)
-    gts = read_ground_truth(args.gt, filtered.height, filtered.width)
-    gts = [g for g in gts if g.image_id == filtered.image_id]  # score this image only
+    gts = read_ground_truth(args.gt, filtered.image_id, filtered.height, filtered.width)
     modes = ["box", "mask"] if args.mode == "both" else [args.mode]
     preds = [
         cluster_to_detection(c, filtered.image_id, args.mask_threshold, "mask" in modes)

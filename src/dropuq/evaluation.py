@@ -8,13 +8,13 @@ averages over classes with at least one ground-truth instance.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import TYPE_CHECKING, Callable, Dict, Iterable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
 from .ingest import _INT, _REAL, _STR, ParseError, _array, _jsonl_records, _read_file, _scalar
-from .model import BBox, RleMask, box_iou, mask_iou
+from .model import BBox, _check, _equal_fields, _run_column, box_ious, mask_ious
 
 if TYPE_CHECKING:
     from .clustering import InstanceCluster
@@ -35,25 +35,29 @@ _GT_KEYS = ["image_id", "bbox", "class_id"]
 _IOU_THRESHOLD = 0.5  # a prediction matches ground truth at IoU >= this
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class GroundTruthInstance:
     image_id: str
     bbox: BBox
     class_id: int  # foreground class, >= 1
-    mask: Optional[RleMask] = None
+    mask: Optional[np.ndarray] = None  # the mask's runs
 
     def __post_init__(self):
         if self.class_id < 1:
             raise ValueError(f"class_id must be a foreground class, got {self.class_id}")
 
+    __eq__ = _equal_fields
 
-@dataclass(frozen=True)
+
+@dataclass(frozen=True, eq=False)
 class PredictedInstance:
     image_id: str
     bbox: BBox
     class_id: int
     confidence: float
-    mask: Optional[RleMask] = None
+    mask: Optional[np.ndarray] = None  # the mask's runs
+
+    __eq__ = _equal_fields
 
 
 @dataclass(frozen=True)
@@ -95,7 +99,7 @@ def cluster_to_detection(
     if with_mask:
         masks = mask_stats(cluster, mask_threshold)
         if not masks.zero_mask:
-            mask = masks.consensus_mask
+            mask = masks.consensus_runs
     else:
         _check_mask_threshold(mask_threshold)
     return PredictedInstance(
@@ -107,12 +111,18 @@ def cluster_to_detection(
     )
 
 
-def _pair_iou(pred: PredictedInstance, gt: GroundTruthInstance, mode: str) -> float:
+def _ious(pred: PredictedInstance, gts: Sequence[GroundTruthInstance], mode: str) -> np.ndarray:
+    """IoU of ``pred`` against each of ``gts``, all of its image, in one kernel
+    call; in mask mode a missing mask on either side scores 0."""
     if mode == "box":
-        return box_iou(pred.bbox, gt.bbox)
-    if pred.mask is None or gt.mask is None:
-        return 0.0
-    return mask_iou(pred.mask, gt.mask)
+        return box_ious(np.array([g.bbox.as_tuple() for g in gts]), pred.bbox)
+    ious = np.zeros(len(gts))
+    has_mask = np.array([g.mask is not None for g in gts], dtype=bool)
+    if pred.mask is not None and has_mask.any():
+        runs = [g.mask for g in gts if g.mask is not None]
+        offsets = np.cumsum([0] + [r.size for r in runs])
+        ious[has_mask] = mask_ious(np.concatenate(runs), offsets, pred.mask)
+    return ious
 
 
 def _interpolated_ap(recall: np.ndarray, precision: np.ndarray) -> float:
@@ -133,15 +143,17 @@ def match_and_score(
 
     Within a class, predictions are taken by descending confidence (input
     order breaks ties) and each matches the unmatched same-image ground
-    truth with the highest IoU >= 0.5. In mask mode a missing mask on
-    either side scores IoU 0. An empty ground-truth set leaves mAP absent.
+    truth with the highest IoU >= 0.5, the first in input order on a tie.
+    In mask mode a missing mask on either side scores IoU 0, and the masks
+    of one image must have that image's dims. An empty ground-truth set
+    leaves mAP absent.
     """
     if mode not in ("box", "mask"):
         raise ValueError(f"mode must be 'box' or 'mask', got {mode!r}")
     gt_classes = sorted({g.class_id for g in gts})
     per_class_ap: Dict[int, float] = {}
     matches: List[MatchRecord] = []
-    gt_matched = [False] * len(gts)
+    gt_matched = np.zeros(len(gts), dtype=bool)
 
     for cls in gt_classes:
         gt_idx = [i for i, g in enumerate(gts) if g.class_id == cls]
@@ -153,13 +165,13 @@ def match_and_score(
             pred = preds[pi]
             best_iou = 0.0
             best_gt = None
-            for gi in gt_idx:
-                if gt_matched[gi] or gts[gi].image_id != pred.image_id:
-                    continue
-                iou = _pair_iou(pred, gts[gi], mode)
-                if iou >= _IOU_THRESHOLD and iou > best_iou:
-                    best_iou = iou
-                    best_gt = gi
+            same_image = [gi for gi in gt_idx if gts[gi].image_id == pred.image_id]
+            if same_image:
+                ious = _ious(pred, [gts[gi] for gi in same_image], mode)
+                ious[gt_matched[same_image]] = 0.0  # matched ground truth is taken
+                k = int(np.argmax(ious))  # the first maximum
+                if ious[k] >= _IOU_THRESHOLD:
+                    best_iou, best_gt = float(ious[k]), same_image[k]
             if best_gt is not None:
                 gt_matched[best_gt] = True
                 tp[rank] = 1.0
@@ -195,32 +207,37 @@ def match_and_score(
     )
 
 
-def read_ground_truth(path, height: int, width: int) -> List[GroundTruthInstance]:
-    """Read line-delimited {"image_id", "bbox", "class_id", "mask_runs"?}."""
-    return _read_file(_ground_truth, path, height, width)
+def read_ground_truth(path, image_id: str, height: int, width: int) -> List[GroundTruthInstance]:
+    """Read line-delimited {"image_id", "bbox", "class_id", "mask_runs"?}
+    and return the instances of ``image_id``, an image of height x width.
+
+    Every line's types, box and class are checked; only that image's mask
+    runs are checked, by the run rules for its dims.
+    """
+    return _read_file(_ground_truth, path, image_id, height, width)
 
 
 def _ground_truth(
-    lines: Iterable[str], loads: Callable, height: int, width: int
+    lines: Iterable[str], loads: Callable, image_id: str, height: int, width: int
 ) -> List[GroundTruthInstance]:
-    out = []
+    kept, masks = [], []  # the image's (line number, instance) pairs and mask runs
     for lineno, obj in _jsonl_records(lines, loads, _GT_KEYS, ["mask_runs"]):
-        image_id = _scalar(obj, "image_id", _STR, lineno)
+        gt_image = _scalar(obj, "image_id", _STR, lineno)
         box_vals = _array(obj, "bbox", _REAL, lineno, length=4)
         class_id = _scalar(obj, "class_id", _INT, lineno)
         runs = _array(obj, "mask_runs", _INT, lineno) if "mask_runs" in obj else None
         try:
-            out.append(
-                GroundTruthInstance(
-                    image_id=image_id,
-                    bbox=BBox(*map(float, box_vals)),
-                    class_id=class_id,
-                    mask=None if runs is None else RleMask(height, width, runs),
-                )
-            )
+            gt = GroundTruthInstance(gt_image, BBox(*map(float, box_vals)), class_id)
         except (OverflowError, ValueError) as exc:
             raise ParseError(lineno, str(exc)) from exc
-    return out
+        if gt_image == image_id:
+            kept.append((lineno, gt))
+            masks.append(runs)
+    runs, offsets, rules = _run_column(masks, height * width)
+    _check(rules, lambda row, message: ParseError(kept[row][0], message))
+    runs.flags.writeable = False
+    bounds = zip(offsets[:-1].tolist(), offsets[1:].tolist())
+    return [replace(gt, mask=runs[a:b] if b > a else None) for (_, gt), (a, b) in zip(kept, bounds)]
 
 
 def serialize_ground_truth(gts: Sequence[GroundTruthInstance]) -> str:
@@ -232,7 +249,7 @@ def serialize_ground_truth(gts: Sequence[GroundTruthInstance]) -> str:
             "class_id": g.class_id,
         }
         if g.mask is not None:
-            rec["mask_runs"] = g.mask.runs.tolist()
+            rec["mask_runs"] = g.mask.tolist()
         lines.append(json.dumps(rec))
     return "\n".join(lines) + ("\n" if lines else "")
 

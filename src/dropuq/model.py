@@ -1,5 +1,12 @@
 """Core domain types for MC-Dropout detection samples, plus box/mask geometry.
 
+A mask is its run-length encoding: a 1-D int64 array of run lengths over
+the row-major pixels, alternating background and foreground and starting
+with a background run, which may have length zero. Zero-length runs are not
+allowed anywhere else, and the runs sum to height*width. Masks are checked
+where they enter (SampleSet, the ground-truth reader); every other mask is
+``rle_encode`` of a grid.
+
 All types are immutable after construction and safe to share across threads.
 Every operation in this module is a pure function.
 """
@@ -15,12 +22,9 @@ import numpy as np
 
 __all__ = [
     "BBox",
-    "RleMask",
     "RowError",
     "SampleSet",
-    "box_iou",
     "box_ious",
-    "mask_iou",
     "mask_ious",
     "rle_encode",
     "rle_decode",
@@ -76,47 +80,6 @@ class BBox:
 
 
 _INT64_MAX = np.iinfo(np.int64).max
-
-
-@dataclass(frozen=True, eq=False)
-class RleMask:
-    """Run-length encoded binary mask, row-major.
-
-    Runs alternate background/foreground and start with a background run,
-    which may have length zero. Zero-length runs are not allowed anywhere
-    else, and the runs must sum to height*width. ``runs`` is held as a
-    read-only int64 array (a copy of what was passed); masks compare and
-    hash by value.
-    """
-
-    height: int
-    width: int
-    runs: np.ndarray
-
-    def __post_init__(self):
-        if self.height < 1 or self.width < 1:
-            raise ValueError(f"mask dims must be positive, got {self.height}x{self.width}")
-        if self.height * self.width > _INT64_MAX:
-            raise ValueError(
-                f"mask of {self.height} x {self.width} pixels exceeds 64-bit run bounds"
-            )
-        runs, _, rules = _run_column([self.runs], self.height * self.width)
-        _check(rules, lambda row, message: ValueError(message))
-        runs.flags.writeable = False
-        object.__setattr__(self, "runs", runs)
-
-    __eq__ = _equal_fields
-
-    def __hash__(self):
-        return hash((self.height, self.width, self.runs.tobytes()))
-
-    @property
-    def foreground_count(self) -> int:
-        return int(self.runs[1::2].sum())
-
-    @property
-    def is_empty(self) -> bool:
-        return self.foreground_count == 0
 
 
 def _run_column(rows: Sequence, pixels: int) -> Tuple[np.ndarray, np.ndarray, list]:
@@ -203,7 +166,7 @@ class SampleSet:
     sequences or None.
 
     Every row is checked here, and a bad one raises RowError naming it: the
-    mask runs follow RleMask's rules for the image's dims; the repetition
+    mask runs follow the run rules for the image's dims; the repetition
     lies in [0, n_repetitions); the box is finite, has positive area, and
     keeps positive area when clamped into [0, width] x [0, height], which is
     what is stored; the scores lie in [0, 1] and sum to 1 within 1e-6. Rows
@@ -308,11 +271,6 @@ def _area_message(values) -> str:
     return f"box must have strictly positive area, got {tuple(values)}"
 
 
-def box_iou(a: BBox, b: BBox) -> float:
-    """Intersection over union of two boxes; 0.0 when disjoint."""
-    return float(box_ious(np.array([a.as_tuple()]), b)[0])
-
-
 def box_ious(boxes: np.ndarray, ref: BBox) -> np.ndarray:
     """IoU of each (x1, y1, x2, y2) row of ``boxes`` against ``ref``; 0.0 where
     they are disjoint or only touch."""
@@ -324,20 +282,11 @@ def box_ious(boxes: np.ndarray, ref: BBox) -> np.ndarray:
     return np.divide(inter, union, out=np.zeros(len(x1)), where=(ix > 0.0) & (iy > 0.0))
 
 
-def mask_iou(a: RleMask, b: RleMask) -> float:
-    """Foreground IoU of two masks of identical dims.
-
-    Returns 0.0 when both masks are empty: an empty-vs-empty comparison
+def mask_ious(runs: np.ndarray, offsets: np.ndarray, ref_runs: np.ndarray) -> np.ndarray:
+    """Foreground IoU against the mask ``ref_runs`` of each mask in a run
+    column of masks of its dims, in the column's order; a row with no runs
+    has no mask and no IoU. An empty-vs-empty comparison gives 0.0: it
     carries no evidence and must not produce a fabricated perfect score.
-    """
-    if a.height != b.height or a.width != b.width:
-        raise ValueError(f"mask dims differ: {a.height}x{a.width} vs {b.height}x{b.width}")
-    return float(mask_ious(a.runs, np.array([0, a.runs.size]), b)[0])
-
-
-def mask_ious(runs: np.ndarray, offsets: np.ndarray, ref: RleMask) -> np.ndarray:
-    """Foreground IoU against ``ref``, as mask_iou defines it, of each mask in
-    a run column of masks of ref's dims (a row with no runs has no mask).
 
     One pass over all masks in integer arithmetic: P(x), the count of
     ``ref`` pixels before flat pixel x, is read off ref's run bounds, and a
@@ -345,9 +294,9 @@ def mask_ious(runs: np.ndarray, offsets: np.ndarray, ref: RleMask) -> np.ndarray
     its foreground runs. Each IoU is one int64 division, as exact as the
     division of Python ints for masks under 2^53 pixels.
     """
-    pixels = ref.height * ref.width
+    pixels = int(ref_runs.sum())
     starts, ends, per_mask = _foreground_bounds(runs, offsets, pixels)
-    ref_starts, ref_ends, _ = _foreground_bounds(ref.runs, np.array([0, ref.runs.size]), pixels)
+    ref_starts, ref_ends, _ = _foreground_bounds(ref_runs, np.array([0, ref_runs.size]), pixels)
     # A zero-length run at pixel 0 comes first, so every x >= 0 has a run
     # starting at or before it, even when ref is empty.
     ref_starts, ref_ends = np.concatenate(([0], ref_starts)), np.concatenate(([0], ref_ends))
@@ -359,7 +308,7 @@ def mask_ious(runs: np.ndarray, offsets: np.ndarray, ref: RleMask) -> np.ndarray
         return ref_before[k] + np.minimum(x - ref_starts[k], ref_lengths[k])
 
     inter = _row_sums(covered(ends) - covered(starts), per_mask)
-    union = _row_sums(ends - starts, per_mask) + ref.foreground_count - inter
+    union = _row_sums(ends - starts, per_mask) + ref_runs[1::2].sum() - inter
     return np.divide(inter, union, out=np.zeros(len(union)), where=union > 0)
 
 
@@ -381,7 +330,7 @@ def _foreground_bounds(
     return bounds[ends - 1], bounds[ends], per_mask
 
 
-def _encode_runs(bitmap) -> np.ndarray:
+def rle_encode(bitmap) -> np.ndarray:
     """The runs of a non-empty row-major boolean grid, background run first."""
     grid = np.asarray(bitmap, dtype=bool)
     if grid.ndim != 2 or grid.size == 0:
@@ -393,20 +342,15 @@ def _encode_runs(bitmap) -> np.ndarray:
     return np.concatenate(([0], lengths)) if flat[0] else lengths
 
 
-def rle_encode(bitmap: np.ndarray) -> RleMask:
-    """Encode a row-major boolean grid as an RleMask."""
-    return RleMask(*np.shape(bitmap), runs=_encode_runs(bitmap))
+def rle_decode(runs: np.ndarray, height: int, width: int) -> np.ndarray:
+    """Decode the runs of a mask of height x width pixels into a row-major
+    boolean grid."""
+    values = np.arange(len(runs)) % 2 == 1
+    return np.repeat(values, runs).reshape(height, width)
 
 
-def rle_decode(mask: RleMask) -> np.ndarray:
-    """Decode an RleMask into a row-major boolean grid."""
-    values = np.arange(len(mask.runs)) % 2 == 1
-    flat = np.repeat(values, mask.runs)
-    return flat.reshape(mask.height, mask.width)
-
-
-def rasterize_box(box: BBox, height: int, width: int) -> RleMask:
-    """Rasterize a box on an integer pixel grid.
+def rasterize_box(box: BBox, height: int, width: int) -> np.ndarray:
+    """Rasterize a box on an integer pixel grid, as a boolean grid.
 
     A pixel is foreground iff its center lies inside the box. For boxes
     with integer coordinates this covers exactly columns [x1, x2) and
@@ -414,7 +358,6 @@ def rasterize_box(box: BBox, height: int, width: int) -> RleMask:
     """
     cols = np.arange(width) + 0.5
     rows = np.arange(height) + 0.5
-    inside = ((rows >= box.y1) & (rows < box.y2))[:, None] & (
+    return ((rows >= box.y1) & (rows < box.y2))[:, None] & (
         (cols >= box.x1) & (cols < box.x2)
     )[None, :]
-    return rle_encode(inside)

@@ -9,13 +9,12 @@ from __future__ import annotations
 import math
 import os
 from dataclasses import dataclass
-from functools import lru_cache
 from typing import TYPE_CHECKING, Optional, Sequence, Tuple
 
 import numpy as np
 
 from .ingest import json_document
-from .model import BBox, RleMask, _foreground_bounds, box_ious, mask_ious, rle_encode
+from .model import BBox, _foreground_bounds, box_ious, mask_ious, rle_encode
 
 if TYPE_CHECKING:
     from .clustering import InstanceCluster
@@ -64,7 +63,7 @@ class ClassStats:
 class MaskStats:
     mean_mask: np.ndarray        # (H, W) in [0, 1]
     std_mask: np.ndarray         # (H, W) non-negative
-    consensus_mask: RleMask      # mean >= threshold
+    consensus_runs: np.ndarray   # runs of the mask mean >= threshold
     zero_mask: bool              # consensus has no foreground (or no masks at all)
     coverage_count: int          # members that carry a mask
     mask_threshold: float
@@ -124,12 +123,6 @@ def _check_mask_threshold(mask_threshold: float) -> None:
         raise ValueError(f"mask threshold must be in [0, 1], got {mask_threshold}")
 
 
-@lru_cache(maxsize=16)
-def _background_mask(height: int, width: int) -> RleMask:
-    """The all-background mask of one image size, built once: RleMask is immutable."""
-    return RleMask(height, width, (height * width,))
-
-
 def mask_stats(c: InstanceCluster, mask_threshold: float = 0.5) -> MaskStats:
     """Pixelwise mean/std over mask-carrying members plus the consensus mask.
 
@@ -154,7 +147,7 @@ def mask_stats(c: InstanceCluster, mask_threshold: float = 0.5) -> MaskStats:
         return MaskStats(
             mean_mask=zeros,
             std_mask=zeros,
-            consensus_mask=_background_mask(h, w),
+            consensus_runs=np.array([h * w]),
             zero_mask=True,
             coverage_count=0,
             mask_threshold=mask_threshold,
@@ -177,8 +170,8 @@ def mask_stats(c: InstanceCluster, mask_threshold: float = 0.5) -> MaskStats:
     return MaskStats(
         mean_mask=mean.reshape(h, w),
         std_mask=std.reshape(h, w),
-        consensus_mask=consensus,
-        zero_mask=consensus.is_empty,
+        consensus_runs=consensus,
+        zero_mask=consensus.size == 1,  # only an all-background grid encodes as one run
         coverage_count=n,
         mask_threshold=mask_threshold,
     )
@@ -196,7 +189,7 @@ def iou_to_mean(
     box_samples = tuple(box_ious(c.members.boxes, s.mean_box).tolist())
     if m.zero_mask:
         return box_samples, ()
-    ious = mask_ious(c.members.mask_runs, c.members.mask_offsets, m.consensus_mask)
+    ious = mask_ious(c.members.mask_runs, c.members.mask_offsets, m.consensus_runs)
     return box_samples, tuple(ious.tolist())
 
 
@@ -294,9 +287,9 @@ def report_to_json(r: ClusterReport) -> str:
             "top": list(r.class_stats.top_classes),
         },
         "mask": {
-            "height": r.mask_stats.consensus_mask.height,
-            "width": r.mask_stats.consensus_mask.width,
-            "consensus_runs": r.mask_stats.consensus_mask.runs.tolist(),
+            "height": r.mask_stats.mean_mask.shape[0],
+            "width": r.mask_stats.mean_mask.shape[1],
+            "consensus_runs": r.mask_stats.consensus_runs.tolist(),
             "zero_mask": r.mask_stats.zero_mask,
             "coverage_count": r.mask_stats.coverage_count,
             "threshold": r.mask_stats.mask_threshold,
@@ -319,7 +312,7 @@ def write_pgm(values: np.ndarray, path) -> None:
     arr = np.asarray(values, dtype=np.float64)
     if arr.ndim != 2:
         raise ValueError(f"expected a 2-D array, got shape {arr.shape}")
-    if arr.min() < 0.0 or arr.max() > 1.0:
+    if not (arr.min() >= 0.0 and arr.max() <= 1.0):  # NaN fails both
         raise ValueError("values must lie in [0, 1]")
     scaled = arr * 255.0
     # Rounded in place: each full-size float temporary is fresh memory to fault in.

@@ -17,7 +17,7 @@ from .evaluation import GroundTruthInstance
 from .ingest import (
     MAX_PIXELS, _INT, _OBJECT, _REAL, _STR, ParseError, _array, _scalar, json_document,
 )
-from .model import BBox, SampleSet, _encode_runs, rasterize_box, rle_decode, rle_encode
+from .model import BBox, SampleSet, rasterize_box, rle_encode
 
 if TYPE_CHECKING:
     from .calibration import CalibrationSet
@@ -99,7 +99,7 @@ class SceneSpec:
 
 def _render_shape(box: BBox, shape: str, height: int, width: int) -> np.ndarray:
     if shape == "box":
-        return rle_decode(rasterize_box(box, height, width))
+        return rasterize_box(box, height, width)
     cols = np.arange(width) + 0.5
     rows = np.arange(height) + 0.5
     cx, cy = box.center
@@ -200,7 +200,7 @@ def generate(
                     flips = bands[idx][rng.random(bands[idx].size) < inst.mask_noise]
                     flat = grid.reshape(-1)
                     flat[flips] = ~flat[flips]
-                mask = _encode_runs(grid)
+                mask = rle_encode(grid)
             repetitions.append(rep)
             masks.append(mask)
             labels.append(idx)

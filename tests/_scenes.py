@@ -94,3 +94,34 @@ def overlapping_scene(
         instances=tuple(instances),
         seed=seed * 31 + 7,
     )
+
+
+def mixed_shape_scene(seed: int = 9) -> SceneSpec:
+    """240 x 320 scene of 6 separated instances whose masks cycle through the
+    shapes box, ellipse and none; 50 repetitions, each instance missed with
+    probability 0.2, with mask noise 0.1 and class confusion 0.2."""
+    rng = np.random.default_rng(seed)
+    instances = []
+    for i in range(6):
+        cx, cy = 60 + 100 * (i % 3), 60 + 120 * (i // 3)
+        w, h = rng.uniform(30, 50, 2)
+        instances.append(
+            InstanceSpec(
+                true_box=BBox(cx - w / 2, cy - h / 2, cx + w / 2, cy + h / 2),
+                true_class=1 + (i % 2),
+                shape=("box", "ellipse", "none")[i % 3],
+                box_jitter_sigma=2.0,
+                class_confusion=0.2,
+                mask_noise=0.1,
+                miss_rate=0.2,
+            )
+        )
+    return SceneSpec(
+        image_id=f"mixed{seed}",
+        height=240,
+        width=320,
+        num_classes=3,
+        n_repetitions=50,
+        instances=tuple(instances),
+        seed=seed,
+    )

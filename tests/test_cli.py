@@ -1,4 +1,5 @@
 import argparse
+import hashlib
 import json
 import os
 import resource
@@ -11,7 +12,7 @@ from pathlib import Path
 import pytest
 
 import dropuq
-from _scenes import separated_scene
+from _scenes import mixed_shape_scene, separated_scene
 from dropuq.calibration import serialize_calibration_records
 from dropuq.cli import _parser
 from dropuq.ingest import MAX_PIXELS, serialize_sample_set
@@ -54,6 +55,17 @@ def snapshot(root: Path):
         for p in sorted(root.rglob("*"))
         if p.is_file()
     }
+
+
+def tree_digest(root: Path):
+    """(SHA-256 over the relative path and contents of every file under root,
+    manifest.json aside; the count of those files)."""
+    digest, count = hashlib.sha256(), 0
+    for name, data in snapshot(root).items():
+        if Path(name).name != "manifest.json":
+            digest.update(name.encode() + b"\0" + hashlib.sha256(data).digest())
+            count += 1
+    return digest.hexdigest(), count
 
 
 @pytest.fixture(scope="module")
@@ -616,6 +628,35 @@ class TestPipeline:
                      "--mode", "box", "--out-dir", str(tmp_path / "e")]) == 0
         assert (tmp_path / "e" / "eval.csv").read_text().splitlines()[-1] == "box,mAP,1.0"
 
+    @pytest.mark.parametrize("mode", ["box", "mask"])
+    def test_eval_checks_only_the_samples_image_masks(self, pipeline_dirs, tmp_path, mode):
+        # One ground-truth file for two images of different sizes: each
+        # image's masks are checked against its own dims only.
+        from dropuq.cli import main
+
+        other = {"image_id": "other", "bbox": [0, 1, 5, 2], "class_id": 1,
+                 "mask_runs": [10, 5, 85]}  # row 1, columns 0-4 of a 10 x 10 image
+        gt = tmp_path / "gt.jsonl"
+        gt.write_text((pipeline_dirs / "synth" / "scene0_gt.jsonl").read_text()
+                      + json.dumps(other) + "\n")
+        samples = tmp_path / "other_samples.jsonl"
+        header = {"image_id": "other", "height": 10, "width": 10, "n_repetitions": 2,
+                  "num_classes": 2}
+        detections = [{"repetition": r, "bbox": other["bbox"], "scores": [0.05, 0.9, 0.05],
+                       "mask_runs": other["mask_runs"]} for r in (0, 1)]
+        samples.write_text("\n".join(map(json.dumps, [header, *detections])) + "\n")
+        assert main(["cluster", str(samples), "--out-dir", str(tmp_path / "c")]) == 0
+        runs = [
+            (pipeline_dirs / "synth" / "scene0_samples.jsonl",
+             pipeline_dirs / "clusters" / "scene0_clusters.json"),
+            (samples, tmp_path / "c" / "other_clusters.json"),
+        ]
+        for i, (image_samples, clusters) in enumerate(runs):
+            out = tmp_path / f"e{i}"
+            assert main(["eval", str(image_samples), "--clusters", str(clusters),
+                         "--gt", str(gt), "--mode", mode, "--out-dir", str(out)]) == 0
+            assert (out / "eval.csv").read_text().splitlines()[-1] == f"{mode},mAP,1.0"
+
     @pytest.mark.parametrize("threshold, mask_ap", [("0.5", "1.0"), ("0.0", "0.0")])
     def test_eval_builds_no_report(self, pipeline_dirs, tmp_path, monkeypatch, threshold, mask_ap):
         # eval needs the mean box, the class scores and the consensus mask,
@@ -818,8 +859,6 @@ class TestDeterminism:
     def test_golden_tree(self, tmp_path):
         # 3 separated ellipse-mask instances x 20 repetitions; a split
         # threshold of 12 splits every instance and refuses one part.
-        import hashlib
-
         from dropuq.cli import main
 
         spec = separated_scene(3, 3, sigma=2.0, n_repetitions=20, shape="ellipse",
@@ -845,11 +884,42 @@ class TestDeterminism:
         doc = json.loads(Path(clusters).read_text())
         assert len(doc["clusters"]) > 3
         assert any(c["split_refused"] for c in doc["clusters"])
-        digest = hashlib.sha256()
-        for name, data in snapshot(root).items():
-            if Path(name).name != "manifest.json":
-                digest.update(name.encode() + b"\0" + hashlib.sha256(data).digest())
-        assert digest.hexdigest() == self.GOLDEN_TREE
+        assert tree_digest(root) == (self.GOLDEN_TREE, 54)
+
+    # The same digest over the tree of test_golden_mixed_tree, whose masks
+    # are boxes, ellipses and none.
+    GOLDEN_MIXED_TREE = "7e7692f6d84eb79d04f28515a0045020c5d02fc1f8a6bfd9746311dd249808b3"
+
+    def test_golden_mixed_tree(self, tmp_path):
+        # Each instance keeps one cluster, and a split threshold of 30 makes
+        # BGM try and refuse a split of each one.
+        from dropuq.cli import main
+
+        scene = tmp_path / "scene.json"
+        scene.write_text(scene_spec_to_json(mixed_shape_scene()))
+        root = tmp_path / "tree"
+        samples = str(root / "synth" / "mixed9_samples.jsonl")
+        gt = str(root / "synth" / "mixed9_gt.jsonl")
+        clusters = str(root / "bgm" / "mixed9_clusters.json")
+        for argv in (
+            ["synth", str(scene), "--out-dir", str(root / "synth")],
+            ["cluster", samples, "--out-dir", str(root / "bgm"), "--seed", "3",
+             "--split-threshold", "30"],
+            ["cluster", samples, "--out-dir", str(root / "agg"), "--seed", "3",
+             "--algorithm", "agg"],
+            ["report", samples, "--clusters", clusters, "--out-dir", str(root / "report_05")],
+            ["report", samples, "--clusters", clusters, "--out-dir", str(root / "report_0"),
+             "--mask-threshold", "0"],
+            ["eval", samples, "--clusters", clusters, "--gt", gt, "--mode", "both",
+             "--out-dir", str(root / "eval_both")],
+            ["eval", samples, "--clusters", clusters, "--gt", gt, "--mode", "mask",
+             "--out-dir", str(root / "eval_mask")],
+        ):
+            assert main(argv) == 0, argv[0]
+        doc = json.loads(Path(clusters).read_text())
+        assert len(doc["clusters"]) == 6
+        assert all(c["split_refused"] for c in doc["clusters"])
+        assert tree_digest(root) == (self.GOLDEN_MIXED_TREE, 87)
 
     def test_algorithms_differ_in_flag_only(self, pipeline_dirs, tmp_path):
         samples = pipeline_dirs / "synth" / "scene0_samples.jsonl"

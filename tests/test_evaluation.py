@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from _files import read_text
+from _reference import reference_match_and_score
 from dropuq.evaluation import (
     GroundTruthInstance,
     PredictedInstance,
@@ -12,7 +13,7 @@ from dropuq.evaluation import (
     serialize_ground_truth,
 )
 from dropuq.ingest import ParseError
-from dropuq.model import BBox, rasterize_box
+from dropuq.model import BBox, rasterize_box, rle_encode
 from dropuq.report import class_stats
 from dropuq.clustering import build_instance_clusters, cluster_pipeline
 from dropuq.synth import generate
@@ -25,6 +26,10 @@ def pred(box, cls=1, conf=1.0, image="img", mask=None):
 
 def gt(box, cls=1, image="img", mask=None):
     return GroundTruthInstance(image, BBox(*box), cls, mask)
+
+
+def box_mask(box, height, width):
+    return rle_encode(rasterize_box(BBox(*box), height, width))
 
 
 def brute_force_ap(pr_points):
@@ -133,9 +138,9 @@ class TestMatchAndScore:
         boxes_gt = [(0, 0, 10, 10), (20, 5, 34, 19)]
         boxes_pred = [(1, 0, 11, 10), (20, 5, 34, 19), (50, 50, 60, 60)]
         h = w = 70
-        gts = [gt(b, mask=rasterize_box(BBox(*b), h, w)) for b in boxes_gt]
+        gts = [gt(b, mask=box_mask(b, h, w)) for b in boxes_gt]
         preds = [
-            pred(b, conf=0.9 - 0.1 * i, mask=rasterize_box(BBox(*b), h, w))
+            pred(b, conf=0.9 - 0.1 * i, mask=box_mask(b, h, w))
             for i, b in enumerate(boxes_pred)
         ]
         res_box = match_and_score(preds, gts, mode="box")
@@ -144,7 +149,7 @@ class TestMatchAndScore:
         assert res_box.per_class_ap == res_mask.per_class_ap
 
     def test_mask_mode_missing_mask_is_fp(self):
-        gts = [gt((0, 0, 10, 10), mask=rasterize_box(BBox(0, 0, 10, 10), 20, 20))]
+        gts = [gt((0, 0, 10, 10), mask=box_mask((0, 0, 10, 10), 20, 20))]
         preds = [pred((0, 0, 10, 10), conf=0.9, mask=None)]
         res = match_and_score(preds, gts, mode="mask")
         assert res.map50 == 0.0
@@ -167,20 +172,107 @@ class TestMatchAndScore:
         res = match_and_score(preds, gts, mode="box")
         assert res.map50 == 0.0
 
+    def test_iou_of_exactly_one_half_matches(self):
+        gts = [gt((0, 0, 4, 6), mask=box_mask((0, 0, 4, 6), 8, 8))]
+        preds = [pred((0, 0, 2, 6), mask=box_mask((0, 0, 2, 6), 8, 8))]
+        for mode in ("box", "mask"):
+            res = match_and_score(preds, gts, mode=mode)
+            assert (res.matches[0].gt_index, res.matches[0].iou) == (0, 0.5)
+
+
+# Two images of different dims, so a mask of one must never meet the other's.
+IMAGES = {"a": (12, 16), "b": (9, 7)}
+
+
+def random_instance(rng, image, box=None):
+    """(box, mask runs or None) on ``image``; a random box unless given."""
+    h, w = IMAGES[image]
+    if box is None:
+        x1, y1 = int(rng.integers(0, w - 1)), int(rng.integers(0, h - 1))
+        box = (x1, y1, int(rng.integers(x1 + 1, w + 1)), int(rng.integers(y1 + 1, h + 1)))
+    if rng.random() < 0.25:
+        return box, None
+    grid = rasterize_box(BBox(*box), h, w)
+    if rng.random() < 0.5:
+        grid = grid ^ (rng.random((h, w)) < 0.1)
+    return box, rle_encode(grid)
+
+
+def random_match_case(rng):
+    """Ground truth of both images and predictions drawn to tie in confidence
+    and to copy or halve a ground-truth box (IoU 1, or exactly 0.5 for an
+    even width), next to random boxes."""
+    gts = []
+    for _ in range(int(rng.integers(0, 9))):
+        image = str(rng.choice(list(IMAGES)))
+        box, mask = random_instance(rng, image)
+        gts.append(gt(box, cls=int(rng.integers(1, 4)), image=image, mask=mask))
+    preds = []
+    for _ in range(int(rng.integers(0, 11))):
+        kind = int(rng.integers(3)) if gts else 0
+        if kind:
+            g = gts[int(rng.integers(len(gts)))]
+            x1, y1, x2, y2 = g.bbox.as_tuple()
+            box = (x1, y1, x2, y2) if kind == 1 else (x1, y1, x1 + (x2 - x1) / 2, y2)
+            image, cls = g.image_id, g.class_id if rng.random() < 0.8 else 1
+        else:
+            image, box, cls = str(rng.choice(list(IMAGES))), None, int(rng.integers(1, 4))
+        box, mask = random_instance(rng, image, box)
+        preds.append(pred(box, cls=cls, conf=float(rng.choice([0.3, 0.6, 0.9])),
+                          image=image, mask=mask))
+    return preds, gts
+
+
+class TestMatchAgainstReference:
+    """One kernel call per prediction matches the per-pair reference matcher."""
+
+    @pytest.mark.parametrize("mode", ["box", "mask"])
+    def test_random_sets(self, mode):
+        rng = np.random.default_rng(51)
+        seen = {"tie": 0, "half": 0, "matched": 0}
+        for _ in range(400):
+            preds, gts = random_match_case(rng)
+            got = match_and_score(preds, gts, mode=mode)
+            want = reference_match_and_score(preds, gts, mode=mode)
+            assert (got.per_class_ap, got.map50, got.matches) == (
+                want.per_class_ap, want.map50, want.matches)
+            confs = [p.confidence for p in preds]
+            seen["tie"] += len(set(confs)) < len(confs)
+            seen["half"] += any(m.iou == 0.5 for m in got.matches)
+            seen["matched"] += any(m.gt_index is not None for m in got.matches)
+        assert min(seen.values()) >= 10, seen
+
 
 class TestGroundTruthIo:
     def test_round_trip(self):
         gts = [
             gt((0, 0, 10.5, 10.25)),
-            gt((3, 4, 8, 9), cls=2, mask=rasterize_box(BBox(3, 4, 8, 9), 20, 30)),
+            gt((3, 4, 8, 9), cls=2, mask=box_mask((3, 4, 8, 9), 20, 30)),
         ]
         text = serialize_ground_truth(gts)
-        assert read_text(read_ground_truth, text, 20, 30) == gts
+        assert read_text(read_ground_truth, text, "img", 20, 30) == gts
+        assert gts[1] != gt((3, 4, 8, 9), cls=2, mask=box_mask((3, 4, 8, 10), 20, 30))
+        assert gts[1] != gt((3, 4, 8, 9), cls=2)
+
+    def test_only_the_image_is_returned_and_its_masks_checked(self):
+        # Line 2 is a 10 x 10 image's mask: it is typed but not held to 20 x 30.
+        lines = [
+            gt((0, 0, 5, 5), mask=box_mask((0, 0, 5, 5), 20, 30)),
+            gt((0, 0, 5, 5), image="other", mask=box_mask((0, 0, 5, 5), 10, 10)),
+            gt((1, 1, 4, 4), cls=2),
+        ]
+        got = read_text(read_ground_truth, serialize_ground_truth(lines), "img", 20, 30)
+        assert got == [lines[0], lines[2]]
+        other = read_text(read_ground_truth, serialize_ground_truth(lines), "other", 10, 10)
+        assert other == [lines[1]]
+        with pytest.raises(ParseError, match="^line 1: runs sum to 600, expected 100$"):
+            read_text(read_ground_truth, serialize_ground_truth(lines[:1]), "img", 10, 10)
 
     def test_rejects_background_class(self):
         with pytest.raises(ParseError):
             read_text(
-                read_ground_truth, '{"image_id": "a", "bbox": [0, 0, 5, 5], "class_id": 0}', 10, 10
+                read_ground_truth, '{"image_id": "a", "bbox": [0, 0, 5, 5], "class_id": 0}', "a",
+                10, 10,
             )
 
     def test_csv_has_summary_rows(self):

@@ -213,7 +213,7 @@ class TestStrictTypes:
         good = {"image_id": "img0", "bbox": [1, 2, 5, 6], "class_id": 1}
         text = json.dumps(good) + "\n\n" + json.dumps({**good, key: value})
         with pytest.raises(ParseError, match=f"^line 3: .*{message}"):
-            read_text(read_ground_truth, text, 20, 30)
+            read_text(read_ground_truth, text, "img0", 20, 30)
 
 
 class TestFilterBackground:
@@ -279,7 +279,7 @@ FORMATS = {
         json.dumps({"true_class": 1, "logits": [0.0, 1.5]}),
     ),
     "ground_truth": (
-        lambda path: read_ground_truth(path, 20, 30),
+        lambda path: read_ground_truth(path, "img0", 20, 30),
         [],
         json.dumps({"image_id": "img0", "bbox": [1, 2, 5, 6], "class_id": 1}),
         json.dumps({"bbox": [1, 2, 5, 6], "image_id": "img0", "class_id": 1}),
@@ -428,7 +428,7 @@ def _json_only(body, *args):
 REFERENCE = {
     "samples": _json_only(_sample_set),
     "calibration": _json_only(_calibration_set),
-    "ground_truth": _json_only(_ground_truth, 20, 30),
+    "ground_truth": _json_only(_ground_truth, "img0", 20, 30),
 }
 
 
@@ -463,11 +463,12 @@ class TestDecoderRule:
         text = newline.join(["", json.dumps(gt, ensure_ascii=False)] * 2) + newline
         path = tmp_path / "gt.jsonl"
         path.write_text(text, encoding="utf-8", newline="")
-        assert [g.image_id for g in read_ground_truth(path, 20, 30)] == [gt["image_id"]] * 2
+        got = read_ground_truth(path, gt["image_id"], 20, 30)
+        assert [g.image_id for g in got] == [gt["image_id"]] * 2
         bad = text.replace("2, 5", "2, 1", 1)  # the second line's box gets no area
         path.write_text(bad, encoding="utf-8", newline="")
         with pytest.raises(ParseError, match="^line 2: "):
-            read_ground_truth(path, 20, 30)
+            read_ground_truth(path, gt["image_id"], 20, 30)
 
     @pytest.mark.parametrize(
         "header, detection, message",
@@ -515,11 +516,11 @@ class TestDecoderRule:
     def test_ground_truth_integers_beyond_64_bits(self, fields, message):
         text = json.dumps({"image_id": "img0", "bbox": [1, 2, 5, 6], **fields})
         with pytest.raises(ParseError, match=f"^{message}"):
-            read_text(read_ground_truth, text, 20, 30)
+            read_text(read_ground_truth, text, "img0", 20, 30)
 
     def test_ground_truth_class_beyond_64_bits(self):
         text = json.dumps({"image_id": "img0", "bbox": [1, 2, 5, 6], "class_id": 2**64})
-        assert read_text(read_ground_truth, text, 20, 30)[0].class_id == 2**64
+        assert read_text(read_ground_truth, text, "img0", 20, 30)[0].class_id == 2**64
 
     def test_lone_surrogate_image_id(self, tmp_path):
         header = json.dumps({**json.loads(HEADER), "image_id": "\udfff"})
@@ -527,7 +528,7 @@ class TestDecoderRule:
         assert read_text(read_sample_set, header + "\n" + det_line()).image_id == "\udfff"
         path = tmp_path / "gt.jsonl"
         path.write_text(json.dumps({"image_id": "\udfff", "bbox": [1, 2, 5, 6], "class_id": 1}))
-        assert read_ground_truth(path, 20, 30)[0].image_id == "\udfff"
+        assert read_ground_truth(path, "\udfff", 20, 30)[0].image_id == "\udfff"
 
 
 def test_sample_set_retains_only_its_columns(tmp_path):

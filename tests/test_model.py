@@ -1,3 +1,5 @@
+import json
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -5,22 +7,20 @@ from hypothesis import strategies as st
 
 from _reference import (
     mask_rows,
-    masks_of,
     reference_box_iou,
     reference_foreground_intervals,
     reference_mask_iou,
     reference_runs,
     run_column,
 )
+from dropuq.evaluation import _ground_truth
+from dropuq.ingest import ParseError
 from dropuq.model import (
     BBox,
-    RleMask,
     RowError,
     SampleSet,
     _foreground_bounds,
-    box_iou,
     box_ious,
-    mask_iou,
     mask_ious,
     rasterize_box,
     rle_decode,
@@ -34,6 +34,16 @@ boxes = st.builds(
     st.floats(0.5, 200),
     st.floats(0.5, 200),
 )
+
+
+def box_iou(a, b):
+    """IoU of two boxes through the column kernel."""
+    return float(box_ious(np.array([a.as_tuple()]), b)[0])
+
+
+def mask_iou(a, b):
+    """IoU of two masks' runs through the column kernel."""
+    return float(mask_ious(a, np.array([0, a.size]), b)[0])
 
 
 class TestBBox:
@@ -92,12 +102,8 @@ class TestMaskIou:
         )
 
     def test_both_empty_is_zero(self):
-        e = RleMask(2, 2, (4,))
+        e = np.array([4])
         assert mask_iou(e, e) == 0.0
-
-    def test_dim_mismatch(self):
-        with pytest.raises(ValueError):
-            mask_iou(RleMask(2, 2, (4,)), RleMask(2, 3, (6,)))
 
     @settings(max_examples=100, deadline=None)
     @given(st.integers(0, 2**16 - 1))
@@ -117,7 +123,7 @@ class TestMaskIou:
 
 
 class TestMaskIouOnRuns:
-    """mask_iou works on run bounds; a dense pixel count is the oracle."""
+    """mask_ious works on run bounds; a dense pixel count is the oracle."""
 
     @staticmethod
     def dense_iou(a, b):
@@ -141,7 +147,7 @@ class TestMaskIouOnRuns:
             a = rng.random((6, 9)) < 0.5
             b = rng.random((6, 9)) < 0.5
             a[0, 0] = b[0, 0] = True
-            assert rle_encode(a).runs[0] == 0
+            assert rle_encode(a)[0] == 0
             self.check(a, b)
 
     def test_all_foreground(self):
@@ -161,11 +167,10 @@ class TestMaskIouOnRuns:
         assert mask_iou(rle_encode(empty), rle_encode(empty)) == 0.0
 
     def test_foreground_intervals(self):
-        m = RleMask(1, 10, (0, 2, 3, 1, 4))
-        starts, ends, _ = _foreground_bounds(*run_column([m]), 10)
+        starts, ends, _ = _foreground_bounds(*run_column([(0, 2, 3, 1, 4)]), 10)
         assert starts.tolist() == [0, 5]
         assert ends.tolist() == [2, 6]
-        starts, ends, _ = _foreground_bounds(*run_column([RleMask(1, 10, (10,))]), 10)
+        starts, ends, _ = _foreground_bounds(*run_column([(10,)]), 10)
         assert starts.tolist() == [] and ends.tolist() == []
 
 
@@ -189,13 +194,35 @@ def outcome(fn, *args):
         return f"ValueError: {exc}"
 
 
+def one_mask_set(h, w, runs):
+    """A one-detection SampleSet of an h x w image whose mask has ``runs``."""
+    return SampleSet("img", h, w, 1, [(0, 0, 1, 1)], [(0.5, 0.5)], [0], [runs])
+
+
+def sample_set_runs(h, w, runs):
+    try:
+        return one_mask_set(h, w, runs).mask_runs.tolist()
+    except RowError as exc:
+        return f"ValueError: {exc.message}"
+
+
+def ground_truth_runs(h, w, runs):
+    line = json.dumps({"image_id": "a", "bbox": [0, 0, 1, 1], "class_id": 1, "mask_runs": runs})
+    try:
+        return _ground_truth([line], json.loads, "a", h, w)[0].mask.tolist()
+    except ParseError as exc:
+        return f"ValueError: {str(exc).removeprefix('line 1: ')}"
+
+
 class TestRunsAgainstReference:
-    """RleMask validates runs with array reductions; the tuple validator is the oracle."""
+    """The sample set and the ground-truth reader check runs with array
+    reductions; the tuple validator is the oracle."""
 
     def check(self, h, w, runs):
-        got = outcome(lambda: RleMask(h, w, runs).runs.tolist())
         want = outcome(lambda: list(reference_runs(h, w, runs)))
-        assert got == want, (h, w, runs)
+        assert sample_set_runs(h, w, runs) == want, (h, w, runs)
+        if all(type(r) is int for r in runs):  # what a file's mask_runs can hold
+            assert ground_truth_runs(h, w, list(runs)) == want, (h, w, runs)
 
     def test_random_runs(self):
         rng = np.random.default_rng(21)
@@ -210,7 +237,7 @@ class TestRunsAgainstReference:
         rng = np.random.default_rng(22)
         for _ in range(300):
             h, w = (int(v) for v in rng.integers(1, 12, size=2))
-            runs = rle_encode(random_grid(rng, h, w)).runs.tolist()
+            runs = rle_encode(random_grid(rng, h, w)).tolist()
             self.check(h, w, runs)
             self.check(h, w, tuple(runs))
             self.check(h, w, np.array(runs))
@@ -229,31 +256,17 @@ class TestRunsAgainstReference:
 
     def test_int64_sum_does_not_wrap(self):
         # Four runs of 2^62 wrap an int64 sum to 0, then + 6 would be "right".
-        with pytest.raises(ValueError, match=f"runs sum to {4 * 2**62 + 6}, expected 6"):
-            RleMask(2, 3, (2**62, 2**62, 2**62, 2**62, 6))
-
-    def test_runs_array_is_read_only_copy(self):
-        source = np.array([1, 2, 3])
-        m = RleMask(2, 3, source)
-        assert m.runs.dtype == np.int64 and not m.runs.flags.writeable
-        source[0] = 5
-        assert m.runs.tolist() == [1, 2, 3]
-        with pytest.raises(ValueError):
-            m.runs[0] = 2
-
-    def test_equality_and_hash_by_value(self):
-        a, b = RleMask(2, 3, (1, 2, 3)), RleMask(2, 3, [1, 2, 3])
-        assert a == b and hash(a) == hash(b) and len({a, b}) == 1
-        assert a != RleMask(2, 3, (0, 6)) and a != RleMask(3, 2, (1, 2, 3))
-        assert a != (1, 2, 3)
+        runs = [2**62, 2**62, 2**62, 2**62, 6]
+        want = f"ValueError: runs sum to {4 * 2**62 + 6}, expected 6"
+        assert sample_set_runs(2, 3, runs) == ground_truth_runs(2, 3, runs) == want
 
     def test_two_dimensional_runs_rejected(self):
         with pytest.raises(ValueError, match="one-dimensional"):
-            RleMask(2, 3, [[1, 2, 3]])
+            one_mask_set(2, 3, [[1, 2, 3]])
 
 
 class TestMaskIouAgainstReference:
-    """mask_iou and mask_ious against one boundary sweep per pair, bit for bit."""
+    """mask_ious against one boundary sweep per pair, bit for bit."""
 
     def test_random_pairs(self):
         rng = np.random.default_rng(23)
@@ -287,33 +300,32 @@ class TestMaskIouAgainstReference:
         ]
 
     def test_single_and_no_masks(self):
-        full = RleMask(2, 3, (0, 6))
+        full = np.array([0, 6])
         assert mask_ious(*run_column([full]), full).tolist() == [1.0]
         assert mask_ious(*run_column([]), full).shape == (0,)
 
 
 class TestRle:
     def test_all_background(self):
-        assert rle_encode(np.zeros((2, 2), dtype=bool)).runs.tolist() == [4]
+        assert rle_encode(np.zeros((2, 2), dtype=bool)).tolist() == [4]
 
     def test_all_foreground(self):
-        assert rle_encode(np.ones((2, 2), dtype=bool)).runs.tolist() == [0, 4]
+        assert rle_encode(np.ones((2, 2), dtype=bool)).tolist() == [0, 4]
 
     def test_checker(self):
         grid = np.array([[False, True], [True, False]])
-        assert rle_encode(grid).runs.tolist() == [1, 2, 1]
+        runs = rle_encode(grid)
+        assert runs.tolist() == [1, 2, 1] and runs.dtype == np.int64
 
     def test_decode_rejects_bad_sum(self):
-        with pytest.raises(ValueError):
-            RleMask(2, 2, (3,))
+        assert sample_set_runs(2, 2, (3,)) == "ValueError: runs sum to 3, expected 4"
 
     def test_interior_zero_rejected(self):
-        with pytest.raises(ValueError):
-            RleMask(2, 2, (2, 0, 2))
+        message = "ValueError: zero-length run allowed only as the leading run"
+        assert sample_set_runs(2, 2, (2, 0, 2)) == message
 
     def test_leading_zero_allowed(self):
-        m = RleMask(2, 2, (0, 4))
-        assert m.foreground_count == 4
+        assert rle_decode(one_mask_set(2, 2, (0, 4)).mask_runs, 2, 2).all()
 
     @settings(max_examples=200, deadline=None)
     @given(st.data())
@@ -322,7 +334,7 @@ class TestRle:
         w = data.draw(st.integers(1, 64))
         bits = data.draw(st.binary(min_size=h * w, max_size=h * w))
         grid = (np.frombuffer(bits, dtype=np.uint8) > 127).reshape(h, w)
-        assert np.array_equal(rle_decode(rle_encode(grid)), grid)
+        assert np.array_equal(rle_decode(rle_encode(grid), h, w), grid)
 
 
 class TestRasterizeAgainstBoxIou:
@@ -340,8 +352,8 @@ class TestRasterizeAgainstBoxIou:
 
         a = int_box(0, 24)
         b = int_box(0, 24)
-        ma = rasterize_box(a, 24, 24)
-        mb = rasterize_box(b, 24, 24)
+        ma = rle_encode(rasterize_box(a, 24, 24))
+        mb = rle_encode(rasterize_box(b, 24, 24))
         tol = 2.0 / min(2 * (a.width + a.height), 2 * (b.width + b.height))
         assert abs(box_iou(a, b) - mask_iou(ma, mb)) <= tol
 
@@ -427,7 +439,7 @@ def random_mask_set(rng):
     """A random SampleSet whose rows mix masks and no masks, and repeat repetitions."""
     n = int(rng.integers(0, 12))
     h, w = int(rng.integers(1, 5)), int(rng.integers(8, 20))
-    rows = [None if rng.random() < 0.4 else rle_encode(random_grid(rng, h, w)).runs.tolist()
+    rows = [None if rng.random() < 0.4 else rle_encode(random_grid(rng, h, w)).tolist()
             for _ in range(n)]
     boxes = np.reshape([(0.5 * i, 0, 0.5 * i + 1, 1) for i in range(n)], (n, 4))
     scores = np.tile([0.25, 0.75], (n, 1))
@@ -471,7 +483,7 @@ class TestRunColumn:
             s = random_mask_set(rng)
             pixels = s.height * s.width
             starts, ends, first = _foreground_bounds(s.mask_runs, s.mask_offsets, pixels)
-            masks = [m for m in masks_of(s) if m is not None]
+            masks = [m for m in mask_rows(s) if m is not None]
             intervals = [reference_foreground_intervals(m) for m in masks]
             assert starts.tolist() == [v for st, _ in intervals for v in st.tolist()]
             assert ends.tolist() == [v for _, en in intervals for v in en.tolist()]
@@ -486,13 +498,12 @@ class TestRunColumn:
 
 
 class TestBoxIous:
-    """box_ious is the scalar box_iou formula, bit for bit."""
+    """box_ious is the scalar IoU formula of a pair of boxes, bit for bit."""
 
     def check(self, boxes, ref):
         got = box_ious(np.array(boxes, dtype=np.float64), BBox(*ref))
         want = [reference_box_iou(b, ref) for b in boxes]
         assert got.tobytes() == np.array(want, dtype=np.float64).tobytes()
-        assert [box_iou(BBox(*b), BBox(*ref)) for b in boxes] == want
 
     def test_random_boxes(self):
         rng = np.random.default_rng(41)

@@ -5,11 +5,11 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from _reference import masks_of, reference_iou_to_mean, reference_kde_density, reference_mask_stats
+from _reference import mask_rows, reference_iou_to_mean, reference_kde_density, reference_mask_stats
 from _scenes import separated_scene
 from dropuq import report
 from dropuq.clustering import InstanceCluster, build_instance_clusters, cluster_pipeline
-from dropuq.model import BBox, RleMask, SampleSet, rle_decode, rle_encode
+from dropuq.model import BBox, SampleSet, rle_decode, rle_encode
 from dropuq.report import (
     DegenerateSamples,
     box_stats,
@@ -27,7 +27,7 @@ from dropuq.synth import generate
 def make_cluster(boxes, scores=None, masks=None, height=20, width=20):
     n = len(boxes)
     scores = scores or [(0.1, 0.9)] * n
-    masks = [None if m is None else m.runs for m in masks or [None] * n]
+    masks = masks or [None] * n
     members = SampleSet("img", height, width, n, np.reshape(boxes, (-1, 4)), scores, range(n), masks)
     return InstanceCluster(cluster_id=0, indices=np.arange(n), members=members)
 
@@ -95,7 +95,7 @@ class TestMaskStats:
         s = mask_stats(c)
         assert np.isin(s.mean_mask, (0.0, 1.0)).all()
         assert (s.std_mask == 0.0).all()
-        assert s.consensus_mask == m
+        assert np.array_equal(s.consensus_runs, m)
         assert not s.zero_mask
 
     def test_half_agreement(self):
@@ -106,15 +106,15 @@ class TestMaskStats:
         assert s.mean_mask[0, 0] == 0.5
         assert s.std_mask[0, 0] == 0.5
         # 0.5 >= threshold 0.5: both disputed pixels make the consensus
-        assert rle_decode(s.consensus_mask)[0, 0]
-        assert rle_decode(s.consensus_mask)[1, 1]
+        assert rle_decode(s.consensus_runs, 20, 20)[0, 0]
+        assert rle_decode(s.consensus_runs, 20, 20)[1, 1]
 
     def test_no_masks_is_zero_mask(self):
         c = make_cluster([(0, 0, 5, 5)] * 3)
         s = mask_stats(c)
         assert s.zero_mask
         assert s.coverage_count == 0
-        assert s.consensus_mask.is_empty
+        assert s.consensus_runs.tolist() == [400]
 
     def test_bernoulli_identity(self):
         rng = np.random.default_rng(1)
@@ -129,13 +129,12 @@ class TestMaskStats:
         masks = [rle_encode(rng.random((20, 20)) < 0.5) for _ in range(5)]
         c = make_cluster([(0, 0, 5, 5)] * 5, masks=masks)
         s = mask_stats(c, mask_threshold=0.5)
-        assert np.array_equal(rle_decode(s.consensus_mask), s.mean_mask >= 0.5)
+        assert np.array_equal(rle_decode(s.consensus_runs, 20, 20), s.mean_mask >= 0.5)
 
     def test_dim_mismatch_error(self):
-        with pytest.raises(ValueError):
-            mask_stats(
-                make_cluster([(0, 0, 5, 5)], masks=[RleMask(5, 5, (25,))], height=20, width=20)
-            )
+        # A member's mask is checked against the image's dims when its set is built.
+        with pytest.raises(ValueError, match="runs sum to 25, expected 400"):
+            mask_stats(make_cluster([(0, 0, 5, 5)], masks=[[25]], height=20, width=20))
 
     @pytest.mark.parametrize("threshold", [-0.1, 1.5, math.nan])
     def test_threshold_out_of_range_error(self, threshold):
@@ -147,7 +146,8 @@ class TestMaskStats:
 def dense_mask_stats(c, mask_threshold=0.5):
     """Reference: stack every decoded member mask and reduce over the stack."""
     stack = np.stack(
-        [rle_decode(m) for m in masks_of(c.members) if m is not None]
+        [rle_decode(m, c.members.height, c.members.width)
+         for m in mask_rows(c.members) if m is not None]
     ).astype(np.float64)
     mean = stack.mean(axis=0)
     return mean, stack.std(axis=0), rle_encode(mean >= mask_threshold)
@@ -171,17 +171,17 @@ class TestMaskStatsOnCounts:
             h, w = (int(v) for v in rng.integers(1, 25, size=2))
             masks = random_masks(rng, n, h, w)
             if trial % 4 == 0:
-                masks[0] = RleMask(h, w, (0, h * w))
+                masks[0] = np.array([0, h * w])
             if trial % 4 == 1:
-                masks[-1] = RleMask(h, w, (h * w,))
+                masks[-1] = np.array([h * w])
             c = make_cluster([(0, 0, 1, 1)] * n, masks=masks, height=h, width=w)
             for threshold in (0.5, 0.3, 1.0):
                 s = mask_stats(c, mask_threshold=threshold)
                 mean, std, consensus = dense_mask_stats(c, threshold)
                 assert np.array_equal(s.mean_mask, mean)
                 assert np.abs(s.std_mask - std).max() <= 1e-12
-                assert s.consensus_mask == consensus
-                assert s.zero_mask == consensus.is_empty
+                assert np.array_equal(s.consensus_runs, consensus)
+                assert s.zero_mask == (consensus[1::2].sum() == 0)
                 assert s.coverage_count == n
 
     def test_members_without_masks_are_skipped(self):
@@ -194,7 +194,7 @@ class TestMaskStatsOnCounts:
         assert s.coverage_count == 4
         assert np.array_equal(s.mean_mask, mean)
         assert np.abs(s.std_mask - std).max() <= 1e-12
-        assert s.consensus_mask == consensus
+        assert np.array_equal(s.consensus_runs, consensus)
 
     def test_permutation_invariant(self):
         rng = np.random.default_rng(13)
@@ -209,14 +209,14 @@ class TestMaskStatsOnCounts:
             s = mask_stats(shuffled)
             assert np.array_equal(s.mean_mask, first.mean_mask)
             assert np.array_equal(s.std_mask, first.std_mask)
-            assert s.consensus_mask == first.consensus_mask
+            assert np.array_equal(s.consensus_runs, first.consensus_runs)
 
     def test_box_only_cluster(self):
         c = make_cluster([(0, 0, 5, 5)] * 4, height=7, width=9)
         s = mask_stats(c)
         assert s.mean_mask.shape == s.std_mask.shape == (7, 9)
         assert not s.mean_mask.any() and not s.std_mask.any()
-        assert s.consensus_mask == RleMask(7, 9, (63,))
+        assert s.consensus_runs.tolist() == [63]
         assert s.zero_mask
 
     def test_memory_bounded_in_member_count(self):
@@ -435,6 +435,13 @@ class TestPgm:
         with pytest.raises(ValueError):
             write_pgm(np.array([[1.5]]), tmp_path / "y.pgm")
 
+    @pytest.mark.parametrize("bad", [math.nan, -math.inf, math.inf, -0.01])
+    def test_pgm_rejects_nan_and_out_of_range(self, tmp_path, bad):
+        path = tmp_path / "z.pgm"
+        with pytest.raises(ValueError, match=r"values must lie in \[0, 1\]"):
+            write_pgm(np.array([[0.5, bad], [1.0, 0.0]]), path)
+        assert not path.exists()
+
 
 def edge_masks(rng, n, h, w):
     """Random masks; some touch pixel 0 or the last pixel, some are empty."""
@@ -466,7 +473,8 @@ class TestMaskLayerAgainstReference:
         assert got.mean_mask.shape == got.std_mask.shape == (c.members.height, c.members.width)
         assert got.mean_mask.tobytes() == want.mean_mask.tobytes()
         assert got.std_mask.tobytes() == want.std_mask.tobytes()
-        assert got.consensus_mask == want.consensus_mask
+        assert got.consensus_runs.tolist() == want.consensus_runs.tolist()
+        assert got.consensus_runs.dtype == np.int64
         assert (got.zero_mask, got.coverage_count) == (want.zero_mask, want.coverage_count)
         bstats = box_stats(c)
         assert iou_to_mean(c, bstats, got) == reference_iou_to_mean(c, bstats, want)
@@ -493,7 +501,7 @@ class TestMaskLayerAgainstReference:
 
     @pytest.mark.parametrize("threshold", [0.0, 0.5, 1.0])
     def test_all_masks_empty(self, threshold):
-        c = make_cluster([(0, 0, 1, 1)] * 3, masks=[RleMask(4, 5, (20,))] * 3,
+        c = make_cluster([(0, 0, 1, 1)] * 3, masks=[np.array([20])] * 3,
                          height=4, width=5)
         self.check(c, threshold)
         assert mask_stats(c, threshold).zero_mask == (threshold > 0.0)

@@ -3,7 +3,7 @@ import json
 import numpy as np
 import pytest
 
-from _reference import masks_of
+from _reference import mask_rows
 from _scenes import separated_scene
 from dropuq.calibration import fit_temperature
 from dropuq.cli import main
@@ -44,9 +44,9 @@ class TestGenerate:
         s, labels, _ = generate(spec)
         assert len(s) == 200
         per_instance = {}
-        for box, scores, mask, lab in zip(s.boxes.tolist(), s.scores.tolist(), masks_of(s), labels):
+        for box, scores, mask, lab in zip(s.boxes.tolist(), s.scores.tolist(), mask_rows(s), labels):
             per_instance.setdefault(lab, set()).add(
-                (tuple(box), tuple(scores), tuple(mask.runs.tolist()))
+                (tuple(box), tuple(scores), tuple(mask.tolist()))
             )
         assert all(len(v) == 1 for v in per_instance.values())
         assert adjusted_rand_index(labels, cluster_pipeline(s, seed=2)[0]) == 1.0
@@ -99,8 +99,8 @@ class TestGenerate:
         sn, _, _ = generate(noisy)
         from dropuq.model import rle_decode
 
-        base = rle_decode(gc[0].mask)
-        flipped = rle_decode(masks_of(sn)[0]) != base
+        base = rle_decode(gc[0].mask, clean.height, clean.width)
+        flipped = rle_decode(mask_rows(sn)[0], noisy.height, noisy.width) != base
         # all flipped pixels are near the contour: dilate(base) & ~erode(base)
         from dropuq.synth import _contour_band
 
