@@ -9,11 +9,10 @@ curves, and mAP@0.5 evaluation against ground truth.
 
 __version__ = "0.1.0"
 
-from .model import BBox, SampleSet, box_ious, mask_ious, rasterize_box, rle_decode, rle_encode
+from .model import SampleSet, box_ious, mask_ious, rasterize_box, rle_decode, rle_encode
 
 __all__ = [
     "__version__",
-    "BBox",
     "SampleSet",
     "box_ious",
     "mask_ious",

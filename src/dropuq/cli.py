@@ -101,8 +101,9 @@ def _cmd_synth(args) -> int:
 
     try:
         spec = scene_spec_from_json(Path(args.spec).read_text(encoding="utf-8"))
-    except json.JSONDecodeError as exc:
-        raise ValueError(f"scene spec {args.spec}: invalid JSON ({exc})") from None
+    except ValueError as exc:  # every spec error, JSONDecodeError and ParseError included
+        reason = f"invalid JSON ({exc})" if isinstance(exc, json.JSONDecodeError) else exc
+        raise ValueError(f"scene spec {args.spec}: {reason}") from None
     if args.seed is not None:
         spec = replace(spec, seed=derive_seed(args.seed, "synth", spec.image_id))
     out_dir = _write_manifest(args)
@@ -187,9 +188,6 @@ def _load_clustered(samples_path: str, clusters_path: str):
 
     try:
         doc = json.loads(Path(clusters_path).read_text(encoding="utf-8"))
-    except json.JSONDecodeError as exc:
-        raise ValueError(f"clusters file {clusters_path}: invalid JSON ({exc})") from None
-    try:
         if type(doc) is not dict:
             raise ParseError(None, f"must be a JSON object, got {type(doc).__name__}")
         image_id = _scalar(doc, "image_id", _STR, None)
@@ -209,8 +207,9 @@ def _load_clustered(samples_path: str, clusters_path: str):
                 raise ParseError(None, f"clusters[{i}].size must be >= 1 and equal the "
                                        f"count of label {i}, {counts[i]}; got {size}")
         flags = [_scalar(c, "split_refused", _BOOL, None) for c in entries]
-    except ParseError as exc:
-        raise ValueError(f"clusters file {clusters_path}: {exc}") from None
+    except (ParseError, json.JSONDecodeError) as exc:
+        reason = f"invalid JSON ({exc})" if isinstance(exc, json.JSONDecodeError) else exc
+        raise ValueError(f"clusters file {clusters_path}: {reason}") from None
     filtered = filter_background(read_sample_set(samples_path), threshold)
     if filtered.image_id != image_id:
         raise ValueError(

@@ -14,7 +14,7 @@ from typing import TYPE_CHECKING, Callable, Dict, Iterable, List, Optional, Sequ
 import numpy as np
 
 from .ingest import _INT, _REAL, _STR, ParseError, _array, _jsonl_records, _read_file, _scalar
-from .model import BBox, _check, _equal_fields, _run_column, box_ious, mask_ious
+from .model import _check, _check_box, _equal_fields, _run_column, box_ious, mask_ious
 
 if TYPE_CHECKING:
     from .clustering import InstanceCluster
@@ -38,11 +38,12 @@ _IOU_THRESHOLD = 0.5  # a prediction matches ground truth at IoU >= this
 @dataclass(frozen=True, eq=False)
 class GroundTruthInstance:
     image_id: str
-    bbox: BBox
+    bbox: Tuple[float, float, float, float]  # checked by the box rules
     class_id: int  # foreground class, >= 1
     mask: Optional[np.ndarray] = None  # the mask's runs
 
     def __post_init__(self):
+        _check_box(self.bbox)
         if self.class_id < 1:
             raise ValueError(f"class_id must be a foreground class, got {self.class_id}")
 
@@ -52,7 +53,7 @@ class GroundTruthInstance:
 @dataclass(frozen=True, eq=False)
 class PredictedInstance:
     image_id: str
-    bbox: BBox
+    bbox: Tuple[float, float, float, float]
     class_id: int
     confidence: float
     mask: Optional[np.ndarray] = None  # the mask's runs
@@ -115,7 +116,7 @@ def _ious(pred: PredictedInstance, gts: Sequence[GroundTruthInstance], mode: str
     """IoU of ``pred`` against each of ``gts``, all of its image, in one kernel
     call; in mask mode a missing mask on either side scores 0."""
     if mode == "box":
-        return box_ious(np.array([g.bbox.as_tuple() for g in gts]), pred.bbox)
+        return box_ious(np.array([g.bbox for g in gts]), pred.bbox)
     ious = np.zeros(len(gts))
     has_mask = np.array([g.mask is not None for g in gts], dtype=bool)
     if pred.mask is not None and has_mask.any():
@@ -227,7 +228,7 @@ def _ground_truth(
         class_id = _scalar(obj, "class_id", _INT, lineno)
         runs = _array(obj, "mask_runs", _INT, lineno) if "mask_runs" in obj else None
         try:
-            gt = GroundTruthInstance(gt_image, BBox(*map(float, box_vals)), class_id)
+            gt = GroundTruthInstance(gt_image, tuple(map(float, box_vals)), class_id)
         except (OverflowError, ValueError) as exc:
             raise ParseError(lineno, str(exc)) from exc
         if gt_image == image_id:
@@ -245,7 +246,7 @@ def serialize_ground_truth(gts: Sequence[GroundTruthInstance]) -> str:
     for g in gts:
         rec = {
             "image_id": g.image_id,
-            "bbox": list(g.bbox.as_tuple()),
+            "bbox": list(g.bbox),
             "class_id": g.class_id,
         }
         if g.mask is not None:

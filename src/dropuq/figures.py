@@ -78,21 +78,19 @@ def _polyline(points: Sequence[Tuple[float, float]], stroke: str, width=1.5) -> 
 def box_figure(r: ClusterReport, image_width: int, image_height: int) -> str:
     """Mean box with per-edge std whiskers and member center dots."""
     body = [_rect(0, 0, image_width, image_height, fill="white", stroke="#ccc")]
-    b = r.box_stats.mean_box
+    x1, y1, x2, y2 = r.box_stats.mean_box
     sx1, sy1, sx2, sy2 = r.box_stats.edge_std
-    body.append(_rect(b.x1, b.y1, b.width, b.height, stroke="#1f77b4", stroke_width=2.0))
-    my = (b.y1 + b.y2) / 2.0
-    mx = (b.x1 + b.x2) / 2.0
+    body.append(_rect(x1, y1, x2 - x1, y2 - y1, stroke="#1f77b4", stroke_width=2.0))
+    mx, my = (x1 + x2) / 2.0, (y1 + y2) / 2.0
     # one whisker per edge, spanning +-1 std around the edge position
-    body.append(_line(b.x1 - sx1, my, b.x1 + sx1, my, "red", 2.0))
-    body.append(_line(b.x2 - sx2, my, b.x2 + sx2, my, "red", 2.0))
-    body.append(_line(mx, b.y1 - sy1, mx, b.y1 + sy1, "red", 2.0))
-    body.append(_line(mx, b.y2 - sy2, mx, b.y2 + sy2, "red", 2.0))
+    body.append(_line(x1 - sx1, my, x1 + sx1, my, "red", 2.0))
+    body.append(_line(x2 - sx2, my, x2 + sx2, my, "red", 2.0))
+    body.append(_line(mx, y1 - sy1, mx, y1 + sy1, "red", 2.0))
+    body.append(_line(mx, y2 - sy2, mx, y2 + sy2, "red", 2.0))
     for cx, cy in r.box_stats.centers:
         body.append(_circle(cx, cy, 1.5, "red"))
-    cx, cy = b.center
-    body.append(_line(cx - 4, cy, cx + 4, cy, "#444", 1.0))
-    body.append(_line(cx, cy - 4, cx, cy + 4, "#444", 1.0))
+    body.append(_line(mx - 4, my, mx + 4, my, "#444", 1.0))
+    body.append(_line(mx, my - 4, mx, my + 4, "#444", 1.0))
     return _svg(image_width, image_height, body)
 
 

@@ -81,9 +81,16 @@ _OBJECT = (dict,)
 _KINDS = {_INT: "integer", _REAL: "number", _STR: "string", _BOOL: "boolean", _OBJECT: "object"}
 
 
+def _value(obj: dict, key: str, lineno: Optional[int]):
+    """obj[key], or a ParseError naming the missing key."""
+    if key not in obj:
+        raise ParseError(lineno, f"missing key {key!r}")
+    return obj[key]
+
+
 def _scalar(obj: dict, key: str, kind: tuple, lineno: Optional[int]):
     """obj[key] if its type is one of ``kind``, else ParseError."""
-    value = obj[key]
+    value = _value(obj, key, lineno)
     if type(value) not in kind:
         raise ParseError(lineno, f"{key} must be a JSON {_KINDS[kind]}, got {value!r}")
     return value
@@ -94,7 +101,7 @@ def _array(
 ) -> list:
     """obj[key] if it is a list (of ``length`` values, if given) whose value
     types are in ``kind``, else ParseError."""
-    value = obj[key]
+    value = _value(obj, key, lineno)
     if type(value) is not list:
         raise ParseError(lineno, f"{key} must be a list, got {value!r}")
     if length is not None and len(value) != length:

@@ -1,5 +1,9 @@
 """Core domain types for MC-Dropout detection samples, plus box/mask geometry.
 
+A box is an (x1, y1, x2, y2) sequence of reals, origin top left, of area
+(x2-x1)*(y2-y1). The box rules check it where it enters (SampleSet,
+GroundTruthInstance, InstanceSpec), not where it is computed.
+
 A mask is its run-length encoding: a 1-D int64 array of run lengths over
 the row-major pixels, alternating background and foreground and starting
 with a background run, which may have length zero. Zero-length runs are not
@@ -14,14 +18,12 @@ Every operation in this module is a pure function.
 from __future__ import annotations
 
 import copy
-import math
 from dataclasses import InitVar, dataclass, field, fields
 from typing import Callable, Sequence, Tuple
 
 import numpy as np
 
 __all__ = [
-    "BBox",
     "RowError",
     "SampleSet",
     "box_ious",
@@ -37,46 +39,6 @@ def _equal_fields(a, b) -> bool:
     return type(a) is type(b) and all(
         np.array_equal(getattr(a, f.name), getattr(b, f.name)) for f in fields(a)
     )
-
-
-@dataclass(frozen=True)
-class BBox:
-    """Axis-aligned box in image coordinates, origin top-left.
-
-    Coordinates are continuous reals; area is (x2-x1)*(y2-y1) with no
-    +1 pixel convention.
-    """
-
-    x1: float
-    y1: float
-    x2: float
-    y2: float
-
-    def __post_init__(self):
-        vals = (self.x1, self.y1, self.x2, self.y2)
-        if not all(math.isfinite(v) for v in vals):
-            raise ValueError(f"box coordinates must be finite, got {vals}")
-        if not (self.x1 < self.x2 and self.y1 < self.y2):
-            raise ValueError(f"box must have strictly positive area, got {vals}")
-
-    @property
-    def width(self) -> float:
-        return self.x2 - self.x1
-
-    @property
-    def height(self) -> float:
-        return self.y2 - self.y1
-
-    @property
-    def area(self) -> float:
-        return self.width * self.height
-
-    @property
-    def center(self) -> Tuple[float, float]:
-        return ((self.x1 + self.x2) / 2.0, (self.y1 + self.y2) / 2.0)
-
-    def as_tuple(self) -> Tuple[float, float, float, float]:
-        return (self.x1, self.y1, self.x2, self.y2)
 
 
 _INT64_MAX = np.iinfo(np.int64).max
@@ -215,9 +177,7 @@ class SampleSet:
         _check(run_rules + [  # in the order a file's line is checked
             (((repetition >= 0) & (repetition < bound)).astype(bool),
              lambda i: f"repetition {repetition[i]} out of range [0, {bound})"),
-            (np.isfinite(boxes).all(axis=1),
-             lambda i: f"box coordinates must be finite, got {tuple(boxes[i].tolist())}"),
-            (_positive_area(boxes), lambda i: _area_message(boxes[i].tolist())),
+            *_box_rules(boxes),
             (_positive_area(clamped), lambda i: _area_message(  # a limit prints as given
                 min(max(v, 0.0), lim) for v, lim in zip(boxes[i].tolist(), dims))),
             (((scores >= 0.0) & (scores <= 1.0)).all(axis=1),
@@ -271,14 +231,30 @@ def _area_message(values) -> str:
     return f"box must have strictly positive area, got {tuple(values)}"
 
 
-def box_ious(boxes: np.ndarray, ref: BBox) -> np.ndarray:
-    """IoU of each (x1, y1, x2, y2) row of ``boxes`` against ``ref``; 0.0 where
-    they are disjoint or only touch."""
+def _box_rules(boxes: np.ndarray) -> list:
+    """The box rules over an (n, 4) float array of (x1, y1, x2, y2) rows, as
+    (row passes, message for row i) pairs: finite, then positive area."""
+    return [
+        (np.isfinite(boxes).all(axis=1),
+         lambda i: f"box coordinates must be finite, got {tuple(boxes[i].tolist())}"),
+        (_positive_area(boxes), lambda i: _area_message(boxes[i].tolist())),
+    ]
+
+
+def _check_box(box) -> None:
+    """Raise ValueError unless the (x1, y1, x2, y2) ``box`` passes the box rules."""
+    _check(_box_rules(np.array([box], dtype=np.float64)), lambda row, message: ValueError(message))
+
+
+def box_ious(boxes: np.ndarray, ref: Sequence[float]) -> np.ndarray:
+    """IoU of each (x1, y1, x2, y2) row of ``boxes`` against the box ``ref``;
+    0.0 where they are disjoint or only touch."""
     x1, y1, x2, y2 = np.asarray(boxes, dtype=np.float64).reshape(-1, 4).T
-    ix = np.minimum(x2, ref.x2) - np.maximum(x1, ref.x1)
-    iy = np.minimum(y2, ref.y2) - np.maximum(y1, ref.y1)
+    rx1, ry1, rx2, ry2 = ref
+    ix = np.minimum(x2, rx2) - np.maximum(x1, rx1)
+    iy = np.minimum(y2, ry2) - np.maximum(y1, ry1)
     inter = ix * iy
-    union = (x2 - x1) * (y2 - y1) + ref.area - inter
+    union = (x2 - x1) * (y2 - y1) + (rx2 - rx1) * (ry2 - ry1) - inter
     return np.divide(inter, union, out=np.zeros(len(x1)), where=(ix > 0.0) & (iy > 0.0))
 
 
@@ -287,6 +263,7 @@ def mask_ious(runs: np.ndarray, offsets: np.ndarray, ref_runs: np.ndarray) -> np
     column of masks of its dims, in the column's order; a row with no runs
     has no mask and no IoU. An empty-vs-empty comparison gives 0.0: it
     carries no evidence and must not produce a fabricated perfect score.
+    A mask of another pixel count than ``ref_runs`` is a ValueError.
 
     One pass over all masks in integer arithmetic: P(x), the count of
     ``ref`` pixels before flat pixel x, is read off ref's run bounds, and a
@@ -295,6 +272,9 @@ def mask_ious(runs: np.ndarray, offsets: np.ndarray, ref_runs: np.ndarray) -> np
     division of Python ints for masks under 2^53 pixels.
     """
     pixels = int(ref_runs.sum())
+    sizes = _row_sums(runs, offsets)[offsets[1:] > offsets[:-1]]
+    if (sizes != pixels).any():
+        raise ValueError(f"mask pixel counts differ: {sizes[sizes != pixels][0]} vs {pixels}")
     starts, ends, per_mask = _foreground_bounds(runs, offsets, pixels)
     ref_starts, ref_ends, _ = _foreground_bounds(ref_runs, np.array([0, ref_runs.size]), pixels)
     # A zero-length run at pixel 0 comes first, so every x >= 0 has a run
@@ -349,8 +329,8 @@ def rle_decode(runs: np.ndarray, height: int, width: int) -> np.ndarray:
     return np.repeat(values, runs).reshape(height, width)
 
 
-def rasterize_box(box: BBox, height: int, width: int) -> np.ndarray:
-    """Rasterize a box on an integer pixel grid, as a boolean grid.
+def rasterize_box(box: Sequence[float], height: int, width: int) -> np.ndarray:
+    """Rasterize an (x1, y1, x2, y2) box on an integer pixel grid, as a boolean grid.
 
     A pixel is foreground iff its center lies inside the box. For boxes
     with integer coordinates this covers exactly columns [x1, x2) and
@@ -358,6 +338,5 @@ def rasterize_box(box: BBox, height: int, width: int) -> np.ndarray:
     """
     cols = np.arange(width) + 0.5
     rows = np.arange(height) + 0.5
-    return ((rows >= box.y1) & (rows < box.y2))[:, None] & (
-        (cols >= box.x1) & (cols < box.x2)
-    )[None, :]
+    x1, y1, x2, y2 = box
+    return ((rows >= y1) & (rows < y2))[:, None] & ((cols >= x1) & (cols < x2))[None, :]

@@ -14,7 +14,7 @@ from typing import TYPE_CHECKING, Optional, Sequence, Tuple
 import numpy as np
 
 from .ingest import json_document
-from .model import BBox, _foreground_bounds, box_ious, mask_ious, rle_encode
+from .model import _foreground_bounds, box_ious, mask_ious, rle_encode
 
 if TYPE_CHECKING:
     from .clustering import InstanceCluster
@@ -47,7 +47,7 @@ class DegenerateSamples(ValueError):
 
 @dataclass(frozen=True)
 class BoxStats:
-    mean_box: BBox
+    mean_box: Tuple[float, float, float, float]  # (x1, y1, x2, y2)
     edge_std: Tuple[float, float, float, float]  # std of x1, y1, x2, y2
     centers: Tuple[Tuple[float, float], ...]     # per-member box centers
 
@@ -94,12 +94,10 @@ class ClusterReport:
 def box_stats(c: InstanceCluster) -> BoxStats:
     """Coordinate-wise mean box, per-edge std, and member centers."""
     coords = c.members.boxes
-    mean = coords.mean(axis=0)
-    std = coords.std(axis=0)
     centers = (coords[:, :2] + coords[:, 2:]) / 2.0
     return BoxStats(
-        mean_box=BBox(*(float(v) for v in mean)),
-        edge_std=tuple(float(v) for v in std),
+        mean_box=tuple(coords.mean(axis=0).tolist()),
+        edge_std=tuple(coords.std(axis=0).tolist()),
         centers=tuple(map(tuple, centers.tolist())),
     )
 
@@ -277,7 +275,7 @@ def report_to_json(r: ClusterReport) -> str:
         "cluster_id": r.cluster_id,
         "split_refused": r.split_refused,
         "box": {
-            "mean": list(r.box_stats.mean_box.as_tuple()),
+            "mean": list(r.box_stats.mean_box),
             "edge_std": list(r.box_stats.edge_std),
             "centers": [list(c) for c in r.box_stats.centers],
         },

@@ -17,7 +17,7 @@ from .evaluation import GroundTruthInstance
 from .ingest import (
     MAX_PIXELS, _INT, _OBJECT, _REAL, _STR, ParseError, _array, _scalar, json_document,
 )
-from .model import BBox, SampleSet, rasterize_box, rle_encode
+from .model import SampleSet, _check_box, rasterize_box, rle_encode
 
 if TYPE_CHECKING:
     from .calibration import CalibrationSet
@@ -41,7 +41,7 @@ MAX_DETECTIONS = 1 << 20
 
 @dataclass(frozen=True)
 class InstanceSpec:
-    true_box: BBox
+    true_box: Tuple[float, float, float, float]  # (x1, y1, x2, y2)
     true_class: int                 # foreground class id, >= 1
     shape: str = "ellipse"          # "box", "ellipse", or "none" (no masks emitted)
     box_jitter_sigma: float = 0.0   # Gaussian noise per box edge, pixels
@@ -50,6 +50,7 @@ class InstanceSpec:
     miss_rate: float = 0.0          # probability a repetition omits the instance
 
     def __post_init__(self):
+        _check_box(self.true_box)
         if self.true_class < 1:
             raise ValueError(f"true_class must be >= 1, got {self.true_class}")
         if self.shape not in _SHAPES:
@@ -97,14 +98,14 @@ class SceneSpec:
                 )
 
 
-def _render_shape(box: BBox, shape: str, height: int, width: int) -> np.ndarray:
+def _render_shape(box: Sequence[float], shape: str, height: int, width: int) -> np.ndarray:
     if shape == "box":
         return rasterize_box(box, height, width)
     cols = np.arange(width) + 0.5
     rows = np.arange(height) + 0.5
-    cx, cy = box.center
-    ax = max(box.width / 2.0, 1e-9)
-    ay = max(box.height / 2.0, 1e-9)
+    x1, y1, x2, y2 = box
+    cx, cy = (x1 + x2) / 2.0, (y1 + y2) / 2.0
+    ax, ay = max((x2 - x1) / 2.0, 1e-9), max((y2 - y1) / 2.0, 1e-9)
     return ((cols - cx) / ax)[None, :] ** 2 + ((rows - cy) / ay)[:, None] ** 2 <= 1.0
 
 
@@ -130,19 +131,17 @@ def _contour_band(m: np.ndarray, radius: int = 2) -> np.ndarray:
 
 
 def _jitter_box(
-    box: BBox, sigma: float, width: int, height: int, rng: np.random.Generator
+    box: Sequence[float], sigma: float, width: int, height: int, rng: np.random.Generator
 ) -> Tuple[float, float, float, float]:
     """A jittered copy of the box that keeps positive area inside the image,
     or after 100 tries the box itself, which SampleSet clamps (or rejects)."""
     for _ in range(100):
-        dx1, dy1, dx2, dy2 = rng.normal(0.0, sigma, 4) if sigma > 0 else (0.0,) * 4
-        x1 = min(max(box.x1 + dx1, 0.0), float(width))
-        y1 = min(max(box.y1 + dy1, 0.0), float(height))
-        x2 = min(max(box.x2 + dx2, 0.0), float(width))
-        y2 = min(max(box.y2 + dy2, 0.0), float(height))
+        noise = rng.normal(0.0, sigma, 4) if sigma > 0 else (0.0,) * 4
+        x1, y1, x2, y2 = (min(max(v + d, 0.0), float(limit))
+                          for v, d, limit in zip(box, noise, (width, height) * 2))
         if x1 < x2 and y1 < y2:
             return x1, y1, x2, y2
-    return box.as_tuple()
+    return tuple(box)
 
 
 def _sample_scores(
@@ -290,7 +289,7 @@ def scene_spec_to_json(spec: SceneSpec) -> str:
         "seed": spec.seed,
         "instances": [
             {
-                "box": list(inst.true_box.as_tuple()),
+                "box": list(inst.true_box),
                 "class_id": inst.true_class,
                 "shape": inst.shape,
                 "box_jitter_sigma": inst.box_jitter_sigma,
@@ -339,7 +338,7 @@ def scene_spec_from_json(text: str) -> SceneSpec:
         _known_keys(inst, _INSTANCE_KEYS, "instance")
     instances = tuple(
         InstanceSpec(
-            true_box=BBox(*(_float(v, "box") for v in _array(inst, "box", _REAL, None, 4))),
+            true_box=tuple(_float(v, "box") for v in _array(inst, "box", _REAL, None, 4)),
             true_class=_scalar(inst, "class_id", _INT, None),
             shape=_optional(inst, "shape", _STR, "ellipse"),
             **{

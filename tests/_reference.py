@@ -113,7 +113,7 @@ def reference_mask_stats(c, mask_threshold=0.5):
 
 def reference_iou_to_mean(c, s, m):
     """IoU samples with one reference_mask_iou call per mask-carrying member."""
-    mean = s.mean_box.as_tuple()
+    mean = s.mean_box
     box_samples = tuple(reference_box_iou(box, mean) for box in c.members.boxes.tolist())
     if m.zero_mask:
         return box_samples, ()
@@ -137,7 +137,7 @@ def reference_match_and_score(preds, gts, mode="box"):
 
     def pair_iou(p, g):
         if mode == "box":
-            return reference_box_iou(p.bbox.as_tuple(), g.bbox.as_tuple())
+            return reference_box_iou(p.bbox, g.bbox)
         if p.mask is None or g.mask is None:
             return 0.0
         return reference_mask_iou(p.mask, g.mask)

@@ -2,7 +2,6 @@
 
 import numpy as np
 
-from dropuq.model import BBox
 from dropuq.synth import InstanceSpec, SceneSpec
 
 # grid anchors keep instance centers >= 140 px apart (>> 10 sigma for sigma <= 10)
@@ -32,7 +31,7 @@ def separated_scene(
         h = rng.uniform(34, 70)
         instances.append(
             InstanceSpec(
-                true_box=BBox(cx - w / 2, cy - h / 2, cx + w / 2, cy + h / 2),
+                true_box=(cx - w / 2, cy - h / 2, cx + w / 2, cy + h / 2),
                 true_class=1 + (i % num_classes),
                 shape=shape,
                 box_jitter_sigma=sigma,
@@ -79,7 +78,7 @@ def overlapping_scene(
         h = rng.uniform(50, 70)
         instances.append(
             InstanceSpec(
-                true_box=BBox(c[0] - w / 2, c[1] - h / 2, c[0] + w / 2, c[1] + h / 2),
+                true_box=(c[0] - w / 2, c[1] - h / 2, c[0] + w / 2, c[1] + h / 2),
                 true_class=1 + (i % 3),
                 shape="none",
                 box_jitter_sigma=sigma,
@@ -107,7 +106,7 @@ def mixed_shape_scene(seed: int = 9) -> SceneSpec:
         w, h = rng.uniform(30, 50, 2)
         instances.append(
             InstanceSpec(
-                true_box=BBox(cx - w / 2, cy - h / 2, cx + w / 2, cy + h / 2),
+                true_box=(cx - w / 2, cy - h / 2, cx + w / 2, cy + h / 2),
                 true_class=1 + (i % 2),
                 shape=("box", "ellipse", "none")[i % 3],
                 box_jitter_sigma=2.0,

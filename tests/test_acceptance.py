@@ -36,7 +36,6 @@ from dropuq.evaluation import (
     match_and_score,
 )
 from dropuq.ingest import filter_background
-from dropuq.model import BBox
 from dropuq.report import build_report, kde, mask_stats
 from dropuq.synth import (
     adjusted_rand_index,
@@ -254,13 +253,13 @@ def test_map_sanity():
         assert result.map50 == 1.0, f"{mode} mAP {result.map50}"
 
     gts2 = [
-        GroundTruthInstance("i", BBox(0, 0, 10, 10), 1),
-        GroundTruthInstance("i", BBox(100, 0, 110, 10), 1),
+        GroundTruthInstance("i", (0, 0, 10, 10), 1),
+        GroundTruthInstance("i", (100, 0, 110, 10), 1),
     ]
     preds2 = [
-        PredictedInstance("i", BBox(0, 0, 10, 10), 1, 0.9),
-        PredictedInstance("i", BBox(50, 50, 60, 60), 1, 0.8),
-        PredictedInstance("i", BBox(100, 0, 110, 10), 1, 0.7),
+        PredictedInstance("i", (0, 0, 10, 10), 1, 0.9),
+        PredictedInstance("i", (50, 50, 60, 60), 1, 0.8),
+        PredictedInstance("i", (100, 0, 110, 10), 1, 0.7),
     ]
     # brute-force 101-point oracle over PR points (0.5,1.0), (0.5,0.5), (1.0,2/3)
     pr = [(0.5, 1.0), (0.5, 0.5), (1.0, 2 / 3)]

@@ -320,6 +320,29 @@ class TestHostileSceneSpec:
         )
         assert not (tmp_path / "s").exists()
 
+    @pytest.mark.parametrize(
+        "edit, key",
+        [
+            (lambda d: d.pop("image_id"), "missing key 'image_id'"),
+            (lambda d: d["instances"][0].pop("box"), "missing key 'box'"),
+            (lambda d: d.update(bogus=1), "unknown scene spec key 'bogus'"),
+            (lambda d: d["instances"][0].update(box=[5, 5, 5, 9]),
+             "box must have strictly positive area, got (5.0, 5.0, 5.0, 9.0)"),
+        ],
+        ids=["no-image-id", "no-box", "unknown-key", "empty-box"],
+    )
+    def test_spec_error_names_the_file_and_key(self, tmp_path, capsys, edit, key):
+        from dropuq.cli import main
+
+        doc = json.loads(scene_spec_to_json(separated_scene(0, 1, shape="ellipse")))
+        edit(doc)
+        spec = tmp_path / "spec.json"
+        spec.write_text(json.dumps(doc))
+        assert main(["synth", str(spec), "--out-dir", str(tmp_path / "s")]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"dropuq: error: scene spec {spec}: {key}"), err
+        assert not (tmp_path / "s").exists()
+
 
 def run_python(code):
     env = dict(os.environ)
@@ -551,6 +574,34 @@ class TestClustersFileTypes:
         assert capsys.readouterr().err == (
             f"dropuq: error: clusters file {clusters}: invalid JSON "
             "(Expecting value: line 1 column 1 (char 0))\n"
+        )
+        assert [p.name for p in out.iterdir()] == ["manifest.json"]
+
+    @pytest.mark.parametrize("command", ["report", "eval"])
+    @pytest.mark.parametrize(
+        "edit, key",
+        [
+            (lambda d: d.pop("labels"), "labels"),
+            (lambda d: d["clusters"][-1].pop("split_refused"), "split_refused"),
+        ],
+        ids=["no-labels", "no-split-refused"],
+    )
+    def test_missing_key_names_the_file_and_key(self, pipeline_dirs, tmp_path, capsys,
+                                                 command, edit, key):
+        from dropuq.cli import main
+
+        doc = json.loads((pipeline_dirs / "clusters" / "scene0_clusters.json").read_text())
+        edit(doc)
+        clusters = tmp_path / "scene0_clusters.json"
+        clusters.write_text(json.dumps(doc))
+        out = tmp_path / "o"
+        gt = pipeline_dirs / "synth" / "scene0_gt.jsonl"
+        extra = ["--gt", str(gt)] if command == "eval" else []
+        argv = [command, str(pipeline_dirs / "synth" / "scene0_samples.jsonl"),
+                "--clusters", str(clusters), *extra, "--out-dir", str(out)]
+        assert main(argv) == 2
+        assert capsys.readouterr().err == (
+            f"dropuq: error: clusters file {clusters}: missing key {key!r}\n"
         )
         assert [p.name for p in out.iterdir()] == ["manifest.json"]
 

@@ -13,7 +13,7 @@ from dropuq.evaluation import (
     serialize_ground_truth,
 )
 from dropuq.ingest import ParseError
-from dropuq.model import BBox, rasterize_box, rle_encode
+from dropuq.model import rasterize_box, rle_encode
 from dropuq.report import class_stats
 from dropuq.clustering import build_instance_clusters, cluster_pipeline
 from dropuq.synth import generate
@@ -21,15 +21,15 @@ from _scenes import separated_scene
 
 
 def pred(box, cls=1, conf=1.0, image="img", mask=None):
-    return PredictedInstance(image, BBox(*box), cls, conf, mask)
+    return PredictedInstance(image, tuple(box), cls, conf, mask)
 
 
 def gt(box, cls=1, image="img", mask=None):
-    return GroundTruthInstance(image, BBox(*box), cls, mask)
+    return GroundTruthInstance(image, tuple(box), cls, mask)
 
 
 def box_mask(box, height, width):
-    return rle_encode(rasterize_box(BBox(*box), height, width))
+    return rle_encode(rasterize_box(box, height, width))
 
 
 def brute_force_ap(pr_points):
@@ -154,6 +154,13 @@ class TestMatchAndScore:
         res = match_and_score(preds, gts, mode="mask")
         assert res.map50 == 0.0
 
+    def test_mask_mode_rejects_masks_of_other_pixel_counts(self):
+        gts = [gt((0, 0, 5, 5), mask=box_mask((0, 0, 5, 5), 20, 30))]
+        preds = [pred((0, 0, 5, 5), conf=0.9, mask=box_mask((0, 0, 5, 5), 10, 10))]
+        with pytest.raises(ValueError, match=r"^mask pixel counts differ: 600 vs 100$"):
+            match_and_score(preds, gts, mode="mask")
+        assert match_and_score(preds, gts, mode="box").map50 == 1.0
+
     def test_empty_gts_map_absent(self):
         res = match_and_score([pred((0, 0, 5, 5))], [], mode="box")
         assert res.map50 is None
@@ -192,7 +199,7 @@ def random_instance(rng, image, box=None):
         box = (x1, y1, int(rng.integers(x1 + 1, w + 1)), int(rng.integers(y1 + 1, h + 1)))
     if rng.random() < 0.25:
         return box, None
-    grid = rasterize_box(BBox(*box), h, w)
+    grid = rasterize_box(box, h, w)
     if rng.random() < 0.5:
         grid = grid ^ (rng.random((h, w)) < 0.1)
     return box, rle_encode(grid)
@@ -212,7 +219,7 @@ def random_match_case(rng):
         kind = int(rng.integers(3)) if gts else 0
         if kind:
             g = gts[int(rng.integers(len(gts)))]
-            x1, y1, x2, y2 = g.bbox.as_tuple()
+            x1, y1, x2, y2 = g.bbox
             box = (x1, y1, x2, y2) if kind == 1 else (x1, y1, x1 + (x2 - x1) / 2, y2)
             image, cls = g.image_id, g.class_id if rng.random() < 0.8 else 1
         else:

@@ -13,12 +13,12 @@ from _reference import (
     reference_runs,
     run_column,
 )
-from dropuq.evaluation import _ground_truth
+from dropuq.evaluation import GroundTruthInstance, _ground_truth
 from dropuq.ingest import ParseError
 from dropuq.model import (
-    BBox,
     RowError,
     SampleSet,
+    _check_box,
     _foreground_bounds,
     box_ious,
     mask_ious,
@@ -26,9 +26,10 @@ from dropuq.model import (
     rle_decode,
     rle_encode,
 )
+from dropuq.synth import InstanceSpec, scene_spec_from_json
 
 boxes = st.builds(
-    lambda x1, y1, w, h: BBox(x1, y1, x1 + w, y1 + h),
+    lambda x1, y1, w, h: (x1, y1, x1 + w, y1 + h),
     st.floats(-50, 500),
     st.floats(-50, 500),
     st.floats(0.5, 200),
@@ -38,7 +39,7 @@ boxes = st.builds(
 
 def box_iou(a, b):
     """IoU of two boxes through the column kernel."""
-    return float(box_ious(np.array([a.as_tuple()]), b)[0])
+    return float(box_ious(np.array([a]), b)[0])
 
 
 def mask_iou(a, b):
@@ -46,29 +47,61 @@ def mask_iou(a, b):
     return float(mask_ious(a, np.array([0, a.size]), b)[0])
 
 
-class TestBBox:
+BAD_BOXES = [  # (box, the box rules' message)
+    ((0, 0, float("nan"), 10), "box coordinates must be finite, got (0.0, 0.0, nan, 10.0)"),
+    ((0, 0, float("inf"), 10), "box coordinates must be finite, got (0.0, 0.0, inf, 10.0)"),
+    ((0, 0, 0, 10), "box must have strictly positive area, got (0.0, 0.0, 0.0, 10.0)"),
+    ((0, 3, 10, 3), "box must have strictly positive area, got (0.0, 3.0, 10.0, 3.0)"),
+    ((10, 0, 0, 10), "box must have strictly positive area, got (10.0, 0.0, 0.0, 10.0)"),
+]
+
+
+class TestBoxRules:
+    """The box rules are defined once and word a bad box alike wherever it enters."""
+
     def test_invalid_boxes_rejected(self):
-        with pytest.raises(ValueError):
-            BBox(0, 0, 0, 10)
-        with pytest.raises(ValueError):
-            BBox(10, 0, 0, 10)
-        with pytest.raises(ValueError):
-            BBox(0, 0, float("nan"), 10)
-        with pytest.raises(ValueError):
-            BBox(0, 0, float("inf"), 10)
+        # Each bad box gives one message through the one-row check, a
+        # SampleSet row, a ground-truth line, a scene-spec instance and a
+        # directly built GroundTruthInstance or InstanceSpec.
+        for box, message in BAD_BOXES:
+            with pytest.raises(ValueError) as one_row:
+                _check_box(box)
+            assert str(one_row.value) == message
+            with pytest.raises(RowError) as sample_row:
+                sample_set([(0, 0, 5, 5), box], [(0.5, 0.5)] * 2, [0, 0], (None,) * 2)
+            assert str(sample_row.value) == f"detection 1: {message}"
+            lines = [json.dumps({"image_id": "b", "bbox": [0, 0, 1, 1], "class_id": 1}), "",
+                     json.dumps({"image_id": "b", "bbox": list(box), "class_id": 1})]
+            with pytest.raises(ParseError) as gt_line:
+                _ground_truth(lines, json.loads, "a", 10, 10)
+            assert str(gt_line.value) == f"line 3: {message}"
+            spec = {"image_id": "s", "height": 10, "width": 10, "num_classes": 1,
+                    "n_repetitions": 1, "instances": [{"box": list(box), "class_id": 1}]}
+            with pytest.raises(ValueError) as spec_instance:
+                scene_spec_from_json(json.dumps(spec))
+            assert str(spec_instance.value) == message
+            for build in (lambda: GroundTruthInstance("a", box, 1),
+                          lambda: InstanceSpec(box, 1)):
+                with pytest.raises(ValueError) as direct:
+                    build()
+                assert str(direct.value) == message
+
+    def test_valid_boxes_pass(self):
+        for box in [(0, 0, 1, 1), (-5.5, 2, 3, 2.25), [0, 0, 1e300, 1e-300]]:
+            _check_box(box)
 
 
 class TestBoxIou:
     def test_identity(self):
-        b = BBox(3, 4, 10, 12)
+        b = (3, 4, 10, 12)
         assert box_iou(b, b) == 1.0
 
     def test_disjoint(self):
-        assert box_iou(BBox(0, 0, 10, 10), BBox(20, 20, 30, 30)) == 0.0
+        assert box_iou((0, 0, 10, 10), (20, 20, 30, 30)) == 0.0
 
     def test_half_overlap(self):
         # intersection 5x10 = 50, union 100 + 100 - 50 = 150
-        got = box_iou(BBox(0, 0, 10, 10), BBox(5, 0, 15, 10))
+        got = box_iou((0, 0, 10, 10), (5, 0, 15, 10))
         assert got == pytest.approx(50 / 150, abs=1e-12)
 
     @settings(max_examples=200, deadline=None)
@@ -104,6 +137,20 @@ class TestMaskIou:
     def test_both_empty_is_zero(self):
         e = np.array([4])
         assert mask_iou(e, e) == 0.0
+
+    def test_other_pixel_count_rejected(self):
+        # One 5x5 box on a 10x10 and on a 20x30 grid: the runs of one cannot
+        # be read against the other's.
+        small = rle_encode(rasterize_box((0, 0, 5, 5), 10, 10))
+        large = rle_encode(rasterize_box((0, 0, 5, 5), 20, 30))
+        runs = np.concatenate([large, small])
+        offsets = np.array([0, large.size, runs.size])
+        with pytest.raises(ValueError, match=r"^mask pixel counts differ: 100 vs 600$"):
+            mask_ious(runs, offsets, large)
+        with pytest.raises(ValueError, match=r"^mask pixel counts differ: 600 vs 100$"):
+            mask_iou(large, small)
+        # A row without a mask has no pixel count to compare.
+        assert mask_ious(large, np.array([0, 0, large.size]), large).tolist() == [1.0]
 
     @settings(max_examples=100, deadline=None)
     @given(st.integers(0, 2**16 - 1))
@@ -348,13 +395,13 @@ class TestRasterizeAgainstBoxIou:
             y1 = data.draw(st.integers(lo, hi - 2))
             x2 = data.draw(st.integers(x1 + 1, hi))
             y2 = data.draw(st.integers(y1 + 1, hi))
-            return BBox(float(x1), float(y1), float(x2), float(y2))
+            return (float(x1), float(y1), float(x2), float(y2))
 
         a = int_box(0, 24)
         b = int_box(0, 24)
         ma = rle_encode(rasterize_box(a, 24, 24))
         mb = rle_encode(rasterize_box(b, 24, 24))
-        tol = 2.0 / min(2 * (a.width + a.height), 2 * (b.width + b.height))
+        tol = 2.0 / min(2 * (a[2] - a[0] + a[3] - a[1]), 2 * (b[2] - b[0] + b[3] - b[1]))
         assert abs(box_iou(a, b) - mask_iou(ma, mb)) <= tol
 
 
@@ -501,7 +548,7 @@ class TestBoxIous:
     """box_ious is the scalar IoU formula of a pair of boxes, bit for bit."""
 
     def check(self, boxes, ref):
-        got = box_ious(np.array(boxes, dtype=np.float64), BBox(*ref))
+        got = box_ious(np.array(boxes, dtype=np.float64), ref)
         want = [reference_box_iou(b, ref) for b in boxes]
         assert got.tobytes() == np.array(want, dtype=np.float64).tobytes()
 
@@ -526,4 +573,4 @@ class TestBoxIous:
             (15.0, 0.1, 25.0, 10.3),   # partial overlap
         ]
         self.check(boxes, ref)
-        assert box_ious(np.empty((0, 4)), BBox(*ref)).shape == (0,)
+        assert box_ious(np.empty((0, 4)), ref).shape == (0,)

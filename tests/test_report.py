@@ -9,7 +9,7 @@ from _reference import mask_rows, reference_iou_to_mean, reference_kde_density, 
 from _scenes import separated_scene
 from dropuq import report
 from dropuq.clustering import InstanceCluster, build_instance_clusters, cluster_pipeline
-from dropuq.model import BBox, SampleSet, rle_decode, rle_encode
+from dropuq.model import SampleSet, rle_decode, rle_encode
 from dropuq.report import (
     DegenerateSamples,
     box_stats,
@@ -43,13 +43,13 @@ class TestBoxStats:
     def test_identical_members(self):
         c = make_cluster([(1, 2, 5, 6)] * 4)
         s = box_stats(c)
-        assert s.mean_box == BBox(1, 2, 5, 6)
+        assert s.mean_box == (1, 2, 5, 6)
         assert s.edge_std == (0.0, 0.0, 0.0, 0.0)
 
     def test_two_member_hand_case(self):
         c = make_cluster([(0, 0, 10, 10), (2, 0, 12, 10)])
         s = box_stats(c)
-        assert s.mean_box == BBox(1, 0, 11, 10)
+        assert s.mean_box == (1, 0, 11, 10)
         # population std of {0, 2} is 1
         assert s.edge_std == (1.0, 0.0, 1.0, 0.0)
         assert s.centers == ((5.0, 5.0), (7.0, 5.0))
@@ -67,8 +67,8 @@ class TestBoxStats:
         ]
         s = box_stats(make_cluster(boxes))
         arr = np.array(boxes)
-        assert (s.mean_box.as_tuple() >= arr.min(axis=0) - 1e-12).all()
-        assert (s.mean_box.as_tuple() <= arr.max(axis=0) + 1e-12).all()
+        assert (s.mean_box >= arr.min(axis=0) - 1e-12).all()
+        assert (s.mean_box <= arr.max(axis=0) + 1e-12).all()
 
 
 class TestClassStats:
@@ -401,7 +401,7 @@ class TestBuildReport:
         r = build_report(clusters[0])
         true_box = spec.instances[0].true_box
         n = len(clusters[0])
-        for got, want in zip(r.box_stats.mean_box.as_tuple(), true_box.as_tuple()):
+        for got, want in zip(r.box_stats.mean_box, true_box):
             assert abs(got - want) <= 3.0 * sigma / math.sqrt(n) + 1e-9
         for std in r.box_stats.edge_std:
             assert abs(std - sigma) / sigma < 0.2

@@ -9,7 +9,6 @@ from dropuq.calibration import fit_temperature
 from dropuq.cli import main
 from dropuq.clustering import cluster_pipeline
 from dropuq.ingest import serialize_sample_set
-from dropuq.model import BBox
 from dropuq.synth import (
     MAX_DETECTIONS,
     InstanceSpec,
@@ -52,12 +51,12 @@ class TestGenerate:
         assert adjusted_rand_index(labels, cluster_pipeline(s, seed=2)[0]) == 1.0
 
     def test_full_miss_rate_omits_instance(self):
-        box = BBox(10, 10, 40, 40)
+        box = (10, 10, 40, 40)
         spec = SceneSpec(
             "img", 100, 100, 1, 20,
             (
                 InstanceSpec(box, 1, "none", miss_rate=1.0),
-                InstanceSpec(BBox(60, 60, 90, 90), 1, "none", miss_rate=0.0),
+                InstanceSpec((60, 60, 90, 90), 1, "none", miss_rate=0.0),
             ),
             seed=0,
         )
@@ -67,7 +66,7 @@ class TestGenerate:
         assert len(gts) == 2
 
     def test_empty_sample_set_keeps_class_count(self, tmp_path):
-        spec = SceneSpec("img", 100, 100, 3, 5, (InstanceSpec(BBox(10, 10, 40, 40), 2, "none",
+        spec = SceneSpec("img", 100, 100, 3, 5, (InstanceSpec((10, 10, 40, 40), 2, "none",
                                                                miss_rate=1.0),))
         spec_path = tmp_path / "spec.json"
         spec_path.write_text(scene_spec_to_json(spec), encoding="utf-8")
@@ -115,14 +114,14 @@ class TestGenerate:
             '{"image_id": "d", "height": 40, "width": 60, "num_classes": 2, '
             '"n_repetitions": 3, "instances": [{"box": [1, 2, 30, 20], "class_id": 2}]}'
         )
-        expect = SceneSpec("d", 40, 60, 2, 3, (InstanceSpec(BBox(1.0, 2.0, 30.0, 20.0), 2),))
+        expect = SceneSpec("d", 40, 60, 2, 3, (InstanceSpec((1.0, 2.0, 30.0, 20.0), 2),))
         assert scene_spec_from_json(text) == expect
 
 
     @pytest.mark.parametrize("n_instances", [1, 2, 3])
     def test_detection_limit(self, n_instances):
         # Checked on the spec, so neither side of the limit draws anything.
-        instances = tuple(InstanceSpec(BBox(0, 0, 5, 5), 1) for _ in range(n_instances))
+        instances = tuple(InstanceSpec((0, 0, 5, 5), 1) for _ in range(n_instances))
         at_limit = MAX_DETECTIONS // n_instances
         assert SceneSpec("img", 10, 10, 1, at_limit, instances).n_repetitions == at_limit
         with pytest.raises(ValueError, match=(
