@@ -172,19 +172,21 @@ def _cmd_cluster(args) -> int:
 
 
 def _load_clustered(samples_path: str, clusters_path: str):
-    """Rebuild the clustered sample set a cluster run wrote to disk.
+    """Rebuild the clustering a cluster run wrote to disk: the filtered
+    sample set, the members of each cluster and each cluster's split_refused
+    flag.
 
     The fields read back are typed as strictly as the input readers type
-    theirs, and the clusters list must match the labels (see README); a bad
-    field is a ValueError naming it.
+    theirs, and the labels must number the detections and match the
+    clusters list (see README); a bad field is a ValueError naming it.
     """
     import numpy as np
 
-    from .clustering import build_instance_clusters
     from .ingest import (
         _BOOL, _INT, _OBJECT, _REAL, _STR, ParseError, _array, _scalar,
         filter_background, read_sample_set,
     )
+    from .model import label_groups
 
     try:
         doc = json.loads(Path(clusters_path).read_text(encoding="utf-8"))
@@ -194,6 +196,9 @@ def _load_clustered(samples_path: str, clusters_path: str):
         threshold = _scalar(doc, "background_threshold", _REAL, None)
         n_detections = _scalar(doc, "n_detections", _INT, None)
         labels = _array(doc, "labels", _INT, None)
+        if len(labels) != n_detections:
+            raise ParseError(None, f"labels must hold one label per detection, "
+                                   f"{n_detections}; got {len(labels)}")
         entries = _array(doc, "clusters", _OBJECT, None)
         k = len(entries)
         if labels and not 0 <= min(labels) <= max(labels) < k:
@@ -221,7 +226,7 @@ def _load_clustered(samples_path: str, clusters_path: str):
             f"samples produce {len(filtered)}"
         )
     # Every label in [0, k) occurs, so cluster i is entry i of the file.
-    return filtered, build_instance_clusters(filtered, labels, flags)
+    return filtered, [filtered.take(g) for g in label_groups(labels)], flags
 
 
 def _cmd_report(args) -> int:
@@ -229,12 +234,12 @@ def _cmd_report(args) -> int:
     from .report import build_report, report_to_json, write_pgm
 
     out_dir = _write_manifest(args)
-    filtered, clusters = _load_clustered(args.samples, args.clusters)
+    filtered, clusters, flags = _load_clustered(args.samples, args.clusters)
     name = _safe_name(filtered.image_id)
-    for cluster in clusters:
-        rep = build_report(cluster, mask_threshold=args.mask_threshold)
-        stem = f"{name}_cluster_{cluster.cluster_id:03d}"
-        _write_text(out_dir / f"{stem}_report.json", report_to_json(rep))
+    for i, (members, refused) in enumerate(zip(clusters, flags)):
+        rep = build_report(members, mask_threshold=args.mask_threshold)
+        stem = f"{name}_cluster_{i:03d}"
+        _write_text(out_dir / f"{stem}_report.json", report_to_json(rep, i, refused))
         _write_text(
             out_dir / f"{stem}_box.svg",
             box_figure(rep, filtered.width, filtered.height),
@@ -247,7 +252,7 @@ def _cmd_report(args) -> int:
                 write_pgm(values, out_dir / f"{stem}_mask_{kind}.pgm")
                 _write_text(out_dir / f"{stem}_mask_{kind}.svg", heatmap_figure(values))
         flag = " zero_mask" if masks.zero_mask else ""
-        print(f"{filtered.image_id} cluster {cluster.cluster_id}: {len(cluster)} members{flag}")
+        print(f"{filtered.image_id} cluster {i}: {len(members)} members{flag}")
     return 0
 
 
@@ -296,13 +301,10 @@ def _cmd_eval(args) -> int:
     from .evaluation import cluster_to_detection, eval_csv, match_and_score, read_ground_truth
 
     out_dir = _write_manifest(args)
-    filtered, clusters = _load_clustered(args.samples, args.clusters)
+    filtered, clusters, _ = _load_clustered(args.samples, args.clusters)
     gts = read_ground_truth(args.gt, filtered.image_id, filtered.height, filtered.width)
     modes = ["box", "mask"] if args.mode == "both" else [args.mode]
-    preds = [
-        cluster_to_detection(c, filtered.image_id, args.mask_threshold, "mask" in modes)
-        for c in clusters
-    ]
+    preds = [cluster_to_detection(c, args.mask_threshold, "mask" in modes) for c in clusters]
     results = [match_and_score(preds, gts, mode=m) for m in modes]
     _write_text(out_dir / "eval.csv", eval_csv(results))
     for res in results:

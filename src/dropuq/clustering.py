@@ -3,26 +3,23 @@
 The pipeline labels the N x M detections of one image: boxes -> connected
 components of the box-overlap graph -> per component, count heuristic and
 mixture fit (or Ward linkage) -> oversized-cluster split rule -> one label
-per detection and one split flag per cluster -> (build_instance_clusters)
-instance clusters.
+per detection and one split flag per cluster. Cluster i's members are
+``s.take(model.label_groups(labels)[i])``.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .model import SampleSet
+from .model import SampleSet, label_groups
 
 __all__ = [
-    "InstanceCluster",
     "ClusteringError",
     "estimate_component_count",
     "default_split_threshold",
     "overlap_components",
-    "build_instance_clusters",
     "split_labels",
     "cluster_pipeline",
 ]
@@ -30,29 +27,13 @@ __all__ = [
 _MAX_SPLIT_DEPTH = 3  # recursion cap for the oversized-cluster split rule
 _BLOCK_PAIRS = 1 << 20  # memory cap: box pairs compared at once by overlap_components
 _BLOCK_ROWS = 64  # rows per overlap_components block when the cap allows
-# bgm and ward are imported where a fit runs: report and eval only rebuild
-# clusters, and with bytecode writing off each module loaded is compiled.
+# bgm and ward are imported where a fit runs, so a run that needs no fit
+# loads neither: with bytecode writing off each module loaded is compiled.
 
 
 class ClusteringError(ValueError):
     """Raised when there is nothing to cluster or a mixture fit cannot
     produce a valid state."""
-
-
-@dataclass(frozen=True, eq=False)
-class InstanceCluster:
-    """Detections judged to belong to one physical instance, as made by
-    build_instance_clusters: ``indices`` holds each member's position in the
-    sample set (int64), ``members`` the sample set's rows at those positions.
-    """
-
-    cluster_id: int
-    indices: np.ndarray
-    members: SampleSet
-    split_refused: bool = False  # oversized but would not break apart
-
-    def __len__(self) -> int:
-        return len(self.members)
 
 
 def estimate_component_count(n_detections: int, n_repetitions: int) -> int:
@@ -124,37 +105,6 @@ def overlap_components(points: np.ndarray) -> np.ndarray:
     return np.argsort(np.argsort(first))[inverse]
 
 
-def _label_groups(labels: np.ndarray) -> List[np.ndarray]:
-    """Each label's positions in ascending order, by ascending label."""
-    if not len(labels):
-        return []
-    # np.unique is avoided because its plain form imports numpy.ma.
-    order = np.argsort(labels, kind="stable")
-    ordered = labels[order]
-    return np.split(order, np.flatnonzero(ordered[1:] != ordered[:-1]) + 1)
-
-
-def build_instance_clusters(
-    s: SampleSet, labels: Sequence[int], split_refused: Optional[Sequence[bool]] = None
-) -> List[InstanceCluster]:
-    """Group detections by label into clusters ordered by ascending label.
-
-    Members inside a cluster keep the sample set's order, which is by
-    (repetition, position); cluster ids are renumbered densely. Cluster i
-    is flagged with ``split_refused[i]`` (none is when that is None).
-    """
-    labels = np.asarray(labels)
-    if labels.shape != (len(s),):
-        raise ValueError(f"labels shape {labels.shape} does not match {len(s)} detections")
-    groups = _label_groups(labels)
-    flags = [False] * len(groups) if split_refused is None else list(split_refused)
-    if len(flags) != len(groups):
-        raise ValueError(f"{len(flags)} split flags for {len(groups)} clusters")
-    return [
-        InstanceCluster(i, g, s.take(g), bool(f)) for i, (g, f) in enumerate(zip(groups, flags))
-    ]
-
-
 def split_labels(
     points: np.ndarray, labels: Sequence[int], n_repetitions: int, threshold: int, seed: int
 ) -> Tuple[np.ndarray, np.ndarray]:
@@ -180,7 +130,7 @@ def split_labels(
                 return
         parts.append((idx, idx.size > threshold))  # refused when still oversized
 
-    for group in _label_groups(np.asarray(labels)):
+    for group in label_groups(labels):
         split(group, 0)
     out = np.empty(len(labels), dtype=np.int64)
     for i, (idx, _) in enumerate(parts):
@@ -193,7 +143,7 @@ def cluster_pipeline(
 ) -> Tuple[np.ndarray, np.ndarray]:
     """Full clustering of one image's sampled detections with ``algorithm``
     "bgm" or "agg": one int64 cluster id per detection and one split_refused
-    flag per cluster, which build_instance_clusters turns into clusters.
+    flag per cluster.
 
     Boxes that never overlap cannot be one instance, so the detections are
     first split into the connected components of their box-overlap graph
@@ -215,11 +165,9 @@ def cluster_pipeline(
         raise ClusteringError("nothing to cluster: 0 detections")
     points = s.boxes
     threshold = split_threshold or default_split_threshold(s.n_repetitions)
-    components = overlap_components(points)
-    order = np.argsort(components, kind="stable")
     labels = np.empty(len(points), dtype=np.int64)
     offset = 0
-    for idx in np.split(order, np.cumsum(np.bincount(components))[:-1]):
+    for idx in label_groups(overlap_components(points)):
         heuristic = estimate_component_count(idx.size, s.n_repetitions)
         if heuristic == 1 and idx.size <= threshold:
             part = np.zeros(idx.size, dtype=np.int64)

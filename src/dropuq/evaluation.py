@@ -9,15 +9,12 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, replace
-from typing import TYPE_CHECKING, Callable, Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
 from .ingest import _INT, _REAL, _STR, ParseError, _array, _jsonl_records, _read_file, _scalar
-from .model import _check, _check_box, _equal_fields, _run_column, box_ious, mask_ious
-
-if TYPE_CHECKING:
-    from .clustering import InstanceCluster
+from .model import SampleSet, _check, _check_box, _equal_fields, _run_column, box_ious, mask_ious
 
 __all__ = [
     "GroundTruthInstance",
@@ -80,12 +77,9 @@ class EvalResult:
 
 
 def cluster_to_detection(
-    cluster: InstanceCluster,
-    image_id: str = "",
-    mask_threshold: float = 0.5,
-    with_mask: bool = True,
+    members: SampleSet, mask_threshold: float = 0.5, with_mask: bool = True
 ) -> PredictedInstance:
-    """Collapse a cluster into a single detection.
+    """Collapse the members of a cluster into a single detection of their image.
 
     Box = mean box, class = best foreground mean score (background never
     wins), confidence = that mean score, mask = consensus at the threshold
@@ -94,18 +88,18 @@ def cluster_to_detection(
     """
     from .report import _check_mask_threshold, box_stats, class_stats, mask_stats
 
-    fg_means = class_stats(cluster).mean_scores[1:]
+    fg_means = class_stats(members).mean_scores[1:]
     class_id = 1 + int(np.argmax(fg_means))
     mask = None
     if with_mask:
-        masks = mask_stats(cluster, mask_threshold)
+        masks = mask_stats(members, mask_threshold)
         if not masks.zero_mask:
             mask = masks.consensus_runs
     else:
         _check_mask_threshold(mask_threshold)
     return PredictedInstance(
-        image_id=image_id,
-        bbox=box_stats(cluster).mean_box,
+        image_id=members.image_id,
+        bbox=box_stats(members).mean_box,
         class_id=class_id,
         confidence=float(fg_means[class_id - 1]),
         mask=mask,

@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import copy
 from dataclasses import InitVar, dataclass, field, fields
-from typing import Callable, Sequence, Tuple
+from typing import Callable, List, Sequence, Tuple
 
 import numpy as np
 
@@ -27,6 +27,7 @@ __all__ = [
     "RowError",
     "SampleSet",
     "box_ious",
+    "label_groups",
     "mask_ious",
     "rle_encode",
     "rle_decode",
@@ -242,8 +243,22 @@ def _box_rules(boxes: np.ndarray) -> list:
 
 
 def _check_box(box) -> None:
-    """Raise ValueError unless the (x1, y1, x2, y2) ``box`` passes the box rules."""
+    """Raise ValueError unless ``box`` is 4 values (x1, y1, x2, y2) that
+    pass the box rules."""
+    if len(box) != 4:
+        raise ValueError(f"box needs 4 values, got {len(box)}: {tuple(box)}")
     _check(_box_rules(np.array([box], dtype=np.float64)), lambda row, message: ValueError(message))
+
+
+def label_groups(labels) -> List[np.ndarray]:
+    """Each label's positions in ascending order, by ascending label."""
+    labels = np.asarray(labels, dtype=np.int64)
+    if not len(labels):
+        return []
+    # np.unique is avoided because its plain form imports numpy.ma.
+    order = np.argsort(labels, kind="stable")
+    ordered = labels[order]
+    return np.split(order, np.flatnonzero(ordered[1:] != ordered[:-1]) + 1)
 
 
 def box_ious(boxes: np.ndarray, ref: Sequence[float]) -> np.ndarray:

@@ -1,7 +1,8 @@
 """Per-cluster uncertainty statistics: boxes, class scores, masks, IoU KDEs.
 
-The cluster is treated as the complete MC sample, so every spread figure is
-a population (not sample) standard deviation.
+Each statistic takes a cluster's members, the SampleSet of its detections.
+They are treated as the complete MC sample, so every spread figure is a
+population (not sample) standard deviation.
 """
 
 from __future__ import annotations
@@ -9,15 +10,12 @@ from __future__ import annotations
 import math
 import os
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Optional, Sequence, Tuple
+from typing import Optional, Sequence, Tuple
 
 import numpy as np
 
 from .ingest import json_document
-from .model import _foreground_bounds, box_ious, mask_ious, rle_encode
-
-if TYPE_CHECKING:
-    from .clustering import InstanceCluster
+from .model import SampleSet, _foreground_bounds, box_ious, mask_ious, rle_encode
 
 __all__ = [
     "BoxStats",
@@ -80,7 +78,6 @@ class KdeCurve:
 
 @dataclass(frozen=True)
 class ClusterReport:
-    cluster_id: int
     box_stats: BoxStats
     class_stats: ClassStats
     mask_stats: MaskStats
@@ -88,12 +85,11 @@ class ClusterReport:
     mask_iou_samples: Tuple[float, ...]
     box_kde: Optional[KdeCurve]   # None when samples are degenerate
     mask_kde: Optional[KdeCurve]
-    split_refused: bool = False
 
 
-def box_stats(c: InstanceCluster) -> BoxStats:
+def box_stats(members: SampleSet) -> BoxStats:
     """Coordinate-wise mean box, per-edge std, and member centers."""
-    coords = c.members.boxes
+    coords = members.boxes
     centers = (coords[:, :2] + coords[:, 2:]) / 2.0
     return BoxStats(
         mean_box=tuple(coords.mean(axis=0).tolist()),
@@ -102,9 +98,9 @@ def box_stats(c: InstanceCluster) -> BoxStats:
     )
 
 
-def class_stats(c: InstanceCluster) -> ClassStats:
+def class_stats(members: SampleSet) -> ClassStats:
     """Per-class score mean and std across members, background included."""
-    scores = c.members.scores
+    scores = members.scores
     mean = scores.mean(axis=0)
     std = scores.std(axis=0)
     # Stable order: ties broken toward the lower class index.
@@ -121,7 +117,7 @@ def _check_mask_threshold(mask_threshold: float) -> None:
         raise ValueError(f"mask threshold must be in [0, 1], got {mask_threshold}")
 
 
-def mask_stats(c: InstanceCluster, mask_threshold: float = 0.5) -> MaskStats:
+def mask_stats(members: SampleSet, mask_threshold: float = 0.5) -> MaskStats:
     """Pixelwise mean/std over mask-carrying members plus the consensus mask.
 
     The mean at a pixel is the fraction of mask-carrying members with
@@ -138,8 +134,8 @@ def mask_stats(c: InstanceCluster, mask_threshold: float = 0.5) -> MaskStats:
     foreground only at threshold 0. The threshold must lie in [0, 1].
     """
     _check_mask_threshold(mask_threshold)
-    h, w = c.members.height, c.members.width
-    n = int(np.count_nonzero(np.diff(c.members.mask_offsets)))  # a mask has at least one run
+    h, w = members.height, members.width
+    n = int(np.count_nonzero(np.diff(members.mask_offsets)))  # a mask has at least one run
     if n == 0:
         zeros = np.broadcast_to(0.0, (h, w))  # read-only: nothing reads these heatmaps
         return MaskStats(
@@ -150,7 +146,7 @@ def mask_stats(c: InstanceCluster, mask_threshold: float = 0.5) -> MaskStats:
             coverage_count=0,
             mask_threshold=mask_threshold,
         )
-    starts, ends, _ = _foreground_bounds(c.members.mask_runs, c.members.mask_offsets, h * w)
+    starts, ends, _ = _foreground_bounds(members.mask_runs, members.mask_offsets, h * w)
     lo = int(starts.min()) if starts.size else 0
     hi = int(ends.max()) if ends.size else 0
     diff = np.bincount(starts - lo, minlength=hi - lo + 1)
@@ -176,7 +172,7 @@ def mask_stats(c: InstanceCluster, mask_threshold: float = 0.5) -> MaskStats:
 
 
 def iou_to_mean(
-    c: InstanceCluster, s: BoxStats, m: MaskStats
+    members: SampleSet, s: BoxStats, m: MaskStats
 ) -> Tuple[Tuple[float, ...], Tuple[float, ...]]:
     """IoU of each member against the cluster-mean box / consensus mask.
 
@@ -184,10 +180,10 @@ def iou_to_mean(
     and are empty for a zero-mask cluster (no reference to compare against).
     The mask samples come from one mask_ious pass over all members.
     """
-    box_samples = tuple(box_ious(c.members.boxes, s.mean_box).tolist())
+    box_samples = tuple(box_ious(members.boxes, s.mean_box).tolist())
     if m.zero_mask:
         return box_samples, ()
-    ious = mask_ious(c.members.mask_runs, c.members.mask_offsets, m.consensus_runs)
+    ious = mask_ious(members.mask_runs, members.mask_offsets, m.consensus_runs)
     return box_samples, tuple(ious.tolist())
 
 
@@ -220,16 +216,16 @@ def kde(samples: Sequence[float]) -> KdeCurve:
     )
 
 
-def build_report(c: InstanceCluster, mask_threshold: float = 0.5) -> ClusterReport:
-    """Full uncertainty report for one cluster.
+def build_report(members: SampleSet, mask_threshold: float = 0.5) -> ClusterReport:
+    """Full uncertainty report for the members of one cluster.
 
     KDE curves are left out (None) when the IoU samples are degenerate,
     e.g. singleton clusters or all-identical members.
     """
-    bstats = box_stats(c)
-    cstats = class_stats(c)
-    mstats = mask_stats(c, mask_threshold)
-    box_samples, mask_samples = iou_to_mean(c, bstats, mstats)
+    bstats = box_stats(members)
+    cstats = class_stats(members)
+    mstats = mask_stats(members, mask_threshold)
+    box_samples, mask_samples = iou_to_mean(members, bstats, mstats)
     try:
         box_kde = kde(box_samples)
     except DegenerateSamples:
@@ -239,7 +235,6 @@ def build_report(c: InstanceCluster, mask_threshold: float = 0.5) -> ClusterRepo
     except DegenerateSamples:
         mask_kde = None
     return ClusterReport(
-        cluster_id=c.cluster_id,
         box_stats=bstats,
         class_stats=cstats,
         mask_stats=mstats,
@@ -247,7 +242,6 @@ def build_report(c: InstanceCluster, mask_threshold: float = 0.5) -> ClusterRepo
         mask_iou_samples=mask_samples,
         box_kde=box_kde,
         mask_kde=mask_kde,
-        split_refused=c.split_refused,
     )
 
 
@@ -263,8 +257,9 @@ def _kde_dict(curve: Optional[KdeCurve]):
     }
 
 
-def report_to_json(r: ClusterReport) -> str:
-    """Deterministic JSON rendering of a report (heatmaps as RLE + PGM ref).
+def report_to_json(r: ClusterReport, cluster_id: int, split_refused: bool) -> str:
+    """Deterministic JSON rendering of the report of cluster ``cluster_id``,
+    flagged with ``split_refused`` (heatmaps as RLE + PGM ref).
 
     Schema: cluster_id, split_refused, box{mean, edge_std, centers},
     classes{mean, std, top}, mask{consensus_runs, zero_mask, coverage_count,
@@ -272,8 +267,8 @@ def report_to_json(r: ClusterReport) -> str:
     heatmap pixels live in the PGM exports, not in the JSON.
     """
     doc = {
-        "cluster_id": r.cluster_id,
-        "split_refused": r.split_refused,
+        "cluster_id": cluster_id,
+        "split_refused": split_refused,
         "box": {
             "mean": list(r.box_stats.mean_box),
             "edge_std": list(r.box_stats.edge_std),

@@ -91,6 +91,8 @@ class SceneSpec:
                 f"{self.n_repetitions} repetitions x {len(self.instances)} instances exceed "
                 f"the limit of {MAX_DETECTIONS} detections"
             )
+        if self.seed < 0:
+            raise ValueError(f"seed must be >= 0, got {self.seed}")
         for inst in self.instances:
             if inst.true_class > self.num_classes:
                 raise ValueError(

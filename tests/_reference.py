@@ -87,12 +87,12 @@ def reference_mask_iou(a, b):
     return inter / union
 
 
-def reference_mask_stats(c, mask_threshold=0.5):
+def reference_mask_stats(members, mask_threshold=0.5):
     """Mask statistics with the counts summed over every pixel of the image."""
     if not 0.0 <= mask_threshold <= 1.0:
         raise ValueError(f"mask threshold must be in [0, 1], got {mask_threshold}")
-    masks = [m for m in mask_rows(c.members) if m is not None]
-    h, w = c.members.height, c.members.width
+    masks = [m for m in mask_rows(members) if m is not None]
+    h, w = members.height, members.width
     n = len(masks)
     if n == 0:
         zeros = np.broadcast_to(0.0, (h, w))
@@ -111,13 +111,13 @@ def reference_mask_stats(c, mask_threshold=0.5):
     return MaskStats(mean, std, consensus, not (mean >= mask_threshold).any(), n, mask_threshold)
 
 
-def reference_iou_to_mean(c, s, m):
+def reference_iou_to_mean(members, s, m):
     """IoU samples with one reference_mask_iou call per mask-carrying member."""
     mean = s.mean_box
-    box_samples = tuple(reference_box_iou(box, mean) for box in c.members.boxes.tolist())
+    box_samples = tuple(reference_box_iou(box, mean) for box in members.boxes.tolist())
     if m.zero_mask:
         return box_samples, ()
-    masks = [mask for mask in mask_rows(c.members) if mask is not None]
+    masks = [mask for mask in mask_rows(members) if mask is not None]
     mask_samples = tuple(reference_mask_iou(mask, m.consensus_runs) for mask in masks)
     return box_samples, mask_samples
 

@@ -2,10 +2,19 @@
 
 import numpy as np
 
+from dropuq.clustering import cluster_pipeline
+from dropuq.model import label_groups
 from dropuq.synth import InstanceSpec, SceneSpec
 
 # grid anchors keep instance centers >= 140 px apart (>> 10 sigma for sigma <= 10)
 _SPACING = 140
+
+
+def clusters_of(s, seed):
+    """The members of each cluster that cluster_pipeline finds in the sample
+    set ``s`` with ``seed``, by ascending label."""
+    labels, _ = cluster_pipeline(s, seed=seed)
+    return [s.take(group) for group in label_groups(labels)]
 
 
 def separated_scene(

@@ -15,7 +15,7 @@ from pathlib import Path
 
 import numpy as np
 
-from _scenes import overlapping_scene, separated_scene
+from _scenes import clusters_of, overlapping_scene, separated_scene
 from dropuq.calibration import (
     CalibrationSet,
     ace,
@@ -28,7 +28,7 @@ from dropuq.calibration import (
 )
 from dropuq import bgm
 from dropuq.bgm import fit_bgm
-from dropuq.clustering import build_instance_clusters, cluster_pipeline, split_labels
+from dropuq.clustering import cluster_pipeline, split_labels
 from dropuq.evaluation import (
     GroundTruthInstance,
     PredictedInstance,
@@ -231,7 +231,7 @@ def test_bernoulli_identity():
             mask_noise=0.3, height=160, width=240,
         )
         sample_set, _, _ = generate(spec)
-        clusters = build_instance_clusters(sample_set, *cluster_pipeline(sample_set, seed=seed))
+        clusters = clusters_of(sample_set, seed)
         for cluster in clusters:
             stats = mask_stats(cluster)
             expect = np.sqrt(stats.mean_mask * (1.0 - stats.mean_mask))
@@ -246,8 +246,8 @@ def test_map_sanity():
         60, 3, sigma=0.0, n_repetitions=100, shape="box", height=200, width=400
     )
     sample_set, _, gts = generate(spec)
-    clusters = build_instance_clusters(sample_set, *cluster_pipeline(sample_set, seed=60))
-    preds = [cluster_to_detection(c, sample_set.image_id) for c in clusters]
+    clusters = clusters_of(sample_set, 60)
+    preds = [cluster_to_detection(c) for c in clusters]
     for mode in ("box", "mask"):
         result = match_and_score(preds, gts, mode=mode)
         assert result.map50 == 1.0, f"{mode} mAP {result.map50}"
@@ -376,9 +376,9 @@ def test_full_pipeline_runtime():
     )
     sample_set, _, gts = generate(spec)
     filtered = filter_background(sample_set)
-    clusters = build_instance_clusters(filtered, *cluster_pipeline(filtered, seed=0))
+    clusters = clusters_of(filtered, 0)
     reports = [build_report(c) for c in clusters]  # the report step, timed as in the CLI
-    preds = [cluster_to_detection(c, sample_set.image_id) for c in clusters]
+    preds = [cluster_to_detection(c) for c in clusters]
     for mode in ("box", "mask"):
         result = match_and_score(preds, gts, mode=mode)
         assert result.map50 == 1.0

@@ -326,10 +326,11 @@ class TestHostileSceneSpec:
             (lambda d: d.pop("image_id"), "missing key 'image_id'"),
             (lambda d: d["instances"][0].pop("box"), "missing key 'box'"),
             (lambda d: d.update(bogus=1), "unknown scene spec key 'bogus'"),
+            (lambda d: d.update(seed=-1), "seed must be >= 0, got -1"),
             (lambda d: d["instances"][0].update(box=[5, 5, 5, 9]),
              "box must have strictly positive area, got (5.0, 5.0, 5.0, 9.0)"),
         ],
-        ids=["no-image-id", "no-box", "unknown-key", "empty-box"],
+        ids=["no-image-id", "no-box", "unknown-key", "negative-seed", "empty-box"],
     )
     def test_spec_error_names_the_file_and_key(self, tmp_path, capsys, edit, key):
         from dropuq.cli import main
@@ -400,7 +401,9 @@ class TestLazyScipy:
 
 class TestModuleSets:
     """Each command loads only the modules it runs. The pipeline scene needs
-    no fit, so bgm, ward and scipy stay unloaded, and with scipy numpy.ma."""
+    no fit, so bgm, ward and scipy stay unloaded, and with scipy numpy.ma;
+    report and eval read the labels a cluster run wrote and load no
+    clustering code."""
 
     def loaded(self, *argv):
         r = run_python(
@@ -418,8 +421,10 @@ class TestModuleSets:
             ("cluster", ["dropuq.report", "dropuq.figures", "dropuq.evaluation",
                          "dropuq.synth", "dropuq.calibration", "dropuq.bgm", "dropuq.ward",
                          "numpy.ma"]),
-            ("report", ["dropuq.synth", "dropuq.bgm", "dropuq.ward", "numpy.ma"]),
-            ("eval", ["dropuq.synth", "dropuq.bgm", "dropuq.ward", "numpy.ma"]),
+            ("report", ["dropuq.clustering", "dropuq.synth", "dropuq.bgm", "dropuq.ward",
+                        "numpy.ma"]),
+            ("eval", ["dropuq.clustering", "dropuq.synth", "dropuq.bgm", "dropuq.ward",
+                      "numpy.ma"]),
         ],
     )
     def test_scene_command(self, pipeline_dirs, tmp_path, command, absent):
@@ -542,6 +547,18 @@ class TestClustersFileTypes:
                          lambda d: {**d, "clusters": [{**c, "size": c["size"] + 1}
                                                       for c in d["clusters"]]},
                          id="wrong-size"),
+            # The sizes still match the labels; only their count is wrong.
+            pytest.param("labels must hold one label per detection",
+                         lambda d: {**d, "labels": d["labels"] + [0],
+                                    "clusters": [{**c, "size": c["size"] + (c["cluster_id"] == 0)}
+                                                 for c in d["clusters"]]},
+                         id="one-too-many"),
+            pytest.param("labels must hold one label per detection",
+                         lambda d: {**d, "labels": d["labels"][:-1],
+                                    "clusters": [{**c, "size": c["size"]
+                                                  - (c["cluster_id"] == d["labels"][-1])}
+                                                 for c in d["clusters"]]},
+                         id="one-too-few"),
         ],
     )
     def test_bad_value_is_two(self, pipeline_dirs, tmp_path, command, field, bad):
@@ -633,21 +650,6 @@ class TestPipeline:
         summary = {ln.split(",")[0]: ln.split(",")[2] for ln in lines if ",mAP," in ln}
         assert float(summary["box"]) == 1.0
         assert float(summary["mask"]) == 1.0
-
-    def test_cluster_builds_no_instance_cluster(self, pipeline_dirs, tmp_path, monkeypatch):
-        # cluster writes labels, sizes and flags straight from the arrays.
-        from dropuq import clustering
-        from dropuq.cli import main
-
-        def unused(*args, **kwargs):
-            raise AssertionError("cluster built an InstanceCluster")
-
-        monkeypatch.setattr(clustering, "build_instance_clusters", unused)
-        monkeypatch.setattr(clustering, "InstanceCluster", unused)
-        samples = pipeline_dirs / "synth" / "scene0_samples.jsonl"
-        assert main(["cluster", str(samples), "--out-dir", str(tmp_path), "--seed", "5"]) == 0
-        name = "scene0_clusters.json"
-        assert (tmp_path / name).read_bytes() == (pipeline_dirs / "clusters" / name).read_bytes()
 
     def test_split_refused_read_back(self, pipeline_dirs, tmp_path):
         from dropuq.cli import main
@@ -859,8 +861,8 @@ class TestPipeline:
         assert (out / "manifest.json").exists()
 
     def test_kde_curve_matches_library(self, pipeline_dirs):
-        from dropuq.clustering import build_instance_clusters
         from dropuq.ingest import filter_background, read_sample_set
+        from dropuq.model import label_groups
         from dropuq.report import build_report
 
         doc = json.loads((pipeline_dirs / "clusters" / "scene0_clusters.json").read_text())
@@ -868,8 +870,7 @@ class TestPipeline:
             read_sample_set(pipeline_dirs / "synth" / "scene0_samples.jsonl"),
             doc["background_threshold"],
         )
-        clusters = build_instance_clusters(s, doc["labels"])
-        rep = build_report(clusters[0])
+        rep = build_report(s.take(label_groups(doc["labels"])[0]))
         written = json.loads(
             (pipeline_dirs / "reports" / "scene0_cluster_000_report.json").read_text()
         )

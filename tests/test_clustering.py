@@ -11,14 +11,13 @@ from dropuq import bgm, clustering, ward
 from dropuq.bgm import assign_labels, fit_bgm
 from dropuq.clustering import (
     ClusteringError,
-    build_instance_clusters,
     cluster_pipeline,
     default_split_threshold,
     estimate_component_count,
     overlap_components,
     split_labels,
 )
-from dropuq.model import SampleSet
+from dropuq.model import SampleSet, label_groups
 from dropuq.synth import adjusted_rand_index, generate
 
 
@@ -182,16 +181,18 @@ class TestOverlapComponents:
 
 
 class TestBuildInstanceClusters:
+    """A cluster is a label group: its members are ``s.take(group)``."""
+
     def test_single_label(self):
-        s = simple_set([(0, 0, 5, 5), (1, 1, 6, 6), (2, 2, 7, 7)])
-        clusters = build_instance_clusters(s, [0, 0, 0])
-        assert len(clusters) == 1
-        assert len(clusters[0]) == 3
+        groups = label_groups([0, 0, 0])
+        assert [g.tolist() for g in groups] == [[0, 1, 2]]
 
     def test_identity_labels(self):
-        s = simple_set([(0, 0, 5, 5), (1, 1, 6, 6), (2, 2, 7, 7)])
-        clusters = build_instance_clusters(s, [0, 1, 2])
-        assert [len(c) for c in clusters] == [1, 1, 1]
+        assert [g.tolist() for g in label_groups([0, 1, 2])] == [[0], [1], [2]]
+
+    def test_empty_labels(self):
+        assert label_groups([]) == []
+        assert label_groups(np.zeros(0, dtype=np.int64)) == []
 
     def test_partition_multiset(self):
         rng = np.random.default_rng(3)
@@ -199,34 +200,30 @@ class TestBuildInstanceClusters:
         reps = list(rng.integers(0, 4, 40))
         s = simple_set(boxes, n_repetitions=4, reps=reps)
         labels = rng.integers(0, 6, 40)
-        clusters = build_instance_clusters(s, labels)
-        assert sorted(np.concatenate([c.indices for c in clusters]).tolist()) == list(range(40))
-        assert all(c.members == s.take(c.indices) for c in clusters)
-        assert [labels[c.indices].tolist() for c in clusters] == [
+        groups = label_groups(labels)
+        assert sorted(np.concatenate(groups).tolist()) == list(range(40))
+        assert all(g.dtype == np.int64 and (np.diff(g) > 0).all() for g in groups)
+        assert [labels[g].tolist() for g in groups] == [
             [k] * np.count_nonzero(labels == k) for k in np.unique(labels)
         ]
-        assert not any(c.split_refused for c in clusters)
+        members = [s.take(g) for g in groups]
+        assert sum(len(m) for m in members) == len(s)
+        assert all(np.array_equal(m.boxes, s.boxes[g]) for m, g in zip(members, groups))
 
     def test_member_order_by_provenance(self):
         boxes = [(i, 0, i + 5, 5) for i in range(4)]
         s = simple_set(boxes, n_repetitions=2, reps=[1, 0, 1, 0])
-        clusters = build_instance_clusters(s, [0, 0, 0, 0])
-        assert clusters[0].indices.tolist() == [0, 1, 2, 3]
-        assert clusters[0].members.boxes[:, 0].tolist() == [1, 3, 0, 2]
+        (group,) = label_groups([0, 0, 0, 0])
+        assert group.tolist() == [0, 1, 2, 3]
+        assert s.take(group).boxes[:, 0].tolist() == [1, 3, 0, 2]
 
     def test_split_flags_follow_clusters(self):
+        # Groups come by ascending label, so flag i, indexed by label, is group i's.
         s = simple_set([(0, 0, 5, 5), (1, 1, 6, 6), (2, 2, 7, 7)])
-        clusters = build_instance_clusters(s, [4, 1, 1], [True, False])
-        assert [(c.indices.tolist(), c.split_refused) for c in clusters] == [
-            ([1, 2], True), ([0], False)
-        ]
-        with pytest.raises(ValueError, match="1 split flags for 2 clusters"):
-            build_instance_clusters(s, [0, 1, 1], [True])
-
-    def test_label_shape_mismatch(self):
-        s = simple_set([(0, 0, 5, 5)])
-        with pytest.raises(ValueError):
-            build_instance_clusters(s, [0, 1])
+        labels, refused = split_labels(s.boxes, [1, 0, 0], 1, 5, seed=0)
+        assert [g.tolist() for g in label_groups(labels)] == [[1, 2], [0]]
+        assert refused.tolist() == [False, False]
+        assert [g.tolist() for g in label_groups([4, 1, 1])] == [[1, 2], [0]]
 
 
 class TestSplitOversized:

@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -15,9 +17,8 @@ from dropuq.evaluation import (
 from dropuq.ingest import ParseError
 from dropuq.model import rasterize_box, rle_encode
 from dropuq.report import class_stats
-from dropuq.clustering import build_instance_clusters, cluster_pipeline
 from dropuq.synth import generate
-from _scenes import separated_scene
+from _scenes import clusters_of, separated_scene
 
 
 def pred(box, cls=1, conf=1.0, image="img", mask=None):
@@ -49,11 +50,11 @@ class TestClusterToDetection:
             separated_scene(seed, 1, sigma=2.0, shape="ellipse",
                             class_confusion=confusion, height=200, width=300)
         )
-        return build_instance_clusters(s, *cluster_pipeline(s, seed=seed))[0]
+        return clusters_of(s, seed)[0]
 
     def test_dominant_class_and_confidence(self):
         c = self._cluster()
-        det = cluster_to_detection(c, "img")
+        det = cluster_to_detection(c)
         stats = class_stats(c)
         assert det.class_id == int(np.argmax(stats.mean_scores[1:])) + 1
         assert det.confidence == stats.mean_scores[det.class_id]
@@ -66,9 +67,21 @@ class TestClusterToDetection:
             det = cluster_to_detection(c)
             assert det.class_id >= 1
 
+    def test_detection_is_of_the_members_image(self):
+        # Ground truth is matched only by predictions of its own image.
+        s, _, gts = generate(
+            separated_scene(0, 2, sigma=2.0, shape="ellipse", height=200, width=400)
+        )
+        preds = [cluster_to_detection(c) for c in clusters_of(s, 0)]
+        assert {p.image_id for p in preds} == {s.image_id}
+        named = [replace(p, image_id=s.image_id) for p in preds]
+        for mode in ("box", "mask"):
+            got = match_and_score(preds, gts, mode).map50
+            assert got == match_and_score(named, gts, mode).map50 == 1.0
+
     def test_zero_mask_cluster_has_no_mask(self):
         s, _, _ = generate(separated_scene(3, 1, sigma=2.0, shape="none", height=200, width=300))
-        det = cluster_to_detection(build_instance_clusters(s, *cluster_pipeline(s, seed=3))[0])
+        det = cluster_to_detection(clusters_of(s, 3)[0])
         assert det.mask is None
         assert det.bbox is not None
 

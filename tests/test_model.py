@@ -86,6 +86,17 @@ class TestBoxRules:
                     build()
                 assert str(direct.value) == message
 
+    @pytest.mark.parametrize("box", [(0, 0, 10), (0, 0, 10, 10, 99)], ids=["three", "five"])
+    def test_box_of_other_length_rejected(self, box):
+        # The file readers check the length first; a library caller's box
+        # is checked here, so no row of the wrong length reaches box_ious.
+        message = f"box needs 4 values, got {len(box)}: {box}"
+        for build in (lambda: _check_box(box), lambda: _check_box(list(box)),
+                      lambda: GroundTruthInstance("a", box, 1), lambda: InstanceSpec(box, 1)):
+            with pytest.raises(ValueError) as err:
+                build()
+            assert str(err.value) == message
+
     def test_valid_boxes_pass(self):
         for box in [(0, 0, 1, 1), (-5.5, 2, 3, 2.25), [0, 0, 1e300, 1e-300]]:
             _check_box(box)

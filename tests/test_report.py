@@ -6,9 +6,8 @@ import numpy as np
 import pytest
 
 from _reference import mask_rows, reference_iou_to_mean, reference_kde_density, reference_mask_stats
-from _scenes import separated_scene
+from _scenes import clusters_of, separated_scene
 from dropuq import report
-from dropuq.clustering import InstanceCluster, build_instance_clusters, cluster_pipeline
 from dropuq.model import SampleSet, rle_decode, rle_encode
 from dropuq.report import (
     DegenerateSamples,
@@ -28,8 +27,7 @@ def make_cluster(boxes, scores=None, masks=None, height=20, width=20):
     n = len(boxes)
     scores = scores or [(0.1, 0.9)] * n
     masks = masks or [None] * n
-    members = SampleSet("img", height, width, n, np.reshape(boxes, (-1, 4)), scores, range(n), masks)
-    return InstanceCluster(cluster_id=0, indices=np.arange(n), members=members)
+    return SampleSet("img", height, width, n, np.reshape(boxes, (-1, 4)), scores, range(n), masks)
 
 
 def grid_mask(rows, height=20, width=20):
@@ -146,8 +144,8 @@ class TestMaskStats:
 def dense_mask_stats(c, mask_threshold=0.5):
     """Reference: stack every decoded member mask and reduce over the stack."""
     stack = np.stack(
-        [rle_decode(m, c.members.height, c.members.width)
-         for m in mask_rows(c.members) if m is not None]
+        [rle_decode(m, c.height, c.width)
+         for m in mask_rows(c) if m is not None]
     ).astype(np.float64)
     mean = stack.mean(axis=0)
     return mean, stack.std(axis=0), rle_encode(mean >= mask_threshold)
@@ -302,7 +300,7 @@ class TestIouToMean:
 
     def test_samples_in_unit_interval(self):
         s, _, _ = generate(separated_scene(0, 2, sigma=3.0, shape="ellipse", mask_noise=0.1, height=200, width=400))
-        clusters = build_instance_clusters(s, *cluster_pipeline(s, seed=0))
+        clusters = clusters_of(s, 0)
         for c in clusters:
             bs = box_stats(c)
             ms = mask_stats(c)
@@ -387,16 +385,16 @@ class TestBuildReport:
 
     def test_deterministic_serialization(self):
         s, _, _ = generate(separated_scene(1, 2, sigma=2.0, shape="ellipse", mask_noise=0.1, height=200, width=400))
-        clusters = build_instance_clusters(s, *cluster_pipeline(s, seed=1))
-        a = [report_to_json(build_report(c)) for c in clusters]
-        b = [report_to_json(build_report(c)) for c in clusters]
+        clusters = clusters_of(s, 1)
+        a = [report_to_json(build_report(c), i, False) for i, c in enumerate(clusters)]
+        b = [report_to_json(build_report(c), i, False) for i, c in enumerate(clusters)]
         assert a == b
 
     def test_synth_cluster_statistics_match_generator(self):
         sigma = 2.0
         spec = separated_scene(2, 1, sigma=sigma, n_repetitions=400, height=400, width=400)
         s, _, _ = generate(spec)
-        clusters = build_instance_clusters(s, *cluster_pipeline(s, seed=2))
+        clusters = clusters_of(s, 2)
         assert len(clusters) == 1
         r = build_report(clusters[0])
         true_box = spec.instances[0].true_box
@@ -470,7 +468,7 @@ class TestMaskLayerAgainstReference:
     def check(self, c, threshold):
         got = mask_stats(c, threshold)
         want = reference_mask_stats(c, threshold)
-        assert got.mean_mask.shape == got.std_mask.shape == (c.members.height, c.members.width)
+        assert got.mean_mask.shape == got.std_mask.shape == (c.height, c.width)
         assert got.mean_mask.tobytes() == want.mean_mask.tobytes()
         assert got.std_mask.tobytes() == want.std_mask.tobytes()
         assert got.consensus_runs.tolist() == want.consensus_runs.tolist()
@@ -520,7 +518,7 @@ class TestMaskLayerAgainstReference:
         spec = separated_scene(3, 2, sigma=2.0, shape="ellipse", mask_noise=0.1,
                                n_repetitions=30, height=200, width=280)
         s, _, _ = generate(spec)
-        for c in build_instance_clusters(s, *cluster_pipeline(s, seed=3)):
+        for c in clusters_of(s, 3):
             for threshold in (0.0, 0.5, 1.0):
                 self.check(c, threshold)
 
