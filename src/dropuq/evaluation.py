@@ -8,7 +8,9 @@ averages over classes with at least one ground-truth instance.
 from __future__ import annotations
 
 import json
+from collections import Counter
 from dataclasses import dataclass, replace
+from itertools import groupby
 from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -136,70 +138,48 @@ def match_and_score(
 ) -> EvalResult:
     """Greedy confidence-ordered matching and per-class AP.
 
-    Within a class, predictions are taken by descending confidence (input
-    order breaks ties) and each matches the unmatched same-image ground
-    truth with the highest IoU >= 0.5, the first in input order on a tie.
-    In mask mode a missing mask on either side scores IoU 0, and the masks
-    of one image must have that image's dims. An empty ground-truth set
-    leaves mAP absent.
+    Predictions are taken by class, then descending confidence (input order
+    breaks ties), and each matches the unmatched same-image ground truth of
+    its class with the highest IoU >= 0.5, the first in input order on a
+    tie. Predictions of a class without ground truth are not scored. In
+    mask mode a missing mask on either side scores IoU 0, and the masks of
+    one image must have that image's dims. An empty ground-truth set leaves
+    mAP absent.
     """
     if mode not in ("box", "mask"):
         raise ValueError(f"mode must be 'box' or 'mask', got {mode!r}")
-    gt_classes = sorted({g.class_id for g in gts})
-    per_class_ap: Dict[int, float] = {}
-    matches: List[MatchRecord] = []
+    candidates: Dict[Tuple[int, str], List[int]] = {}  # ground truth by (class, image)
+    for gi, g in enumerate(gts):
+        candidates.setdefault((g.class_id, g.image_id), []).append(gi)
+    n_gt = Counter(g.class_id for g in gts)
+    order = sorted(
+        (pi for pi, p in enumerate(preds) if p.class_id in n_gt),
+        key=lambda pi: (preds[pi].class_id, -preds[pi].confidence),
+    )
     gt_matched = np.zeros(len(gts), dtype=bool)
-
-    for cls in gt_classes:
-        gt_idx = [i for i, g in enumerate(gts) if g.class_id == cls]
-        pred_idx = [i for i, p in enumerate(preds) if p.class_id == cls]
-        pred_idx.sort(key=lambda i: -preds[i].confidence)
-        tp = np.zeros(len(pred_idx))
-        fp = np.zeros(len(pred_idx))
-        for rank, pi in enumerate(pred_idx):
-            pred = preds[pi]
-            best_iou = 0.0
-            best_gt = None
-            same_image = [gi for gi in gt_idx if gts[gi].image_id == pred.image_id]
-            if same_image:
-                ious = _ious(pred, [gts[gi] for gi in same_image], mode)
-                ious[gt_matched[same_image]] = 0.0  # matched ground truth is taken
-                k = int(np.argmax(ious))  # the first maximum
-                if ious[k] >= _IOU_THRESHOLD:
-                    best_iou, best_gt = float(ious[k]), same_image[k]
-            if best_gt is not None:
+    matches: List[MatchRecord] = []
+    for pi in order:
+        pred = preds[pi]
+        same_image = candidates.get((pred.class_id, pred.image_id), [])
+        best_iou, best_gt = 0.0, None
+        if same_image:
+            ious = _ious(pred, [gts[gi] for gi in same_image], mode)
+            ious[gt_matched[same_image]] = 0.0  # matched ground truth is taken
+            k = int(np.argmax(ious))  # the first maximum
+            if ious[k] >= _IOU_THRESHOLD:
+                best_iou, best_gt = float(ious[k]), same_image[k]
                 gt_matched[best_gt] = True
-                tp[rank] = 1.0
-            else:
-                fp[rank] = 1.0
-            matches.append(
-                MatchRecord(
-                    image_id=pred.image_id,
-                    pred_index=pi,
-                    class_id=cls,
-                    confidence=pred.confidence,
-                    gt_index=best_gt,
-                    iou=best_iou,
-                )
-            )
-        if len(pred_idx) == 0:
-            per_class_ap[cls] = 0.0
-            continue
-        cum_tp = np.cumsum(tp)
-        cum_fp = np.cumsum(fp)
-        recall = cum_tp / len(gt_idx)
-        precision = cum_tp / (cum_tp + cum_fp)
-        per_class_ap[cls] = _interpolated_ap(recall, precision)
+        matches.append(
+            MatchRecord(pred.image_id, pi, pred.class_id, pred.confidence, best_gt, best_iou)
+        )
 
-    map50 = (
-        sum(per_class_ap.values()) / len(per_class_ap) if per_class_ap else None
-    )
-    return EvalResult(
-        mode=mode,
-        per_class_ap=per_class_ap,
-        map50=map50,
-        matches=tuple(matches),
-    )
+    per_class_ap = dict.fromkeys(sorted(n_gt), 0.0)  # a class without predictions scores 0
+    for cls, records in groupby(matches, key=lambda m: m.class_id):
+        cum_tp = np.cumsum([m.gt_index is not None for m in records])
+        rank = np.arange(1, cum_tp.size + 1)
+        per_class_ap[cls] = _interpolated_ap(cum_tp / n_gt[cls], cum_tp / rank)
+    map50 = sum(per_class_ap.values()) / len(per_class_ap) if per_class_ap else None
+    return EvalResult(mode=mode, per_class_ap=per_class_ap, map50=map50, matches=tuple(matches))
 
 
 def read_ground_truth(path, image_id: str, height: int, width: int) -> List[GroundTruthInstance]:

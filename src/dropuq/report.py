@@ -87,8 +87,14 @@ class ClusterReport:
     mask_kde: Optional[KdeCurve]
 
 
+def _check_members(members: SampleSet) -> None:
+    if len(members) == 0:
+        raise ValueError("a cluster needs at least one member")
+
+
 def box_stats(members: SampleSet) -> BoxStats:
     """Coordinate-wise mean box, per-edge std, and member centers."""
+    _check_members(members)
     coords = members.boxes
     centers = (coords[:, :2] + coords[:, 2:]) / 2.0
     return BoxStats(
@@ -100,6 +106,7 @@ def box_stats(members: SampleSet) -> BoxStats:
 
 def class_stats(members: SampleSet) -> ClassStats:
     """Per-class score mean and std across members, background included."""
+    _check_members(members)
     scores = members.scores
     mean = scores.mean(axis=0)
     std = scores.std(axis=0)

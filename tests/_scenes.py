@@ -3,7 +3,7 @@
 import numpy as np
 
 from dropuq.clustering import cluster_pipeline
-from dropuq.model import label_groups
+from dropuq.model import SampleSet, label_groups
 from dropuq.synth import InstanceSpec, SceneSpec
 
 # grid anchors keep instance centers >= 140 px apart (>> 10 sigma for sigma <= 10)
@@ -15,6 +15,13 @@ def clusters_of(s, seed):
     set ``s`` with ``seed``, by ascending label."""
     labels, _ = cluster_pipeline(s, seed=seed)
     return [s.take(group) for group in label_groups(labels)]
+
+
+def simple_set(boxes, n_repetitions=1, reps=None):
+    """A 1000x1000 box-only set of one-class detections at ``reps``."""
+    n = len(boxes)
+    reps = [0] * n if reps is None else reps
+    return SampleSet("img", 1000, 1000, n_repetitions, boxes, [(0.1, 0.9)] * n, reps, (None,) * n)
 
 
 def separated_scene(

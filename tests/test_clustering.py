@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from _reference import mask_rows
-from _scenes import overlapping_scene, separated_scene
+from _scenes import overlapping_scene, separated_scene, simple_set
 from dropuq import bgm, clustering, ward
 from dropuq.bgm import assign_labels, fit_bgm
 from dropuq.clustering import (
@@ -17,14 +17,8 @@ from dropuq.clustering import (
     overlap_components,
     split_labels,
 )
-from dropuq.model import SampleSet, label_groups
+from dropuq.model import SampleSet
 from dropuq.synth import adjusted_rand_index, generate
-
-
-def simple_set(boxes, n_repetitions=1, reps=None):
-    n = len(boxes)
-    reps = [0] * n if reps is None else reps
-    return SampleSet("img", 1000, 1000, n_repetitions, boxes, [(0.1, 0.9)] * n, reps, (None,) * n)
 
 
 class TestComponentCount:
@@ -178,52 +172,6 @@ class TestOverlapComponents:
             tracemalloc.stop()
         assert labels.max() == 0
         assert peak < 64 * 2**20
-
-
-class TestBuildInstanceClusters:
-    """A cluster is a label group: its members are ``s.take(group)``."""
-
-    def test_single_label(self):
-        groups = label_groups([0, 0, 0])
-        assert [g.tolist() for g in groups] == [[0, 1, 2]]
-
-    def test_identity_labels(self):
-        assert [g.tolist() for g in label_groups([0, 1, 2])] == [[0], [1], [2]]
-
-    def test_empty_labels(self):
-        assert label_groups([]) == []
-        assert label_groups(np.zeros(0, dtype=np.int64)) == []
-
-    def test_partition_multiset(self):
-        rng = np.random.default_rng(3)
-        boxes = [(x, y, x + 5, y + 5) for x, y in rng.uniform(0, 900, (40, 2))]
-        reps = list(rng.integers(0, 4, 40))
-        s = simple_set(boxes, n_repetitions=4, reps=reps)
-        labels = rng.integers(0, 6, 40)
-        groups = label_groups(labels)
-        assert sorted(np.concatenate(groups).tolist()) == list(range(40))
-        assert all(g.dtype == np.int64 and (np.diff(g) > 0).all() for g in groups)
-        assert [labels[g].tolist() for g in groups] == [
-            [k] * np.count_nonzero(labels == k) for k in np.unique(labels)
-        ]
-        members = [s.take(g) for g in groups]
-        assert sum(len(m) for m in members) == len(s)
-        assert all(np.array_equal(m.boxes, s.boxes[g]) for m, g in zip(members, groups))
-
-    def test_member_order_by_provenance(self):
-        boxes = [(i, 0, i + 5, 5) for i in range(4)]
-        s = simple_set(boxes, n_repetitions=2, reps=[1, 0, 1, 0])
-        (group,) = label_groups([0, 0, 0, 0])
-        assert group.tolist() == [0, 1, 2, 3]
-        assert s.take(group).boxes[:, 0].tolist() == [1, 3, 0, 2]
-
-    def test_split_flags_follow_clusters(self):
-        # Groups come by ascending label, so flag i, indexed by label, is group i's.
-        s = simple_set([(0, 0, 5, 5), (1, 1, 6, 6), (2, 2, 7, 7)])
-        labels, refused = split_labels(s.boxes, [1, 0, 0], 1, 5, seed=0)
-        assert [g.tolist() for g in label_groups(labels)] == [[1, 2], [0]]
-        assert refused.tolist() == [False, False]
-        assert [g.tolist() for g in label_groups([4, 1, 1])] == [[1, 2], [0]]
 
 
 class TestSplitOversized:

@@ -8,6 +8,7 @@ import pytest
 from _reference import mask_rows, reference_iou_to_mean, reference_kde_density, reference_mask_stats
 from _scenes import clusters_of, separated_scene
 from dropuq import report
+from dropuq.evaluation import cluster_to_detection
 from dropuq.model import SampleSet, rle_decode, rle_encode
 from dropuq.report import (
     DegenerateSamples,
@@ -382,6 +383,12 @@ class TestBuildReport:
         assert r.box_kde is None
         assert r.mask_kde is None
         assert r.box_iou_samples == (1.0,)
+
+    def test_empty_members_rejected(self):
+        s, _, _ = generate(separated_scene(0, 1, sigma=2.0, shape="ellipse", height=200, width=300))
+        for stat in (box_stats, class_stats, build_report, cluster_to_detection):
+            with pytest.raises(ValueError, match="a cluster needs at least one member"):
+                stat(s.take([]))
 
     def test_deterministic_serialization(self):
         s, _, _ = generate(separated_scene(1, 2, sigma=2.0, shape="ellipse", mask_noise=0.1, height=200, width=400))
