@@ -26,7 +26,7 @@ from .clustering import ClusteringError
 # takes about 0.4 s, which a process that imports this module but fits no
 # mixture should not pay at start-up.
 
-__all__ = ["MixtureState", "ClusteringError", "fit_bgm", "assign_labels"]
+__all__ = ["MixtureState", "ClusteringError", "ConvergenceWarning", "fit_bgm"]
 
 _LOG_2PI = math.log(2.0 * math.pi)
 _ELBO_TOL = 1e-4  # a restart converges once the lower bound moves less than this
@@ -37,23 +37,19 @@ _N_INIT = 3  # restarts per fit
 _TIE_RTOL = 1e-12
 
 
+class ConvergenceWarning(UserWarning):
+    """A mixture fit stopped at _MAX_ITERS before its lower bound settled."""
+
+
 @dataclass(frozen=True)
 class MixtureState:
-    """Fitted variational mixture posterior.
+    """Fitted variational mixture posterior."""
 
-    ``covariances[k]`` is the inverse of the posterior-expected precision of
-    component k; its smallest eigenvalue is bounded below by
-    ``reg_scale / degrees_of_freedom[k]``.
-    """
-
-    weights: np.ndarray            # (K,) expected stick-breaking proportions, sum 1
     means: np.ndarray              # (K, D)
-    covariances: np.ndarray        # (K, D, D) symmetric positive-definite
     responsibilities: np.ndarray   # (n, K) row-stochastic
+    labels: np.ndarray             # (n,) int64 argmax responsibility, ties to the lower index
     elbo_trace: Tuple[float, ...]  # one value per variational iteration
-    effective_components: int      # components owning >= 1 argmax point
-    degrees_of_freedom: np.ndarray
-    reg_scale: float               # diagonal added to the prior scale matrix
+    effective_components: int      # distinct values in labels
     converged: bool
     n_iter: int
 
@@ -67,8 +63,7 @@ class _Posterior:
     beta: np.ndarray               # (K,) mean-precision scaling
     means: np.ndarray              # (K, D)
     nu: np.ndarray                 # (K,) Wishart degrees of freedom
-    scale_inv: np.ndarray          # (K, D, D) inverse scale matrices
-    chol: np.ndarray               # (K, D, D) lower Cholesky factors of scale_inv
+    chol: np.ndarray               # (K, D, D) lower Cholesky factors of the inverse scales
     log_det_scale_inv: np.ndarray  # (K,)
 
 
@@ -111,7 +106,6 @@ def _m_step(
         beta=beta,
         means=(beta0 * m0 + nk[:, None] * xk) / beta[:, None],
         nu=nu0 + nk,
-        scale_inv=scale_inv,
         chol=chol,
         log_det_scale_inv=2.0 * np.sum(np.log(np.einsum("kii->ki", chol)), axis=1),
     )
@@ -148,17 +142,17 @@ def _e_step(X: np.ndarray, post: _Posterior) -> np.ndarray:
     return log_rho - (top + np.log(np.sum(np.exp(log_rho - top), axis=1, keepdims=True)))
 
 
-def _lower_bound(post: _Posterior, log_resp: np.ndarray) -> float:
+def _lower_bound(post: _Posterior, log_resp: np.ndarray, resp: np.ndarray) -> float:
     """Collapsed evidence lower bound, constants dropped.
 
     Valid right after an M-step, where the conjugate updates make the
     cross-entropy terms collapse into the posterior log-normalizers. Exact
-    coordinate ascent keeps this sequence non-decreasing.
+    coordinate ascent keeps this sequence non-decreasing. ``resp`` is
+    ``exp(log_resp)``, which the caller has already taken for the M-step.
     """
     from scipy.special import betaln, gammaln
 
     D = post.means.shape[1]
-    resp = np.exp(log_resp)
     xlogx = np.multiply(resp, log_resp, out=np.zeros_like(resp), where=resp > 0.0)
     entropy = -float(np.sum(xlogx))
     # log normalizer of each Wishart posterior (pi-power constants dropped).
@@ -281,8 +275,9 @@ def fit_bgm(points: np.ndarray, k_max: int, seed: int) -> MixtureState:
         converged = False
         for _ in range(_MAX_ITERS):
             log_resp = _e_step(X, post)
-            post = _m_step(X, np.exp(log_resp), gamma0, beta0, m0, nu0, scale_inv0)
-            elbo = _lower_bound(post, log_resp)
+            resp = np.exp(log_resp)
+            post = _m_step(X, resp, gamma0, beta0, m0, nu0, scale_inv0)
+            elbo = _lower_bound(post, log_resp, resp)
             trace.append(elbo)
             if abs(elbo - prev) < _ELBO_TOL:
                 converged = True
@@ -292,36 +287,17 @@ def fit_bgm(points: np.ndarray, k_max: int, seed: int) -> MixtureState:
             best = (trace[-1], post, trace, converged, len(trace))
 
     _, post, trace, converged, n_iter = best
-    log_resp = _e_step(X, post)
-    resp = np.exp(log_resp)
+    resp = np.exp(_e_step(X, post))
     resp /= resp.sum(axis=1, keepdims=True)
-
-    frac = post.stick_a / (post.stick_a + post.stick_b)
-    rest = post.stick_b / (post.stick_a + post.stick_b)
-    weights = frac * np.concatenate(([1.0], np.cumprod(rest[:-1])))
-    weights /= weights.sum()
-    covariances = post.scale_inv / post.nu[:, None, None]
-    covariances = 0.5 * (covariances + np.transpose(covariances, (0, 2, 1)))
-
-    arrays = dict(
-        weights=weights,
-        means=post.means.copy(),
-        covariances=covariances,
-        responsibilities=resp,
-        degrees_of_freedom=post.nu.copy(),
-    )
-    for arr in arrays.values():
+    labels = np.argmax(resp, axis=1).astype(np.int64, copy=False)
+    for arr in (post.means, resp, labels):
         arr.setflags(write=False)
     return MixtureState(
+        means=post.means,
+        responsibilities=resp,
+        labels=labels,
         elbo_trace=tuple(trace),
-        effective_components=int(np.count_nonzero(np.bincount(np.argmax(resp, axis=1)))),
-        reg_scale=reg,
+        effective_components=int(np.count_nonzero(np.bincount(labels))),
         converged=converged,
         n_iter=n_iter,
-        **arrays,
     )
-
-
-def assign_labels(state: MixtureState) -> np.ndarray:
-    """Hard labels: argmax responsibility, ties to the lower component index."""
-    return np.argmax(state.responsibilities, axis=1)

@@ -14,6 +14,7 @@ import json
 import os
 import re
 import sys
+import warnings
 from dataclasses import replace
 from pathlib import Path
 from typing import List, Optional, Tuple
@@ -134,7 +135,11 @@ def _cluster_one(path: str, args) -> Tuple[dict, str]:
         raise ValueError(f"{path}: nothing to cluster after background filtering")
     seed = derive_seed(args.seed, "cluster", filtered.image_id)
     split_threshold = args.split_threshold or default_split_threshold(filtered.n_repetitions)
-    labels, refused = cluster_pipeline(filtered, args.algorithm, split_threshold, seed)
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always", UserWarning)  # each fit's warning, not one per call site
+        labels, refused = cluster_pipeline(filtered, args.algorithm, split_threshold, seed)
+    for w in caught:
+        print(f"dropuq: warning: {path}: {w.message}", file=sys.stderr)
     sizes = np.bincount(labels).tolist()
     doc = {
         "image_id": filtered.image_id,

@@ -9,6 +9,7 @@ per detection and one split flag per cluster. Cluster i's members are
 
 from __future__ import annotations
 
+import warnings
 from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -105,6 +106,20 @@ def overlap_components(points: np.ndarray) -> np.ndarray:
     return np.argsort(np.argsort(first))[inverse]
 
 
+def _mixture_labels(points: np.ndarray, k_max: int, seed: int) -> np.ndarray:
+    """The mixture fit's labels; a fit stopped at the iteration cap warns."""
+    from . import bgm
+
+    state = bgm.fit_bgm(points, k_max, seed)
+    if not state.converged:
+        warnings.warn(
+            f"mixture fit on {len(points)} points did not converge within the cap of "
+            f"{bgm._MAX_ITERS} iterations; its labels are used as they stand",
+            bgm.ConvergenceWarning,
+        )
+    return state.labels
+
+
 def split_labels(
     points: np.ndarray, labels: Sequence[int], n_repetitions: int, threshold: int, seed: int
 ) -> Tuple[np.ndarray, np.ndarray]:
@@ -119,10 +134,8 @@ def split_labels(
 
     def split(idx: np.ndarray, depth: int) -> None:
         if idx.size > threshold and depth < _MAX_SPLIT_DEPTH:
-            from .bgm import assign_labels, fit_bgm
-
             k_max = max(2, estimate_component_count(idx.size, n_repetitions))
-            sub = assign_labels(fit_bgm(points[idx], k_max, seed))
+            sub = _mixture_labels(points[idx], k_max, seed)
             present = np.flatnonzero(np.bincount(sub))
             if present.size > 1:
                 for label in present:
@@ -172,10 +185,7 @@ def cluster_pipeline(
         if heuristic == 1 and idx.size <= threshold:
             part = np.zeros(idx.size, dtype=np.int64)
         elif algorithm == "bgm":
-            from .bgm import assign_labels, fit_bgm
-
-            k_max = max(2 * heuristic, heuristic + 2)
-            part = assign_labels(fit_bgm(points[idx], k_max, seed))
+            part = _mixture_labels(points[idx], max(2 * heuristic, heuristic + 2), seed)
         else:
             from .ward import fit_agglomerative
 

@@ -10,13 +10,16 @@ from __future__ import annotations
 
 import numpy as np
 
-__all__ = ["fit_agglomerative"]
+__all__ = ["MAX_POINTS", "fit_agglomerative"]
+
+MAX_POINTS = 8192  # linkage's distance matrix grows as n^2: 586 MB at 8000 points
 
 
 def fit_agglomerative(points: np.ndarray, k: int) -> np.ndarray:
     """Cluster an (n, D) matrix into exactly k groups with Ward linkage.
 
     Labels are dense integers numbered by first occurrence in point order.
+    More than MAX_POINTS points is a ValueError.
     """
     X = np.asarray(points, dtype=np.float64)
     if X.ndim != 2 or X.shape[0] < 1:
@@ -28,6 +31,11 @@ def fit_agglomerative(points: np.ndarray, k: int) -> np.ndarray:
         raise ValueError(f"k must be in [1, {n}], got {k}")
     if k == n:
         return np.arange(n, dtype=np.int64)
+    if n > MAX_POINTS:
+        raise ValueError(
+            f"Ward linkage on a component of {n} points exceeds the cap of {MAX_POINTS}; "
+            "use --algorithm bgm, whose memory is linear"
+        )
 
     # Imported here: scipy.cluster loads scipy.spatial (60-90 ms on a 2-core
     # machine), which commands that never run Ward should not pay at start-up.

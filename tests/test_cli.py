@@ -12,7 +12,7 @@ from pathlib import Path
 import pytest
 
 import dropuq
-from _scenes import mixed_shape_scene, separated_scene
+from _scenes import mixed_shape_scene, overlapping_scene, separated_scene
 from dropuq.calibration import serialize_calibration_records
 from dropuq.cli import _parser
 from dropuq.ingest import MAX_PIXELS, serialize_sample_set
@@ -215,6 +215,22 @@ class TestHostileInput:
         assert "dropuq: error: out of memory" in r.stderr
         assert "Traceback" not in r.stderr
 
+    def test_component_over_the_ward_cap_is_two(self, tmp_path, monkeypatch, capsys):
+        from dropuq import ward
+        from dropuq.cli import main
+
+        monkeypatch.setattr(ward, "MAX_POINTS", 100)
+        s, _, _ = generate(overlapping_scene(0, 3))
+        samples = tmp_path / "scene_samples.jsonl"
+        samples.write_text(serialize_sample_set(s))
+        out = tmp_path / "c"
+        assert main(["cluster", str(samples), "--out-dir", str(out), "--algorithm", "agg"]) == 2
+        assert capsys.readouterr().err == (
+            "dropuq: error: Ward linkage on a component of 300 points exceeds the cap of 100; "
+            "use --algorithm bgm, whose memory is linear\n"
+        )
+        assert not list(out.glob("*_clusters.json"))
+
 
 @pytest.mark.parametrize("error, reason", [(MemoryError(), "allocation failed"),
                                            (MemoryError("no room"), "no room")])
@@ -349,6 +365,25 @@ def run_python(code):
     env = dict(os.environ)
     env["PYTHONPATH"] = SRC + os.pathsep + env.get("PYTHONPATH", "")
     return subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env)
+
+
+def test_fit_at_the_iteration_cap_warns_on_stderr(tmp_path, monkeypatch, capsys):
+    # Two images whose whole-image fits give the same message: each is reported.
+    from dropuq import bgm
+    from dropuq.cli import main
+
+    monkeypatch.setattr(bgm, "_MAX_ITERS", 2)
+    paths = []
+    for seed in (0, 1):
+        s, _, _ = generate(overlapping_scene(seed, 10))
+        paths.append(tmp_path / f"{s.image_id}_samples.jsonl")
+        paths[-1].write_text(serialize_sample_set(s))
+    assert main(["cluster", *map(str, paths), "--out-dir", str(tmp_path / "o")]) == 0
+    err = capsys.readouterr().err
+    for path in paths:
+        assert (f"dropuq: warning: {path}: mixture fit on 1000 points did not converge "
+                "within the cap of 2 iterations") in err
+    assert len(list((tmp_path / "o").glob("*_clusters.json"))) == 2
 
 
 class TestLazyScipy:

@@ -1,6 +1,7 @@
 import hashlib
 import inspect
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -8,7 +9,7 @@ import pytest
 from _reference import mask_rows
 from _scenes import overlapping_scene, separated_scene, simple_set
 from dropuq import bgm, clustering, ward
-from dropuq.bgm import assign_labels, fit_bgm
+from dropuq.bgm import fit_bgm
 from dropuq.clustering import (
     ClusteringError,
     cluster_pipeline,
@@ -64,7 +65,7 @@ class TestSurface:
 
     def test_fits_import_only_from_their_modules(self):
         assert not hasattr(clustering, "__getattr__")
-        for name in ("MixtureState", "assign_labels", "fit_bgm", "fit_agglomerative"):
+        for name in ("MixtureState", "fit_bgm", "fit_agglomerative"):
             assert not hasattr(clustering, name), name
 
 
@@ -312,7 +313,7 @@ class TestClusterPipeline:
         s, _, _ = generate(overlapping_scene(seed, 3))
         assert overlap_components(s.boxes).max() == 0
         h = estimate_component_count(len(s), s.n_repetitions)
-        whole = assign_labels(fit_bgm(s.boxes, max(2 * h, h + 2), seed=seed))
+        whole = fit_bgm(s.boxes, max(2 * h, h + 2), seed=seed).labels
         threshold = default_split_threshold(s.n_repetitions)
         expected = split_labels(s.boxes, whole, s.n_repetitions, threshold, seed)
         got = cluster_pipeline(s, seed=seed)
@@ -326,3 +327,30 @@ class TestClusterPipeline:
         s = simple_set(boxes, n_repetitions=151, reps=list(range(151)))
         labels, refused = cluster_pipeline(s, split_threshold=150, seed=0)
         assert (np.bincount(labels) > 150).tolist() == refused.tolist()
+
+
+class TestConvergenceWarning:
+    def test_fit_at_the_cap_warns(self, monkeypatch):
+        monkeypatch.setattr(bgm, "_MAX_ITERS", 2)
+        s, _, _ = generate(overlapping_scene(0, 10))
+        with pytest.warns(bgm.ConvergenceWarning) as record:
+            cluster_pipeline(s, seed=0)
+        assert str(record[0].message).startswith(
+            "mixture fit on 1000 points did not converge within the cap of 2 iterations"
+        )
+        # pyproject.toml and CI turn RuntimeWarnings into errors; this must stay a warning.
+        assert not issubclass(bgm.ConvergenceWarning, RuntimeWarning)
+
+    def test_converged_fit_warns_nothing(self, monkeypatch):
+        fits = []
+
+        def recording_fit(points, k_max, seed):
+            fits.append(fit_bgm(points, k_max, seed))
+            return fits[-1]
+
+        monkeypatch.setattr(bgm, "fit_bgm", recording_fit)
+        s, _, _ = generate(overlapping_scene(0, 10))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", bgm.ConvergenceWarning)
+            cluster_pipeline(s, seed=0)
+        assert fits and all(f.converged for f in fits)
