@@ -17,7 +17,7 @@ from typing import Callable, Iterable, List, Optional, Sequence, Tuple
 import numpy as np
 
 from .ingest import _REAL, ParseError, _jsonl_records, _read_file
-from .model import RowError, _check, _equal_fields
+from .model import RowError, _check, _equal_fields, _reals
 
 __all__ = [
     "CalibrationSet",
@@ -298,10 +298,7 @@ def _calibration_set(lines: Iterable[str], loads: Callable) -> CalibrationSet:
     if not set(map(type, chain.from_iterable(rows))).issubset(_REAL):
         i = next(i for i, r in enumerate(rows) if not set(map(type, r)).issubset(_REAL))
         raise ParseError(linenos[i], f"logits must be numbers, got {rows[i]!r}")
-    try:
-        z = np.array(rows, dtype=np.float64)
-    except OverflowError:  # an integer beyond the double range is as infinite as 1e400
-        z = np.array([[_double(v) for v in r] for r in rows])
+    z = _reals(rows)
     not_int = [type(c) is not int for c in classes]
     if any(not_int):
         i = int(np.argmax(not_int))
@@ -317,13 +314,6 @@ def _calibration_set(lines: Iterable[str], loads: Callable) -> CalibrationSet:
         return CalibrationSet(z, y)
     except RowError as exc:
         raise ParseError(linenos[exc.row], exc.message) from None
-
-
-def _double(v) -> float:
-    try:
-        return float(v)
-    except OverflowError:
-        return math.inf if v > 0 else -math.inf
 
 
 def serialize_calibration_records(records: CalibrationSet) -> str:

@@ -11,10 +11,10 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import re
 import sys
 import warnings
+from contextlib import contextmanager
 from dataclasses import replace
 from pathlib import Path
 from typing import List, Optional, Tuple
@@ -61,10 +61,15 @@ def _safe_name(image_id: str) -> str:
     return re.sub(r"[^A-Za-z0-9_.-]", "_", image_id) or "image"
 
 
-def _write_text(path: Path, text: str) -> None:
-    tmp = path.with_name(path.name + ".tmp")
-    tmp.write_text(text, encoding="utf-8")
-    os.replace(tmp, path)
+@contextmanager
+def _input(noun: str, path):
+    """Prefix a data error raised inside with the input it concerns, as
+    ``<noun> <path>: <message>``."""
+    try:
+        yield
+    except ValueError as exc:  # ParseError and JSONDecodeError included
+        reason = f"invalid JSON ({exc})" if isinstance(exc, json.JSONDecodeError) else exc
+        raise ValueError(f"{noun} {path}: {reason}") from None
 
 
 def _write_manifest(args) -> Path:
@@ -73,7 +78,7 @@ def _write_manifest(args) -> Path:
     ``inputs`` holds the values of the file arguments the subcommand names in
     its ``inputs`` default, in that order; ``config`` holds every other option.
     """
-    from .ingest import json_document
+    from .ingest import json_document, write_file
 
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
@@ -91,31 +96,26 @@ def _write_manifest(args) -> Path:
         "out_dir": str(out_dir),
         "config": config,
     }
-    _write_text(out_dir / "manifest.json", json_document(doc))
+    write_file(out_dir / "manifest.json", json_document(doc).encode())
     return out_dir
 
 
 def _cmd_synth(args) -> int:
     from .evaluation import serialize_ground_truth
-    from .ingest import serialize_sample_set
+    from .ingest import serialize_sample_set, write_file
     from .synth import generate, scene_spec_from_json
 
-    try:
+    with _input("scene spec", args.spec):
         spec = scene_spec_from_json(Path(args.spec).read_text(encoding="utf-8"))
-    except ValueError as exc:  # every spec error, JSONDecodeError and ParseError included
-        reason = f"invalid JSON ({exc})" if isinstance(exc, json.JSONDecodeError) else exc
-        raise ValueError(f"scene spec {args.spec}: {reason}") from None
     if args.seed is not None:
         spec = replace(spec, seed=derive_seed(args.seed, "synth", spec.image_id))
     out_dir = _write_manifest(args)
     sample_set, labels, gts = generate(spec)
     name = _safe_name(spec.image_id)
-    _write_text(out_dir / f"{name}_samples.jsonl", serialize_sample_set(sample_set))
-    _write_text(out_dir / f"{name}_gt.jsonl", serialize_ground_truth(gts))
-    _write_text(
-        out_dir / f"{name}_labels.json",
-        json.dumps({"image_id": spec.image_id, "true_labels": labels}, sort_keys=True) + "\n",
-    )
+    write_file(out_dir / f"{name}_samples.jsonl", serialize_sample_set(sample_set).encode())
+    write_file(out_dir / f"{name}_gt.jsonl", serialize_ground_truth(gts).encode())
+    labels_doc = json.dumps({"image_id": spec.image_id, "true_labels": labels}, sort_keys=True)
+    write_file(out_dir / f"{name}_labels.json", labels_doc.encode(), b"\n")
     print(
         f"{spec.image_id}: {len(sample_set)} detections, "
         f"{len(gts)} instances, {spec.n_repetitions} repetitions"
@@ -130,14 +130,17 @@ def _cluster_one(path: str, args) -> Tuple[dict, str]:
     from .clustering import cluster_pipeline, default_split_threshold
     from .ingest import filter_background, read_sample_set
 
-    filtered = filter_background(read_sample_set(path), args.background_threshold)
-    if not len(filtered):
-        raise ValueError(f"{path}: nothing to cluster after background filtering")
-    seed = derive_seed(args.seed, "cluster", filtered.image_id)
-    split_threshold = args.split_threshold or default_split_threshold(filtered.n_repetitions)
-    with warnings.catch_warnings(record=True) as caught:
-        warnings.simplefilter("always", UserWarning)  # each fit's warning, not one per call site
-        labels, refused = cluster_pipeline(filtered, args.algorithm, split_threshold, seed)
+    with _input("samples file", path):
+        samples = read_sample_set(path)
+    filtered = filter_background(samples, args.background_threshold)  # a flag, not the file
+    with _input("samples file", path):
+        if not len(filtered):
+            raise ValueError("nothing to cluster after background filtering")
+        seed = derive_seed(args.seed, "cluster", filtered.image_id)
+        split_threshold = args.split_threshold or default_split_threshold(filtered.n_repetitions)
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always", UserWarning)  # each fit's warning, not per call site
+            labels, refused = cluster_pipeline(filtered, args.algorithm, split_threshold, seed)
     for w in caught:
         print(f"dropuq: warning: {path}: {w.message}", file=sys.stderr)
     sizes = np.bincount(labels).tolist()
@@ -158,7 +161,7 @@ def _cluster_one(path: str, args) -> Tuple[dict, str]:
 
 
 def _cmd_cluster(args) -> int:
-    from .ingest import json_document
+    from .ingest import json_document, write_file
 
     out_dir = _write_manifest(args)
     results = [_cluster_one(p, args) for p in args.samples]
@@ -171,7 +174,7 @@ def _cmd_cluster(args) -> int:
             raise ValueError(f"{owners[name]} and {path} would both write {name}")
         owners[name] = path
     for name, (doc, line) in zip(owners, results):
-        _write_text(out_dir / name, json_document(doc))
+        write_file(out_dir / name, json_document(doc).encode())
         print(line)
     return 0
 
@@ -191,14 +194,14 @@ def _load_clustered(samples_path: str, clusters_path: str):
         _BOOL, _INT, _OBJECT, _REAL, _STR, ParseError, _array, _scalar,
         filter_background, read_sample_set,
     )
-    from .model import label_groups
+    from .model import _double, label_groups
 
-    try:
+    with _input("clusters file", clusters_path):
         doc = json.loads(Path(clusters_path).read_text(encoding="utf-8"))
         if type(doc) is not dict:
             raise ParseError(None, f"must be a JSON object, got {type(doc).__name__}")
         image_id = _scalar(doc, "image_id", _STR, None)
-        threshold = _scalar(doc, "background_threshold", _REAL, None)
+        threshold = _double(_scalar(doc, "background_threshold", _REAL, None))
         n_detections = _scalar(doc, "n_detections", _INT, None)
         labels = _array(doc, "labels", _INT, None)
         if len(labels) != n_detections:
@@ -217,10 +220,9 @@ def _load_clustered(samples_path: str, clusters_path: str):
                 raise ParseError(None, f"clusters[{i}].size must be >= 1 and equal the "
                                        f"count of label {i}, {counts[i]}; got {size}")
         flags = [_scalar(c, "split_refused", _BOOL, None) for c in entries]
-    except (ParseError, json.JSONDecodeError) as exc:
-        reason = f"invalid JSON ({exc})" if isinstance(exc, json.JSONDecodeError) else exc
-        raise ValueError(f"clusters file {clusters_path}: {reason}") from None
-    filtered = filter_background(read_sample_set(samples_path), threshold)
+    with _input("samples file", samples_path):
+        samples = read_sample_set(samples_path)
+    filtered = filter_background(samples, threshold)
     if filtered.image_id != image_id:
         raise ValueError(
             f"clusters file is for image {image_id!r}, samples are {filtered.image_id!r}"
@@ -236,6 +238,7 @@ def _load_clustered(samples_path: str, clusters_path: str):
 
 def _cmd_report(args) -> int:
     from .figures import box_figure, class_figure, heatmap_figure, kde_figure
+    from .ingest import write_file
     from .report import build_report, report_to_json, write_pgm
 
     out_dir = _write_manifest(args)
@@ -244,18 +247,16 @@ def _cmd_report(args) -> int:
     for i, (members, refused) in enumerate(zip(clusters, flags)):
         rep = build_report(members, mask_threshold=args.mask_threshold)
         stem = f"{name}_cluster_{i:03d}"
-        _write_text(out_dir / f"{stem}_report.json", report_to_json(rep, i, refused))
-        _write_text(
-            out_dir / f"{stem}_box.svg",
-            box_figure(rep, filtered.width, filtered.height),
-        )
-        _write_text(out_dir / f"{stem}_classes.svg", class_figure(rep))
-        _write_text(out_dir / f"{stem}_kde.svg", kde_figure(rep.box_kde, rep.mask_kde))
+        write_file(out_dir / f"{stem}_report.json", report_to_json(rep, i, refused).encode())
+        box_svg = box_figure(rep, filtered.width, filtered.height)
+        write_file(out_dir / f"{stem}_box.svg", box_svg.encode())
+        write_file(out_dir / f"{stem}_classes.svg", class_figure(rep).encode())
+        write_file(out_dir / f"{stem}_kde.svg", kde_figure(rep.box_kde, rep.mask_kde).encode())
         masks = rep.mask_stats
         if not masks.zero_mask:
             for kind, values in (("mean", masks.mean_mask), ("std", masks.std_mask)):
                 write_pgm(values, out_dir / f"{stem}_mask_{kind}.pgm")
-                _write_text(out_dir / f"{stem}_mask_{kind}.svg", heatmap_figure(values))
+                write_file(out_dir / f"{stem}_mask_{kind}.svg", heatmap_figure(values).encode())
         flag = " zero_mask" if masks.zero_mask else ""
         print(f"{filtered.image_id} cluster {i}: {len(members)} members{flag}")
     return 0
@@ -271,12 +272,13 @@ def _cmd_calibrate(args) -> int:
         reliability_csv,
     )
     from .figures import reliability_figure
-    from .ingest import json_document
+    from .ingest import json_document, write_file
 
     out_dir = _write_manifest(args)
-    records = read_calibration_records(args.records)
-    if not records:
-        raise ValueError(f"{args.records}: no calibration records")
+    with _input("records file", args.records):
+        records = read_calibration_records(args.records)
+        if not records:
+            raise ValueError("no calibration records")
     before = reliability(records, 1.0, args.bins)
     temperature = fit_temperature(records)
     after = reliability(records, temperature, args.bins)
@@ -288,12 +290,11 @@ def _cmd_calibrate(args) -> int:
         "ace_after": ace(after),
         "already_calibrated": 0.95 <= temperature <= 1.05,
     }
-    _write_text(out_dir / "temperature.json", json_document(result))
+    write_file(out_dir / "temperature.json", json_document(result).encode())
     for when, diagram in (("before", before), ("after", after)):
-        _write_text(out_dir / f"reliability_{when}.csv", reliability_csv(diagram))
-        _write_text(
-            out_dir / f"reliability_{when}.svg", reliability_figure(diagram, f"{when} calibration")
-        )
+        write_file(out_dir / f"reliability_{when}.csv", reliability_csv(diagram).encode())
+        svg = reliability_figure(diagram, f"{when} calibration")
+        write_file(out_dir / f"reliability_{when}.svg", svg.encode())
     print(f"temperature: {temperature:.4f}")
     print(f"mce: {result['mce_before']:.4f} -> {result['mce_after']:.4f}")
     print(f"ace: {result['ace_before']:.4f} -> {result['ace_after']:.4f}")
@@ -304,14 +305,16 @@ def _cmd_calibrate(args) -> int:
 
 def _cmd_eval(args) -> int:
     from .evaluation import cluster_to_detection, eval_csv, match_and_score, read_ground_truth
+    from .ingest import write_file
 
     out_dir = _write_manifest(args)
     filtered, clusters, _ = _load_clustered(args.samples, args.clusters)
-    gts = read_ground_truth(args.gt, filtered.image_id, filtered.height, filtered.width)
+    with _input("ground-truth file", args.gt):
+        gts = read_ground_truth(args.gt, filtered.image_id, filtered.height, filtered.width)
     modes = ["box", "mask"] if args.mode == "both" else [args.mode]
     preds = [cluster_to_detection(c, args.mask_threshold, "mask" in modes) for c in clusters]
     results = [match_and_score(preds, gts, mode=m) for m in modes]
-    _write_text(out_dir / "eval.csv", eval_csv(results))
+    write_file(out_dir / "eval.csv", eval_csv(results).encode())
     for res in results:
         value = "n/a" if res.map50 is None else f"{res.map50:.4f}"
         print(f"mAP@0.5 ({res.mode}): {value}")

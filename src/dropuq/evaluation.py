@@ -16,7 +16,9 @@ from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple
 import numpy as np
 
 from .ingest import _INT, _REAL, _STR, ParseError, _array, _jsonl_records, _read_file, _scalar
-from .model import SampleSet, _check, _check_box, _equal_fields, _run_column, box_ious, mask_ious
+from .model import (
+    SampleSet, _check, _check_box, _double, _equal_fields, _run_column, box_ious, mask_ious,
+)
 
 __all__ = [
     "GroundTruthInstance",
@@ -202,8 +204,8 @@ def _ground_truth(
         class_id = _scalar(obj, "class_id", _INT, lineno)
         runs = _array(obj, "mask_runs", _INT, lineno) if "mask_runs" in obj else None
         try:
-            gt = GroundTruthInstance(gt_image, tuple(map(float, box_vals)), class_id)
-        except (OverflowError, ValueError) as exc:
+            gt = GroundTruthInstance(gt_image, tuple(map(_double, box_vals)), class_id)
+        except ValueError as exc:
             raise ParseError(lineno, str(exc)) from exc
         if gt_image == image_id:
             kept.append((lineno, gt))

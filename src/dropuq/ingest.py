@@ -22,12 +22,16 @@ reference. A parse that raises ParseError under orjson runs again from the
 first line under ``json``, whose result or error the caller gets. orjson
 rejects NaN, Infinity, 1e400 and lone surrogates, which ``json`` accepts, and
 reads integers beyond 64 bits as floats, which no integer field accepts; on
-every other line the two decoders return equal values.
+every other line the two decoders return equal values. In every real field
+of every format, a number beyond the double range, 1e400 or an integer of
+400 digits alike, reads as ±inf (``model._reals``) and then meets that
+field's finite or range rule.
 """
 
 from __future__ import annotations
 
 import json
+import os
 from typing import Callable, Iterable, Iterator, List, Optional, Tuple
 
 import numpy as np
@@ -41,6 +45,7 @@ __all__ = [
     "serialize_sample_set",
     "filter_background",
     "json_document",
+    "write_file",
 ]
 
 MAX_PIXELS = 1 << 26  # 8192 x 8192, twice the 7680 x 4320 of 8K UHD
@@ -214,6 +219,15 @@ def json_document(doc) -> str:
     """The text of every JSON document a command writes: keys sorted, indented
     by two spaces, ending in a newline."""
     return json.dumps(doc, sort_keys=True, indent=2) + "\n"
+
+
+def write_file(path, *chunks: bytes) -> None:
+    """Write ``chunks`` to ``path`` under a temporary name and rename it into
+    place, so that a failed write leaves nothing under ``path``."""
+    tmp = f"{path}.tmp"
+    with open(tmp, "wb") as out:
+        out.writelines(chunks)
+    os.replace(tmp, path)
 
 
 def serialize_sample_set(s: SampleSet) -> str:

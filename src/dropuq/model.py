@@ -103,18 +103,21 @@ class RowError(ValueError):
         self.message = message
 
 
-def _float_rows(rows) -> np.ndarray:
-    """A float64 copy of ``rows``; an integer beyond the double range is a
-    RowError naming its row."""
+def _double(v) -> float:
+    """The real ``v`` as a float: a number beyond the double range is ±inf,
+    as the JSON decoders read 1e400."""
     try:
-        return np.array(rows, dtype=np.float64)
+        return float(v)
     except OverflowError:
-        for i, row in enumerate(rows):
-            try:
-                np.array(row, dtype=np.float64)
-            except OverflowError as exc:
-                raise RowError(i, str(exc), "detection") from None
-        raise
+        return np.inf if v > 0 else -np.inf
+
+
+def _reals(values) -> np.ndarray:
+    """``values``, reals nested as an array's rows, as a float64 array; see _double."""
+    try:
+        return np.array(values, dtype=np.float64)
+    except OverflowError:
+        return np.frompyfunc(_double, 1, 1)(np.array(values, dtype=object)).astype(np.float64)
 
 
 @dataclass(frozen=True, eq=False)
@@ -151,8 +154,8 @@ class SampleSet:
         if self.height < 1 or self.width < 1:
             raise ValueError("image dims must be positive")
         n = len(masks)
-        boxes = _float_rows(self.boxes)
-        scores = _float_rows(self.scores)
+        boxes = _reals(self.boxes)
+        scores = _reals(self.scores)
         try:
             repetition = np.array(self.repetition, dtype=np.int64)
         except OverflowError:  # beyond 64 bits: compared exactly below, then reported
@@ -247,7 +250,7 @@ def _check_box(box) -> None:
     pass the box rules."""
     if len(box) != 4:
         raise ValueError(f"box needs 4 values, got {len(box)}: {tuple(box)}")
-    _check(_box_rules(np.array([box], dtype=np.float64)), lambda row, message: ValueError(message))
+    _check(_box_rules(_reals([box])), lambda row, message: ValueError(message))
 
 
 def label_groups(labels) -> List[np.ndarray]:

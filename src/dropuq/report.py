@@ -8,13 +8,12 @@ population (not sample) standard deviation.
 from __future__ import annotations
 
 import math
-import os
 from dataclasses import dataclass
 from typing import Optional, Sequence, Tuple
 
 import numpy as np
 
-from .ingest import json_document
+from .ingest import json_document, write_file
 from .model import SampleSet, _foreground_bounds, box_ious, mask_ious, rle_encode
 
 __all__ = [
@@ -304,11 +303,8 @@ def report_to_json(r: ClusterReport, cluster_id: int, split_refused: bool) -> st
 
 
 def write_pgm(values: np.ndarray, path) -> None:
-    """Write an (H, W) array of [0, 1] values as a binary 8-bit PGM.
-
-    The file is written under a temporary name and renamed into place, so
-    a failed write leaves nothing under ``path``.
-    """
+    """Write an (H, W) array of [0, 1] values as a binary 8-bit PGM, by
+    ``write_file``, so a failed write leaves nothing under ``path``."""
     arr = np.asarray(values, dtype=np.float64)
     if arr.ndim != 2:
         raise ValueError(f"expected a 2-D array, got shape {arr.shape}")
@@ -318,8 +314,4 @@ def write_pgm(values: np.ndarray, path) -> None:
     # Rounded in place: each full-size float temporary is fresh memory to fault in.
     pixels = np.rint(scaled, out=scaled).astype(np.uint8)
     h, w = pixels.shape
-    tmp = f"{path}.tmp"
-    with open(tmp, "wb") as fh:
-        fh.write(f"P5\n{w} {h}\n255\n".encode("ascii"))
-        fh.write(pixels.tobytes())
-    os.replace(tmp, path)
+    write_file(path, f"P5\n{w} {h}\n255\n".encode("ascii"), pixels.tobytes())

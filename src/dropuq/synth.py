@@ -17,7 +17,7 @@ from .evaluation import GroundTruthInstance
 from .ingest import (
     MAX_PIXELS, _INT, _OBJECT, _REAL, _STR, ParseError, _array, _scalar, json_document,
 )
-from .model import SampleSet, _check_box, rasterize_box, rle_encode
+from .model import SampleSet, _check_box, _double, rasterize_box, rle_encode
 
 if TYPE_CHECKING:
     from .calibration import CalibrationSet
@@ -56,11 +56,12 @@ class InstanceSpec:
         if self.shape not in _SHAPES:
             raise ValueError(f"shape must be one of {_SHAPES}, got {self.shape!r}")
         for name in ("class_confusion", "mask_noise", "miss_rate"):
-            v = getattr(self, name)
+            v = _double(getattr(self, name))
             if not 0.0 <= v <= 1.0:
                 raise ValueError(f"{name} must be in [0, 1], got {v}")
-        if not 0.0 <= self.box_jitter_sigma < np.inf:
-            raise ValueError(f"box_jitter_sigma must be in [0, inf), got {self.box_jitter_sigma}")
+        sigma = _double(self.box_jitter_sigma)
+        if not 0.0 <= sigma < np.inf:
+            raise ValueError(f"box_jitter_sigma must be in [0, inf), got {sigma}")
 
 
 @dataclass(frozen=True)
@@ -321,13 +322,6 @@ def _optional(obj: dict, key: str, kind: tuple, default):
     return _scalar(obj, key, kind, None) if key in obj else default
 
 
-def _float(value, key: str) -> float:
-    try:
-        return float(value)
-    except OverflowError:  # an integer beyond the double range
-        raise ParseError(None, f"{key} is out of range, got {value}") from None
-
-
 def scene_spec_from_json(text: str) -> SceneSpec:
     """Read a scene spec, its values typed as the sample reader types its
     fields (README lists them); a bad value or an unknown key is a ParseError
@@ -340,11 +334,11 @@ def scene_spec_from_json(text: str) -> SceneSpec:
         _known_keys(inst, _INSTANCE_KEYS, "instance")
     instances = tuple(
         InstanceSpec(
-            true_box=tuple(_float(v, "box") for v in _array(inst, "box", _REAL, None, 4)),
+            true_box=tuple(map(_double, _array(inst, "box", _REAL, None, 4))),
             true_class=_scalar(inst, "class_id", _INT, None),
             shape=_optional(inst, "shape", _STR, "ellipse"),
             **{
-                key: _float(_optional(inst, key, _REAL, 0.0), key)
+                key: _double(_optional(inst, key, _REAL, 0.0))
                 for key in ("box_jitter_sigma", "class_confusion", "mask_noise", "miss_rate")
             },
         )

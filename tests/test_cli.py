@@ -226,8 +226,8 @@ class TestHostileInput:
         out = tmp_path / "c"
         assert main(["cluster", str(samples), "--out-dir", str(out), "--algorithm", "agg"]) == 2
         assert capsys.readouterr().err == (
-            "dropuq: error: Ward linkage on a component of 300 points exceeds the cap of 100; "
-            "use --algorithm bgm, whose memory is linear\n"
+            f"dropuq: error: samples file {samples}: Ward linkage on a component of 300 points "
+            "exceeds the cap of 100; use --algorithm bgm, whose memory is linear\n"
         )
         assert not list(out.glob("*_clusters.json"))
 
@@ -299,7 +299,7 @@ class TestHostileSceneSpec:
             ("height", "10.9", "height must be a JSON integer, got 10.9"),
             ("instances", "5", "instances must be a list, got 5"),
             ("box", "[1, 2]", "box needs 4 values, got 2"),
-            ("box", f"[0, 0, 1{'0' * 400}, 5]", "box is out of range"),
+            ("box", f"[0, 0, 1{'0' * 400}, 5]", "box coordinates must be finite, got (0.0, 0.0, inf, 5.0)"),
             ("box_jitter_sigma", "Infinity", "box_jitter_sigma must be in [0, inf), got inf"),
             (None, "[1]", "scene spec must be a JSON object, got list"),
             ("mask_nosie", "0.5", "unknown instance key 'mask_nosie'"),
@@ -500,15 +500,18 @@ SAMPLE_DETECTION = {
 class TestStrictValueTypes:
     """A value of the wrong JSON type exits 2 and names its line."""
 
-    def check(self, r, lineno):
+    def check(self, r, source, lineno):
         assert r.returncode == 2, r.stderr
-        assert r.stderr.startswith(f"dropuq: error: line {lineno}: "), r.stderr
+        assert r.stderr.startswith(f"dropuq: error: {source}: line {lineno}: "), r.stderr
 
     def cluster(self, tmp_path, header, detection):
         path = tmp_path / "img_samples.jsonl"
         lines = [header, SAMPLE_DETECTION, None, detection]
         path.write_text("\n".join("" if d is None else json.dumps(d) for d in lines) + "\n")
         return run_cli("cluster", path, "--out-dir", tmp_path / "o", check=False)
+
+    def samples_file(self, tmp_path):
+        return f"samples file {tmp_path / 'img_samples.jsonl'}"
 
     def test_well_typed_file_clusters(self, tmp_path):
         r = self.cluster(tmp_path, SAMPLE_HEADER, SAMPLE_DETECTION)
@@ -518,7 +521,8 @@ class TestStrictValueTypes:
         "key, value", [("height", 10.9), ("width", "10"), ("num_classes", True), ("image_id", 5)]
     )
     def test_bad_header_value(self, tmp_path, key, value):
-        self.check(self.cluster(tmp_path, {**SAMPLE_HEADER, key: value}, SAMPLE_DETECTION), 1)
+        r = self.cluster(tmp_path, {**SAMPLE_HEADER, key: value}, SAMPLE_DETECTION)
+        self.check(r, self.samples_file(tmp_path), 1)
 
     @pytest.mark.parametrize(
         "key, value",
@@ -531,7 +535,8 @@ class TestStrictValueTypes:
         ],
     )
     def test_bad_detection_value(self, tmp_path, key, value):
-        self.check(self.cluster(tmp_path, SAMPLE_HEADER, {**SAMPLE_DETECTION, key: value}), 4)
+        r = self.cluster(tmp_path, SAMPLE_HEADER, {**SAMPLE_DETECTION, key: value})
+        self.check(r, self.samples_file(tmp_path), 4)
 
     @pytest.mark.parametrize("class_id", [1.9, True, "1"])
     def test_bad_ground_truth_class(self, pipeline_dirs, tmp_path, class_id):
@@ -543,8 +548,88 @@ class TestStrictValueTypes:
             "--clusters", pipeline_dirs / "clusters" / "scene0_clusters.json",
             "--gt", gt, "--out-dir", tmp_path / "eval", check=False,
         )
-        self.check(r, 3)
+        self.check(r, f"ground-truth file {gt}", 3)
         assert not (tmp_path / "eval" / "eval.csv").exists()
+
+
+def bad_samples_file(path):
+    """A samples file whose line 2 holds a repetition out of range."""
+    bad = {**SAMPLE_DETECTION, "repetition": 7}
+    path.write_text(json.dumps(SAMPLE_HEADER) + "\n" + json.dumps(bad) + "\n")
+    return path
+
+
+class TestErrorsNameTheirFile:
+    """A data error in an input file starts with the kind and path of that file."""
+
+    def test_second_of_two_samples_files(self, pipeline_dirs, tmp_path, capsys):
+        from dropuq.cli import main
+
+        good = pipeline_dirs / "synth" / "scene0_samples.jsonl"
+        bad = bad_samples_file(tmp_path / "bad_samples.jsonl")
+        out = tmp_path / "c"
+        assert main(["cluster", str(good), str(bad), "--out-dir", str(out)]) == 2
+        assert capsys.readouterr().err == (
+            f"dropuq: error: samples file {bad}: line 2: repetition 7 out of range [0, 3)\n"
+        )
+        assert not list(out.glob("*_clusters.json"))
+
+    def test_ward_cap_names_the_second_file(self, tmp_path, monkeypatch, capsys):
+        from dropuq import ward
+        from dropuq.cli import main
+
+        monkeypatch.setattr(ward, "MAX_POINTS", 100)
+        small = tmp_path / "small_samples.jsonl"
+        small.write_text(serialize_sample_set(generate(separated_scene(0, 2))[0]))
+        crowded = tmp_path / "scene_samples.jsonl"
+        crowded.write_text(serialize_sample_set(generate(overlapping_scene(0, 3))[0]))
+        argv = ["cluster", str(small), str(crowded), "--out-dir", str(tmp_path / "c")]
+        assert main(argv + ["--algorithm", "agg"]) == 2
+        assert capsys.readouterr().err.startswith(
+            f"dropuq: error: samples file {crowded}: Ward linkage on a component of 300 points"
+        )
+
+    def test_eval_names_the_ground_truth_file(self, pipeline_dirs, tmp_path, capsys):
+        from dropuq.cli import main
+
+        good = {"image_id": "scene0", "bbox": [10, 10, 50, 50], "class_id": 1}
+        gt = tmp_path / "gt.jsonl"
+        gt.write_text(json.dumps(good) + "\n" + json.dumps({**good, "class_id": 0}) + "\n")
+        argv = ["eval", str(pipeline_dirs / "synth" / "scene0_samples.jsonl"),
+                "--clusters", str(pipeline_dirs / "clusters" / "scene0_clusters.json"),
+                "--gt", str(gt), "--out-dir", str(tmp_path / "eval")]
+        assert main(argv) == 2
+        assert capsys.readouterr().err == (
+            f"dropuq: error: ground-truth file {gt}: line 2: "
+            "class_id must be a foreground class, got 0\n"
+        )
+
+    def test_eval_names_the_samples_file(self, pipeline_dirs, tmp_path, capsys):
+        from dropuq.cli import main
+
+        bad = bad_samples_file(tmp_path / "bad_samples.jsonl")
+        argv = ["eval", str(bad),
+                "--clusters", str(pipeline_dirs / "clusters" / "scene0_clusters.json"),
+                "--gt", str(pipeline_dirs / "synth" / "scene0_gt.jsonl"),
+                "--out-dir", str(tmp_path / "eval")]
+        assert main(argv) == 2
+        assert capsys.readouterr().err.startswith(f"dropuq: error: samples file {bad}: line 2: ")
+
+    @pytest.mark.parametrize(
+        "command, text, message",
+        [
+            ("cluster", json.dumps(SAMPLE_HEADER) + "\n",
+             "samples file {path}: nothing to cluster after background filtering"),
+            ("calibrate", "\n", "records file {path}: no calibration records"),
+        ],
+    )
+    def test_empty_input_is_named_once(self, tmp_path, capsys, command, text, message):
+        from dropuq.cli import main
+
+        path = tmp_path / "input.jsonl"
+        path.write_text(text)
+        assert main([command, str(path), "--out-dir", str(tmp_path / "o")]) == 2
+        assert capsys.readouterr().err == f"dropuq: error: {message.format(path=path)}\n"
 
 
 class TestClustersFileTypes:
@@ -1138,7 +1223,7 @@ class TestCalibrate:
         path.write_text('{"logits": [1, 2], "true_class": 1}\n\n' + bad + "\n")
         r = run_cli("calibrate", path, "--out-dir", tmp_path / "cal", check=False)
         assert r.returncode == 2, r.stderr
-        assert r.stderr.startswith("dropuq: error: line 3: "), r.stderr
+        assert r.stderr.startswith(f"dropuq: error: records file {path}: line 3: "), r.stderr
         assert not (tmp_path / "cal" / "temperature.json").exists()
 
     def test_empty_records_error(self, tmp_path):

@@ -9,7 +9,7 @@ import pytest
 from _files import read_text
 from _scenes import separated_scene
 from dropuq.calibration import CalibrationSet, _calibration_set, read_calibration_records
-from dropuq.evaluation import _ground_truth, read_ground_truth
+from dropuq.evaluation import GroundTruthInstance, _ground_truth, read_ground_truth
 from dropuq.ingest import (
     ParseError,
     _sample_set,
@@ -18,7 +18,7 @@ from dropuq.ingest import (
     serialize_sample_set,
 )
 from dropuq.model import SampleSet
-from dropuq.synth import generate
+from dropuq.synth import InstanceSpec, generate, scene_spec_to_json
 
 HEADER = json.dumps(
     {"image_id": "img0", "height": 20, "width": 30, "n_repetitions": 3, "num_classes": 2}
@@ -184,10 +184,10 @@ class TestStrictTypes:
             ("bbox", [1, 2, "5", 6], "bbox must be a list of JSON numbers, got '5'"),
             ("bbox", [1, 2, True, 6], "bbox must be a list of JSON numbers, got True"),
             ("bbox", "1 2 5 6", "bbox must be a list"),
-            ("bbox", [1, 2, 10**400, 6], "int too large"),
+            ("bbox", [1, 2, 10**400, 6], r"box coordinates must be finite, got \(1.0, 2.0, inf, 6.0\)"),
             ("scores", [0.1, 0.6, "0.3"], "scores must be a list of JSON numbers"),
             ("scores", [0.1, 0.6, None], "scores must be a list of JSON numbers"),
-            ("scores", [0.1, 0.6, 10**400], "int too large"),
+            ("scores", [0.1, 0.6, 10**400], r"scores must lie in \[0, 1\], got \(0.1, 0.6, inf\)"),
             ("mask_runs", [0, 300.5, 299.5], "mask_runs must be a list of JSON integers"),
             ("mask_runs", [0, True, 599], "mask_runs must be a list of JSON integers"),
         ],
@@ -214,6 +214,93 @@ class TestStrictTypes:
         text = json.dumps(good) + "\n\n" + json.dumps({**good, key: value})
         with pytest.raises(ParseError, match=f"^line 3: .*{message}"):
             read_text(read_ground_truth, text, "img0", 20, 30)
+
+
+# A number beyond the double range, as JSON text and as a Python value, and
+# the float it reads as.
+BEYOND_DOUBLE = pytest.mark.parametrize(
+    "text, value, inf",
+    [("1" + "0" * 400, 10**400, "inf"), ("-1" + "0" * 400, -(10**400), "-inf"),
+     ("1e400", 1e400, "inf")],
+    ids=["10**400", "-10**400", "1e400"],
+)
+BOX_MESSAGE = "box coordinates must be finite, got (1.0, 2.0, {inf}, 6.0)"
+
+
+class TestBeyondTheDoubleRange:
+    """A number beyond the double range reads as ±inf at every entry point,
+    and then meets its field's finite or range rule."""
+
+    ENTRY_POINTS = {
+        "samples-bbox": (
+            lambda text, value: read_text(
+                read_sample_set, f"{HEADER}\n" + det_line(bbox=(1, 2, "V", 6)).replace('"V"', text)
+            ),
+            "line 2: " + BOX_MESSAGE,
+        ),
+        "samples-scores": (
+            lambda text, value: read_text(
+                read_sample_set, f"{HEADER}\n" + det_line(scores=(0.1, 0.6, "V")).replace('"V"', text)
+            ),
+            "line 2: scores must lie in [0, 1], got (0.1, 0.6, {inf})",
+        ),
+        "ground-truth-bbox": (
+            lambda text, value: read_text(
+                read_ground_truth,
+                f'{{"image_id": "img0", "bbox": [1, 2, {text}, 6], "class_id": 1}}\n',
+                "img0", 20, 30,
+            ),
+            "line 1: " + BOX_MESSAGE,
+        ),
+        "records-logits": (
+            lambda text, value: read_text(
+                read_calibration_records, f'{{"logits": [0.5, {text}], "true_class": 1}}\n'
+            ),
+            "line 1: logits must be finite, got [0.5, {inf}]",
+        ),
+        "SampleSet": (
+            lambda text, value: SampleSet(
+                "img", 10, 10, 1, [[1, 2, value, 6]], [[0.5, 0.5]], [0], [None]
+            ),
+            "detection 0: " + BOX_MESSAGE,
+        ),
+        "GroundTruthInstance": (
+            lambda text, value: GroundTruthInstance("img", (1, 2, value, 6), 1),
+            BOX_MESSAGE,
+        ),
+        "InstanceSpec-box": (lambda text, value: InstanceSpec((1, 2, value, 6), 1), BOX_MESSAGE),
+        "InstanceSpec-jitter": (
+            lambda text, value: InstanceSpec((1, 2, 5, 6), 1, box_jitter_sigma=value),
+            "box_jitter_sigma must be in [0, inf), got {inf}",
+        ),
+    }
+
+    @BEYOND_DOUBLE
+    @pytest.mark.parametrize("entry", list(ENTRY_POINTS))
+    def test_reads_as_infinity(self, entry, text, value, inf):
+        build, message = self.ENTRY_POINTS[entry]
+        with pytest.raises(ValueError) as err:  # ParseError and RowError are ValueErrors
+            build(text, value)
+        assert str(err.value) == message.format(inf=inf)
+
+    @BEYOND_DOUBLE
+    @pytest.mark.parametrize(
+        "field, message",
+        [("box", "box coordinates must be finite, got (1.0, 2.0, {inf}, 6.0)"),
+         ("miss_rate", "miss_rate must be in [0, 1], got {inf}")],
+        ids=["box", "miss_rate"],
+    )
+    def test_scene_spec(self, tmp_path, capsys, field, message, text, value, inf):
+        from dropuq.cli import main
+
+        doc = json.loads(scene_spec_to_json(separated_scene(0, 1)))
+        doc["instances"][0][field] = [1, 2, "V", 6] if field == "box" else "V"
+        spec = tmp_path / "spec.json"
+        spec.write_text(json.dumps(doc).replace('"V"', text))
+        assert main(["synth", str(spec), "--out-dir", str(tmp_path / "s")]) == 2
+        assert capsys.readouterr().err == (
+            f"dropuq: error: scene spec {spec}: {message.format(inf=inf)}\n"
+        )
 
 
 class TestFilterBackground:

@@ -451,7 +451,7 @@ class TestSampleSet:
             ((0, 0, 5, 5), (1.5, -0.5), 0, r"scores must lie in \[0, 1\]"),
             ((0, 0, 5, 5), (np.nan, 0.5), 0, r"scores must lie in \[0, 1\]"),
             ((0, 0, 5, 5), (0.5, 0.6), 0, r"scores must sum to 1 within 1e-6, got 1.1"),
-            ((0, 0, 5, 5), (0.5, 0.5, 10**400), 0, r"int too large to convert to float"),
+            ((0, 0, 5, 5), (0.5, 0.5, 10**400), 0, r"scores must lie in \[0, 1\], got \(0.5, 0.5, inf\)"),
         ],
     )
     def test_rejects_bad_row(self, box, scores, repetition, message):

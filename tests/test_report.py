@@ -7,7 +7,7 @@ import pytest
 
 from _reference import mask_rows, reference_iou_to_mean, reference_kde_density, reference_mask_stats
 from _scenes import clusters_of, separated_scene
-from dropuq import report
+from dropuq import ingest, report
 from dropuq.evaluation import cluster_to_detection
 from dropuq.model import SampleSet, rle_decode, rle_encode
 from dropuq.report import (
@@ -430,7 +430,7 @@ class TestPgm:
                     raise OSError("disk full")
                 return super().write(data)
 
-        monkeypatch.setattr(report, "open", FailingFile, raising=False)
+        monkeypatch.setattr(ingest, "open", FailingFile, raising=False)  # write_file's open
         path = tmp_path / "x.pgm"
         with pytest.raises(OSError):
             write_pgm(np.full((4, 4), 0.5), path)
