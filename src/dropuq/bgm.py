@@ -20,13 +20,11 @@ from typing import List, Optional, Tuple
 
 import numpy as np
 
-from .clustering import ClusteringError
-
 # scipy.special is imported inside the functions that use it: loading scipy
 # takes about 0.4 s, which a process that imports this module but fits no
 # mixture should not pay at start-up.
 
-__all__ = ["MixtureState", "ClusteringError", "ConvergenceWarning", "fit_bgm"]
+__all__ = ["MixtureState", "ConvergenceWarning", "fit_bgm"]
 
 _LOG_2PI = math.log(2.0 * math.pi)
 _ELBO_TOL = 1e-4  # a restart converges once the lower bound moves less than this
@@ -97,7 +95,7 @@ def _m_step(
     try:
         chol = np.linalg.cholesky(scale_inv)
     except np.linalg.LinAlgError as exc:
-        raise ClusteringError(
+        raise ValueError(
             "could not reach positive-definite covariances after regularization"
         ) from exc
     return _Posterior(
@@ -239,11 +237,11 @@ def fit_bgm(points: np.ndarray, k_max: int, seed: int) -> MixtureState:
     """
     X = np.asarray(points, dtype=np.float64)
     if X.ndim != 2 or X.shape[0] < 1:
-        raise ClusteringError(f"points must be a non-empty 2-D matrix, got shape {X.shape}")
+        raise ValueError(f"points must be a non-empty 2-D matrix, got shape {X.shape}")
     if not np.isfinite(X).all():
-        raise ClusteringError("points contain non-finite values")
+        raise ValueError("points contain non-finite values")
     if k_max < 1:
-        raise ClusteringError(f"k_max must be >= 1, got {k_max}")
+        raise ValueError(f"k_max must be >= 1, got {k_max}")
 
     n, D = X.shape
     m0 = X.mean(axis=0)

@@ -22,7 +22,6 @@ from .model import RowError, _check, _equal_fields, _reals
 __all__ = [
     "CalibrationSet",
     "ReliabilityBin",
-    "ReliabilityDiagram",
     "softmax",
     "negative_log_likelihood",
     "fit_temperature",
@@ -90,11 +89,6 @@ class ReliabilityBin:
     mean_confidence: Optional[float]  # None when the bin is empty
     accuracy: Optional[float]
     count: int
-
-
-@dataclass(frozen=True)
-class ReliabilityDiagram:
-    bins: Tuple[ReliabilityBin, ...]
 
 
 def _temperature(t: float) -> float:
@@ -186,7 +180,7 @@ def fit_temperature(records: CalibrationSet) -> float:
 
 def reliability(
     records: CalibrationSet, temperature: float = 1.0, num_bins: int = 10
-) -> ReliabilityDiagram:
+) -> Tuple[ReliabilityBin, ...]:
     """Bin records by top confidence into equal-width bins over [0, 1].
 
     Confidence is the maximum of the temperature-scaled softmax; a record
@@ -214,26 +208,26 @@ def reliability(
                 count=count,
             )
         )
-    return ReliabilityDiagram(bins=tuple(bins))
+    return tuple(bins)
 
 
-def _gaps(d: ReliabilityDiagram) -> List[float]:
+def _gaps(bins: Sequence[ReliabilityBin]) -> List[float]:
     gaps = [
-        abs(b.accuracy - b.mean_confidence) for b in d.bins if b.count > 0
+        abs(b.accuracy - b.mean_confidence) for b in bins if b.count > 0
     ]
     if not gaps:
         raise ValueError("all reliability bins are empty")
     return gaps
 
 
-def mce(d: ReliabilityDiagram) -> float:
+def mce(bins: Sequence[ReliabilityBin]) -> float:
     """Maximum confidence-accuracy gap over non-empty bins."""
-    return max(_gaps(d))
+    return max(_gaps(bins))
 
 
-def ace(d: ReliabilityDiagram) -> float:
+def ace(bins: Sequence[ReliabilityBin]) -> float:
     """Mean confidence-accuracy gap over non-empty bins."""
-    gaps = _gaps(d)
+    gaps = _gaps(bins)
     return sum(gaps) / len(gaps)
 
 
@@ -347,10 +341,10 @@ def serialize_calibration_records(records: CalibrationSet) -> str:
     return "".join(out)
 
 
-def reliability_csv(d: ReliabilityDiagram) -> str:
+def reliability_csv(bins: Sequence[ReliabilityBin]) -> str:
     """CSV rows (bin_lo, bin_hi, confidence, accuracy, count); empty bins blank."""
     out = ["bin_lo,bin_hi,confidence,accuracy,count"]
-    for b in d.bins:
+    for b in bins:
         conf = repr(b.mean_confidence) if b.mean_confidence is not None else ""
         acc = repr(b.accuracy) if b.accuracy is not None else ""
         out.append(f"{b.lo!r},{b.hi!r},{conf},{acc},{b.count}")

@@ -222,16 +222,17 @@ def _load_clustered(samples_path: str, clusters_path: str):
         flags = [_scalar(c, "split_refused", _BOOL, None) for c in entries]
     with _input("samples file", samples_path):
         samples = read_sample_set(samples_path)
-    filtered = filter_background(samples, threshold)
-    if filtered.image_id != image_id:
-        raise ValueError(
-            f"clusters file is for image {image_id!r}, samples are {filtered.image_id!r}"
-        )
-    if len(filtered) != n_detections:
-        raise ValueError(
-            f"clusters file expects {n_detections} filtered detections, "
-            f"samples produce {len(filtered)}"
-        )
+    with _input("clusters file", clusters_path):
+        filtered = filter_background(samples, threshold)
+        if filtered.image_id != image_id:
+            raise ValueError(
+                f"image_id is {image_id!r} but the samples are of image {filtered.image_id!r}"
+            )
+        if len(filtered) != n_detections:
+            raise ValueError(
+                f"n_detections is {n_detections} but the samples give {len(filtered)} "
+                f"after background filtering"
+            )
     # Every label in [0, k) occurs, so cluster i is entry i of the file.
     return filtered, [filtered.take(g) for g in label_groups(labels)], flags
 
@@ -291,9 +292,9 @@ def _cmd_calibrate(args) -> int:
         "already_calibrated": 0.95 <= temperature <= 1.05,
     }
     write_file(out_dir / "temperature.json", json_document(result).encode())
-    for when, diagram in (("before", before), ("after", after)):
-        write_file(out_dir / f"reliability_{when}.csv", reliability_csv(diagram).encode())
-        svg = reliability_figure(diagram, f"{when} calibration")
+    for when, bins in (("before", before), ("after", after)):
+        write_file(out_dir / f"reliability_{when}.csv", reliability_csv(bins).encode())
+        svg = reliability_figure(bins, f"{when} calibration")
         write_file(out_dir / f"reliability_{when}.svg", svg.encode())
     print(f"temperature: {temperature:.4f}")
     print(f"mce: {result['mce_before']:.4f} -> {result['mce_after']:.4f}")

@@ -17,7 +17,6 @@ import numpy as np
 from .model import SampleSet, label_groups
 
 __all__ = [
-    "ClusteringError",
     "estimate_component_count",
     "default_split_threshold",
     "overlap_components",
@@ -32,17 +31,12 @@ _BLOCK_ROWS = 64  # rows per overlap_components block when the cap allows
 # loads neither: with bytecode writing off each module loaded is compiled.
 
 
-class ClusteringError(ValueError):
-    """Raised when there is nothing to cluster or a mixture fit cannot
-    produce a valid state."""
-
-
 def estimate_component_count(n_detections: int, n_repetitions: int) -> int:
     """Detections divided by repetitions, rounded half-up, at least 1."""
     if n_repetitions < 1:
         raise ValueError(f"n_repetitions must be >= 1, got {n_repetitions}")
     if n_detections == 0:
-        raise ClusteringError("nothing to cluster: 0 detections")
+        raise ValueError("nothing to cluster: 0 detections")
     return max(1, (2 * n_detections + n_repetitions) // (2 * n_repetitions))
 
 
@@ -175,7 +169,7 @@ def cluster_pipeline(
     if split_threshold is not None and split_threshold < 1:
         raise ValueError(f"split_threshold must be >= 1, got {split_threshold}")
     if not len(s):
-        raise ClusteringError("nothing to cluster: 0 detections")
+        raise ValueError("nothing to cluster: 0 detections")
     points = s.boxes
     threshold = split_threshold or default_split_threshold(s.n_repetitions)
     labels = np.empty(len(points), dtype=np.int64)

@@ -14,7 +14,7 @@ from typing import TYPE_CHECKING, List, Optional, Sequence, Tuple
 import numpy as np
 
 if TYPE_CHECKING:
-    from .calibration import ReliabilityDiagram
+    from .calibration import ReliabilityBin
     from .report import ClusterReport, KdeCurve
 
 __all__ = [
@@ -191,7 +191,7 @@ def kde_figure(box_kde: Optional[KdeCurve], mask_kde: Optional[KdeCurve]) -> str
     return _svg(width, height, body)
 
 
-def reliability_figure(d: ReliabilityDiagram, title: str) -> str:
+def reliability_figure(bins: Sequence[ReliabilityBin], title: str) -> str:
     """Confidence-vs-accuracy bars with the identity diagonal."""
     width, height = 360.0, 360.0
     y0, y1 = height - _MARGIN, _MARGIN
@@ -205,7 +205,7 @@ def reliability_figure(d: ReliabilityDiagram, title: str) -> str:
 
     body = [_rect(0, 0, width, height, fill="white")]
     body.append(_text(width / 2, _MARGIN / 2 + 4, title))
-    for b in d.bins:
+    for b in bins:
         if b.count == 0:
             continue
         body.append(

@@ -36,7 +36,7 @@ from typing import Callable, Iterable, Iterator, List, Optional, Tuple
 
 import numpy as np
 
-from .model import RowError, SampleSet
+from .model import MAX_PIXELS, RowError, SampleSet, _check_pixels
 
 __all__ = [
     "MAX_PIXELS",
@@ -48,7 +48,6 @@ __all__ = [
     "write_file",
 ]
 
-MAX_PIXELS = 1 << 26  # 8192 x 8192, twice the 7680 x 4320 of 8K UHD
 _HEADER_KEYS = ["image_id", "height", "width", "n_repetitions", "num_classes"]
 _DET_KEYS = ["repetition", "bbox", "scores"]
 
@@ -184,11 +183,10 @@ def _sample_set(lines: Iterable[str], loads: Callable) -> SampleSet:
     for key, value in (("height", height), ("width", width), ("num_classes", num_classes)):
         if value < 1:
             raise ParseError(header_lineno, f"{key} must be >= 1, got {value}")
-    if height * width > MAX_PIXELS:
-        raise ParseError(
-            header_lineno,
-            f"image of {height} x {width} pixels exceeds the limit of {MAX_PIXELS} pixels",
-        )
+    try:
+        _check_pixels(height, width)
+    except ValueError as exc:
+        raise ParseError(header_lineno, str(exc)) from None
 
     # Each line's types and lengths are checked here; its values, by SampleSet.
     linenos, repetitions, boxes, scores, masks = [], [], [], [], []

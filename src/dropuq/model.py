@@ -24,6 +24,7 @@ from typing import Callable, List, Sequence, Tuple
 import numpy as np
 
 __all__ = [
+    "MAX_PIXELS",
     "RowError",
     "SampleSet",
     "box_ious",
@@ -43,6 +44,15 @@ def _equal_fields(a, b) -> bool:
 
 
 _INT64_MAX = np.iinfo(np.int64).max
+MAX_PIXELS = 1 << 26  # 8192 x 8192, twice the 7680 x 4320 of 8K UHD
+
+
+def _check_pixels(height: int, width: int) -> None:
+    """The pixel cap: mask statistics take a few H x W float64 arrays."""
+    if height * width > MAX_PIXELS:
+        raise ValueError(
+            f"image of {height} x {width} pixels exceeds the limit of {MAX_PIXELS} pixels"
+        )
 
 
 def _run_column(rows: Sequence, pixels: int) -> Tuple[np.ndarray, np.ndarray, list]:
@@ -153,6 +163,7 @@ class SampleSet:
     def __post_init__(self, masks):
         if self.height < 1 or self.width < 1:
             raise ValueError("image dims must be positive")
+        _check_pixels(self.height, self.width)
         n = len(masks)
         boxes = _reals(self.boxes)
         scores = _reals(self.scores)

@@ -22,7 +22,6 @@ __all__ = [
     "MaskStats",
     "KdeCurve",
     "ClusterReport",
-    "DegenerateSamples",
     "box_stats",
     "class_stats",
     "mask_stats",
@@ -36,10 +35,6 @@ __all__ = [
 
 _KDE_GRID_SIZE = 256  # points on which a density curve is evaluated
 _KDE_BLOCK_VALUES = 1 << 16  # (grid point, sample) pairs evaluated at once: memory O(n)
-
-
-class DegenerateSamples(ValueError):
-    """Fewer than two samples, or zero variance: no density to estimate."""
 
 
 @dataclass(frozen=True)
@@ -193,18 +188,18 @@ def iou_to_mean(
     return box_samples, tuple(ious.tolist())
 
 
-def kde(samples: Sequence[float]) -> KdeCurve:
+def kde(samples: Sequence[float]) -> Optional[KdeCurve]:
     """Gaussian kernel density with Scott's bandwidth sigma * n^(-1/5).
 
     The curve is evaluated at 256 uniform points in [min - 3h, max + 3h].
-    Raises DegenerateSamples for fewer than two samples or zero variance.
+    None for fewer than two samples or zero variance: no density to estimate.
     """
     x = np.asarray(samples, dtype=np.float64)
-    if x.size < 2:
-        raise DegenerateSamples(f"need >= 2 samples, got {x.size}")
+    if x.size < 2:  # ahead of x.std(), which warns on an empty array
+        return None
     std = float(x.std())
     if std == 0.0:
-        raise DegenerateSamples("samples have zero variance")
+        return None
     h = std * x.size ** (-0.2)
     grid = np.linspace(x.min() - 3.0 * h, x.max() + 3.0 * h, _KDE_GRID_SIZE)
     density = np.empty(_KDE_GRID_SIZE)
@@ -232,22 +227,14 @@ def build_report(members: SampleSet, mask_threshold: float = 0.5) -> ClusterRepo
     cstats = class_stats(members)
     mstats = mask_stats(members, mask_threshold)
     box_samples, mask_samples = iou_to_mean(members, bstats, mstats)
-    try:
-        box_kde = kde(box_samples)
-    except DegenerateSamples:
-        box_kde = None
-    try:
-        mask_kde = kde(mask_samples)
-    except DegenerateSamples:
-        mask_kde = None
     return ClusterReport(
         box_stats=bstats,
         class_stats=cstats,
         mask_stats=mstats,
         box_iou_samples=box_samples,
         mask_iou_samples=mask_samples,
-        box_kde=box_kde,
-        mask_kde=mask_kde,
+        box_kde=kde(box_samples),
+        mask_kde=kde(mask_samples),
     )
 
 

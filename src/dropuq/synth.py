@@ -14,10 +14,8 @@ from typing import TYPE_CHECKING, List, Sequence, Tuple
 import numpy as np
 
 from .evaluation import GroundTruthInstance
-from .ingest import (
-    MAX_PIXELS, _INT, _OBJECT, _REAL, _STR, ParseError, _array, _scalar, json_document,
-)
-from .model import SampleSet, _check_box, _double, rasterize_box, rle_encode
+from .ingest import _INT, _OBJECT, _REAL, _STR, ParseError, _array, _scalar, json_document
+from .model import SampleSet, _check_box, _check_pixels, _double, rasterize_box, rle_encode
 
 if TYPE_CHECKING:
     from .calibration import CalibrationSet
@@ -78,11 +76,7 @@ class SceneSpec:
         object.__setattr__(self, "instances", tuple(self.instances))
         if self.height < 1 or self.width < 1:
             raise ValueError(f"height and width must be >= 1, got {self.height} x {self.width}")
-        if self.height * self.width > MAX_PIXELS:
-            raise ValueError(
-                f"image of {self.height} x {self.width} pixels exceeds the limit of "
-                f"{MAX_PIXELS} pixels"
-            )
+        _check_pixels(self.height, self.width)
         if self.num_classes < 1:
             raise ValueError(f"num_classes must be >= 1, got {self.num_classes}")
         if self.n_repetitions < 1:
@@ -238,7 +232,7 @@ def generate_calibration_records(
     softmax), then multiplied by the temperature; fitting on the output
     recovers approximately that temperature.
     """
-    from .calibration import CalibrationSet  # a scene never needs it
+    from .calibration import CalibrationSet, softmax  # a scene never needs them
 
     if n < 1:
         raise ValueError(f"n must be >= 1, got {n}")
@@ -246,9 +240,7 @@ def generate_calibration_records(
         raise ValueError(f"true_temperature must be positive, got {true_temperature}")
     rng = np.random.default_rng(seed)
     base = rng.normal(0.0, 1.5, size=(n, k + 1))
-    shifted = base - base.max(axis=1, keepdims=True)
-    p = np.exp(shifted)
-    p /= p.sum(axis=1, keepdims=True)
+    p = softmax(base)
     u = rng.random(n)
     y = (np.cumsum(p, axis=1) < u[:, None]).sum(axis=1)
     return CalibrationSet(base * true_temperature, y)

@@ -6,7 +6,7 @@ import pytest
 
 from _scenes import overlapping_scene
 from dropuq import bgm
-from dropuq.bgm import ClusteringError, MixtureState, fit_bgm
+from dropuq.bgm import MixtureState, fit_bgm
 from dropuq.clustering import cluster_pipeline
 from dropuq.synth import generate
 
@@ -70,16 +70,18 @@ class TestFitBgm:
 
     def test_rejects_non_finite(self):
         x = np.array([[0.0, 1.0, 2.0, np.nan]])
-        with pytest.raises(ClusteringError):
+        with pytest.raises(ValueError, match="^points contain non-finite values$"):
             fit_bgm(x, 1, seed=0)
 
     def test_signature_pinned(self):
         assert list(inspect.signature(fit_bgm).parameters) == ["points", "k_max", "seed"]
 
     def test_rejects_empty_and_bad_kmax(self):
-        with pytest.raises(ClusteringError):
+        with pytest.raises(
+            ValueError, match=r"^points must be a non-empty 2-D matrix, got shape \(0, 4\)$"
+        ):
             fit_bgm(np.empty((0, 4)), 1, seed=0)
-        with pytest.raises(ClusteringError):
+        with pytest.raises(ValueError, match="^k_max must be >= 1, got 0$"):
             fit_bgm(np.ones((3, 4)), 0, seed=0)
 
 

@@ -134,7 +134,7 @@ class TestTemperatureRule:
         empty = read_text(read_calibration_records, "")
         with pytest.raises(ValueError, match="temperature must be finite and positive"):
             reliability(empty, 0.0, 10)
-        assert sum(b.count for b in reliability(empty, 1.0, 10).bins) == 0
+        assert sum(b.count for b in reliability(empty, 1.0, 10)) == 0
 
 
 class TestFitTemperature:
@@ -192,21 +192,21 @@ class TestReliability:
     def test_perfect_confidence(self):
         records = repeated((0.0, 200.0), 1, 5)
         d = reliability(records, 1.0, 10)
-        assert d.bins[-1].count == 5
-        assert d.bins[-1].accuracy == 1.0
-        assert d.bins[-1].mean_confidence == pytest.approx(1.0, abs=1e-9)
+        assert d[-1].count == 5
+        assert d[-1].accuracy == 1.0
+        assert d[-1].mean_confidence == pytest.approx(1.0, abs=1e-9)
         assert mce(d) == pytest.approx(0.0, abs=1e-9)
 
     def test_bin_counts_conserved(self):
         records = generate_calibration_records(500, 1.3, 4, seed=2)
         d = reliability(records, 1.0, 10)
-        assert sum(b.count for b in d.bins) == 500
+        assert sum(b.count for b in d) == 500
 
     def test_empty_bins_excluded(self):
         # two-class records: confidence >= 0.5, low bins stay empty
         records = repeated((0.0, 0.1), 1, 9)
         d = reliability(records, 1.0, 10)
-        assert sum(1 for b in d.bins if b.count > 0) == 1
+        assert sum(1 for b in d if b.count > 0) == 1
         assert mce(d) == ace(d)
 
     def test_known_per_bin_accuracy(self):
@@ -233,7 +233,7 @@ class TestReliability:
             hits[b] = hits.get(b, 0) + (
                 1 if int(np.argmax(p)) == true_class else 0
             )
-        for i, b in enumerate(d.bins):
+        for i, b in enumerate(d):
             assert b.count == counts.get(i, 0)
             if b.count:
                 assert b.accuracy == pytest.approx(hits[i] / counts[i], abs=1e-12)
@@ -243,8 +243,8 @@ class TestReliability:
             np.array([[1e308, -1e308, 0.0], [2.0, -1.0, 0.5], [0.0, 300.0, 1.0]]), np.array([0, 0, 1])
         )
         d = reliability(records, 0.5, 10)
-        assert sum(b.count for b in d.bins) == 3
-        assert d.bins[-1].count == 3 and d.bins[-1].accuracy == 1.0
+        assert sum(b.count for b in d) == 3
+        assert d[-1].count == 3 and d[-1].accuracy == 1.0
 
     def test_csv_shape(self):
         records = generate_calibration_records(100, 1.0, 3, seed=1)

@@ -742,6 +742,41 @@ class TestClustersFileTypes:
         )
         assert [p.name for p in out.iterdir()] == ["manifest.json"]
 
+    @pytest.mark.parametrize("command", ["report", "eval"])
+    @pytest.mark.parametrize(
+        "edit, message",
+        [
+            (lambda d: {**d, "background_threshold": 5},
+             lambda d: "background threshold must be in [0, 1], got 5.0"),
+            (lambda d: {**d, "image_id": "other"},
+             lambda d: "image_id is 'other' but the samples are of image 'scene0'"),
+            # Labels and sizes agree with the count, which the samples do not give.
+            (lambda d: {**d, "n_detections": d["n_detections"] + 1, "labels": d["labels"] + [0],
+                        "clusters": [{**c, "size": c["size"] + (c["cluster_id"] == 0)}
+                                     for c in d["clusters"]]},
+             lambda d: f"n_detections is {d['n_detections'] + 1} but the samples give "
+                       f"{d['n_detections']} after background filtering"),
+        ],
+        ids=["threshold-out-of-range", "other-image", "one-detection-more"],
+    )
+    def test_mismatch_with_the_samples_names_the_file(self, pipeline_dirs, tmp_path, capsys,
+                                                      command, edit, message):
+        from dropuq.cli import main
+
+        doc = json.loads((pipeline_dirs / "clusters" / "scene0_clusters.json").read_text())
+        clusters = tmp_path / "scene0_clusters.json"
+        clusters.write_text(json.dumps(edit(doc)))
+        out = tmp_path / "o"
+        gt = pipeline_dirs / "synth" / "scene0_gt.jsonl"
+        extra = ["--gt", str(gt)] if command == "eval" else []
+        argv = [command, str(pipeline_dirs / "synth" / "scene0_samples.jsonl"),
+                "--clusters", str(clusters), *extra, "--out-dir", str(out)]
+        assert main(argv) == 2
+        assert capsys.readouterr().err == (
+            f"dropuq: error: clusters file {clusters}: {message(doc)}\n"
+        )
+        assert [p.name for p in out.iterdir()] == ["manifest.json"]
+
 
 class TestPipeline:
     def test_cluster_summary(self, pipeline_dirs):

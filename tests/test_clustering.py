@@ -11,7 +11,6 @@ from _scenes import overlapping_scene, separated_scene, simple_set
 from dropuq import bgm, clustering, ward
 from dropuq.bgm import fit_bgm
 from dropuq.clustering import (
-    ClusteringError,
     cluster_pipeline,
     default_split_threshold,
     estimate_component_count,
@@ -38,7 +37,7 @@ class TestComponentCount:
         assert estimate_component_count(10, 100) == 1
 
     def test_zero_detections_error(self):
-        with pytest.raises(ClusteringError):
+        with pytest.raises(ValueError, match="^nothing to cluster: 0 detections$"):
             estimate_component_count(0, 100)
 
     def test_bad_repetitions(self):
@@ -272,7 +271,7 @@ class TestClusterPipeline:
 
     def test_empty_error(self):
         s = SampleSet("img", 10, 10, 1, np.empty((0, 4)), np.empty((0, 2)), [], ())
-        with pytest.raises(ClusteringError):
+        with pytest.raises(ValueError, match="^nothing to cluster: 0 detections$"):
             cluster_pipeline(s, seed=0)
 
     def test_single_instance_components_run_no_fit(self, monkeypatch):

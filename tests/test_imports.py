@@ -1,9 +1,11 @@
-"""No module of the package imports a name it never uses.
+"""No module of the package imports a name it never uses, and no chain of
+the package's own imports leads back to where it started.
 
 Only the standard library's ``ast`` is needed. An import inside a function
 must be used in that function; a module-level import anywhere in the
 module, or by being listed in ``__all__``. The re-exports of
-``__init__.py`` are exempt.
+``__init__.py`` are exempt. The import graph counts every relative import,
+at module level, under ``TYPE_CHECKING`` or inside a function alike.
 """
 
 import ast
@@ -64,3 +66,68 @@ def test_no_unused_import(module):
 )
 def test_the_check_itself(source, unused):
     assert unused_imports(source) == unused
+
+
+def import_graph(sources: dict) -> dict:
+    """Module name -> the sorted package modules its relative imports name,
+    for a package whose modules' sources are ``sources``; ``from . import x``
+    names module x, or ``__init__`` when x is not a module."""
+    graph = {}
+    for name, source in sources.items():
+        targets = set()
+        for node in ast.walk(ast.parse(source)):
+            if isinstance(node, ast.ImportFrom) and node.level == 1:
+                if node.module is not None:
+                    targets.add(node.module.split(".")[0])
+                else:
+                    targets.update(a.name if a.name in sources else "__init__" for a in node.names)
+        graph[name] = sorted(targets & sources.keys())
+    return graph
+
+
+def find_cycle(graph: dict):
+    """The first cycle a depth-first walk in name order meets, as the list of
+    its modules with the first repeated at the end; None when there is none."""
+    done, path = set(), []
+
+    def visit(name):
+        if name in path:
+            return path[path.index(name):] + [name]
+        if name in done:
+            return None
+        path.append(name)
+        for target in graph[name]:
+            cycle = visit(target)
+            if cycle:
+                return cycle
+        path.pop()
+        done.add(name)
+        return None
+
+    for name in sorted(graph):
+        cycle = visit(name)
+        if cycle:
+            return cycle
+    return None
+
+
+def test_no_import_cycle():
+    sources = {p.stem: p.read_text(encoding="utf-8") for p in PACKAGE.glob("*.py")}
+    cycle = find_cycle(import_graph(sources))
+    assert cycle is None, "import cycle: " + " -> ".join(cycle)
+
+
+@pytest.mark.parametrize(
+    "sources, cycle",
+    [
+        ({"a": "from .b import x\n", "b": "def f():\n    from . import a\n"}, ["a", "b", "a"]),
+        ({"a": "from . import b\n", "b": "from . import c\n", "c": "from .b import y\n"},
+         ["b", "c", "b"]),
+        ({"a": "from .b import x\nfrom . import c\n", "b": "from .c import y\n", "c": ""}, None),
+        ({"__init__": "from .a import x\n", "a": "from . import __version__\n"},
+         ["__init__", "a", "__init__"]),
+        ({"a": "import b\nfrom b import x\n", "b": "from . import a\n"}, None),
+    ],
+)
+def test_the_cycle_check_itself(sources, cycle):
+    assert find_cycle(import_graph(sources)) == cycle

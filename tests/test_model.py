@@ -495,6 +495,13 @@ class TestSampleSet:
         s = sample_set(np.empty((0, 4)), np.empty((0, 4)), [], ())
         assert len(s) == 0 and s.scores.shape == (0, 4)
 
+    def test_rejects_more_pixels_than_the_cap(self):
+        # The mask statistics take a few H x W float64 arrays.
+        message = r"^image of 8193 x 8193 pixels exceeds the limit of 67108864 pixels$"
+        with pytest.raises(ValueError, match=message):
+            SampleSet("img", 8193, 8193, 1, [(0, 0, 5, 5)], [(0.5, 0.5)], [0], [None])
+        assert len(SampleSet("img", 8192, 8192, 1, [(0, 0, 5, 5)], [(0.5, 0.5)], [0], [None])) == 1
+
 
 def random_mask_set(rng):
     """A random SampleSet whose rows mix masks and no masks, and repeat repetitions."""
