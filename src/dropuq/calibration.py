@@ -12,11 +12,15 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from itertools import chain
+from operator import itemgetter
 from typing import Callable, Iterable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .ingest import _REAL, ParseError, _jsonl_records, _read_file
+from .ingest import (
+    _REAL, _TEXT_BLOCK_ROWS, ParseError, _blocks, _int64, _irregular, _jsonl_records, _read_file,
+    _real_rows, _regular,
+)
 from .model import RowError, _check, _equal_fields, _reals
 
 __all__ = [
@@ -36,7 +40,7 @@ __all__ = [
 
 T_SEARCH_LO = 0.01
 T_SEARCH_HI = 100.0
-_TEXT_BLOCK_ROWS = 4096  # rows printed per orjson call by serialize_calibration_records
+_KEYS = ["logits", "true_class"]
 
 
 @dataclass(frozen=True, eq=False)
@@ -268,12 +272,34 @@ def read_calibration_records(path) -> CalibrationSet:
     (a string, boolean or null is an error). The true class must be a JSON
     integer: not 1.0, "1" or true.
     """
-    return _read_file(_calibration_set, path)
+    return _read_file(_calibration_columns, _calibration_set, path)
+
+
+def _calibration_columns(lines: Iterable[str], loads: Callable) -> CalibrationSet:
+    """The column pass of read_calibration_records."""
+    blocks = [_record_columns(records) for records in _blocks(lines, loads, {tuple(_KEYS)})]
+    if not blocks:
+        return CalibrationSet(np.empty((0, 0)), np.empty(0, dtype=np.int64))
+    _regular(len({z.shape[1] for z, _ in blocks}) == 1)
+    z, y = (np.concatenate(column) for column in zip(*blocks))
+    del blocks  # before the set copies the columns
+    try:
+        return CalibrationSet(z, y)
+    except ValueError:
+        raise _irregular() from None
+
+
+def _record_columns(records: list) -> Tuple[np.ndarray, np.ndarray]:
+    """A block of records as a logit array and a true-class array."""
+    rows, true_class = (list(map(itemgetter(key), records)) for key in _KEYS)
+    _regular(set(map(type, true_class)) == {int})
+    return _real_rows(rows), _int64(true_class)
 
 
 def _calibration_set(lines: Iterable[str], loads: Callable) -> CalibrationSet:
+    """The reference pass of read_calibration_records, one line at a time."""
     linenos, rows, classes = [], [], []
-    for lineno, obj in _jsonl_records(lines, loads, ["logits", "true_class"], []):
+    for lineno, obj in _jsonl_records(lines, loads, _KEYS, []):
         logits = obj["logits"]
         if not isinstance(logits, list):
             raise ParseError(lineno, f"logits must be a list, got {logits!r}")

@@ -191,7 +191,7 @@ def read_ground_truth(path, image_id: str, height: int, width: int) -> List[Grou
     Every line's types, box and class are checked; only that image's mask
     runs are checked, by the run rules for its dims.
     """
-    return _read_file(_ground_truth, path, image_id, height, width)
+    return _read_file(_ground_truth, _ground_truth, path, image_id, height, width)
 
 
 def _ground_truth(

@@ -17,21 +17,30 @@ image; a box with no area left inside it is rejected. The header may declare
 at most MAX_PIXELS pixels (H * W), so that the per-pixel arrays of the mask
 statistics stay bounded.
 
-Lines are decoded with orjson; the stdlib ``json`` decoder is the
-reference. A parse that raises ParseError under orjson runs again from the
-first line under ``json``, whose result or error the caller gets. orjson
-rejects NaN, Infinity, 1e400 and lone surrogates, which ``json`` accepts, and
-reads integers beyond 64 bits as floats, which no integer field accepts; on
-every other line the two decoders return equal values. In every real field
-of every format, a number beyond the double range, 1e400 or an integer of
-400 digits alike, reads as ±inf (``model._reals``) and then meets that
-field's finite or range rule.
+Calibration records and sample sets are read in two passes at most. The
+column pass reads the file _TEXT_BLOCK_ROWS lines at a time, decodes each
+block with orjson in one call, checks the block's types, key orders and
+widths with C-level scans, and turns it into arrays at once. Anything it
+cannot take whole raises ParseError, and the file's text is parsed again,
+line by line and from its first line, under the stdlib ``json`` decoder,
+whose result or error the caller gets. The ground-truth reader decodes
+line by line under orjson, with the same ``json`` pass behind it. orjson
+rejects NaN, Infinity, 1e400 and lone surrogates, which ``json`` accepts,
+and reads integers beyond 64 bits as floats, which no integer field
+accepts; on every other line the two decoders return equal values. In
+every real field of every format, a number beyond the double range, 1e400
+or an integer of 400 digits alike, reads as ±inf (``model._reals``) and
+then meets that field's finite or range rule.
 """
 
 from __future__ import annotations
 
+import gc
+import io
 import json
 import os
+from itertools import chain, filterfalse, islice
+from operator import itemgetter
 from typing import Callable, Iterable, Iterator, List, Optional, Tuple
 
 import numpy as np
@@ -50,6 +59,9 @@ __all__ = [
 
 _HEADER_KEYS = ["image_id", "height", "width", "n_repetitions", "num_classes"]
 _DET_KEYS = ["repetition", "bbox", "scores"]
+_DET_OPTIONAL = ["mask_runs"]
+_DET_KEY_TUPLES = {tuple(_DET_KEYS), (*_DET_KEYS, *_DET_OPTIONAL)}
+_TEXT_BLOCK_ROWS = 4096  # lines decoded, or rows printed, per orjson call
 
 
 class ParseError(ValueError):
@@ -143,19 +155,78 @@ def _jsonl_records(
             yield lineno, _record(line, lineno, loads, keys, optional)
 
 
-def _read_file(parse: Callable, path, *args):
-    """parse(lines, loads, *args) over a UTF-8 file with orjson's loads, or,
-    if that raises ParseError, with json's over the file opened afresh (see
-    the module docstring)."""
+def _read_file(columns: Callable, reference: Callable, path, *args):
+    """columns(lines, loads, *args) over a UTF-8 file with orjson's loads,
+    or, if that raises ParseError, reference(lines, json.loads, *args) over
+    the same text from its start (see the module docstring). A stream that
+    cannot seek, such as a pipe, is read into memory first. The cyclic GC
+    is paused throughout and then left as it was found: decoded JSON holds
+    no reference cycles, so a collection would free nothing sooner."""
     from orjson import loads
 
+    enabled = gc.isenabled()
+    gc.disable()
     try:
-        with open(path, "r", encoding="utf-8") as lines:
-            return parse(lines, loads, *args)
-    except ParseError:
-        pass
-    with open(path, "r", encoding="utf-8") as lines:
-        return parse(lines, json.loads, *args)
+        with open(path, "r", encoding="utf-8") as file:
+            lines = file
+            if not file.seekable():  # a pipe: keep its bytes, to read them twice
+                lines = io.TextIOWrapper(io.BytesIO(file.buffer.read()), encoding="utf-8")
+            try:
+                return columns(lines, loads, *args)
+            except ParseError:
+                lines.seek(0)
+            return reference(lines, json.loads, *args)
+    finally:
+        if enabled:
+            gc.enable()
+
+
+def _irregular() -> ParseError:
+    """The error of a column pass that cannot take a block whole; the
+    reference pass then finds and words the fault, if there is one."""
+    return ParseError(None, "irregular block")
+
+
+def _regular(ok: bool) -> None:
+    """Raise the irregular-block error unless ``ok``."""
+    if not ok:
+        raise _irregular()
+
+
+def _blocks(lines: Iterable[str], loads: Callable, keys: set) -> Iterator[list]:
+    """The records of the non-blank lines of a text file, decoded by ``loads``
+    _TEXT_BLOCK_ROWS lines at a time; each block is a non-empty list of
+    JSON objects whose key tuples are in ``keys``, else ParseError."""
+    lines = iter(lines)
+    while block := list(islice(lines, _TEXT_BLOCK_ROWS)):
+        try:
+            records = list(map(loads, filterfalse(str.isspace, block)))
+        except json.JSONDecodeError:
+            raise _irregular() from None
+        _regular(set(map(type, records)) <= {dict} and set(map(tuple, records)) <= keys)
+        if records:
+            yield records
+
+
+def _real_rows(values: list, length: Optional[int] = None) -> np.ndarray:
+    """``values`` as an (n, width) float64 array, if they are lists of one
+    width, ``length`` if it is given, holding JSON numbers; else ParseError.
+    The numbers are orjson's: none is an int beyond 64 bits or overflows."""
+    _regular(set(map(type, values)) == {list})
+    widths = set(map(len, values))
+    _regular(len(widths) == 1 if length is None else widths == {length})
+    _regular(set(map(type, chain.from_iterable(values))).issubset(_REAL))
+    shape = (len(values), widths.pop())
+    return np.fromiter(chain.from_iterable(values), np.float64, shape[0] * shape[1]).reshape(shape)
+
+
+def _int64(values) -> np.ndarray:
+    """``values``, JSON integers, as an int64 array, or ParseError for one
+    beyond 64 bits."""
+    try:
+        return np.array(values, dtype=np.int64)
+    except OverflowError:
+        raise _irregular() from None
 
 
 def read_sample_set(path) -> SampleSet:
@@ -164,29 +235,76 @@ def read_sample_set(path) -> SampleSet:
     Detections are sorted by repetition index (stable within a repetition).
     Raises ParseError with the offending line number on any malformed record.
     """
-    return _read_file(_sample_set, path)
+    return _read_file(_sample_columns, _sample_set, path)
 
 
-def _sample_set(lines: Iterable[str], loads: Callable) -> SampleSet:
-    records = _jsonl_records(lines, loads, _DET_KEYS, ["mask_runs"], header=_HEADER_KEYS)
-    first = next(records, None)
-    if first is None:
-        raise ParseError(1, "missing header record")
-
-    header_lineno, header = first
-    image_id = _scalar(header, "image_id", _STR, header_lineno)
+def _header(obj: dict, lineno: Optional[int]) -> tuple:
+    """The samples header's (image_id, height, width, n_repetitions,
+    num_classes), checked; an error names line ``lineno``."""
+    image_id = _scalar(obj, "image_id", _STR, lineno)
     height, width, n_repetitions, num_classes = (
-        _scalar(header, key, _INT, header_lineno) for key in _HEADER_KEYS[1:]
+        _scalar(obj, key, _INT, lineno) for key in _HEADER_KEYS[1:]
     )
     # Checked here, so that a bad value names the header line and a product of
     # two negative dims never passes the pixel limit below.
     for key, value in (("height", height), ("width", width), ("num_classes", num_classes)):
         if value < 1:
-            raise ParseError(header_lineno, f"{key} must be >= 1, got {value}")
+            raise ParseError(lineno, f"{key} must be >= 1, got {value}")
     try:
         _check_pixels(height, width)
     except ValueError as exc:
-        raise ParseError(header_lineno, str(exc)) from None
+        raise ParseError(lineno, str(exc)) from None
+    return image_id, height, width, n_repetitions, num_classes
+
+
+def _sample_columns(lines: Iterable[str], loads: Callable) -> SampleSet:
+    """The column pass of read_sample_set."""
+    lines = iter(lines)
+    first = next(filterfalse(str.isspace, lines), None)
+    _regular(first is not None)
+    image_id, height, width, n_repetitions, num_classes = _header(
+        _record(first, None, loads, _HEADER_KEYS, []), None
+    )
+    blocks = [
+        _detections(records, num_classes) for records in _blocks(lines, loads, _DET_KEY_TUPLES)
+    ]
+    repetitions, boxes, scores, masks = zip(*blocks) if blocks else ((),) * 4
+    try:  # a zero-row block heads each column: with no detections, the header gives the widths
+        return SampleSet(
+            image_id, height, width, n_repetitions,
+            np.concatenate([np.empty((0, 4)), *boxes]),
+            np.concatenate([np.empty((0, num_classes + 1)), *scores]),
+            np.concatenate([np.empty(0, np.int64), *repetitions]),
+            list(chain.from_iterable(masks)),
+        )
+    except ValueError:
+        raise _irregular() from None
+
+
+def _detections(records: list, num_classes: int) -> tuple:
+    """A block of detection records as columns: repetitions, boxes, scores,
+    and each detection's mask runs as an int64 array (None: no mask)."""
+    repetition, box, score = (list(map(itemgetter(key), records)) for key in _DET_KEYS)
+    runs = [r.get("mask_runs", ()) for r in records]  # (): no key; JSON holds no tuple
+    _regular(set(map(type, repetition)) == {int})
+    boxes, scores = _real_rows(box, 4), _real_rows(score, num_classes + 1)
+    _regular(
+        set(map(type, runs)) <= {list, tuple}
+        and set(map(type, chain.from_iterable(runs))) <= {int}
+    )
+    masks = [_int64(r) if type(r) is list else None for r in runs]
+    return _int64(repetition), boxes, scores, masks
+
+
+def _sample_set(lines: Iterable[str], loads: Callable) -> SampleSet:
+    """The reference pass of read_sample_set, one line at a time."""
+    records = _jsonl_records(lines, loads, _DET_KEYS, _DET_OPTIONAL, header=_HEADER_KEYS)
+    first = next(records, None)
+    if first is None:
+        raise ParseError(1, "missing header record")
+
+    header_lineno, header = first
+    image_id, height, width, n_repetitions, num_classes = _header(header, header_lineno)
 
     # Each line's types and lengths are checked here; its values, by SampleSet.
     linenos, repetitions, boxes, scores, masks = [], [], [], [], []

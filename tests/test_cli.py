@@ -23,8 +23,9 @@ from dropuq.synth import (
 SRC = str(Path(__file__).resolve().parent.parent / "src")
 
 
-def run_cli(*argv, check=True, address_space=None):
-    """Run the CLI in a child process; address_space caps only the child's RLIMIT_AS."""
+def run_cli(*argv, check=True, address_space=None, input=None):
+    """Run the CLI in a child process, ``input`` piped to its standard input;
+    address_space caps only the child's RLIMIT_AS."""
     env = dict(os.environ)
     env["PYTHONPATH"] = SRC + os.pathsep + env.get("PYTHONPATH", "")
     limit = None
@@ -40,6 +41,7 @@ def run_cli(*argv, check=True, address_space=None):
         text=True,
         env=env,
         preexec_fn=limit,
+        input=input,
     )
     if check and result.returncode != 0:
         raise AssertionError(
@@ -1265,6 +1267,58 @@ class TestCalibrate:
         path = tmp_path / "records.jsonl"
         path.write_text("")
         assert run_cli("calibrate", path, "--out-dir", tmp_path / "cal", check=False).returncode == 2
+
+
+class TestPipedInput:
+    """A file read from a pipe is parsed a second time from the same text,
+    when the first pass cannot take it."""
+
+    def test_eval_ground_truth(self, pipeline_dirs, tmp_path):
+        # orjson rejects the lone surrogate escape, so json parses the file.
+        gt = (pipeline_dirs / "synth" / "scene0_gt.jsonl").read_text() + json.dumps(
+            {"image_id": "other\udfff", "bbox": [0, 0, 10, 10], "class_id": 1}
+        ) + "\n"
+        path = tmp_path / "gt.jsonl"
+        path.write_text(gt)
+        samples = pipeline_dirs / "synth" / "scene0_samples.jsonl"
+        clusters = pipeline_dirs / "clusters" / "scene0_clusters.json"
+        results = [
+            run_cli("eval", samples, "--clusters", clusters, "--gt", source,
+                    "--out-dir", tmp_path / name, input=text)
+            for name, source, text in (("path", path, None), ("pipe", "/dev/stdin", gt))
+        ]
+        assert results[0].stdout == results[1].stdout
+        assert results[1].stdout == "mAP@0.5 (box): 1.0000\nmAP@0.5 (mask): 1.0000\n"
+        assert (tmp_path / "path" / "eval.csv").read_bytes() == (
+            tmp_path / "pipe" / "eval.csv"
+        ).read_bytes()
+
+    @pytest.mark.parametrize(
+        "text, message",
+        [
+            ('{"logits": [0.0, NaN], "true_class": 1}\n',
+             "line 1: logits must be finite, got [0.0, nan]"),
+            ('\n{"logits": [0.0, 1.0], "true_class": 1.0}\n',
+             "line 2: true_class must be an integer, got 1.0"),
+        ],
+    )
+    def test_calibrate_error(self, tmp_path, text, message):
+        r = run_cli("calibrate", "/dev/stdin", "--out-dir", tmp_path / "cal", check=False,
+                    input=text)
+        assert (r.returncode, r.stderr) == (
+            2, f"dropuq: error: records file /dev/stdin: {message}\n"
+        )
+
+    def test_calibrate(self, tmp_path):
+        text = serialize_calibration_records(generate_calibration_records(5000, 2.0, 3, seed=2))
+        path = tmp_path / "records.jsonl"
+        path.write_text(text)
+        by_path = run_cli("calibrate", path, "--out-dir", tmp_path / "path")
+        piped = run_cli("calibrate", "/dev/stdin", "--out-dir", tmp_path / "pipe", input=text)
+        assert piped.stdout == by_path.stdout
+        for name in ("temperature.json", "reliability_before.csv", "reliability_after.csv"):
+            piped_bytes = (tmp_path / "pipe" / name).read_bytes()
+            assert piped_bytes == (tmp_path / "path" / name).read_bytes(), name
 
 
 # Each subcommand's arguments in order: (name, default, required).

@@ -8,9 +8,12 @@ import pytest
 
 from _files import read_text
 from _scenes import separated_scene
-from dropuq.calibration import CalibrationSet, _calibration_set, read_calibration_records
+from dropuq.calibration import (
+    CalibrationSet, _calibration_set, read_calibration_records, serialize_calibration_records,
+)
 from dropuq.evaluation import GroundTruthInstance, _ground_truth, read_ground_truth
 from dropuq.ingest import (
+    _TEXT_BLOCK_ROWS,
     ParseError,
     _sample_set,
     filter_background,
@@ -18,7 +21,9 @@ from dropuq.ingest import (
     serialize_sample_set,
 )
 from dropuq.model import SampleSet
-from dropuq.synth import InstanceSpec, generate, scene_spec_to_json
+from dropuq.synth import (
+    InstanceSpec, generate, generate_calibration_records, scene_spec_to_json,
+)
 
 HEADER = json.dumps(
     {"image_id": "img0", "height": 20, "width": 30, "n_repetitions": 3, "num_classes": 2}
@@ -190,6 +195,7 @@ class TestStrictTypes:
             ("scores", [0.1, 0.6, 10**400], r"scores must lie in \[0, 1\], got \(0.1, 0.6, inf\)"),
             ("mask_runs", [0, 300.5, 299.5], "mask_runs must be a list of JSON integers"),
             ("mask_runs", [0, True, 599], "mask_runs must be a list of JSON integers"),
+            ("mask_runs", None, "mask_runs must be a list, got None"),
         ],
     )
     def test_bad_detection_value(self, key, value, message):
@@ -519,6 +525,44 @@ REFERENCE = {
 }
 
 
+def _block_record(fmt, i, rng):
+    """Record i of a valid calibration or samples file: 3 logits, or a
+    detection with a mask on every other line."""
+    if fmt == "calibration":
+        return json.dumps({"logits": rng.normal(size=3).tolist(), "true_class": i % 3})
+    return det_line(i % 3, scores=(0.25, 0.5, 0.25), mask_runs=[100, 7, 493] if i % 2 else None)
+
+
+# Lines each column pass must hand to the reference, which words the error.
+BLOCK_FAULTS = {
+    "calibration": {
+        "bad width": '{"logits": [0.0, 1.5, 2.0, 3.0], "true_class": 1}',
+        "boolean logit": '{"logits": [0.0, true, 2.0], "true_class": 1}',
+        "extra key": '{"logits": [0.0, 1.5, 2.0], "true_class": 1, "x": 1}',
+        "class beyond 64 bits": '{"logits": [0.0, 1.5, 2.0], "true_class": 18446744073709551616}',
+        "class at 2**63": '{"logits": [0.0, 1.5, 2.0], "true_class": 9223372036854775808}',
+    },
+    "samples": {
+        "bad width": det_line(scores=(0.1, 0.6, 0.2, 0.1)),
+        "boolean score": det_line().replace("0.6", "true"),
+        "extra key": det_line()[:-1] + ', "x": 1}',
+        "repetition beyond 64 bits": det_line(rep=2**64),
+        "mask run beyond 64 bits": det_line(mask_runs=[0, 2**64, 10]),
+        "mask run at 2**63": det_line(mask_runs=[0, 2**63, 10]),
+        "empty mask": det_line(mask_runs=[]),
+        "null mask": det_line()[:-1] + ', "mask_runs": null}',
+    },
+}
+REFERENCE_BODIES = {
+    "calibration": "dropuq.calibration._calibration_set",
+    "samples": "dropuq.ingest._sample_set",
+}
+
+
+def _no_reference(lines, loads, *args):
+    raise AssertionError("the reference pass ran")
+
+
 class TestDecoderRule:
     """orjson decodes, and json decides: every parse equals a json-only parse."""
 
@@ -609,6 +653,38 @@ class TestDecoderRule:
         text = json.dumps({"image_id": "img0", "bbox": [1, 2, 5, 6], "class_id": 2**64})
         assert read_text(read_ground_truth, text, "img0", 20, 30)[0].class_id == 2**64
 
+    @pytest.mark.parametrize(
+        "fmt, n, newline, blank_at, fault",
+        [
+            (fmt, n, "\n", None, None)
+            for fmt in BLOCK_FAULTS for n in (4095, 4096, 4097, 8193)
+        ] + [
+            (fmt, 8193, newline, blank_at, None)
+            for fmt in BLOCK_FAULTS for newline in ("\n", "\r\n")
+            for blank_at in (None, 4095, 4096, 4097) if (newline, blank_at) != ("\n", None)
+        ] + [
+            (fmt, 8193, "\n", None, fault) for fmt in BLOCK_FAULTS for fault in BLOCK_FAULTS[fmt]
+        ],
+    )
+    def test_block_boundaries(self, fmt, n, newline, blank_at, fault, tmp_path, monkeypatch):
+        rng = np.random.default_rng(n)
+        head = FORMATS[fmt][1]
+        lines = head + [_block_record(fmt, i, rng) for i in range(n)]
+        at = len(head) + _TEXT_BLOCK_ROWS + 7  # in the second block of records
+        if fault is not None:
+            lines[at] = BLOCK_FAULTS[fmt][fault]
+        if blank_at is not None:  # a blank line after record blank_at - 1
+            lines.insert(len(head) + blank_at, "  ")
+        path = tmp_path / "records.jsonl"
+        path.write_text(newline.join(lines) + newline, encoding="utf-8", newline="")
+        expected = _outcome(REFERENCE[fmt], path)
+        if fault is None:  # the column pass takes a valid file alone
+            assert expected[0] == "ok", expected
+            monkeypatch.setattr(REFERENCE_BODIES[fmt], _no_reference)
+        else:
+            assert expected[::3] == ("error", at + 1), expected
+        assert _outcome(FORMATS[fmt][0], path) == expected
+
     def test_lone_surrogate_image_id(self, tmp_path):
         header = json.dumps({**json.loads(HEADER), "image_id": "\udfff"})
         assert '"\\udfff"' in header
@@ -616,6 +692,46 @@ class TestDecoderRule:
         path = tmp_path / "gt.jsonl"
         path.write_text(json.dumps({"image_id": "\udfff", "bbox": [1, 2, 5, 6], "class_id": 1}))
         assert read_ground_truth(path, "\udfff", 20, 30)[0].image_id == "\udfff"
+
+
+@pytest.mark.parametrize("enabled", [True, False])
+@pytest.mark.parametrize(
+    "text, error",
+    [('{"logits": [0.0, 1.5], "true_class": 1}\n', None), ("[]\n", ParseError), (None, OSError)],
+)
+def test_reader_leaves_the_gc_as_it_found_it(enabled, text, error, tmp_path):
+    path = tmp_path / "records.jsonl"
+    if text is not None:
+        path.write_text(text)
+    was = gc.isenabled()
+    (gc.enable if enabled else gc.disable)()
+    try:
+        if error is None:
+            assert len(read_calibration_records(path)) == 1
+        else:
+            with pytest.raises(error):
+                read_calibration_records(path)
+        assert gc.isenabled() is enabled
+    finally:
+        (gc.enable if was else gc.disable)()
+
+
+def test_calibration_reader_peak_is_close_to_its_columns(tmp_path):
+    # 50 000 records of 10 logits: the columns take 4.4 MB.
+    path = tmp_path / "records.jsonl"
+    path.write_text(serialize_calibration_records(
+        generate_calibration_records(50_000, 2.0, 9, seed=3)), encoding="utf-8")
+    read_calibration_records(path)  # the decoder's first import is not the set's
+    gc.collect()
+    tracemalloc.start()
+    try:
+        read = read_calibration_records(path)
+        gc.collect()
+        retained, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert retained >= read.logits.nbytes + read.true_class.nbytes == 50_000 * 88
+    assert peak <= 4 * retained, peak / retained
 
 
 def test_sample_set_retains_only_its_columns(tmp_path):
@@ -651,8 +767,10 @@ def test_mask_set_retains_its_runs_and_little_else(tmp_path):
     try:
         read = read_sample_set(path)
         gc.collect()
-        retained = tracemalloc.get_traced_memory()[0]
+        retained, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
     assert len(read) == 300 and run_bytes > 300 * 1000
     assert (retained - run_bytes) / len(read) <= 150, (retained - run_bytes) / len(read)
+    # 7.4x when each line's runs stayed Python lists until the end; 5.3x in blocks.
+    assert peak <= 6 * retained, peak / retained
