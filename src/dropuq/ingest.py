@@ -17,20 +17,21 @@ image; a box with no area left inside it is rejected. The header may declare
 at most MAX_PIXELS pixels (H * W), so that the per-pixel arrays of the mask
 statistics stay bounded.
 
-Calibration records and sample sets are read in two passes at most. The
-column pass reads the file _TEXT_BLOCK_ROWS lines at a time, decodes each
-block with orjson in one call, checks the block's types, key orders and
-widths with C-level scans, and turns it into arrays at once. Anything it
-cannot take whole raises ParseError, and the file's text is parsed again,
-line by line and from its first line, under the stdlib ``json`` decoder,
-whose result or error the caller gets. The ground-truth reader decodes
-line by line under orjson, with the same ``json`` pass behind it. orjson
-rejects NaN, Infinity, 1e400 and lone surrogates, which ``json`` accepts,
-and reads integers beyond 64 bits as floats, which no integer field
-accepts; on every other line the two decoders return equal values. In
-every real field of every format, a number beyond the double range, 1e400
-or an integer of 400 digits alike, reads as ±inf (``model._reals``) and
-then meets that field's finite or range rule.
+Every reader decodes under orjson first. Calibration records take a column
+pass: it reads the file _TEXT_BLOCK_ROWS lines at a time, decodes each
+block in one call, checks the block's types, key orders and widths with
+C-level scans, and turns it into arrays at once. Sample sets and ground
+truth are read line by line, and a detection's mask runs become an int64
+array as soon as their types are checked. Anything the orjson pass cannot
+take whole raises ParseError, and the file's text is parsed again, line by
+line and from its first line, under the stdlib ``json`` decoder, whose
+result or error the caller gets. orjson rejects NaN, Infinity, 1e400 and
+lone surrogates, which ``json`` accepts, and reads integers beyond 64 bits
+as floats, which no integer field accepts; on every other line the two
+decoders return equal values. In every real field of every format, a
+number beyond the double range, 1e400 or an integer of 400 digits alike,
+reads as ±inf (``model._reals``) and then meets that field's finite or
+range rule.
 """
 
 from __future__ import annotations
@@ -40,7 +41,6 @@ import io
 import json
 import os
 from itertools import chain, filterfalse, islice
-from operator import itemgetter
 from typing import Callable, Iterable, Iterator, List, Optional, Tuple
 
 import numpy as np
@@ -60,7 +60,6 @@ __all__ = [
 _HEADER_KEYS = ["image_id", "height", "width", "n_repetitions", "num_classes"]
 _DET_KEYS = ["repetition", "bbox", "scores"]
 _DET_OPTIONAL = ["mask_runs"]
-_DET_KEY_TUPLES = {tuple(_DET_KEYS), (*_DET_KEYS, *_DET_OPTIONAL)}
 _TEXT_BLOCK_ROWS = 4096  # lines decoded, or rows printed, per orjson call
 
 
@@ -208,13 +207,13 @@ def _blocks(lines: Iterable[str], loads: Callable, keys: set) -> Iterator[list]:
             yield records
 
 
-def _real_rows(values: list, length: Optional[int] = None) -> np.ndarray:
+def _real_rows(values: list) -> np.ndarray:
     """``values`` as an (n, width) float64 array, if they are lists of one
-    width, ``length`` if it is given, holding JSON numbers; else ParseError.
-    The numbers are orjson's: none is an int beyond 64 bits or overflows."""
+    width holding JSON numbers; else ParseError. The numbers are orjson's:
+    none is an int beyond 64 bits or overflows."""
     _regular(set(map(type, values)) == {list})
     widths = set(map(len, values))
-    _regular(len(widths) == 1 if length is None else widths == {length})
+    _regular(len(widths) == 1)
     _regular(set(map(type, chain.from_iterable(values))).issubset(_REAL))
     shape = (len(values), widths.pop())
     return np.fromiter(chain.from_iterable(values), np.float64, shape[0] * shape[1]).reshape(shape)
@@ -235,76 +234,30 @@ def read_sample_set(path) -> SampleSet:
     Detections are sorted by repetition index (stable within a repetition).
     Raises ParseError with the offending line number on any malformed record.
     """
-    return _read_file(_sample_columns, _sample_set, path)
-
-
-def _header(obj: dict, lineno: Optional[int]) -> tuple:
-    """The samples header's (image_id, height, width, n_repetitions,
-    num_classes), checked; an error names line ``lineno``."""
-    image_id = _scalar(obj, "image_id", _STR, lineno)
-    height, width, n_repetitions, num_classes = (
-        _scalar(obj, key, _INT, lineno) for key in _HEADER_KEYS[1:]
-    )
-    # Checked here, so that a bad value names the header line and a product of
-    # two negative dims never passes the pixel limit below.
-    for key, value in (("height", height), ("width", width), ("num_classes", num_classes)):
-        if value < 1:
-            raise ParseError(lineno, f"{key} must be >= 1, got {value}")
-    try:
-        _check_pixels(height, width)
-    except ValueError as exc:
-        raise ParseError(lineno, str(exc)) from None
-    return image_id, height, width, n_repetitions, num_classes
-
-
-def _sample_columns(lines: Iterable[str], loads: Callable) -> SampleSet:
-    """The column pass of read_sample_set."""
-    lines = iter(lines)
-    first = next(filterfalse(str.isspace, lines), None)
-    _regular(first is not None)
-    image_id, height, width, n_repetitions, num_classes = _header(
-        _record(first, None, loads, _HEADER_KEYS, []), None
-    )
-    blocks = [
-        _detections(records, num_classes) for records in _blocks(lines, loads, _DET_KEY_TUPLES)
-    ]
-    repetitions, boxes, scores, masks = zip(*blocks) if blocks else ((),) * 4
-    try:  # a zero-row block heads each column: with no detections, the header gives the widths
-        return SampleSet(
-            image_id, height, width, n_repetitions,
-            np.concatenate([np.empty((0, 4)), *boxes]),
-            np.concatenate([np.empty((0, num_classes + 1)), *scores]),
-            np.concatenate([np.empty(0, np.int64), *repetitions]),
-            list(chain.from_iterable(masks)),
-        )
-    except ValueError:
-        raise _irregular() from None
-
-
-def _detections(records: list, num_classes: int) -> tuple:
-    """A block of detection records as columns: repetitions, boxes, scores,
-    and each detection's mask runs as an int64 array (None: no mask)."""
-    repetition, box, score = (list(map(itemgetter(key), records)) for key in _DET_KEYS)
-    runs = [r.get("mask_runs", ()) for r in records]  # (): no key; JSON holds no tuple
-    _regular(set(map(type, repetition)) == {int})
-    boxes, scores = _real_rows(box, 4), _real_rows(score, num_classes + 1)
-    _regular(
-        set(map(type, runs)) <= {list, tuple}
-        and set(map(type, chain.from_iterable(runs))) <= {int}
-    )
-    masks = [_int64(r) if type(r) is list else None for r in runs]
-    return _int64(repetition), boxes, scores, masks
+    return _read_file(_sample_set, _sample_set, path)
 
 
 def _sample_set(lines: Iterable[str], loads: Callable) -> SampleSet:
-    """The reference pass of read_sample_set, one line at a time."""
+    """The body of read_sample_set, one line at a time."""
     records = _jsonl_records(lines, loads, _DET_KEYS, _DET_OPTIONAL, header=_HEADER_KEYS)
     first = next(records, None)
     if first is None:
         raise ParseError(1, "missing header record")
 
     header_lineno, header = first
-    image_id, height, width, n_repetitions, num_classes = _header(header, header_lineno)
+    image_id = _scalar(header, "image_id", _STR, header_lineno)
+    height, width, n_repetitions, num_classes = (
+        _scalar(header, key, _INT, header_lineno) for key in _HEADER_KEYS[1:]
+    )
+    # Checked here, so that a bad value names the header line and a product of
+    # two negative dims never passes the pixel limit below.
+    for key, value in (("height", height), ("width", width), ("num_classes", num_classes)):
+        if value < 1:
+            raise ParseError(header_lineno, f"{key} must be >= 1, got {value}")
+    try:
+        _check_pixels(height, width)
+    except ValueError as exc:
+        raise ParseError(header_lineno, str(exc)) from None
 
     # Each line's types and lengths are checked here; its values, by SampleSet.
     linenos, repetitions, boxes, scores, masks = [], [], [], [], []
@@ -312,7 +265,7 @@ def _sample_set(lines: Iterable[str], loads: Callable) -> SampleSet:
         repetitions.append(_scalar(obj, "repetition", _INT, lineno))
         boxes.append(_array(obj, "bbox", _REAL, lineno, length=4))
         scores.append(_array(obj, "scores", _REAL, lineno))
-        masks.append(_array(obj, "mask_runs", _INT, lineno) if "mask_runs" in obj else None)
+        masks.append(_runs(obj, lineno) if "mask_runs" in obj else None)
         if len(scores[-1]) != num_classes + 1:
             raise ParseError(
                 lineno,
@@ -329,6 +282,17 @@ def _sample_set(lines: Iterable[str], loads: Callable) -> SampleSet:
         raise ParseError(linenos[exc.row], exc.message) from None
     except ValueError as exc:
         raise ParseError(header_lineno, str(exc)) from exc
+
+
+def _runs(obj: dict, lineno: int):
+    """A detection's mask runs as an int64 array, 8 bytes a run where a list
+    of Python ints takes up to 36; as the list if a run is beyond 64 bits,
+    for SampleSet to word that error exactly."""
+    runs = _array(obj, "mask_runs", _INT, lineno)
+    try:
+        return np.array(runs, dtype=np.int64)
+    except OverflowError:
+        return runs
 
 
 def json_document(doc) -> str:

@@ -75,14 +75,19 @@ def _run_column(rows: Sequence, pixels: int) -> Tuple[np.ndarray, np.ndarray, li
     runs = np.concatenate([np.zeros(0, np.int64)] + parts)
     wraps = runs.size and runs.max() > _INT64_MAX // runs.size  # a row's int64 sum could wrap
     totals = _row_sums(runs.astype(object) if wraps else runs, offsets)
-    row = np.repeat(np.arange(len(rows)), lengths)  # the row of each run
 
-    def rows_without(flagged: np.ndarray) -> np.ndarray:
-        return np.bincount(row[flagged], minlength=len(rows)) == 0
+    def row_of(positions: np.ndarray) -> np.ndarray:  # the row holding each run position
+        return np.searchsorted(offsets, positions, side="right") - 1
 
+    def rows_without(positions: np.ndarray) -> np.ndarray:
+        ok = np.ones(len(rows), dtype=bool)
+        ok[row_of(positions)] = False
+        return ok
+
+    zeros = np.flatnonzero(runs == 0)
     rules = [
-        (rows_without(runs < 0), lambda i: "run lengths must be non-negative"),
-        (rows_without((runs == 0) & (np.arange(runs.size) > offsets[row])),
+        (rows_without(np.flatnonzero(runs < 0)), lambda i: "run lengths must be non-negative"),
+        (rows_without(zeros[zeros > offsets[row_of(zeros)]]),
          lambda i: "zero-length run allowed only as the leading run"),
         (~has_mask | (totals == pixels), lambda i: f"runs sum to {totals[i]}, expected {pixels}"),
     ]

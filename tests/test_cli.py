@@ -1309,6 +1309,40 @@ class TestPipedInput:
             2, f"dropuq: error: records file /dev/stdin: {message}\n"
         )
 
+    @pytest.mark.parametrize("fault", [None, "nan score"])
+    def test_cluster(self, tmp_path, fault):
+        # orjson reads 2**64 as a float and rejects NaN, so json parses the file.
+        lines = serialize_sample_set(
+            generate(separated_scene(0, 2, n_repetitions=10))[0]
+        ).splitlines()
+        if fault is None:
+            lines[0] = json.dumps({**json.loads(lines[0]), "n_repetitions": 2**64})
+        else:
+            det = json.loads(lines[3])
+            lines[3] = json.dumps({**det, "scores": [float("nan"), *det["scores"][1:]]})
+        text = "\n".join(lines) + "\n"
+        path = tmp_path / "samples.jsonl"
+        path.write_text(text)
+        by_path = run_cli("cluster", path, "--out-dir", tmp_path / "path", check=False)
+        piped = run_cli("cluster", "/dev/stdin", "--out-dir", tmp_path / "pipe", check=False,
+                        input=text)
+        assert (piped.returncode, piped.stdout, piped.stderr) == (
+            by_path.returncode, by_path.stdout, by_path.stderr.replace(str(path), "/dev/stdin")
+        )
+        clusters = [
+            {p.name: p.read_bytes() for p in (tmp_path / name).glob("*_clusters.json")}
+            for name in ("path", "pipe")
+        ]
+        assert clusters[0] == clusters[1]
+        if fault is None:
+            assert (piped.returncode, list(clusters[1])) == (0, ["scene0_clusters.json"])
+        else:
+            assert (piped.returncode, clusters[1]) == (2, {})
+            assert piped.stderr.startswith(
+                "dropuq: error: samples file /dev/stdin: line 4: scores must lie in [0, 1], "
+                "got (nan, "
+            )
+
     def test_calibrate(self, tmp_path):
         text = serialize_calibration_records(generate_calibration_records(5000, 2.0, 3, seed=2))
         path = tmp_path / "records.jsonl"

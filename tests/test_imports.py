@@ -1,11 +1,13 @@
-"""No module of the package imports a name it never uses, and no chain of
-the package's own imports leads back to where it started.
+"""No module of the package imports a name it never uses, defines a private
+name at module level that no module of the package reads, or sits on a
+chain of the package's own imports that leads back to where it started.
 
 Only the standard library's ``ast`` is needed. An import inside a function
 must be used in that function; a module-level import anywhere in the
 module, or by being listed in ``__all__``. The re-exports of
 ``__init__.py`` are exempt. The import graph counts every relative import,
-at module level, under ``TYPE_CHECKING`` or inside a function alike.
+at module level, under ``TYPE_CHECKING`` or inside a function alike. A
+private name is read where a module loads it or imports it by name.
 """
 
 import ast
@@ -66,6 +68,56 @@ def test_no_unused_import(module):
 )
 def test_the_check_itself(source, unused):
     assert unused_imports(source) == unused
+
+
+def unread_private_names(sources: dict) -> list:
+    """(module, line, name) of each module-level ``def``, ``class`` or
+    assignment of a private name, in a package whose modules' sources are
+    ``sources``, that no module reads."""
+    trees = {name: ast.parse(source) for name, source in sources.items()}
+    read = set()
+    for node in (n for tree in trees.values() for n in ast.walk(tree)):
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+            read.add(node.id)
+        elif isinstance(node, ast.ImportFrom):
+            read.update(a.name for a in node.names)
+    unread = []
+    for module, tree in sorted(trees.items()):
+        for node in tree.body:
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                names = [node.name]
+            elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+                targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+                names = [n.id for t in targets for n in ast.walk(t) if isinstance(n, ast.Name)]
+            else:
+                continue
+            unread.extend(
+                (module, node.lineno, name) for name in names
+                if name.startswith("_") and not name.startswith("__") and name not in read
+            )
+    return unread
+
+
+def test_no_unread_private_name():
+    sources = {p.stem: p.read_text(encoding="utf-8") for p in PACKAGE.glob("*.py")}
+    assert unread_private_names(sources) == []
+
+
+@pytest.mark.parametrize(
+    "sources, unread",
+    [
+        ({"a": "def _f():\n    pass\n"}, [("a", 1, "_f")]),
+        ({"a": "class _C:\n    pass\n_C()\n"}, []),
+        ({"a": "_X = 1\n_Y: int = 2\n_A, (_B, c) = 1, (2, 3)\n_Y\n"},
+         [("a", 1, "_X"), ("a", 3, "_A"), ("a", 3, "_B")]),
+        ({"a": "_X = 1\n", "b": "from .a import _X\n"}, []),
+        ({"a": "_X = 1\n", "b": "def f():\n    return _X\n"}, []),
+        ({"a": "__all__ = []\ndef f():\n    def _g():\n        pass\n"}, []),
+        ({"a": "_X = 1\n", "b": "import a\na._X\n"}, [("a", 1, "_X")]),
+    ],
+)
+def test_the_private_name_check_itself(sources, unread):
+    assert unread_private_names(sources) == unread
 
 
 def import_graph(sources: dict) -> dict:
