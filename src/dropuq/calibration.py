@@ -4,23 +4,24 @@ Temperature scaling divides logits by a single scalar fit on held-out
 records by NLL minimization; it rescales every class confidence without
 changing which class wins the argmax. Records are held as columns in a
 CalibrationSet, an (N, K+1) logit array and an (N,) true-class array, which
-the parser, the generator and every consumer share.
+the parser, the generator and every consumer share. The records file is
+read by a block pass of its own, _TEXT_BLOCK_ROWS lines per orjson call
+(_calibration_columns); a file that pass cannot take whole is parsed again
+line by line under ``json`` (_calibration_set), as ``ingest._read_file``
+describes.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from itertools import chain
+from itertools import chain, filterfalse, islice
 from operator import itemgetter
 from typing import Callable, Iterable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .ingest import (
-    _REAL, _TEXT_BLOCK_ROWS, ParseError, _blocks, _int64, _irregular, _jsonl_records, _read_file,
-    _real_rows, _regular,
-)
+from .ingest import _REAL, ParseError, _jsonl_records, _read_file
 from .model import RowError, _check, _equal_fields, _reals
 
 __all__ = [
@@ -41,6 +42,7 @@ __all__ = [
 T_SEARCH_LO = 0.01
 T_SEARCH_HI = 100.0
 _KEYS = ["logits", "true_class"]
+_TEXT_BLOCK_ROWS = 4096  # lines decoded, or rows printed, per orjson call
 
 
 @dataclass(frozen=True, eq=False)
@@ -276,24 +278,41 @@ def read_calibration_records(path) -> CalibrationSet:
 
 
 def _calibration_columns(lines: Iterable[str], loads: Callable) -> CalibrationSet:
-    """The column pass of read_calibration_records."""
-    blocks = [_record_columns(records) for records in _blocks(lines, loads, {tuple(_KEYS)})]
-    if not blocks:
-        return CalibrationSet(np.empty((0, 0)), np.empty(0, dtype=np.int64))
-    _regular(len({z.shape[1] for z, _ in blocks}) == 1)
-    z, y = (np.concatenate(column) for column in zip(*blocks))
-    del blocks  # before the set copies the columns
+    """The block pass of read_calibration_records. It decodes _TEXT_BLOCK_ROWS
+    lines in one call, checks their types, key orders and widths with one
+    C-level set scan each, and turns them into columns at once; a file it
+    cannot take whole raises ParseError (see _regular)."""
+    lines, logits, classes = iter(lines), [], []
     try:
+        while block := list(islice(lines, _TEXT_BLOCK_ROWS)):
+            records = list(map(loads, filterfalse(str.isspace, block)))
+            if not records:
+                continue
+            _regular(set(map(type, records)) == {dict})
+            _regular(set(map(tuple, records)) == {tuple(_KEYS)})
+            rows, true_class = (list(map(itemgetter(key), records)) for key in _KEYS)
+            _regular(set(map(type, true_class)) == {int})
+            _regular(set(map(type, rows)) == {list})
+            width = logits[0].shape[1] if logits else len(rows[0])
+            _regular(set(map(len, rows)) == {width})
+            _regular(set(map(type, chain.from_iterable(rows))).issubset(_REAL))
+            values = np.fromiter(chain.from_iterable(rows), np.float64, len(rows) * width)
+            logits.append(values.reshape(len(rows), width))
+            classes.append(np.array(true_class, dtype=np.int64))
+        if not logits:
+            return CalibrationSet(np.empty((0, 0)), np.empty(0, dtype=np.int64))
+        z, y = np.concatenate(logits), np.concatenate(classes)
+        del logits, classes  # before the set copies the columns
         return CalibrationSet(z, y)
-    except ValueError:
-        raise _irregular() from None
+    except (OverflowError, ValueError):  # JSONDecodeError and RowError are ValueErrors
+        _regular(False)
 
 
-def _record_columns(records: list) -> Tuple[np.ndarray, np.ndarray]:
-    """A block of records as a logit array and a true-class array."""
-    rows, true_class = (list(map(itemgetter(key), records)) for key in _KEYS)
-    _regular(set(map(type, true_class)) == {int})
-    return _real_rows(rows), _int64(true_class)
+def _regular(ok: bool) -> None:
+    """Raise ParseError unless ``ok``: the block pass cannot take the file
+    whole, and the reference pass then finds and words the fault, if any."""
+    if not ok:
+        raise ParseError(None, "irregular block")
 
 
 def _calibration_set(lines: Iterable[str], loads: Callable) -> CalibrationSet:

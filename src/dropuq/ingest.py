@@ -17,21 +17,21 @@ image; a box with no area left inside it is rejected. The header may declare
 at most MAX_PIXELS pixels (H * W), so that the per-pixel arrays of the mask
 statistics stay bounded.
 
-Every reader decodes under orjson first. Calibration records take a column
-pass: it reads the file _TEXT_BLOCK_ROWS lines at a time, decodes each
-block in one call, checks the block's types, key orders and widths with
-C-level scans, and turns it into arrays at once. Sample sets and ground
-truth are read line by line, and a detection's mask runs become an int64
-array as soon as their types are checked. Anything the orjson pass cannot
-take whole raises ParseError, and the file's text is parsed again, line by
-line and from its first line, under the stdlib ``json`` decoder, whose
-result or error the caller gets. orjson rejects NaN, Infinity, 1e400 and
-lone surrogates, which ``json`` accepts, and reads integers beyond 64 bits
-as floats, which no integer field accepts; on every other line the two
-decoders return equal values. In every real field of every format, a
-number beyond the double range, 1e400 or an integer of 400 digits alike,
-reads as ±inf (``model._reals``) and then meets that field's finite or
-range rule.
+Every reader decodes under orjson first (_read_file). Sample sets and
+ground truth are read line by line, and a detection's mask runs become an
+int64 array as soon as their types are checked; calibration records take
+a block pass of their own (``calibration._calibration_columns``). Anything
+the orjson pass cannot take whole raises ParseError, and the file's text is
+parsed again, line by line and from its first line, under the stdlib
+``json`` decoder, whose result or error the caller gets. orjson rejects
+NaN, Infinity, 1e400 and lone surrogates, which ``json`` accepts, and reads
+integers beyond 64 bits as floats, which no integer field accepts; on every
+other line the two decoders return equal values. A string field holding a
+lone surrogate is an error that names its line and field: such a string
+cannot be encoded as UTF-8, so no file name, seed or message could use it.
+In every real field of every format, a number beyond the double range,
+1e400 or an integer of 400 digits alike, reads as ±inf (``model._reals``)
+and then meets that field's finite or range rule.
 """
 
 from __future__ import annotations
@@ -40,7 +40,6 @@ import gc
 import io
 import json
 import os
-from itertools import chain, filterfalse, islice
 from typing import Callable, Iterable, Iterator, List, Optional, Tuple
 
 import numpy as np
@@ -60,7 +59,6 @@ __all__ = [
 _HEADER_KEYS = ["image_id", "height", "width", "n_repetitions", "num_classes"]
 _DET_KEYS = ["repetition", "bbox", "scores"]
 _DET_OPTIONAL = ["mask_runs"]
-_TEXT_BLOCK_ROWS = 4096  # lines decoded, or rows printed, per orjson call
 
 
 class ParseError(ValueError):
@@ -104,10 +102,16 @@ def _value(obj: dict, key: str, lineno: Optional[int]):
 
 
 def _scalar(obj: dict, key: str, kind: tuple, lineno: Optional[int]):
-    """obj[key] if its type is one of ``kind``, else ParseError."""
+    """obj[key] if its type is one of ``kind`` (and, for a string, if it
+    can be encoded as UTF-8), else ParseError."""
     value = _value(obj, key, lineno)
     if type(value) not in kind:
         raise ParseError(lineno, f"{key} must be a JSON {_KINDS[kind]}, got {value!r}")
+    if kind is _STR:
+        try:
+            value.encode()
+        except UnicodeEncodeError:  # a lone surrogate, which only json decodes
+            raise ParseError(lineno, f"{key} must be Unicode text, got {value!r}") from None
     return value
 
 
@@ -178,54 +182,6 @@ def _read_file(columns: Callable, reference: Callable, path, *args):
     finally:
         if enabled:
             gc.enable()
-
-
-def _irregular() -> ParseError:
-    """The error of a column pass that cannot take a block whole; the
-    reference pass then finds and words the fault, if there is one."""
-    return ParseError(None, "irregular block")
-
-
-def _regular(ok: bool) -> None:
-    """Raise the irregular-block error unless ``ok``."""
-    if not ok:
-        raise _irregular()
-
-
-def _blocks(lines: Iterable[str], loads: Callable, keys: set) -> Iterator[list]:
-    """The records of the non-blank lines of a text file, decoded by ``loads``
-    _TEXT_BLOCK_ROWS lines at a time; each block is a non-empty list of
-    JSON objects whose key tuples are in ``keys``, else ParseError."""
-    lines = iter(lines)
-    while block := list(islice(lines, _TEXT_BLOCK_ROWS)):
-        try:
-            records = list(map(loads, filterfalse(str.isspace, block)))
-        except json.JSONDecodeError:
-            raise _irregular() from None
-        _regular(set(map(type, records)) <= {dict} and set(map(tuple, records)) <= keys)
-        if records:
-            yield records
-
-
-def _real_rows(values: list) -> np.ndarray:
-    """``values`` as an (n, width) float64 array, if they are lists of one
-    width holding JSON numbers; else ParseError. The numbers are orjson's:
-    none is an int beyond 64 bits or overflows."""
-    _regular(set(map(type, values)) == {list})
-    widths = set(map(len, values))
-    _regular(len(widths) == 1)
-    _regular(set(map(type, chain.from_iterable(values))).issubset(_REAL))
-    shape = (len(values), widths.pop())
-    return np.fromiter(chain.from_iterable(values), np.float64, shape[0] * shape[1]).reshape(shape)
-
-
-def _int64(values) -> np.ndarray:
-    """``values``, JSON integers, as an int64 array, or ParseError for one
-    beyond 64 bits."""
-    try:
-        return np.array(values, dtype=np.int64)
-    except OverflowError:
-        raise _irregular() from None
 
 
 def read_sample_set(path) -> SampleSet:

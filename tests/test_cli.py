@@ -7,6 +7,7 @@ import shutil
 import subprocess
 import sys
 import tracemalloc
+from dataclasses import replace
 from pathlib import Path
 
 import pytest
@@ -1269,14 +1270,63 @@ class TestCalibrate:
         assert run_cli("calibrate", path, "--out-dir", tmp_path / "cal", check=False).returncode == 2
 
 
+class TestLoneSurrogateId:
+    """json decodes a lone surrogate, but no seed, file name or message can
+    hold one: each command rejects it as a data error and writes nothing."""
+
+    MESSAGE = r"image_id must be Unicode text, got 'masks\udfff'"
+
+    @pytest.mark.parametrize("piped", [False, True], ids=["path", "pipe"])
+    def test_cluster(self, tmp_path, piped):
+        lines = serialize_sample_set(
+            generate(separated_scene(0, 2, n_repetitions=10))[0]
+        ).splitlines()
+        lines[0] = json.dumps({**json.loads(lines[0]), "image_id": "masks\udfff"})
+        text = "\n".join(lines) + "\n"
+        path = tmp_path / "samples.jsonl"
+        path.write_text(text)
+        source = "/dev/stdin" if piped else path
+        r = run_cli("cluster", source, "--out-dir", tmp_path / "out", check=False,
+                    input=text if piped else None)
+        assert (r.returncode, r.stdout, r.stderr) == (
+            2, "", f"dropuq: error: samples file {source}: line 1: {self.MESSAGE}\n"
+        )
+        assert [p.name for p in (tmp_path / "out").iterdir()] == ["manifest.json"]
+
+    @pytest.mark.parametrize("seed", [None, "3"])
+    def test_synth(self, tmp_path, seed):
+        spec = tmp_path / "scene.json"
+        spec.write_text(scene_spec_to_json(replace(separated_scene(0, 2), image_id="masks\udfff")))
+        r = run_cli("synth", spec, "--out-dir", tmp_path / "out",
+                    *(() if seed is None else ("--seed", seed)), check=False)
+        assert (r.returncode, r.stdout, r.stderr) == (
+            2, "", f"dropuq: error: scene spec {spec}: {self.MESSAGE}\n"
+        )
+        assert not (tmp_path / "out").exists()
+
+    def test_eval(self, pipeline_dirs, tmp_path):
+        gt = tmp_path / "gt.jsonl"
+        gt.write_text((pipeline_dirs / "synth" / "scene0_gt.jsonl").read_text() + json.dumps(
+            {"image_id": "masks\udfff", "bbox": [0, 0, 10, 10], "class_id": 1}
+        ) + "\n")
+        line = len(gt.read_text().splitlines())
+        r = run_cli("eval", pipeline_dirs / "synth" / "scene0_samples.jsonl",
+                    "--clusters", pipeline_dirs / "clusters" / "scene0_clusters.json",
+                    "--gt", gt, "--out-dir", tmp_path / "out", check=False)
+        assert (r.returncode, r.stdout, r.stderr) == (
+            2, "", f"dropuq: error: ground-truth file {gt}: line {line}: {self.MESSAGE}\n"
+        )
+        assert [p.name for p in (tmp_path / "out").iterdir()] == ["manifest.json"]
+
+
 class TestPipedInput:
     """A file read from a pipe is parsed a second time from the same text,
     when the first pass cannot take it."""
 
     def test_eval_ground_truth(self, pipeline_dirs, tmp_path):
-        # orjson rejects the lone surrogate escape, so json parses the file.
+        # orjson reads 2**64 as a float, so json parses the file.
         gt = (pipeline_dirs / "synth" / "scene0_gt.jsonl").read_text() + json.dumps(
-            {"image_id": "other\udfff", "bbox": [0, 0, 10, 10], "class_id": 1}
+            {"image_id": "other", "bbox": [0, 0, 10, 10], "class_id": 2**64}
         ) + "\n"
         path = tmp_path / "gt.jsonl"
         path.write_text(gt)
@@ -1300,6 +1350,11 @@ class TestPipedInput:
              "line 1: logits must be finite, got [0.0, nan]"),
             ('\n{"logits": [0.0, 1.0], "true_class": 1.0}\n',
              "line 2: true_class must be an integer, got 1.0"),
+            pytest.param(
+                '{"logits": [0.0, 1.0, 2.0], "true_class": 1}\n' * 4096
+                + '{"logits": [0.0, 1.0, 2.0, 3.0], "true_class": 1}\n' * 10,
+                "line 4097: 4 logits, but line 1 has 3", id="width change at a block boundary",
+            ),
         ],
     )
     def test_calibrate_error(self, tmp_path, text, message):

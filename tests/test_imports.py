@@ -70,32 +70,41 @@ def test_the_check_itself(source, unused):
     assert unused_imports(source) == unused
 
 
+def private_definitions(tree: ast.Module):
+    """(line, name) of each module-level ``def``, ``class`` or assignment of
+    a private name in ``tree``."""
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            names = [node.name]
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            names = [n.id for t in targets for n in ast.walk(t) if isinstance(n, ast.Name)]
+        else:
+            continue
+        for name in names:
+            if name.startswith("_") and not name.startswith("__"):
+                yield node.lineno, name
+
+
+def loaded_names(tree: ast.AST) -> set:
+    """The names ``tree`` loads."""
+    return {n.id for n in ast.walk(tree) if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load)}
+
+
 def unread_private_names(sources: dict) -> list:
-    """(module, line, name) of each module-level ``def``, ``class`` or
-    assignment of a private name, in a package whose modules' sources are
-    ``sources``, that no module reads."""
+    """(module, line, name) of each private definition, in a package whose
+    modules' sources are ``sources``, that no module reads."""
     trees = {name: ast.parse(source) for name, source in sources.items()}
     read = set()
-    for node in (n for tree in trees.values() for n in ast.walk(tree)):
-        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
-            read.add(node.id)
-        elif isinstance(node, ast.ImportFrom):
-            read.update(a.name for a in node.names)
-    unread = []
-    for module, tree in sorted(trees.items()):
-        for node in tree.body:
-            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
-                names = [node.name]
-            elif isinstance(node, (ast.Assign, ast.AnnAssign)):
-                targets = node.targets if isinstance(node, ast.Assign) else [node.target]
-                names = [n.id for t in targets for n in ast.walk(t) if isinstance(n, ast.Name)]
-            else:
-                continue
-            unread.extend(
-                (module, node.lineno, name) for name in names
-                if name.startswith("_") and not name.startswith("__") and name not in read
-            )
-    return unread
+    for tree in trees.values():
+        read |= loaded_names(tree)
+        imports = (n for n in ast.walk(tree) if isinstance(n, ast.ImportFrom))
+        read.update(a.name for n in imports for a in n.names)
+    return [
+        (module, line, name)
+        for module, tree in sorted(trees.items())
+        for line, name in private_definitions(tree) if name not in read
+    ]
 
 
 def test_no_unread_private_name():
@@ -118,6 +127,51 @@ def test_no_unread_private_name():
 )
 def test_the_private_name_check_itself(sources, unread):
     assert unread_private_names(sources) == unread
+
+
+def misplaced_private_names(sources: dict) -> list:
+    """(module, line, name, importer) of each private definition, in a package
+    whose modules' sources are ``sources``, that its own module never reads
+    and exactly one other module imports by a relative import: the name
+    belongs in that importer."""
+    trees = {name: ast.parse(source) for name, source in sources.items()}
+    importers = {}
+    for importer, tree in trees.items():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ImportFrom) and node.level == 1 and node.module:
+                for a in node.names:
+                    importers.setdefault((node.module, a.name), set()).add(importer)
+    misplaced = []
+    for module, tree in sorted(trees.items()):
+        read = loaded_names(tree)
+        for line, name in private_definitions(tree):
+            users = importers.get((module, name), set()) - {module}
+            if len(users) == 1 and name not in read:
+                misplaced.append((module, line, name, *users))
+    return misplaced
+
+
+def test_no_private_name_serves_one_other_module():
+    sources = {p.stem: p.read_text(encoding="utf-8") for p in PACKAGE.glob("*.py")}
+    assert misplaced_private_names(sources) == []
+
+
+@pytest.mark.parametrize(
+    "sources, misplaced",
+    [
+        ({"a": "_X = 1\n", "b": "from .a import _X\n"}, [("a", 1, "_X", "b")]),
+        ({"a": "class _C:\n    pass\n", "b": "def f():\n    from .a import _C\n"},
+         [("a", 1, "_C", "b")]),
+        ({"a": "def _f():\n    pass\n_f()\n", "b": "from .a import _f\n"}, []),
+        ({"a": "_X = 1\n", "b": "from .a import _X\n", "c": "from .a import _X\n"}, []),
+        ({"a": "X = 1\n", "b": "from .a import X\n"}, []),
+        ({"a": "_X = 1\n", "b": "from a import _X\n"}, []),
+        ({"a": "_X = 1\n", "b": "from .c import _X\n", "c": "from .a import _X\n"},
+         [("a", 1, "_X", "c")]),
+    ],
+)
+def test_the_misplaced_name_check_itself(sources, misplaced):
+    assert misplaced_private_names(sources) == misplaced
 
 
 def import_graph(sources: dict) -> dict:

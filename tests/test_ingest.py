@@ -9,11 +9,11 @@ import pytest
 from _files import read_text
 from _scenes import separated_scene
 from dropuq.calibration import (
-    CalibrationSet, _calibration_set, read_calibration_records, serialize_calibration_records,
+    _TEXT_BLOCK_ROWS, CalibrationSet, _calibration_set, read_calibration_records,
+    serialize_calibration_records,
 )
 from dropuq.evaluation import GroundTruthInstance, _ground_truth, read_ground_truth
 from dropuq.ingest import (
-    _TEXT_BLOCK_ROWS,
     ParseError,
     _sample_set,
     filter_background,
@@ -682,12 +682,27 @@ class TestDecoderRule:
         assert _outcome(FORMATS[fmt][0], path) == expected
 
     def test_lone_surrogate_image_id(self, tmp_path):
+        # json decodes the escape, but no file name, seed or message can hold it.
         header = json.dumps({**json.loads(HEADER), "image_id": "\udfff"})
         assert '"\\udfff"' in header
-        assert read_text(read_sample_set, header + "\n" + det_line()).image_id == "\udfff"
+        message = r"^line 1: image_id must be Unicode text, got '\\udfff'$"
+        with pytest.raises(ParseError, match=message):
+            read_text(read_sample_set, header + "\n" + det_line())
         path = tmp_path / "gt.jsonl"
         path.write_text(json.dumps({"image_id": "\udfff", "bbox": [1, 2, 5, 6], "class_id": 1}))
-        assert read_ground_truth(path, "\udfff", 20, 30)[0].image_id == "\udfff"
+        with pytest.raises(ParseError, match=message):
+            read_ground_truth(path, "\udfff", 20, 30)
+
+    def test_calibration_width_change_at_a_block_boundary(self, tmp_path):
+        # Each block holds one width; the second must be compared with the first.
+        path = tmp_path / "records.jsonl"
+        path.write_text("".join(
+            json.dumps({"logits": [0.5] * width, "true_class": 1}) + "\n"
+            for width in [3] * _TEXT_BLOCK_ROWS + [4] * 10
+        ))
+        line = _TEXT_BLOCK_ROWS + 1
+        with pytest.raises(ParseError, match=f"^line {line}: 4 logits, but line 1 has 3$"):
+            read_calibration_records(path)
 
 
 @pytest.mark.parametrize("enabled", [True, False])
