@@ -5,14 +5,20 @@ records by NLL minimization; it rescales every class confidence without
 changing which class wins the argmax. Records are held as columns in a
 CalibrationSet, an (N, K+1) logit array and an (N,) true-class array, which
 the parser, the generator and every consumer share. The records file is
-read by a block pass of its own, _TEXT_BLOCK_ROWS lines per orjson call
-(_calibration_columns); a file that pass cannot take whole is parsed again
-line by line under ``json`` (_calibration_set), as ``ingest._read_file``
-describes.
+the only one read in two passes: a block pass decodes _TEXT_BLOCK_ROWS
+lines per orjson call (_calibration_columns), and a file it cannot take
+whole is parsed again, line by line and from its first line, under the
+stdlib ``json`` decoder (_calibration_set), whose result or error the
+caller gets. orjson rejects NaN, Infinity, 1e400 and lone surrogates, which
+``json`` accepts, and reads integers beyond 64 bits as floats, which no
+integer field accepts; on every other line the two decoders return equal
+values.
 """
 
 from __future__ import annotations
 
+import gc
+import io
 import math
 from dataclasses import dataclass
 from itertools import chain, filterfalse, islice
@@ -21,7 +27,7 @@ from typing import Callable, Iterable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .ingest import _REAL, ParseError, _jsonl_records, _read_file
+from .ingest import _REAL, ParseError, _jsonl_records
 from .model import RowError, _check, _equal_fields, _reals
 
 __all__ = [
@@ -273,15 +279,38 @@ def read_calibration_records(path) -> CalibrationSet:
     Every record must hold as many logits as the first one, all numbers
     (a string, boolean or null is an error). The true class must be a JSON
     integer: not 1.0, "1" or true.
+
+    The block pass reads the file first; if it raises ParseError, the
+    reference pass reads the same text again from its start (see the module
+    docstring). A stream that cannot seek, such as a pipe, is read into
+    memory first. The cyclic GC is paused throughout and then left as it
+    was found: decoded JSON holds no reference cycles, so a collection would
+    free nothing sooner.
     """
-    return _read_file(_calibration_columns, _calibration_set, path)
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        with open(path, encoding="utf-8") as file:
+            lines = file
+            if not file.seekable():  # a pipe: keep its bytes, to read them twice
+                lines = io.TextIOWrapper(io.BytesIO(file.buffer.read()), encoding="utf-8")
+            try:
+                return _calibration_columns(lines)
+            except ParseError:
+                lines.seek(0)
+            return _calibration_set(lines)
+    finally:
+        if enabled:
+            gc.enable()
 
 
-def _calibration_columns(lines: Iterable[str], loads: Callable) -> CalibrationSet:
+def _calibration_columns(lines: Iterable[str]) -> CalibrationSet:
     """The block pass of read_calibration_records. It decodes _TEXT_BLOCK_ROWS
     lines in one call, checks their types, key orders and widths with one
     C-level set scan each, and turns them into columns at once; a file it
     cannot take whole raises ParseError (see _regular)."""
+    from orjson import loads
+
     lines, logits, classes = iter(lines), [], []
     try:
         while block := list(islice(lines, _TEXT_BLOCK_ROWS)):
@@ -315,10 +344,10 @@ def _regular(ok: bool) -> None:
         raise ParseError(None, "irregular block")
 
 
-def _calibration_set(lines: Iterable[str], loads: Callable) -> CalibrationSet:
+def _calibration_set(lines: Iterable[str]) -> CalibrationSet:
     """The reference pass of read_calibration_records, one line at a time."""
     linenos, rows, classes = [], [], []
-    for lineno, obj in _jsonl_records(lines, loads, _KEYS, []):
+    for lineno, obj in _jsonl_records(lines, _KEYS, []):
         logits = obj["logits"]
         if not isinstance(logits, list):
             raise ParseError(lineno, f"logits must be a list, got {logits!r}")

@@ -11,11 +11,11 @@ import json
 from collections import Counter
 from dataclasses import dataclass, replace
 from itertools import groupby
-from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .ingest import _INT, _REAL, _STR, ParseError, _array, _jsonl_records, _read_file, _scalar
+from .ingest import _INT, _REAL, _STR, ParseError, _array, _jsonl_records, _scalar
 from .model import (
     SampleSet, _check, _check_box, _double, _equal_fields, _run_column, box_ious, mask_ious,
 )
@@ -191,14 +191,15 @@ def read_ground_truth(path, image_id: str, height: int, width: int) -> List[Grou
     Every line's types, box and class are checked; only that image's mask
     runs are checked, by the run rules for its dims.
     """
-    return _read_file(_ground_truth, _ground_truth, path, image_id, height, width)
+    with open(path, encoding="utf-8") as lines:
+        return _ground_truth(lines, image_id, height, width)
 
 
 def _ground_truth(
-    lines: Iterable[str], loads: Callable, image_id: str, height: int, width: int
+    lines: Iterable[str], image_id: str, height: int, width: int
 ) -> List[GroundTruthInstance]:
     kept, masks = [], []  # the image's (line number, instance) pairs and mask runs
-    for lineno, obj in _jsonl_records(lines, loads, _GT_KEYS, ["mask_runs"]):
+    for lineno, obj in _jsonl_records(lines, _GT_KEYS, ["mask_runs"]):
         gt_image = _scalar(obj, "image_id", _STR, lineno)
         box_vals = _array(obj, "bbox", _REAL, lineno, length=4)
         class_id = _scalar(obj, "class_id", _INT, lineno)

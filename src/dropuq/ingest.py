@@ -17,30 +17,23 @@ image; a box with no area left inside it is rejected. The header may declare
 at most MAX_PIXELS pixels (H * W), so that the per-pixel arrays of the mask
 statistics stay bounded.
 
-Every reader decodes under orjson first (_read_file). Sample sets and
-ground truth are read line by line, and a detection's mask runs become an
-int64 array as soon as their types are checked; calibration records take
-a block pass of their own (``calibration._calibration_columns``). Anything
-the orjson pass cannot take whole raises ParseError, and the file's text is
-parsed again, line by line and from its first line, under the stdlib
-``json`` decoder, whose result or error the caller gets. orjson rejects
-NaN, Infinity, 1e400 and lone surrogates, which ``json`` accepts, and reads
-integers beyond 64 bits as floats, which no integer field accepts; on every
-other line the two decoders return equal values. A string field holding a
-lone surrogate is an error that names its line and field: such a string
-cannot be encoded as UTF-8, so no file name, seed or message could use it.
-In every real field of every format, a number beyond the double range,
-1e400 or an integer of 400 digits alike, reads as ±inf (``model._reals``)
-and then meets that field's finite or range rule.
+Sample sets and ground truth are read once, line by line, under the stdlib
+``json`` decoder, and a detection's mask runs become an int64 array as soon
+as their types are checked; calibration records take a two-pass reader of
+their own (``calibration.read_calibration_records``). A string field
+holding a lone surrogate, which ``json`` decodes, is an error that names
+its line and field: such a string cannot be encoded as UTF-8, so no file
+name, seed or message could use it. In every real field of every format, a
+number beyond the double range, 1e400 or an integer of 400 digits alike,
+reads as ±inf (``model._reals``) and then meets that field's finite or
+range rule.
 """
 
 from __future__ import annotations
 
-import gc
-import io
 import json
 import os
-from typing import Callable, Iterable, Iterator, List, Optional, Tuple
+from typing import Iterable, Iterator, List, Optional, Tuple
 
 import numpy as np
 
@@ -69,10 +62,10 @@ class ParseError(ValueError):
         self.line_number = line_number
 
 
-def _record(line: str, line_number: int, loads: Callable, keys: List[str], optional: List[str]):
+def _record(line: str, line_number: int, keys: List[str], optional: List[str]):
     try:
-        obj = loads(line)
-    except json.JSONDecodeError as exc:  # orjson's JSONDecodeError subclasses it
+        obj = json.loads(line)
+    except json.JSONDecodeError as exc:
         raise ParseError(line_number, f"invalid JSON ({exc.msg})") from exc
     if not isinstance(obj, dict):
         raise ParseError(line_number, "record must be a JSON object")
@@ -110,7 +103,7 @@ def _scalar(obj: dict, key: str, kind: tuple, lineno: Optional[int]):
     if kind is _STR:
         try:
             value.encode()
-        except UnicodeEncodeError:  # a lone surrogate, which only json decodes
+        except UnicodeEncodeError:  # a lone surrogate, which json decodes
             raise ParseError(lineno, f"{key} must be Unicode text, got {value!r}") from None
     return value
 
@@ -133,7 +126,6 @@ def _array(
 
 def _jsonl_records(
     lines: Iterable[str],
-    loads: Callable,
     keys: List[str],
     optional: List[str],
     header: Optional[List[str]] = None,
@@ -141,7 +133,7 @@ def _jsonl_records(
     """Yield (line_number, record) for every non-blank line of a text file.
 
     Line numbers are 1-based and count blank lines. Each line is decoded by
-    ``loads`` and checked by _record against ``keys`` then ``optional``; with
+    ``json`` and checked by _record against ``keys`` then ``optional``; with
     ``header`` given, the first record must have exactly those fields instead.
     A line's terminator is stripped before decoding, so that a string the
     line leaves open is reported as unterminated, not as holding a control
@@ -152,36 +144,10 @@ def _jsonl_records(
         if not line or line.isspace():
             continue
         if header is not None:
-            yield lineno, _record(line, lineno, loads, header, [])
+            yield lineno, _record(line, lineno, header, [])
             header = None
         else:
-            yield lineno, _record(line, lineno, loads, keys, optional)
-
-
-def _read_file(columns: Callable, reference: Callable, path, *args):
-    """columns(lines, loads, *args) over a UTF-8 file with orjson's loads,
-    or, if that raises ParseError, reference(lines, json.loads, *args) over
-    the same text from its start (see the module docstring). A stream that
-    cannot seek, such as a pipe, is read into memory first. The cyclic GC
-    is paused throughout and then left as it was found: decoded JSON holds
-    no reference cycles, so a collection would free nothing sooner."""
-    from orjson import loads
-
-    enabled = gc.isenabled()
-    gc.disable()
-    try:
-        with open(path, "r", encoding="utf-8") as file:
-            lines = file
-            if not file.seekable():  # a pipe: keep its bytes, to read them twice
-                lines = io.TextIOWrapper(io.BytesIO(file.buffer.read()), encoding="utf-8")
-            try:
-                return columns(lines, loads, *args)
-            except ParseError:
-                lines.seek(0)
-            return reference(lines, json.loads, *args)
-    finally:
-        if enabled:
-            gc.enable()
+            yield lineno, _record(line, lineno, keys, optional)
 
 
 def read_sample_set(path) -> SampleSet:
@@ -190,12 +156,13 @@ def read_sample_set(path) -> SampleSet:
     Detections are sorted by repetition index (stable within a repetition).
     Raises ParseError with the offending line number on any malformed record.
     """
-    return _read_file(_sample_set, _sample_set, path)
+    with open(path, encoding="utf-8") as lines:
+        return _sample_set(lines)
 
 
-def _sample_set(lines: Iterable[str], loads: Callable) -> SampleSet:
+def _sample_set(lines: Iterable[str]) -> SampleSet:
     """The body of read_sample_set, one line at a time."""
-    records = _jsonl_records(lines, loads, _DET_KEYS, _DET_OPTIONAL, header=_HEADER_KEYS)
+    records = _jsonl_records(lines, _DET_KEYS, _DET_OPTIONAL, header=_HEADER_KEYS)
     first = next(records, None)
     if first is None:
         raise ParseError(1, "missing header record")

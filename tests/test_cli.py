@@ -458,11 +458,11 @@ class TestModuleSets:
         [
             ("cluster", ["dropuq.report", "dropuq.figures", "dropuq.evaluation",
                          "dropuq.synth", "dropuq.calibration", "dropuq.bgm", "dropuq.ward",
-                         "numpy.ma"]),
+                         "numpy.ma", "orjson"]),
             ("report", ["dropuq.clustering", "dropuq.synth", "dropuq.bgm", "dropuq.ward",
-                        "numpy.ma"]),
+                        "numpy.ma", "orjson"]),
             ("eval", ["dropuq.clustering", "dropuq.synth", "dropuq.bgm", "dropuq.ward",
-                      "numpy.ma"]),
+                      "numpy.ma", "orjson"]),
         ],
     )
     def test_scene_command(self, pipeline_dirs, tmp_path, command, absent):
@@ -1320,11 +1320,12 @@ class TestLoneSurrogateId:
 
 
 class TestPipedInput:
-    """A file read from a pipe is parsed a second time from the same text,
-    when the first pass cannot take it."""
+    """A file read from a pipe reads as the same file read by path. A records
+    file is parsed a second time from the same text when calibration's block
+    pass cannot take it; sample sets and ground truth are read once."""
 
     def test_eval_ground_truth(self, pipeline_dirs, tmp_path):
-        # orjson reads 2**64 as a float, so json parses the file.
+        # A class beyond 64 bits, on a line of another image, which json reads whole.
         gt = (pipeline_dirs / "synth" / "scene0_gt.jsonl").read_text() + json.dumps(
             {"image_id": "other", "bbox": [0, 0, 10, 10], "class_id": 2**64}
         ) + "\n"
@@ -1366,7 +1367,7 @@ class TestPipedInput:
 
     @pytest.mark.parametrize("fault", [None, "nan score"])
     def test_cluster(self, tmp_path, fault):
-        # orjson reads 2**64 as a float and rejects NaN, so json parses the file.
+        # Values json reads and orjson would not: 2**64 and NaN, read once from the pipe.
         lines = serialize_sample_set(
             generate(separated_scene(0, 2, n_repetitions=10))[0]
         ).splitlines()

@@ -510,10 +510,11 @@ def _outcome(parse, source):
 
 
 def _json_only(body, *args):
-    """A reader that runs a format's body over the file with the stdlib decoder alone."""
+    """A reader that runs a format's per-line ``json`` body over the file:
+    calibration's reference pass, or the whole reader of the other formats."""
     def read(path):
         with open(path, encoding="utf-8") as lines:
-            return body(lines, json.loads, *args)
+            return body(lines, *args)
 
     return read
 
@@ -560,7 +561,9 @@ def _no_json(*args, **kwargs):
 
 
 class TestDecoderRule:
-    """orjson decodes, and json decides: every parse equals a json-only parse."""
+    """Every parse equals a json-only parse. Sample sets and ground truth are
+    read by json alone; calibration's orjson block pass decodes, and json
+    decides."""
 
     @pytest.mark.parametrize("fmt", sorted(FORMATS))
     def test_matches_json_only_parse(self, fmt, tmp_path):
@@ -674,9 +677,10 @@ class TestDecoderRule:
         path = tmp_path / "records.jsonl"
         path.write_text(newline.join(lines) + newline, encoding="utf-8", newline="")
         expected = _outcome(REFERENCE[fmt], path)
-        if fault is None:  # the orjson pass takes a valid file alone
+        if fault is None:
             assert expected[0] == "ok", expected
-            monkeypatch.setattr(json, "loads", _no_json)
+            if fmt == "calibration":  # the orjson block pass takes a valid file alone
+                monkeypatch.setattr(json, "loads", _no_json)
         else:
             assert expected[::3] == ("error", at + 1), expected
         assert _outcome(FORMATS[fmt][0], path) == expected
@@ -751,7 +755,7 @@ def test_sample_set_retains_only_its_columns(tmp_path):
     s, _, _ = generate(separated_scene(0, 16, sigma=3.0, n_repetitions=1024))
     path = tmp_path / "samples.jsonl"
     path.write_text(serialize_sample_set(s), encoding="utf-8")
-    read_sample_set(path)  # the decoder's first import is not the set's
+    read_sample_set(path)  # a first read's one-off imports are not the set's
     gc.collect()
     tracemalloc.start()
     try:

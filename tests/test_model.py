@@ -76,7 +76,7 @@ class TestBoxRules:
             lines = [json.dumps({"image_id": "b", "bbox": [0, 0, 1, 1], "class_id": 1}), "",
                      json.dumps({"image_id": "b", "bbox": list(box), "class_id": 1})]
             with pytest.raises(ParseError) as gt_line:
-                _ground_truth(lines, json.loads, "a", 10, 10)
+                _ground_truth(lines, "a", 10, 10)
             assert str(gt_line.value) == f"line 3: {message}"
             spec = {"image_id": "s", "height": 10, "width": 10, "num_classes": 1,
                     "n_repetitions": 1, "instances": [{"box": list(box), "class_id": 1}]}
@@ -270,7 +270,7 @@ def sample_set_runs(h, w, runs):
 def ground_truth_runs(h, w, runs):
     line = json.dumps({"image_id": "a", "bbox": [0, 0, 1, 1], "class_id": 1, "mask_runs": runs})
     try:
-        return _ground_truth([line], json.loads, "a", h, w)[0].mask.tolist()
+        return _ground_truth([line], "a", h, w)[0].mask.tolist()
     except ParseError as exc:
         return f"ValueError: {str(exc).removeprefix('line 1: ')}"
 
