@@ -11,13 +11,14 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import re
 import sys
 import warnings
 from contextlib import contextmanager
 from dataclasses import replace
 from pathlib import Path
-from typing import List, Optional, Tuple
+from typing import List, NoReturn, Optional, Tuple
 
 from . import __version__
 
@@ -388,5 +389,20 @@ def main(argv: Optional[List[str]] = None) -> int:
         return DATA_ERROR
 
 
+def run() -> NoReturn:
+    """The ``dropuq`` command: main, then os._exit, skipping the atexit
+    handlers, finalizers and final garbage collection of the interpreter's
+    teardown. Every output file is closed by then (write_file), so only the
+    standard streams need a flush. If one fails, as on a pipe whose reader
+    has gone, sys.exit lets the interpreter report it and exit with 120."""
+    code = main()
+    try:
+        sys.stdout.flush()
+        sys.stderr.flush()
+    except Exception:
+        sys.exit(code)
+    os._exit(code)
+
+
 if __name__ == "__main__":
-    sys.exit(main())
+    run()

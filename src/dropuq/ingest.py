@@ -245,11 +245,11 @@ def serialize_sample_set(s: SampleSet) -> str:
     out = [json.dumps(header)]
     runs, offsets = s.mask_runs.tolist(), s.mask_offsets.tolist()
     rows = zip(s.repetition.tolist(), s.boxes.tolist(), s.scores.tolist(), offsets, offsets[1:])
+    # A list of ints and finite floats, all a SampleSet holds, has its JSON
+    # text as its repr.
     for repetition, box, scores, start, end in rows:
-        rec = {"repetition": repetition, "bbox": box, "scores": scores}
-        if end > start:
-            rec["mask_runs"] = runs[start:end]
-        out.append(json.dumps(rec))
+        mask = f', "mask_runs": {runs[start:end]!r}' if end > start else ""
+        out.append(f'{{"repetition": {repetition}, "bbox": {box!r}, "scores": {scores!r}{mask}}}')
     return "\n".join(out) + "\n"
 
 

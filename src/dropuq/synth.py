@@ -127,6 +127,32 @@ def _contour_band(m: np.ndarray, radius: int = 2) -> np.ndarray:
     return grown & ~shrunk
 
 
+def _run_bounds(grid: np.ndarray) -> np.ndarray:
+    """The flat positions p in [0, H*W] where pixel p differs from pixel
+    p - 1 of a row-major grid, the pixels before and after the grid counting
+    as background."""
+    return np.flatnonzero(np.diff(grid.reshape(-1), prepend=False, append=False))
+
+
+def _flip_runs(bounds: np.ndarray, flips: np.ndarray, pixels: int) -> np.ndarray:
+    """The runs of the mask of ``pixels`` pixels with run bounds ``bounds``
+    (as _run_bounds gives them) once the pixels at the sorted, distinct flat
+    positions ``flips`` are inverted, as rle_encode would give them.
+
+    Inverting pixel p toggles the bounds at p and p + 1, so a bound toggled
+    an even number of times cancels. No pixel grid is built.
+    """
+    events = np.concatenate((bounds, flips, flips + 1))
+    events.sort()
+    # Where each distinct position starts in events, then the end: a
+    # position that occurs an odd number of times is a bound.
+    starts = np.concatenate(([0], np.flatnonzero(events[1:] != events[:-1]) + 1, [events.size]))
+    edges = events[starts[:-1][(starts[1:] - starts[:-1]) % 2 == 1]]
+    # A bound at 0 is the leading empty background run; the one at H*W ends no run.
+    edges = np.concatenate(([0], edges[edges < pixels], [pixels]))
+    return edges[1:] - edges[:-1]
+
+
 def _jitter_box(
     box: Sequence[float], sigma: float, width: int, height: int, rng: np.random.Generator
 ) -> Tuple[float, float, float, float]:
@@ -166,18 +192,24 @@ def generate(
 
     Per repetition and instance, with probability 1 - miss_rate, emits one
     detection with jittered box edges, a score vector concentrated on the
-    true class, and the true shape with contour-band pixel flips.
-    Deterministic given the spec (seed included).
+    true class, and the true shape with contour-band pixel flips. A noisy
+    mask's runs come from toggling the shape's run bounds at each flip
+    (_flip_runs), never from a pixel grid. Deterministic given the spec
+    (seed included).
     """
     rng = np.random.default_rng(spec.seed)
+    pixels = spec.height * spec.width
     shapes = [
         None
         if inst.shape == "none"
         else _render_shape(inst.true_box, inst.shape, spec.height, spec.width)
         for inst in spec.instances
     ]
-    # Flat indices of each shape's contour band, where mask noise flips pixels.
+    # Per shape: flat indices of its contour band, where mask noise flips
+    # pixels, its run bounds and its noise-free runs.
     bands = [None if s is None else np.flatnonzero(_contour_band(s)) for s in shapes]
+    bounds = [None if s is None else _run_bounds(s) for s in shapes]
+    clean = [None if s is None else rle_encode(s) for s in shapes]
 
     repetitions, boxes, scores, masks, labels = [], [], [], [], []
     for rep in range(spec.n_repetitions):
@@ -188,15 +220,10 @@ def generate(
                 _jitter_box(inst.true_box, inst.box_jitter_sigma, spec.width, spec.height, rng)
             )
             scores.append(_sample_scores(inst, spec.num_classes, rng))
-            mask = None
-            if shapes[idx] is not None:
-                grid = shapes[idx]
-                if inst.mask_noise > 0.0:
-                    grid = grid.copy()
-                    flips = bands[idx][rng.random(bands[idx].size) < inst.mask_noise]
-                    flat = grid.reshape(-1)
-                    flat[flips] = ~flat[flips]
-                mask = rle_encode(grid)
+            mask = clean[idx]
+            if mask is not None and inst.mask_noise > 0.0:
+                flips = bands[idx][rng.random(bands[idx].size) < inst.mask_noise]
+                mask = _flip_runs(bounds[idx], flips, pixels)
             repetitions.append(rep)
             masks.append(mask)
             labels.append(idx)
@@ -216,7 +243,7 @@ def generate(
             image_id=spec.image_id,
             bbox=inst.true_box,
             class_id=inst.true_class,
-            mask=None if shapes[i] is None else rle_encode(shapes[i]),
+            mask=clean[i],
         )
         for i, inst in enumerate(spec.instances)
     ]

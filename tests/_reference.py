@@ -5,20 +5,24 @@ dropuq.report and dropuq.evaluation replaced: a validator over a tuple of
 Python ints, mask statistics counted over every pixel of the image, one
 boundary sweep per mask pair, the foreground bounds of one mask at a time,
 the IoU of one pair of boxes in Python floats, a density curve built from
-one (grid, sample) matrix, and a matcher that takes one IoU per pair. The
-array code must give the same results bit for bit. A mask is its runs, and
+one (grid, sample) matrix, a matcher that takes one IoU per pair, and a
+scene generator that flips each noisy mask's pixels in a copy of its shape
+grid and encodes the whole grid. The array code must give the same results
+bit for bit. A mask is its runs, and
 a sample set's run column is read here one row at a time (``mask_rows``).
 """
 
 from __future__ import annotations
 
+import json
 import math
 
 import numpy as np
 
-from dropuq.evaluation import EvalResult, MatchRecord
-from dropuq.model import rle_encode
+from dropuq.evaluation import EvalResult, GroundTruthInstance, MatchRecord
+from dropuq.model import SampleSet, rle_encode
 from dropuq.report import MaskStats
+from dropuq.synth import _contour_band, _jitter_box, _render_shape, _sample_scores
 
 
 def reference_runs(height, width, runs):
@@ -169,3 +173,76 @@ def reference_match_and_score(preds, gts, mode="box"):
         per_class_ap[cls] = _interpolated_ap(cum_tp / len(gt_idx), cum_tp / (cum_tp + cum_fp))
     map50 = sum(per_class_ap.values()) / len(per_class_ap) if per_class_ap else None
     return EvalResult(mode, per_class_ap, map50, tuple(matches))
+
+
+def reference_serialize_sample_set(s):
+    """The sample file of ``s``, each line one json.dumps call over a dict."""
+    header = {
+        "image_id": s.image_id,
+        "height": s.height,
+        "width": s.width,
+        "n_repetitions": s.n_repetitions,
+        "num_classes": s.scores.shape[1] - 1,
+    }
+    out = [json.dumps(header)]
+    rows = zip(s.repetition.tolist(), s.boxes.tolist(), s.scores.tolist(), mask_rows(s))
+    for repetition, box, scores, mask in rows:
+        rec = {"repetition": repetition, "bbox": box, "scores": scores}
+        if mask is not None:
+            rec["mask_runs"] = mask.tolist()
+        out.append(json.dumps(rec))
+    return "\n".join(out) + "\n"
+
+
+def reference_generate(spec):
+    """dropuq.synth.generate with every noisy mask drawn on a copy of its
+    shape's pixel grid and run-length encoded whole."""
+    rng = np.random.default_rng(spec.seed)
+    shapes = [
+        None
+        if inst.shape == "none"
+        else _render_shape(inst.true_box, inst.shape, spec.height, spec.width)
+        for inst in spec.instances
+    ]
+    bands = [None if s is None else np.flatnonzero(_contour_band(s)) for s in shapes]
+    repetitions, boxes, scores, masks, labels = [], [], [], [], []
+    for rep in range(spec.n_repetitions):
+        for idx, inst in enumerate(spec.instances):
+            if rng.random() < inst.miss_rate:
+                continue
+            boxes.append(
+                _jitter_box(inst.true_box, inst.box_jitter_sigma, spec.width, spec.height, rng)
+            )
+            scores.append(_sample_scores(inst, spec.num_classes, rng))
+            mask = None
+            if shapes[idx] is not None:
+                grid = shapes[idx]
+                if inst.mask_noise > 0.0:
+                    grid = grid.copy()
+                    flips = bands[idx][rng.random(bands[idx].size) < inst.mask_noise]
+                    flat = grid.reshape(-1)
+                    flat[flips] = ~flat[flips]
+                mask = rle_encode(grid)
+            repetitions.append(rep)
+            masks.append(mask)
+            labels.append(idx)
+    sample_set = SampleSet(
+        image_id=spec.image_id,
+        height=spec.height,
+        width=spec.width,
+        n_repetitions=spec.n_repetitions,
+        boxes=np.reshape(boxes, (-1, 4)),
+        scores=np.reshape(scores, (-1, spec.num_classes + 1)),
+        repetition=repetitions,
+        masks=masks,
+    )
+    gts = [
+        GroundTruthInstance(
+            image_id=spec.image_id,
+            bbox=inst.true_box,
+            class_id=inst.true_class,
+            mask=None if shapes[i] is None else rle_encode(shapes[i]),
+        )
+        for i, inst in enumerate(spec.instances)
+    ]
+    return sample_set, labels, gts

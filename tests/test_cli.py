@@ -24,11 +24,21 @@ from dropuq.synth import (
 SRC = str(Path(__file__).resolve().parent.parent / "src")
 
 
-def run_cli(*argv, check=True, address_space=None, input=None):
-    """Run the CLI in a child process, ``input`` piped to its standard input;
-    address_space caps only the child's RLIMIT_AS."""
+def child_env(buffered=False):
+    """The environment of a child that imports dropuq from the source tree;
+    with ``buffered``, PYTHONUNBUFFERED is dropped, so that the child's
+    standard output is block-buffered into a pipe, as by default."""
     env = dict(os.environ)
     env["PYTHONPATH"] = SRC + os.pathsep + env.get("PYTHONPATH", "")
+    if buffered:
+        env.pop("PYTHONUNBUFFERED", None)
+    return env
+
+
+def run_cli(*argv, check=True, address_space=None, input=None, buffered=False):
+    """Run the CLI in a child process, ``input`` piped to its standard input;
+    address_space caps only the child's RLIMIT_AS."""
+    env = child_env(buffered)
     limit = None
     if address_space is not None:
         env["OPENBLAS_NUM_THREADS"] = "1"  # per-thread BLAS buffers count against the cap
@@ -188,6 +198,67 @@ def one_cluster_file(path):
            "labels": [0], "clusters": [{"cluster_id": 0, "size": 1, "split_refused": False}]}
     path.write_text(json.dumps(doc))
     return path
+
+
+class TestHardExit:
+    """`python -m dropuq` flushes its standard streams after main returns and
+    ends with os._exit, skipping the interpreter's teardown. Each child here
+    runs without PYTHONUNBUFFERED, so a line it prints is still buffered when
+    main returns."""
+
+    def test_every_report_line_arrives(self, pipeline_dirs, tmp_path, capsys):
+        samples = pipeline_dirs / "synth" / "scene0_samples.jsonl"
+        clusters = pipeline_dirs / "clusters" / "scene0_clusters.json"
+        from dropuq.cli import main
+
+        assert main(["report", str(samples), "--clusters", str(clusters),
+                     "--out-dir", str(tmp_path / "in")]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        assert len(lines) == len(json.loads(clusters.read_text())["clusters"]) == 2
+        r = run_cli("report", samples, "--clusters", clusters, "--out-dir", tmp_path / "child",
+                    buffered=True)
+        assert r.stdout.splitlines() == lines
+
+    def test_closed_pipe(self, pipeline_dirs, tmp_path):
+        # As the interpreter's own exit reports a failed flush: exit code 120,
+        # one "Exception ignored" note and no traceback.
+        samples = pipeline_dirs / "synth" / "scene0_samples.jsonl"
+        clusters = pipeline_dirs / "clusters" / "scene0_clusters.json"
+        read, write = os.pipe()
+        os.close(read)
+        try:
+            r = subprocess.run(
+                [sys.executable, "-m", "dropuq", "report", str(samples), "--clusters",
+                 str(clusters), "--out-dir", str(tmp_path / "r")],
+                stdout=write, stderr=subprocess.PIPE, text=True, env=child_env(buffered=True),
+            )
+        finally:
+            os.close(write)
+        assert r.returncode == 120, r.stderr
+        assert r.stderr.startswith("Exception ignored in: <_io.TextIOWrapper name='<stdout>'")
+        assert "BrokenPipeError" in r.stderr and "Traceback" not in r.stderr, r.stderr
+        assert (tmp_path / "r" / "scene0_cluster_000_report.json").exists()
+
+    def test_error_codes(self, tmp_path):
+        r = run_cli("frobnicate", check=False, buffered=True)
+        assert r.returncode == 1 and "invalid choice" in r.stderr
+        r = run_cli("cluster", tmp_path / "nope.jsonl", "--out-dir", tmp_path / "o",
+                    check=False, buffered=True)
+        assert (r.returncode, r.stderr) == (
+            2, f"dropuq: error: [Errno 2] No such file or directory: '{tmp_path / 'nope.jsonl'}'\n"
+        )
+
+    def test_no_atexit_handler_runs(self, scene_file, tmp_path):
+        r = run_python(
+            "import atexit, sys; from dropuq.cli import run; "
+            "atexit.register(print, 'atexit handler ran'); "
+            f"sys.argv[1:] = ['synth', {str(scene_file)!r}, '--out-dir', "
+            f"{str(tmp_path / 'o')!r}]; run()",
+            buffered=True,
+        )
+        assert (r.returncode, r.stdout) == (0, "scene0: 80 detections, 2 instances, "
+                                               "40 repetitions\n"), r.stderr
+        assert (tmp_path / "o" / "scene0_samples.jsonl").exists()
 
 
 class TestHostileInput:
@@ -364,10 +435,9 @@ class TestHostileSceneSpec:
         assert not (tmp_path / "s").exists()
 
 
-def run_python(code):
-    env = dict(os.environ)
-    env["PYTHONPATH"] = SRC + os.pathsep + env.get("PYTHONPATH", "")
-    return subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env)
+def run_python(code, buffered=False):
+    return subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          env=child_env(buffered))
 
 
 def test_fit_at_the_iteration_cap_warns_on_stderr(tmp_path, monkeypatch, capsys):

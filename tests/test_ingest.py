@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from _files import read_text
+from _reference import reference_serialize_sample_set
 from _scenes import separated_scene
 from dropuq.calibration import (
     _TEXT_BLOCK_ROWS, CalibrationSet, _calibration_set, read_calibration_records,
@@ -20,7 +21,7 @@ from dropuq.ingest import (
     read_sample_set,
     serialize_sample_set,
 )
-from dropuq.model import SampleSet
+from dropuq.model import SampleSet, rle_encode
 from dropuq.synth import (
     InstanceSpec, generate, generate_calibration_records, scene_spec_to_json,
 )
@@ -123,6 +124,50 @@ class TestParse:
         s2 = read_text(read_sample_set, serialize_sample_set(s1))
         assert s1 == s2
         assert serialize_sample_set(s1) == serialize_sample_set(s2)
+
+
+# Values whose text json.dumps and repr could differ on, were they to differ.
+EDGE_VALUES = (-0.0, 0.0, 5e-324, 1e-5, 3.3e-7, 9.999999999999999e-05, 1.0)
+
+
+def random_sample_set(rng):
+    """A small sample set with EDGE_VALUES among its box coordinates and
+    scores, some rows without a mask and some masks with a leading empty run."""
+    height, width = (int(v) for v in rng.integers(1, 30, 2))
+    n, k = int(rng.integers(0, 8)), int(rng.integers(1, 5))
+    x = np.sort(rng.uniform(0, width, (n, 2)), axis=1)
+    y = np.sort(rng.uniform(0, height, (n, 2)), axis=1)
+    boxes = np.column_stack((x[:, 0], y[:, 0], x[:, 1], y[:, 1]))
+    boxes[:, :2] = np.where(rng.random((n, 2)) < 0.3, rng.choice(EDGE_VALUES[:6], (n, 2)),
+                            boxes[:, :2])
+    scores = rng.dirichlet(np.ones(k + 1), n)
+    scores = np.where(rng.random(scores.shape) < 0.3, rng.choice(EDGE_VALUES[:6], scores.shape),
+                      scores)
+    top = scores.argmax(axis=1)  # takes up the rest, 1.0 where the others are edge values
+    scores[np.arange(n), top] = 0.0
+    scores[np.arange(n), top] = 1.0 - scores.sum(axis=1)
+    masks = []
+    for _ in range(n):
+        grid = rng.random((height, width)) < rng.random()
+        grid[0, 0] = rng.random() < 0.5
+        masks.append(rle_encode(grid) if rng.random() < 0.7 else None)
+    reps = rng.integers(0, 3, n)
+    return SampleSet("img", height, width, 3, boxes, scores.reshape(n, k + 1), reps, masks)
+
+
+def test_serialize_matches_json_dumps():
+    rng = np.random.default_rng(0)
+    texts = []
+    for _ in range(200):
+        s = random_sample_set(rng)
+        texts.append(serialize_sample_set(s))
+        assert texts[-1] == reference_serialize_sample_set(s)
+    # Every edge case came up: each value, rows without masks, leading empty runs.
+    lines = "".join(texts)
+    for text in ("[-0.0, ", " -0.0, ", ", 1.0, ", "5e-324", "1e-05", "3.3e-07", "9.999999999999999e-05"):
+        assert text in lines, text
+    assert '"mask_runs": [0, ' in lines
+    assert sum(1 for line in lines.splitlines() if '"scores"' in line and "mask_runs" not in line)
 
 
 def sample_with_backgrounds(bgs):

@@ -3,16 +3,19 @@ import json
 import numpy as np
 import pytest
 
-from _reference import mask_rows
+from _reference import mask_rows, reference_generate
 from _scenes import separated_scene
 from dropuq.calibration import fit_temperature
 from dropuq.cli import main
 from dropuq.clustering import cluster_pipeline
 from dropuq.ingest import serialize_sample_set
+from dropuq.model import rle_decode, rle_encode
 from dropuq.synth import (
     MAX_DETECTIONS,
     InstanceSpec,
     SceneSpec,
+    _flip_runs,
+    _run_bounds,
     adjusted_rand_index,
     generate,
     generate_calibration_records,
@@ -96,8 +99,6 @@ class TestGenerate:
         noisy = separated_scene(5, 1, shape="ellipse", mask_noise=0.5)
         sc, _, gc = generate(clean)
         sn, _, _ = generate(noisy)
-        from dropuq.model import rle_decode
-
         base = rle_decode(gc[0].mask, clean.height, clean.width)
         flipped = rle_decode(mask_rows(sn)[0], noisy.height, noisy.width) != base
         # all flipped pixels are near the contour: dilate(base) & ~erode(base)
@@ -129,6 +130,79 @@ class TestGenerate:
             f"{MAX_DETECTIONS} detections"
         )):
             SceneSpec("img", 10, 10, 1, at_limit + 1, instances)
+
+
+def assert_same_scene(spec):
+    """generate and the dense reference generator give the same scene."""
+    got, want = generate(spec), reference_generate(spec)
+    assert serialize_sample_set(got[0]) == serialize_sample_set(want[0])
+    assert got[0] == want[0]
+    assert got[1:] == want[1:]
+    return got
+
+
+class TestRunNativeNoise:
+    """generate gives each noisy mask its runs by toggling the shape's run
+    bounds at every flipped pixel; the reference flips the pixels of a copy
+    of the shape's grid and encodes the whole grid."""
+
+    @pytest.mark.parametrize("mask_noise", [0.0, 0.1, 1.0])
+    @pytest.mark.parametrize("shape", ["ellipse", "box", "none"])
+    def test_matches_dense_generator(self, shape, mask_noise):
+        assert_same_scene(separated_scene(7, 3, sigma=2.0, shape=shape, mask_noise=mask_noise,
+                                          class_confusion=0.1, n_repetitions=20))
+
+    def test_misses(self):
+        _, labels, _ = assert_same_scene(separated_scene(
+            8, 4, shape="ellipse", mask_noise=0.1, miss_rate=0.3, n_repetitions=30
+        ))
+        assert 0 < len(labels) < 120
+
+    @pytest.mark.parametrize(
+        "height, width, boxes",
+        [
+            (1, 1, [(0, 0, 1, 1), (0, 0, 0.4, 0.4)]),
+            (1, 10, [(0, 0, 1, 1), (1, 0, 3, 1), (7, 0, 9, 1), (8, 0, 10, 1)]),
+            (10, 1, [(0, 0, 1, 1), (0, 1, 1, 3), (0, 7, 1, 9), (0, 8, 1, 10)]),
+        ],
+    )
+    @pytest.mark.parametrize("shape", ["box", "ellipse"])
+    def test_edge_grids(self, height, width, boxes, shape):
+        spec = SceneSpec("edge", height, width, 1, 20,
+                         tuple(InstanceSpec(box, 1, shape, mask_noise=0.5) for box in boxes),
+                         seed=3)
+        s, labels, gts = assert_same_scene(spec)
+        if height * width > 1:  # flips reach pixel 0 and the last pixel
+            flipped = np.array([
+                (rle_decode(runs, height, width) != rle_decode(gts[i].mask, height, width)).ravel()
+                for runs, i in zip(mask_rows(s), labels)
+            ])
+            assert flipped[:, 0].any() and flipped[:, -1].any()
+
+    def test_shape_without_pixels(self):
+        # The box covers no pixel centre: every mask is one background run.
+        spec = SceneSpec("empty", 10, 10, 1, 5,
+                         (InstanceSpec((2.6, 2.6, 3.4, 3.4), 1, "box", mask_noise=0.5),))
+        s, _, gts = assert_same_scene(spec)
+        assert [m.tolist() for m in mask_rows(s)] == [[100]] * 5
+        assert gts[0].mask.tolist() == [100]
+
+    def test_toggles_match_rle_encode(self):
+        rng = np.random.default_rng(0)
+        adjacent = 0
+        for trial in range(300):
+            grid = rng.random(tuple(rng.integers(1, 9, 2))) < rng.random()
+            pick = rng.random(grid.size) < rng.random()
+            if trial % 3 == 0 and grid.size > 1:
+                p = rng.integers(grid.size - 1)
+                pick[p:p + 2] = True
+            adjacent += bool((pick[1:] & pick[:-1]).any())
+            flips = np.flatnonzero(pick)
+            flipped = grid.copy()
+            flipped.reshape(-1)[flips] ^= True
+            runs = _flip_runs(_run_bounds(grid), flips, grid.size)
+            assert runs.tolist() == rle_encode(flipped).tolist(), (grid, flips)
+        assert adjacent >= 100
 
 
 class TestCalibrationRecords:
