@@ -19,10 +19,7 @@ from dataclasses import dataclass
 from typing import List, Optional, Tuple
 
 import numpy as np
-
-# scipy.special is imported inside the functions that use it: loading scipy
-# takes about 0.4 s, which a process that imports this module but fits no
-# mixture should not pay at start-up.
+from scipy.special import betaln, digamma, gammaln
 
 __all__ = ["MixtureState", "ConvergenceWarning", "fit_bgm"]
 
@@ -110,8 +107,6 @@ def _m_step(
 
 
 def _expected_log_weights(post: _Posterior) -> np.ndarray:
-    from scipy.special import digamma
-
     dig_sum = digamma(post.stick_a + post.stick_b)
     dig_a = digamma(post.stick_a) - dig_sum
     dig_b = digamma(post.stick_b) - dig_sum
@@ -120,8 +115,6 @@ def _expected_log_weights(post: _Posterior) -> np.ndarray:
 
 def _e_step(X: np.ndarray, post: _Posterior) -> np.ndarray:
     """Log responsibilities under the current posterior."""
-    from scipy.special import digamma
-
     D = X.shape[1]
     # E[log |Lambda_k|] and E[(x-mu)^T Lambda (x-mu)] under Normal-Wishart;
     # the quadratic form uses residuals whitened by the inverse factors.
@@ -148,8 +141,6 @@ def _lower_bound(post: _Posterior, log_resp: np.ndarray, resp: np.ndarray) -> fl
     coordinate ascent keeps this sequence non-decreasing. ``resp`` is
     ``exp(log_resp)``, which the caller has already taken for the M-step.
     """
-    from scipy.special import betaln, gammaln
-
     D = post.means.shape[1]
     xlogx = np.multiply(resp, log_resp, out=np.zeros_like(resp), where=resp > 0.0)
     entropy = -float(np.sum(xlogx))

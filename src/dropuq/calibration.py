@@ -9,10 +9,12 @@ the only one read in two passes: a block pass decodes _TEXT_BLOCK_ROWS
 lines per orjson call (_calibration_columns), and a file it cannot take
 whole is parsed again, line by line and from its first line, under the
 stdlib ``json`` decoder (_calibration_set), whose result or error the
-caller gets. orjson rejects NaN, Infinity, 1e400 and lone surrogates, which
-``json`` accepts, and reads integers beyond 64 bits as floats, which no
-integer field accepts; on every other line the two decoders return equal
-values.
+caller gets. That pass types each line's fields with ingest's _array and
+_scalar, as the samples reader does, so a key, type or width fault names
+the first faulty line. orjson rejects NaN, Infinity, 1e400 and lone
+surrogates, which ``json`` accepts, and reads integers beyond 64 bits as
+floats, which no integer field accepts; on every other line the two
+decoders return equal values.
 """
 
 from __future__ import annotations
@@ -26,8 +28,9 @@ from operator import itemgetter
 from typing import Callable, Iterable, List, Optional, Sequence, Tuple
 
 import numpy as np
+from orjson import OPT_SERIALIZE_NUMPY, dumps, loads
 
-from .ingest import _REAL, ParseError, _jsonl_records
+from .ingest import _INT, _REAL, ParseError, _array, _jsonl_records, _scalar
 from .model import RowError, _check, _equal_fields, _reals
 
 __all__ = [
@@ -113,8 +116,8 @@ def _temperature(t: float) -> float:
 def softmax(logits: np.ndarray, temperature: float = 1.0) -> np.ndarray:
     """Softmax of logits / T over the last axis of an (N, K+1) array.
 
-    Each row is divided by T, then shifted by its maximum, which keeps exp
-    from overflowing. A row whose maximum overflows to +inf when divided by
+    Each row is divided by T, then shifted by its maximum, so that exp
+    cannot overflow. A row whose maximum overflows to +inf when divided by
     T is shifted first instead, (z - max z) / T, which can only overflow to
     -inf, where exp is 0; every other row keeps the divide-then-shift bytes.
     """
@@ -309,8 +312,6 @@ def _calibration_columns(lines: Iterable[str]) -> CalibrationSet:
     lines in one call, checks their types, key orders and widths with one
     C-level set scan each, and turns them into columns at once; a file it
     cannot take whole raises ParseError (see _regular)."""
-    from orjson import loads
-
     lines, logits, classes = iter(lines), [], []
     try:
         while block := list(islice(lines, _TEXT_BLOCK_ROWS)):
@@ -348,29 +349,18 @@ def _calibration_set(lines: Iterable[str]) -> CalibrationSet:
     """The reference pass of read_calibration_records, one line at a time."""
     linenos, rows, classes = [], [], []
     for lineno, obj in _jsonl_records(lines, _KEYS, []):
-        logits = obj["logits"]
-        if not isinstance(logits, list):
-            raise ParseError(lineno, f"logits must be a list, got {logits!r}")
+        logits = _array(obj, "logits", _REAL, lineno)
         if rows and len(logits) != len(rows[0]):
             raise ParseError(
                 lineno, f"{len(logits)} logits, but line {linenos[0]} has {len(rows[0])}"
             )
         linenos.append(lineno)
         rows.append(logits)
-        classes.append(obj["true_class"])
+        classes.append(_scalar(obj, "true_class", _INT, lineno))
     if not rows:
         return CalibrationSet(np.empty((0, 0)), np.empty(0, dtype=np.int64))
 
-    # One scan of the value types: a boolean is not a number, though it
-    # subclasses int, and an integer of any size is one.
-    if not set(map(type, chain.from_iterable(rows))).issubset(_REAL):
-        i = next(i for i, r in enumerate(rows) if not set(map(type, r)).issubset(_REAL))
-        raise ParseError(linenos[i], f"logits must be numbers, got {rows[i]!r}")
     z = _reals(rows)
-    not_int = [type(c) is not int for c in classes]
-    if any(not_int):
-        i = int(np.argmax(not_int))
-        raise ParseError(linenos[i], f"true_class must be an integer, got {classes[i]!r}")
     try:
         y = np.array(classes, dtype=np.int64)
     except OverflowError:  # a class beyond 64 bits is out of range too
@@ -395,8 +385,6 @@ def serialize_calibration_records(records: CalibrationSet) -> str:
     writes 1e-05 and 1e+16. So each block is printed by orjson, and only
     the rows holding such a value are printed again with repr.
     """
-    from orjson import OPT_SERIALIZE_NUMPY, dumps
-
     z, y = records.logits, records.true_class
     out = []
     for s in range(0, len(y), _TEXT_BLOCK_ROWS):

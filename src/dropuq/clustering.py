@@ -27,8 +27,9 @@ __all__ = [
 _MAX_SPLIT_DEPTH = 3  # recursion cap for the oversized-cluster split rule
 _BLOCK_PAIRS = 1 << 20  # memory cap: box pairs compared at once by overlap_components
 _BLOCK_ROWS = 64  # rows per overlap_components block when the cap allows
-# bgm and ward are imported where a fit runs, so a run that needs no fit
-# loads neither: with bytecode writing off each module loaded is compiled.
+# bgm and ward, which import scipy, are imported where a fit runs, so a run
+# that needs no fit loads none of the three: with bytecode writing off each
+# module loaded is compiled.
 
 
 def estimate_component_count(n_detections: int, n_repetitions: int) -> int:

@@ -226,11 +226,17 @@ def json_document(doc) -> str:
 
 def write_file(path, *chunks: bytes) -> None:
     """Write ``chunks`` to ``path`` under a temporary name and rename it into
-    place, so that a failed write leaves nothing under ``path``."""
+    place, so that a failed write leaves nothing under ``path``; the
+    temporary file is removed if the write or the rename fails."""
     tmp = f"{path}.tmp"
-    with open(tmp, "wb") as out:
-        out.writelines(chunks)
-    os.replace(tmp, path)
+    out = open(tmp, "wb")
+    try:
+        with out:
+            out.writelines(chunks)
+        os.replace(tmp, path)
+    except BaseException:
+        os.remove(tmp)
+        raise
 
 
 def serialize_sample_set(s: SampleSet) -> str:

@@ -9,7 +9,7 @@ the row-major pixels, alternating background and foreground and starting
 with a background run, which may have length zero. Zero-length runs are not
 allowed anywhere else, and the runs sum to height*width. Masks are checked
 where they enter (SampleSet, the ground-truth reader); every other mask is
-``rle_encode`` of a grid.
+``rle_encode`` of a grid or, in synth, ``_bound_runs`` of its run bounds.
 
 All types are immutable after construction and safe to share across threads.
 Every operation in this module is a pure function.
@@ -349,11 +349,23 @@ def rle_encode(bitmap) -> np.ndarray:
     grid = np.asarray(bitmap, dtype=bool)
     if grid.ndim != 2 or grid.size == 0:
         raise ValueError(f"bitmap must be a non-empty 2-D grid, got shape {grid.shape}")
+    return _bound_runs(_run_bounds(grid), grid.size)
+
+
+def _run_bounds(grid: np.ndarray) -> np.ndarray:
+    """The int64 flat positions p in [0, H*W] where pixel p differs from
+    pixel p - 1 of a non-empty row-major boolean grid, the pixels before and
+    after the grid counting as background."""
     flat = grid.reshape(-1)
-    # Boundaries between runs: positions where the value changes.
     change = np.flatnonzero(flat[1:] != flat[:-1]) + 1
-    lengths = np.diff(np.concatenate(([0], change, [flat.size])))
-    return np.concatenate(([0], lengths)) if flat[0] else lengths
+    return np.concatenate((np.flatnonzero(flat[:1]), change, np.flatnonzero(flat[-1:]) + flat.size))
+
+
+def _bound_runs(bounds: np.ndarray, pixels: int) -> np.ndarray:
+    """The runs of the mask of ``pixels`` pixels with the sorted run bounds
+    ``bounds``: a bound at 0 gives the empty leading background run."""
+    edges = np.concatenate(([0], bounds[bounds < pixels], [pixels]))
+    return edges[1:] - edges[:-1]
 
 
 def rle_decode(runs: np.ndarray, height: int, width: int) -> np.ndarray:

@@ -15,7 +15,9 @@ import numpy as np
 
 from .evaluation import GroundTruthInstance
 from .ingest import _INT, _OBJECT, _REAL, _STR, ParseError, _array, _scalar, json_document
-from .model import SampleSet, _check_box, _check_pixels, _double, rasterize_box, rle_encode
+from .model import (
+    SampleSet, _bound_runs, _check_box, _check_pixels, _double, _run_bounds, rasterize_box,
+)
 
 if TYPE_CHECKING:
     from .calibration import CalibrationSet
@@ -88,11 +90,23 @@ class SceneSpec:
             )
         if self.seed < 0:
             raise ValueError(f"seed must be >= 0, got {self.seed}")
-        for inst in self.instances:
+        for i, inst in enumerate(self.instances):
             if inst.true_class > self.num_classes:
                 raise ValueError(
                     f"true_class {inst.true_class} exceeds num_classes {self.num_classes}"
                 )
+            x1, y1, x2, y2 = _clamp_box(inst.true_box, self.width, self.height)
+            if not (x1 < x2 and y1 < y2):
+                raise ValueError(
+                    f"instances[{i}]: box {tuple(inst.true_box)} has no area inside the "
+                    f"{self.height} x {self.width} image"
+                )
+
+
+def _clamp_box(box: Sequence[float], width: int, height: int) -> Tuple[float, ...]:
+    """The box clamped into [0, width] x [0, height], as SampleSet clamps a
+    detection's box; a coordinate inside the image keeps its value and type."""
+    return tuple(min(max(v, 0.0), float(limit)) for v, limit in zip(box, (width, height) * 2))
 
 
 def _render_shape(box: Sequence[float], shape: str, height: int, width: int) -> np.ndarray:
@@ -127,17 +141,10 @@ def _contour_band(m: np.ndarray, radius: int = 2) -> np.ndarray:
     return grown & ~shrunk
 
 
-def _run_bounds(grid: np.ndarray) -> np.ndarray:
-    """The flat positions p in [0, H*W] where pixel p differs from pixel
-    p - 1 of a row-major grid, the pixels before and after the grid counting
-    as background."""
-    return np.flatnonzero(np.diff(grid.reshape(-1), prepend=False, append=False))
-
-
 def _flip_runs(bounds: np.ndarray, flips: np.ndarray, pixels: int) -> np.ndarray:
     """The runs of the mask of ``pixels`` pixels with run bounds ``bounds``
-    (as _run_bounds gives them) once the pixels at the sorted, distinct flat
-    positions ``flips`` are inverted, as rle_encode would give them.
+    (as model._run_bounds gives them) once the pixels at the sorted, distinct
+    flat positions ``flips`` are inverted, as rle_encode would give them.
 
     Inverting pixel p toggles the bounds at p and p + 1, so a bound toggled
     an even number of times cancels. No pixel grid is built.
@@ -147,21 +154,17 @@ def _flip_runs(bounds: np.ndarray, flips: np.ndarray, pixels: int) -> np.ndarray
     # Where each distinct position starts in events, then the end: a
     # position that occurs an odd number of times is a bound.
     starts = np.concatenate(([0], np.flatnonzero(events[1:] != events[:-1]) + 1, [events.size]))
-    edges = events[starts[:-1][(starts[1:] - starts[:-1]) % 2 == 1]]
-    # A bound at 0 is the leading empty background run; the one at H*W ends no run.
-    edges = np.concatenate(([0], edges[edges < pixels], [pixels]))
-    return edges[1:] - edges[:-1]
+    return _bound_runs(events[starts[:-1][(starts[1:] - starts[:-1]) % 2 == 1]], pixels)
 
 
 def _jitter_box(
     box: Sequence[float], sigma: float, width: int, height: int, rng: np.random.Generator
 ) -> Tuple[float, float, float, float]:
     """A jittered copy of the box that keeps positive area inside the image,
-    or after 100 tries the box itself, which SampleSet clamps (or rejects)."""
+    or after 100 tries the box itself, which SampleSet clamps."""
     for _ in range(100):
         noise = rng.normal(0.0, sigma, 4) if sigma > 0 else (0.0,) * 4
-        x1, y1, x2, y2 = (min(max(v + d, 0.0), float(limit))
-                          for v, d, limit in zip(box, noise, (width, height) * 2))
+        x1, y1, x2, y2 = _clamp_box([v + d for v, d in zip(box, noise)], width, height)
         if x1 < x2 and y1 < y2:
             return x1, y1, x2, y2
     return tuple(box)
@@ -209,7 +212,7 @@ def generate(
     # pixels, its run bounds and its noise-free runs.
     bands = [None if s is None else np.flatnonzero(_contour_band(s)) for s in shapes]
     bounds = [None if s is None else _run_bounds(s) for s in shapes]
-    clean = [None if s is None else rle_encode(s) for s in shapes]
+    clean = [None if b is None else _bound_runs(b, pixels) for b in bounds]
 
     repetitions, boxes, scores, masks, labels = [], [], [], [], []
     for rep in range(spec.n_repetitions):
@@ -241,7 +244,7 @@ def generate(
     gts = [
         GroundTruthInstance(
             image_id=spec.image_id,
-            bbox=inst.true_box,
+            bbox=_clamp_box(inst.true_box, spec.width, spec.height),
             class_id=inst.true_class,
             mask=clean[i],
         )
@@ -347,7 +350,7 @@ def scene_spec_from_json(text: str) -> SceneSpec:
     naming it."""
     doc = json.loads(text)
     if type(doc) is not dict:
-        raise ParseError(None, f"scene spec must be a JSON object, got {type(doc).__name__}")
+        raise ParseError(None, f"must be a JSON object, got {type(doc).__name__}")
     _known_keys(doc, _SPEC_KEYS, "scene spec")
     for inst in _array(doc, "instances", _OBJECT, None):
         _known_keys(inst, _INSTANCE_KEYS, "instance")

@@ -9,6 +9,7 @@ cuts the dendrogram into exactly k clusters, also when heights tie.
 from __future__ import annotations
 
 import numpy as np
+from scipy.cluster.hierarchy import linkage
 
 __all__ = ["MAX_POINTS", "fit_agglomerative"]
 
@@ -36,10 +37,6 @@ def fit_agglomerative(points: np.ndarray, k: int) -> np.ndarray:
             f"Ward linkage on a component of {n} points exceeds the cap of {MAX_POINTS}; "
             "use --algorithm bgm, whose memory is linear"
         )
-
-    # Imported here: scipy.cluster loads scipy.spatial (60-90 ms on a 2-core
-    # machine), which commands that never run Ward should not pay at start-up.
-    from scipy.cluster.hierarchy import linkage
 
     merges = linkage(X, method="ward")[: n - k, :2].astype(np.int64)
     # Row i merges clusters a and b into the new cluster n + i.

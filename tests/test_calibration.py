@@ -466,20 +466,20 @@ class TestColumnarPath:
             ('{"logits": [0.0, 1.5, -2.0], "true_class": -1}', "true_class -1 out of range"),
             ('{"logits": [0.0, 1.5, -2.0], "true_class": 100000000000000000000}',
              "true_class 100000000000000000000 out of range"),
-            ('{"logits": [0.0, 1.5, -2.0], "true_class": 1.7}', "true_class must be an integer"),
-            ('{"logits": [0.0, 1.5, -2.0], "true_class": 1.0}', "true_class must be an integer"),
-            ('{"logits": [0.0, 1.5, -2.0], "true_class": "1"}', "true_class must be an integer"),
-            ('{"logits": [0.0, 1.5, -2.0], "true_class": true}', "true_class must be an integer"),
-            ('{"logits": [0.0, 1.5, -2.0], "true_class": null}', "true_class must be an integer"),
-            ('{"logits": [0.0, "0.5", -2.0], "true_class": 1}', "logits must be numbers"),
-            ('{"logits": [0.0, null, -2.0], "true_class": 1}', "logits must be numbers"),
-            ('{"logits": [0.0, [1.5], -2.0], "true_class": 1}', "logits must be numbers"),
-            ('{"logits": [[0.0], [1.5], [2.0]], "true_class": 1}', "logits must be numbers"),
+            ('{"logits": [0.0, 1.5, -2.0], "true_class": 1.7}', "true_class must be a JSON integer"),
+            ('{"logits": [0.0, 1.5, -2.0], "true_class": 1.0}', "true_class must be a JSON integer"),
+            ('{"logits": [0.0, 1.5, -2.0], "true_class": "1"}', "true_class must be a JSON integer"),
+            ('{"logits": [0.0, 1.5, -2.0], "true_class": true}', "true_class must be a JSON integer"),
+            ('{"logits": [0.0, 1.5, -2.0], "true_class": null}', "true_class must be a JSON integer"),
+            ('{"logits": [0.0, "0.5", -2.0], "true_class": 1}', "logits must be a list of JSON numbers"),
+            ('{"logits": [0.0, null, -2.0], "true_class": 1}', "logits must be a list of JSON numbers"),
+            ('{"logits": [0.0, [1.5], -2.0], "true_class": 1}', "logits must be a list of JSON numbers"),
+            ('{"logits": [[0.0], [1.5], [2.0]], "true_class": 1}', "logits must be a list of JSON numbers"),
             ('{"logits": 5, "true_class": 1}', "logits must be a list"),
             ('{"logits": "abc", "true_class": 1}', "logits must be a list"),
             ('{"logits": {"a": 1, "b": 2, "c": 3}, "true_class": 1}', "logits must be a list"),
-            ('{"logits": [0.0, true, -2.0], "true_class": 1}', "logits must be numbers"),
-            ('{"logits": [false, 1.5, -2.0], "true_class": 1}', "logits must be numbers"),
+            ('{"logits": [0.0, true, -2.0], "true_class": 1}', "logits must be a list of JSON numbers"),
+            ('{"logits": [false, 1.5, -2.0], "true_class": 1}', "logits must be a list of JSON numbers"),
         ],
     )
     def test_bad_row_names_its_line(self, bad, message):
@@ -487,6 +487,24 @@ class TestColumnarPath:
         with pytest.raises(ParseError, match=f"^line 4: {message}") as err:
             read_text(read_calibration_records, "\n".join(lines) + "\n")
         assert err.value.line_number == 4
+
+    @pytest.mark.parametrize(
+        "line2, line3, message",
+        [
+            ('{"logits": [0.0, "x", 1.0], "true_class": 1}',
+             '{"logits": [0.0, 1.0], "true_class": 1}',
+             "line 2: logits must be a list of JSON numbers, got 'x'"),
+            ('{"logits": [0.0, 1.5, -2.0], "true_class": 1.0}',
+             '{"logits": [0.0, "x", 1.0], "true_class": 1}',
+             "line 2: true_class must be a JSON integer, got 1.0"),
+        ],
+        ids=["logit type before a later width", "class type before a later logit type"],
+    )
+    def test_first_faulty_line_is_reported(self, line2, line3, message):
+        text = "\n".join([GOOD_RECORD, line2, line3]) + "\n"
+        with pytest.raises(ParseError) as err:
+            read_text(read_calibration_records, text)
+        assert str(err.value) == message
 
     @pytest.mark.parametrize(
         "bad, message",

@@ -1,7 +1,9 @@
 import argparse
 import hashlib
+import importlib
 import json
 import os
+import re
 import resource
 import shutil
 import subprocess
@@ -18,7 +20,8 @@ from dropuq.calibration import serialize_calibration_records
 from dropuq.cli import _parser
 from dropuq.ingest import MAX_PIXELS, serialize_sample_set
 from dropuq.synth import (
-    MAX_DETECTIONS, generate, generate_calibration_records, scene_spec_to_json,
+    MAX_DETECTIONS, InstanceSpec, SceneSpec, generate, generate_calibration_records,
+    scene_spec_to_json,
 )
 
 SRC = str(Path(__file__).resolve().parent.parent / "src")
@@ -260,6 +263,14 @@ class TestHardExit:
                                                "40 repetitions\n"), r.stderr
         assert (tmp_path / "o" / "scene0_samples.jsonl").exists()
 
+    def test_console_script_target(self):
+        # The installed `dropuq` command calls this; Python 3.10 has no tomllib.
+        text = (Path(SRC).parent / "pyproject.toml").read_text()
+        module, name = re.search(
+            r'^\[project\.scripts\]\ndropuq = "([\w.]+):(\w+)"$', text, re.MULTILINE
+        ).groups()
+        assert callable(getattr(importlib.import_module(module), name))
+
 
 class TestHostileInput:
     def test_huge_header_is_two(self, tmp_path):
@@ -375,12 +386,15 @@ class TestHostileSceneSpec:
             ("box", "[1, 2]", "box needs 4 values, got 2"),
             ("box", f"[0, 0, 1{'0' * 400}, 5]", "box coordinates must be finite, got (0.0, 0.0, inf, 5.0)"),
             ("box_jitter_sigma", "Infinity", "box_jitter_sigma must be in [0, inf), got inf"),
-            (None, "[1]", "scene spec must be a JSON object, got list"),
+            (None, "[1]", ": must be a JSON object, got list"),
             ("mask_nosie", "0.5", "unknown instance key 'mask_nosie'"),
             ("n_repetiton", "9", "unknown scene spec key 'n_repetiton'"),
+            ("box", "[700, 700, 760, 790]", "spec.json: instances[0]: box (700.0, 700.0, 760.0, "
+             "790.0) has no area inside the 640 x 640 image"),
         ],
         ids=["inf-height", "fractional-height", "scalar-instances", "short-box", "huge-box",
-             "inf-jitter", "list-spec", "unknown-instance-key", "unknown-spec-key"],
+             "inf-jitter", "list-spec", "unknown-instance-key", "unknown-spec-key",
+             "outside-box"],
     )
     def test_bad_spec_value_is_two(self, tmp_path, field, value, message):
         doc = json.loads(scene_spec_to_json(separated_scene(0, 1, shape="ellipse")))
@@ -397,6 +411,23 @@ class TestHostileSceneSpec:
         assert message in r.stderr
         assert "Traceback" not in r.stderr
         assert not (tmp_path / "s").exists()
+
+    def test_instance_across_the_edge_scores_its_clamped_box(self, tmp_path, capsys):
+        # Detections are clamped into the image, so the ground-truth box must be too.
+        from dropuq.cli import main
+
+        spec = tmp_path / "edge.json"
+        spec.write_text(scene_spec_to_json(SceneSpec(
+            "edge", 100, 100, 1, 20, (InstanceSpec((90, 10, 130, 30), 1, box_jitter_sigma=0.5),)
+        )))
+        synth, clusters = tmp_path / "s", tmp_path / "c"
+        assert main(["synth", str(spec), "--out-dir", str(synth)]) == 0
+        samples = str(synth / "edge_samples.jsonl")
+        assert main(["cluster", samples, "--out-dir", str(clusters)]) == 0
+        capsys.readouterr()
+        assert main(["eval", samples, "--clusters", str(clusters / "edge_clusters.json"),
+                     "--gt", str(synth / "edge_gt.jsonl"), "--out-dir", str(tmp_path / "e")]) == 0
+        assert capsys.readouterr().out == "mAP@0.5 (box): 1.0000\nmAP@0.5 (mask): 1.0000\n"
 
     def test_spec_that_is_not_json_names_the_file(self, tmp_path, capsys):
         from dropuq.cli import main
@@ -1420,7 +1451,7 @@ class TestPipedInput:
             ('{"logits": [0.0, NaN], "true_class": 1}\n',
              "line 1: logits must be finite, got [0.0, nan]"),
             ('\n{"logits": [0.0, 1.0], "true_class": 1.0}\n',
-             "line 2: true_class must be an integer, got 1.0"),
+             "line 2: true_class must be a JSON integer, got 1.0"),
             pytest.param(
                 '{"logits": [0.0, 1.0, 2.0], "true_class": 1}\n' * 4096
                 + '{"logits": [0.0, 1.0, 2.0, 3.0], "true_class": 1}\n' * 10,

@@ -433,6 +433,16 @@ class TestPgm:
         with pytest.raises(OSError):
             write_pgm(np.full((4, 4), 0.5), path)
         assert not path.exists()
+        assert not (tmp_path / "x.pgm.tmp").exists()
+
+    def test_failed_rename_leaves_no_temporary_file(self, tmp_path):
+        # a directory under the final name: the write succeeds, the rename fails
+        path = tmp_path / "x.pgm"
+        path.mkdir()
+        with pytest.raises(OSError):
+            write_pgm(np.full((4, 4), 0.5), path)
+        assert path.is_dir()
+        assert not (tmp_path / "x.pgm.tmp").exists()
 
     def test_pgm_rejects_out_of_range(self, tmp_path):
         with pytest.raises(ValueError):

@@ -9,13 +9,12 @@ from dropuq.calibration import fit_temperature
 from dropuq.cli import main
 from dropuq.clustering import cluster_pipeline
 from dropuq.ingest import serialize_sample_set
-from dropuq.model import rle_decode, rle_encode
+from dropuq.model import _run_bounds, rle_decode, rle_encode
 from dropuq.synth import (
     MAX_DETECTIONS,
     InstanceSpec,
     SceneSpec,
     _flip_runs,
-    _run_bounds,
     adjusted_rand_index,
     generate,
     generate_calibration_records,
